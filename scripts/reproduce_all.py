@@ -23,7 +23,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--input", help="5-minute records CSV; synthetic year if omitted")
     parser.add_argument("--out-dir", default="out")
-    parser.add_argument("--workers", default="1")
     args = parser.parse_args()
 
     out_dir = Path(args.out_dir)
@@ -39,10 +38,10 @@ def main() -> int:
     steps = [
         ["ingest", "--check", *common],
         ["histogram", *common],
-        ["curves", *common, "--workers", args.workers],
+        ["curves", *common],
         ["bev", *common, "--weeks", "17"],
         ["lull", *common, "--weeks", "3", "--base-gen", "7"],
-        ["table2", *common, "--workers", args.workers],
+        ["table2", *common],
     ]
     for step in steps:
         print(f"\n=== windfleet {' '.join(step)}")

@@ -8,7 +8,6 @@ and the resulting stored-energy trajectory with feasibility checks.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,6 +17,7 @@ import numpy as np
 
 from .ingest import CADENCE_S, WeekSeries
 from .dispatch import HOURS_PER_SAMPLE
+from .export import sample_times, write_csv
 
 log = logging.getLogger(__name__)
 
@@ -48,6 +48,8 @@ class BevFleetSpec:
     round_trip_efficiency: float = 1.0
 
     def __post_init__(self):
+        if not all(np.isfinite(v) for v in vars(self).values() if v is not None):
+            raise ValueError("fleet parameters must be finite")
         if self.fleet_size_millions < 0:
             raise ValueError("fleet_size must be >= 0")
         if self.daily_energy_per_vehicle_kwh <= 0 or self.battery_per_vehicle_kwh <= 0:
@@ -239,18 +241,15 @@ def write_bev_csv(
     path: str | Path,
 ) -> None:
     """Schedule/trajectory export; soc_gwh is the stored energy at the sample instant."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["timestamp", "demand_gw", "charge_gw", "consumption_gw", "soc_gwh"]
-        )
-        for i in range(week.n_samples):
-            writer.writerow(
-                [
-                    week.timestamp(i).strftime("%Y-%m-%dT%H:%M:%SZ"),
-                    repr(float(week.demand[i])),
-                    repr(float(schedule.charge_gw[i])),
-                    repr(float(consumption[i])),
-                    repr(float(trajectory.energy_gwh[i])),
-                ]
-            )
+    n = week.n_samples
+    write_csv(
+        path,
+        ["timestamp", "demand_gw", "charge_gw", "consumption_gw", "soc_gwh"],
+        [
+            sample_times(week.start_time, n),
+            week.demand,
+            schedule.charge_gw,
+            np.asarray(consumption, dtype=float),
+            trajectory.energy_gwh[:n],
+        ],
+    )

@@ -72,7 +72,6 @@ _KNOWN_CONFIG_KEYS = {
     "headrooms_gwe",
     "fleet_sizes_millions",
     "weeks",
-    "workers",
     "fleet_size_millions",
     "daily_energy_per_vehicle_kwh",
     "battery_per_vehicle_kwh",
@@ -86,7 +85,6 @@ _KNOWN_CONFIG_KEYS = {
     "battery_unit_cost_eur_per_kwh",
     "baseline_fleet_emissions_mtpa",
     "baseline_fleet_size_millions",
-    "gas_carbon_intensity_mtpa_per_gwe",
 }
 
 
@@ -119,19 +117,29 @@ def load_config_file(path: str | Path) -> dict[str, str]:
     return values
 
 
+def _finite(value: object, key: str) -> float:
+    try:
+        number = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"cannot parse {key} from {value!r}") from exc
+    if not np.isfinite(number):
+        raise ConfigError(f"{key} must be finite, got {value!r}")
+    return number
+
+
 def _parse_float_list(text: str, key: str) -> list[float]:
     text = text.strip()
     if not text:
         return []
-    try:
-        if ":" in text:
-            start, stop, step = (float(p) for p in text.split(":"))
-            if step <= 0:
-                raise ValueError("step must be > 0")
-            return [float(v) for v in np.arange(start, stop + step / 2, step)]
-        return [float(part) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse {key} from {text!r}: {exc}") from exc
+    if ":" in text:
+        parts = text.split(":")
+        if len(parts) != 3:
+            raise ConfigError(f"cannot parse {key} from {text!r}: expected start:stop:step")
+        start, stop, step = (_finite(p, key) for p in parts)
+        if step <= 0:
+            raise ConfigError(f"cannot parse {key} from {text!r}: step must be > 0")
+        return [float(v) for v in np.arange(start, stop + step / 2, step)]
+    return [_finite(part, key) for part in text.split(",") if part.strip()]
 
 
 def _parse_columns(text: str) -> dict[str, str]:
@@ -168,21 +176,7 @@ class Settings:
 
     def get_float(self, key: str, default: float | None = None) -> float | None:
         raw = self._raw(key)
-        if raw is None:
-            return default
-        try:
-            return float(raw)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"cannot parse {key} from {raw!r}") from exc
-
-    def get_int(self, key: str, default: int) -> int:
-        raw = self._raw(key)
-        if raw is None:
-            return default
-        try:
-            return int(raw)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"cannot parse {key} from {raw!r}") from exc
+        return default if raw is None else _finite(raw, key)
 
     def get_float_list(self, key: str, default: Sequence[float]) -> list[float]:
         raw = self._raw(key)
@@ -190,7 +184,7 @@ class Settings:
             return list(default)
         if isinstance(raw, str):
             return _parse_float_list(raw, key)
-        return [float(v) for v in raw]
+        return [_finite(v, key) for v in raw]
 
     def get_columns(self) -> dict[str, str]:
         raw = self._raw("columns")
@@ -234,7 +228,6 @@ def _build_parser() -> _ArgumentParser:
     p_curves.add_argument("--capacities", dest="capacities_gwc")
     p_curves.add_argument("--headrooms", dest="headrooms_gwe")
     p_curves.add_argument("--fleet-sizes", dest="fleet_sizes_millions")
-    p_curves.add_argument("--workers", type=int)
 
     p_bev = sub.add_parser("bev", help="weekly leveling schedule and SOC trajectory")
     common(p_bev)
@@ -251,7 +244,6 @@ def _build_parser() -> _ArgumentParser:
     common(p_table)
     p_table.add_argument("--capacities", dest="capacities_gwc")
     p_table.add_argument("--fleet-sizes", dest="fleet_sizes_millions")
-    p_table.add_argument("--workers", type=int)
 
     return parser
 
@@ -287,7 +279,6 @@ def _bev_spec(s: Settings, default_fleet: float = 35.0) -> BevFleetSpec:
 
 def _constants(s: Settings) -> ScenarioConstants:
     return ScenarioConstants(
-        gas_carbon_intensity_mtpa_per_gwe=s.get_float("gas_carbon_intensity_mtpa_per_gwe", 4.8),
         baseline_fleet_emissions_mtpa=s.get_float("baseline_fleet_emissions_mtpa", 66.3),
         baseline_fleet_size_millions=s.get_float("baseline_fleet_size_millions", 35.0),
         battery_unit_cost_eur_per_kwh=s.get_float("battery_unit_cost_eur_per_kwh", 255.0),
@@ -313,7 +304,10 @@ def _load_year(s: Settings, default_solar_scale: float):
 
 def _out_dir(s: Settings) -> Path:
     out = Path(s.get_str("out_dir", "out"))
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
     return out
 
 
@@ -325,14 +319,15 @@ def _capacities(s: Settings) -> tuple[float, ...]:
 
 
 def _weeks(s: Settings, default: Sequence[int]) -> list[int]:
-    raw = s.get_float_list("weeks", list(default))
-    weeks = [int(w) for w in raw]
+    weeks = s.get_float_list("weeks", list(default))
     if not weeks:
         raise ConfigError("weeks list is empty")
     for w in weeks:
+        if w != int(w):
+            raise ConfigError(f"week index {w:g} is not a whole number")
         if not 1 <= w <= 52:
-            raise ConfigError(f"week index {w} out of range 1..52")
-    return weeks
+            raise ConfigError(f"week index {w:g} out of range 1..52")
+    return [int(w) for w in weeks]
 
 
 def _manifest(out: Path, command: str, input_path, s: Settings, resolved: dict) -> None:
@@ -382,7 +377,6 @@ def cmd_curves(s: Settings) -> int:
         raise ConfigError("headrooms list is empty")
     capacities = _capacities(s)
     fleet_sizes = s.get_float_list("fleet_sizes_millions", DEFAULT_CURVE_FAMILY_FLEETS_M)
-    workers = s.get_int("workers", 1)
     base = s.get_float("base_generation_gwe", 13.0)
 
     input_path, year, spec = _load_year(s, default_solar_scale=2.0)
@@ -395,8 +389,7 @@ def cmd_curves(s: Settings) -> int:
                 capacities_gwc=capacities,
                 headroom_gwe=h,
                 solar_scale=spec.solar_scale,
-            ),
-            workers=workers,
+            )
         )
         for h in headrooms
     ]
@@ -412,8 +405,7 @@ def cmd_curves(s: Settings) -> int:
                     bev=_bev_spec_with_size(s, size),
                     base_generation_gwe=base,
                     solar_scale=spec.solar_scale,
-                ),
-                workers=workers,
+                )
             )
             for size in fleet_sizes
         ]
@@ -425,7 +417,6 @@ def cmd_curves(s: Settings) -> int:
         "fleet_sizes_millions": fleet_sizes,
         "base_generation_gwe": base,
         "solar_scale": spec.solar_scale,
-        "workers": workers,
     })
     print(f"wrote {out / 'fig5_curve.csv'}, {out / 'fig7_families.csv'}"
           + (f", {out / 'fig12_families.csv'}" if fleet_sizes else ""))
@@ -450,7 +441,6 @@ def cmd_bev(s: Settings) -> int:
         suffix = "" if n == 0 else f"_w{wk}"
         write_bev_csv(week, schedule, consumption, trajectory,
                       out / f"fig9_schedule{suffix}.csv")
-        _write_soc_csv(week, trajectory, out / f"fig11_soc{suffix}.csv")
         status = "feasible" if trajectory.feasible else "INFEASIBLE"
         print(
             f"week {wk}: level {schedule.level_gwe:.1f} GWe, "
@@ -468,21 +458,6 @@ def cmd_bev(s: Settings) -> int:
         "solar_scale": scale.solar_scale,
     })
     return 0
-
-
-def _write_soc_csv(week, trajectory, path: Path) -> None:
-    import csv as _csv
-
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(["timestamp", "soc_gwh"])
-        for i in range(week.n_samples):
-            writer.writerow(
-                [
-                    week.timestamp(i).strftime("%Y-%m-%dT%H:%M:%SZ"),
-                    repr(float(trajectory.energy_gwh[i])),
-                ]
-            )
 
 
 def cmd_lull(s: Settings) -> int:
@@ -529,7 +504,6 @@ def cmd_table2(s: Settings) -> int:
         raise ConfigError("fleet_sizes list is empty")
     capacities = _capacities(s)
     base = s.get_float("base_generation_gwe", 13.0)
-    workers = s.get_int("workers", 1)
     consts = _constants(s)
 
     input_path, year, spec = _load_year(s, default_solar_scale=2.0)
@@ -541,7 +515,6 @@ def cmd_table2(s: Settings) -> int:
         capacities_gwc=capacities,
         base_generation_gwe=base,
         solar_scale=spec.solar_scale,
-        workers=workers,
     )
     write_table2_csv(rows, out / "table2.csv")
     _manifest(out, "table2", input_path, s, {
@@ -550,7 +523,6 @@ def cmd_table2(s: Settings) -> int:
         "base_generation_gwe": base,
         "solar_scale": spec.solar_scale,
         "baseline_wind_gwe": consts.baseline_wind_gwe,
-        "workers": workers,
     })
     print(format_table2(rows))
     print(f"wrote {out / 'table2.csv'}")

@@ -9,8 +9,6 @@ piecewise-linear inversion for fleet sizing round out the module.
 
 from __future__ import annotations
 
-import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -19,6 +17,7 @@ import numpy as np
 
 from .bev import BevFleetSpec, fleet_aggregates
 from .dispatch import CapMode, DispatchConfig, dispatch_week
+from .export import write_csv
 from .scaling import NormalizedYear, WindHistogram
 
 DEFAULT_CAPACITY_GRID_GWC = (20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0)
@@ -53,14 +52,14 @@ class CurveRequest:
     def __post_init__(self):
         caps = tuple(float(c) for c in self.capacities_gwc)
         object.__setattr__(self, "capacities_gwc", caps)
-        if not caps or any(c <= 0 for c in caps):
-            raise ValueError("capacities must be positive")
+        if not caps or not all(np.isfinite(c) and c > 0 for c in caps):
+            raise ValueError("capacities must be finite and positive")
         if any(b <= a for a, b in zip(caps, caps[1:])):
             raise ValueError("capacities must be strictly increasing")
         if (self.headroom_gwe is None) == (self.bev is None):
             raise ValueError("set exactly one of headroom_gwe or bev")
-        if self.solar_scale < 0:
-            raise ValueError("solar_scale must be >= 0")
+        if not (np.isfinite(self.solar_scale) and self.solar_scale >= 0):
+            raise ValueError("solar_scale must be finite and >= 0")
 
     @property
     def family_label(self) -> str:
@@ -88,6 +87,8 @@ class CharacteristicCurve:
         object.__setattr__(self, "mean_wind_gwe", vals)
         if caps.size == 0 or caps.size != vals.size:
             raise ValueError("curve needs equal-length capacity and value arrays")
+        if not (np.all(np.isfinite(caps)) and np.all(np.isfinite(vals))):
+            raise ValueError("curve capacities and values must be finite")
         if np.any(caps <= 0) or np.any(np.diff(caps) <= 0):
             raise ValueError("capacities must be positive and strictly increasing")
         if np.any(vals < 0):
@@ -133,13 +134,8 @@ def _week_configs(req: CurveRequest, weeks) -> list[DispatchConfig]:
     ]
 
 
-def annual_curve(req: CurveRequest, workers: int = 1) -> CharacteristicCurve:
-    """Average 52 weekly dispatches at each capacity on the request grid.
-
-    Capacity points are independent; with workers > 1 they are evaluated on a
-    thread pool and reassembled in grid order, so output is identical
-    regardless of parallelism.
-    """
+def annual_curve(req: CurveRequest) -> CharacteristicCurve:
+    """Average 52 weekly dispatches at each capacity on the request grid."""
     weeks = _weeks_with_solar_scale(req)
     configs = _week_configs(req, weeks)
     ref = req.year.reference_capacity_gwc
@@ -151,15 +147,9 @@ def annual_curve(req: CurveRequest, workers: int = 1) -> CharacteristicCurve:
         ]
         return float(np.mean(weekly))
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(point, req.capacities_gwc))
-    else:
-        values = [point(c) for c in req.capacities_gwc]
-
     return CharacteristicCurve(
         capacities_gwc=np.array(req.capacities_gwc),
-        mean_wind_gwe=np.array(values),
+        mean_wind_gwe=np.array([point(c) for c in req.capacities_gwc]),
         label=req.family_label,
     )
 
@@ -221,7 +211,6 @@ def refine_and_invert(
     curve: CharacteristicCurve,
     required_gwe: float,
     step_gwc: float = REFINEMENT_STEP_GWC,
-    workers: int = 1,
 ) -> tuple[float, CharacteristicCurve]:
     """Invert with extra curve points around the answer for sub-grid precision.
 
@@ -250,7 +239,7 @@ def refine_and_invert(
     if not extra:
         return coarse, curve
 
-    fine = annual_curve(replace(req, capacities_gwc=tuple(extra)), workers=workers)
+    fine = annual_curve(replace(req, capacities_gwc=tuple(extra)))
     merged_caps = np.concatenate([caps, fine.capacities_gwc])
     merged_vals = np.concatenate([curve.mean_wind_gwe, fine.mean_wind_gwe])
     order = np.argsort(merged_caps)
@@ -263,9 +252,12 @@ def refine_and_invert(
 
 
 def write_curves_csv(curves: Sequence[CharacteristicCurve], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["capacity_gwc", "mean_wind_gwe", "family_label"])
-        for curve in curves:
-            for cap, val in zip(curve.capacities_gwc, curve.mean_wind_gwe):
-                writer.writerow([repr(float(cap)), repr(float(val)), curve.label])
+    write_csv(
+        path,
+        ["capacity_gwc", "mean_wind_gwe", "family_label"],
+        [
+            [c for curve in curves for c in curve.capacities_gwc.tolist()],
+            [v for curve in curves for v in curve.mean_wind_gwe.tolist()],
+            [curve.label for curve in curves for _ in curve.capacities_gwc],
+        ],
+    )

@@ -8,13 +8,13 @@ demand or, under V2G charge leveling, a constant weekly level.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
+from .export import sample_times, write_csv
 from .ingest import CADENCE_S, WeekSeries
 from .scaling import DEFAULT_REFERENCE_CAPACITY_GWC
 
@@ -153,29 +153,24 @@ def write_dispatch_csv(
     week: WeekSeries, result: DispatchResult, cfg: DispatchConfig, path: str | Path
 ) -> None:
     """Per-sample dispatch export, one row per 300 s sample."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "timestamp",
-                "demand_gw",
-                "base_gw",
-                "solar_gw",
-                "wind_used_gw",
-                "wind_curtailed_gw",
-                "gas_turbine_gw",
-            ]
-        )
-        base = float(cfg.base_generation_gwe)
-        for i in range(week.n_samples):
-            writer.writerow(
-                [
-                    week.timestamp(i).strftime("%Y-%m-%dT%H:%M:%SZ"),
-                    repr(float(week.demand[i])),
-                    repr(base),
-                    repr(float(week.solar[i])),
-                    repr(float(result.wind_used[i])),
-                    repr(float(result.wind_curtailed[i])),
-                    repr(float(result.gas_turbine[i])),
-                ]
-            )
+    write_csv(
+        path,
+        [
+            "timestamp",
+            "demand_gw",
+            "base_gw",
+            "solar_gw",
+            "wind_used_gw",
+            "wind_curtailed_gw",
+            "gas_turbine_gw",
+        ],
+        [
+            sample_times(week.start_time, week.n_samples),
+            week.demand,
+            np.full(week.n_samples, float(cfg.base_generation_gwe)),
+            week.solar,
+            result.wind_used,
+            result.wind_curtailed,
+            result.gas_turbine,
+        ],
+    )

@@ -119,9 +119,6 @@ class WeekSeries:
     def n_samples(self) -> int:
         return SAMPLES_PER_WEEK
 
-    def timestamp(self, i: int) -> datetime:
-        return self.start_time + timedelta(seconds=i * CADENCE_S)
-
 
 def _parse_timestamp(text: str) -> datetime:
     ts = datetime.fromisoformat(text.strip().replace("Z", "+00:00"))

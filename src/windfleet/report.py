@@ -10,7 +10,6 @@ rounding happens only at display time.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -27,43 +26,26 @@ from .curves import (
     refine_and_invert,
 )
 from .dispatch import CapMode, DispatchConfig, dispatch_week
+from .export import write_csv
 from .ingest import WeekSeries
 from .scaling import DEFAULT_REFERENCE_CAPACITY_GWC, NormalizedYear
 
 DEFAULT_LULL_BASE_GENERATION_GWE = 7.0  # reduced nuclear, no imports
-
-# UK carbon emissions by sector, MT per annum (government records); static
-# reference context for the emissions columns, never computed.
-UK_EMISSIONS_MTPA = {
-    "energy_supply": {1990: 242.1, 2017: 105.0},
-    "business": {1990: 111.9, 2017: 65.8},
-    "transport": {1990: 125.3, 2017: 124.4},
-    "residential": {1990: 78.4, 2017: 64.1},
-    "other": {1990: 36.4, 2017: 7.4},
-    "total": {1990: 594.1, 2017: 366.7},
-}
 
 
 @dataclass(frozen=True)
 class ScenarioConstants:
     """Overridable constants for emissions and cost columns."""
 
-    gas_carbon_intensity_mtpa_per_gwe: float = 4.8
     baseline_fleet_emissions_mtpa: float = 66.3
     baseline_fleet_size_millions: float = 35.0
     battery_unit_cost_eur_per_kwh: float = 255.0  # 155 cell + 100 V2G charger
     baseline_wind_gwe: float = 6.0  # output of the existing reference fleet
 
     def __post_init__(self):
-        for name in (
-            "gas_carbon_intensity_mtpa_per_gwe",
-            "baseline_fleet_emissions_mtpa",
-            "baseline_fleet_size_millions",
-            "battery_unit_cost_eur_per_kwh",
-            "baseline_wind_gwe",
-        ):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
+        for name, value in vars(self).items():
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -96,7 +78,6 @@ def build_table2(
     capacities_gwc: tuple[float, ...] | None = None,
     base_generation_gwe: float = 13.0,
     solar_scale: float = 2.0,
-    workers: int = 1,
 ) -> list[FleetSizingRow]:
     """Wind fleet sizes needed to power BEV fleets, plus the linear columns.
 
@@ -116,9 +97,9 @@ def build_table2(
             base_generation_gwe=base_generation_gwe,
             solar_scale=solar_scale,
         )
-        curve = annual_curve(req, workers=workers)
+        curve = annual_curve(req)
         target = consts.baseline_wind_gwe + agg.mean_power_gw
-        required, _ = refine_and_invert(req, curve, target, workers=workers)
+        required, _ = refine_and_invert(req, curve, target)
         rows.append(
             FleetSizingRow(
                 fleet_size_millions=float(size),
@@ -214,29 +195,15 @@ def gt_utilization(mean_gt_gwe: float, capacity_gwe: float) -> float:
 
 
 def write_table2_csv(rows: Sequence[FleetSizingRow], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "fleet_size_millions",
-                "mean_power_gwe",
-                "required_wind_gwc",
-                "storage_gwh",
-                "emissions_reduction_mtpa",
-                "battery_cost_eur_bn",
-            ]
-        )
-        for row in rows:
-            writer.writerow(
-                [
-                    repr(row.fleet_size_millions),
-                    repr(row.mean_power_gwe),
-                    repr(row.required_wind_gwc),
-                    repr(row.storage_gwh),
-                    repr(row.emissions_reduction_mtpa),
-                    repr(row.battery_cost_eur_bn),
-                ]
-            )
+    header = [
+        "fleet_size_millions",
+        "mean_power_gwe",
+        "required_wind_gwc",
+        "storage_gwh",
+        "emissions_reduction_mtpa",
+        "battery_cost_eur_bn",
+    ]
+    write_csv(path, header, [[getattr(row, name) for row in rows] for name in header])
 
 
 def format_table2(rows: Sequence[FleetSizingRow]) -> str:
@@ -255,32 +222,22 @@ def format_table2(rows: Sequence[FleetSizingRow]) -> str:
 
 
 def write_lull_csv(report: LullReport, path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "week_index",
-                "level_gwe",
-                "peak_gt_gwe",
-                "mean_gt_gwe",
-                "gt_energy_gwh",
-                "min_wind_gwe",
-            ]
-        )
-        writer.writerow(
-            [
-                report.week_index,
-                repr(report.level_gwe),
-                repr(report.peak_gt_gwe),
-                repr(report.mean_gt_gwe),
-                repr(report.gt_energy_gwh),
-                repr(report.min_wind_gwe),
-            ]
-        )
-        writer.writerow([])
-        writer.writerow(["capacity_gwc", "mean_wind_gwe"])
-        for cap in sorted(report.wind_means_gwe):
-            writer.writerow([repr(cap), repr(report.wind_means_gwe[cap])])
+    """Summary row, an empty row, then the week's curve (capacity, mean wind)."""
+    header = [
+        "week_index",
+        "level_gwe",
+        "peak_gt_gwe",
+        "mean_gt_gwe",
+        "gt_energy_gwh",
+        "min_wind_gwe",
+    ]
+    caps = sorted(report.wind_means_gwe)
+    write_csv(
+        path,
+        header,
+        [[getattr(report, name)] for name in header],
+        more=[(["capacity_gwc", "mean_wind_gwe"], [caps, [report.wind_means_gwe[c] for c in caps]])],
+    )
 
 
 def sha256_of(path: str | Path) -> str:

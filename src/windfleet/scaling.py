@@ -8,7 +8,6 @@ extrapolations of the reference trace.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -16,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .export import write_csv
 from .ingest import GridSeries, WeekSeries, WEEKS_PER_YEAR, segment_weeks
 
 DEFAULT_REFERENCE_CAPACITY_GWC = 20.0
@@ -185,8 +185,4 @@ def wind_histogram(
 
 
 def write_histogram_csv(hist: WindHistogram, path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_lower_gwe", "percent"])
-        for lower, pct in zip(hist.bin_lower_gwe, hist.percent):
-            writer.writerow([repr(float(lower)), repr(float(pct))])
+    write_csv(path, ["bin_lower_gwe", "percent"], [hist.bin_lower_gwe, hist.percent])

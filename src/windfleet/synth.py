@@ -10,12 +10,12 @@ into mid-January (week 3), the canonical stress week.
 
 from __future__ import annotations
 
-import csv
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
+from .export import sample_times, write_csv
 from .ingest import SAMPLES_PER_YEAR, GridSeries
 
 SYNTH_START = datetime(2017, 1, 1, tzinfo=timezone.utc)
@@ -67,15 +67,13 @@ def synthetic_year(
 
 def write_series_csv(series: GridSeries, path: str | Path) -> None:
     """Write a GridSeries back out as a raw-format CSV (MW, default columns)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp", "demand", "wind", "solar"])
-        for k in range(series.n_samples):
-            writer.writerow(
-                [
-                    series.timestamp(k).strftime("%Y-%m-%dT%H:%M:%SZ"),
-                    repr(float(series.demand[k] * 1000.0)),
-                    repr(float(series.wind_metered[k] * 1000.0)),
-                    repr(float(series.solar[k] * 1000.0)),
-                ]
-            )
+    write_csv(
+        path,
+        ["timestamp", "demand", "wind", "solar"],
+        [
+            sample_times(series.start_time, series.n_samples),
+            series.demand * 1000.0,
+            series.wind_metered * 1000.0,
+            series.solar * 1000.0,
+        ],
+    )

@@ -70,12 +70,6 @@ class TestAnnualCurve:
         with pytest.raises(ValueError, match="exactly one"):
             CurveRequest(year=synth_year, headroom_gwe=20.0, bev=BevFleetSpec(35.0))
 
-    def test_parallel_evaluation_bit_identical(self, synth_year):
-        req = CurveRequest(year=synth_year, headroom_gwe=20.0)
-        serial = annual_curve(req, workers=1)
-        threaded = annual_curve(req, workers=4)
-        np.testing.assert_array_equal(serial.mean_wind_gwe, threaded.mean_wind_gwe)
-
     def test_solar_scale_relative_to_year(self, synth_year):
         # the year was normalized at solar_scale 1.0; requesting 1.0 again
         # must reproduce the as-normalized dispatch, not rescale
