@@ -5,7 +5,8 @@ Usage:
     python scripts/reproduce_all.py --input data/gridwatch_2017.csv --out-dir out
 
 Runs, in order: ingest --check, histogram, curves, bev (week 17),
-lull (week 3, base 7 GWe), table2. Stops at the first nonzero exit code.
+lull (week 3, base 7 GWe), table2. The input is parsed once and every step
+works on that one series. Stops at the first nonzero exit code.
 Without --input, generates the synthetic year into the output directory first.
 """
 
@@ -15,8 +16,22 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from windfleet.cli import main as cli_main  # noqa: E402
+from windfleet.cli import configure_logging, load_series, run  # noqa: E402
+from windfleet.ingest import IngestError  # noqa: E402
 from windfleet.synth import synthetic_year, write_series_csv  # noqa: E402
+
+
+def steps(input_path, out_dir) -> list[list[str]]:
+    """The CLI argument lists of the six steps, in order."""
+    common = ["--input", str(input_path), "--out-dir", str(out_dir)]
+    return [
+        ["ingest", "--check", *common],
+        ["histogram", *common],
+        ["curves", *common],
+        ["bev", *common, "--weeks", "17"],
+        ["lull", *common, "--weeks", "3", "--base-gen", "7"],
+        ["table2", *common],
+    ]
 
 
 def main() -> int:
@@ -34,18 +49,15 @@ def main() -> int:
             write_series_csv(synthetic_year(), input_path)
             print(f"generated {input_path}")
 
-    common = ["--input", str(input_path), "--out-dir", str(out_dir)]
-    steps = [
-        ["ingest", "--check", *common],
-        ["histogram", *common],
-        ["curves", *common],
-        ["bev", *common, "--weeks", "17"],
-        ["lull", *common, "--weeks", "3", "--base-gen", "7"],
-        ["table2", *common],
-    ]
-    for step in steps:
+    configure_logging()
+    try:
+        series = load_series(input_path)
+    except IngestError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return 2
+    for step in steps(input_path, out_dir):
         print(f"\n=== windfleet {' '.join(step)}")
-        code = cli_main(step)
+        code = run(step, series=series)
         if code != 0:
             print(f"step failed with exit code {code}", file=sys.stderr)
             return code

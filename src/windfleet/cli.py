@@ -13,6 +13,7 @@ import argparse
 import logging
 import sys
 from dataclasses import replace
+from decimal import Decimal
 from pathlib import Path
 from typing import Sequence
 
@@ -34,7 +35,7 @@ from .curves import (
     write_curves_csv,
 )
 from .dispatch import CapMode, DispatchConfig, dispatch_week, write_dispatch_csv
-from .ingest import IngestError, parse_csv, canonicalize, segment_weeks
+from .ingest import GridSeries, IngestError, canonicalize, parse_csv, segment_weeks
 from .report import (
     DEFAULT_LULL_BASE_GENERATION_GWE,
     ScenarioConstants,
@@ -138,8 +139,15 @@ def _parse_float_list(text: str, key: str) -> list[float]:
         start, stop, step = (_finite(p, key) for p in parts)
         if step <= 0:
             raise ConfigError(f"cannot parse {key} from {text!r}: step must be > 0")
-        return [float(v) for v in np.arange(start, stop + step / 2, step)]
+        # arange drifts (0.1:0.7:0.1 gives 0.30000000000000004); the values
+        # carry no more decimals than the start and step were written with
+        decimals = max(_decimals(parts[0]), _decimals(parts[2]))
+        return [round(float(v), decimals) for v in np.arange(start, stop + step / 2, step)]
     return [_finite(part, key) for part in text.split(",") if part.strip()]
+
+
+def _decimals(text: str) -> int:
+    return max(0, -Decimal(text.strip()).as_tuple().exponent)
 
 
 def _parse_columns(text: str) -> dict[str, str]:
@@ -254,8 +262,17 @@ def _settings_from_args(args: argparse.Namespace) -> Settings:
     return Settings(flags, config)
 
 
+def _valid(build, *args, **kwargs):
+    """``build(*args, **kwargs)``, with its ValueError as a configuration error."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _scaling_spec(s: Settings, default_solar_scale: float) -> ScalingSpec:
-    return ScalingSpec(
+    return _valid(
+        ScalingSpec,
         embedded_multiplier=s.get_float("embedded_multiplier", 1.5),
         reference_capacity_gwc=s.get_float("reference_capacity_gwc", 20.0),
         target_capacity_factor=s.get_float("target_capacity_factor", 0.30),
@@ -264,7 +281,8 @@ def _scaling_spec(s: Settings, default_solar_scale: float) -> ScalingSpec:
 
 
 def _bev_spec(s: Settings, default_fleet: float = 35.0) -> BevFleetSpec:
-    return BevFleetSpec(
+    return _valid(
+        BevFleetSpec,
         fleet_size_millions=s.get_float("fleet_size_millions", default_fleet),
         daily_energy_per_vehicle_kwh=s.get_float("daily_energy_per_vehicle_kwh", 10.0),
         battery_per_vehicle_kwh=s.get_float("battery_per_vehicle_kwh", 30.0),
@@ -278,7 +296,8 @@ def _bev_spec(s: Settings, default_fleet: float = 35.0) -> BevFleetSpec:
 
 
 def _constants(s: Settings) -> ScenarioConstants:
-    return ScenarioConstants(
+    return _valid(
+        ScenarioConstants,
         baseline_fleet_emissions_mtpa=s.get_float("baseline_fleet_emissions_mtpa", 66.3),
         baseline_fleet_size_millions=s.get_float("baseline_fleet_size_millions", 35.0),
         battery_unit_cost_eur_per_kwh=s.get_float("battery_unit_cost_eur_per_kwh", 255.0),
@@ -286,20 +305,26 @@ def _constants(s: Settings) -> ScenarioConstants:
     )
 
 
-def _load_series(s: Settings):
+def load_series(input_path: str | Path, columns: dict[str, str] | None = None) -> GridSeries:
+    """Parse and canonicalize one input file."""
+    if not Path(input_path).exists():
+        raise IngestError(f"input file not found: {input_path}")
+    return canonicalize(parse_csv(input_path, columns), source=str(input_path))
+
+
+def _load_series(s: Settings, series: GridSeries | None):
+    """The input path, and ``series`` or else the series read from it."""
     input_path = s.get_str("input")
     if not input_path:
         raise ConfigError("no input file given (use --input or the config file)")
-    if not Path(input_path).exists():
-        raise IngestError(f"input file not found: {input_path}")
-    records = parse_csv(input_path, s.get_columns())
-    return input_path, canonicalize(records, source=str(input_path))
+    if series is None:
+        series = load_series(input_path, s.get_columns())
+    return input_path, series
 
 
-def _load_year(s: Settings, default_solar_scale: float):
-    input_path, series = _load_series(s)
-    spec = _scaling_spec(s, default_solar_scale)
-    return input_path, normalize(series, spec), spec
+def _load_year(s: Settings, spec: ScalingSpec, series: GridSeries | None):
+    input_path, series = _load_series(s, series)
+    return input_path, normalize(series, spec)
 
 
 def _out_dir(s: Settings) -> Path:
@@ -315,6 +340,8 @@ def _capacities(s: Settings) -> tuple[float, ...]:
     capacities = tuple(s.get_float_list("capacities_gwc", DEFAULT_CAPACITY_GRID_GWC))
     if not capacities:
         raise ConfigError("capacities list is empty")
+    if capacities[0] <= 0 or any(b <= a for a, b in zip(capacities, capacities[1:])):
+        raise ConfigError("capacities must be positive and strictly increasing")
     return capacities
 
 
@@ -340,8 +367,8 @@ def _manifest(out: Path, command: str, input_path, s: Settings, resolved: dict) 
     )
 
 
-def cmd_ingest(s: Settings) -> int:
-    input_path, series = _load_series(s)
+def cmd_ingest(s: Settings, series: GridSeries | None) -> int:
+    input_path, series = _load_series(s, series)
     weeks = segment_weeks(series)
     print(f"input: {input_path}")
     print(f"samples: {series.n_samples} ({series.n_samples / 2016:.2f} weeks of data)")
@@ -354,11 +381,12 @@ def cmd_ingest(s: Settings) -> int:
     return 0
 
 
-def cmd_histogram(s: Settings) -> int:
-    input_path, year, spec = _load_year(s, default_solar_scale=1.0)
+def cmd_histogram(s: Settings, series: GridSeries | None) -> int:
+    spec = _scaling_spec(s, default_solar_scale=1.0)
+    out = _out_dir(s)
+    input_path, year = _load_year(s, spec, series)
     trace = extrapolate_wind(year, spec.reference_capacity_gwc)
     hist = wind_histogram(trace, 1.0, capacity_gwc=spec.reference_capacity_gwc)
-    out = _out_dir(s)
     write_histogram_csv(hist, out / "fig1_histogram.csv")
     _manifest(out, "histogram", input_path, s, {
         "reference_capacity_gwc": spec.reference_capacity_gwc,
@@ -371,16 +399,18 @@ def cmd_histogram(s: Settings) -> int:
     return 0
 
 
-def cmd_curves(s: Settings) -> int:
+def cmd_curves(s: Settings, series: GridSeries | None) -> int:
     headrooms = s.get_float_list("headrooms_gwe", DEFAULT_HEADROOMS_GWE)
     if not headrooms:
         raise ConfigError("headrooms list is empty")
     capacities = _capacities(s)
     fleet_sizes = s.get_float_list("fleet_sizes_millions", DEFAULT_CURVE_FAMILY_FLEETS_M)
     base = s.get_float("base_generation_gwe", 13.0)
-
-    input_path, year, spec = _load_year(s, default_solar_scale=2.0)
+    bev_specs = [_valid(replace, _bev_spec(s), fleet_size_millions=size) for size in fleet_sizes]
+    spec = _scaling_spec(s, default_solar_scale=2.0)
     out = _out_dir(s)
+
+    input_path, year = _load_year(s, spec, series)
 
     headroom_curves = [
         annual_curve(
@@ -402,12 +432,12 @@ def cmd_curves(s: Settings) -> int:
                 CurveRequest(
                     year=year,
                     capacities_gwc=capacities,
-                    bev=_bev_spec_with_size(s, size),
+                    bev=bev,
                     base_generation_gwe=base,
                     solar_scale=spec.solar_scale,
                 )
             )
-            for size in fleet_sizes
+            for bev in bev_specs
         ]
         write_curves_csv(bev_curves, out / "fig12_families.csv")
 
@@ -423,15 +453,12 @@ def cmd_curves(s: Settings) -> int:
     return 0
 
 
-def _bev_spec_with_size(s: Settings, size: float) -> BevFleetSpec:
-    return replace(_bev_spec(s), fleet_size_millions=size)
-
-
-def cmd_bev(s: Settings) -> int:
+def cmd_bev(s: Settings, series: GridSeries | None) -> int:
     weeks = _weeks(s, default=[17])
     spec = _bev_spec(s)
-    input_path, year, scale = _load_year(s, default_solar_scale=1.0)
+    scale = _scaling_spec(s, default_solar_scale=1.0)
     out = _out_dir(s)
+    input_path, year = _load_year(s, scale, series)
 
     for n, wk in enumerate(weeks):
         week = year.weeks[wk - 1]
@@ -460,13 +487,14 @@ def cmd_bev(s: Settings) -> int:
     return 0
 
 
-def cmd_lull(s: Settings) -> int:
+def cmd_lull(s: Settings, series: GridSeries | None) -> int:
     weeks = _weeks(s, default=[3])
     capacities = _capacities(s)
     base = s.get_float("base_generation_gwe", DEFAULT_LULL_BASE_GENERATION_GWE)
     spec = _bev_spec(s)
-    input_path, year, scale = _load_year(s, default_solar_scale=1.0)
+    scale = _scaling_spec(s, default_solar_scale=1.0)
     out = _out_dir(s)
+    input_path, year = _load_year(s, scale, series)
 
     for n, wk in enumerate(weeks):
         week = year.weeks[wk - 1]
@@ -498,16 +526,19 @@ def cmd_lull(s: Settings) -> int:
     return 0
 
 
-def cmd_table2(s: Settings) -> int:
+def cmd_table2(s: Settings, series: GridSeries | None) -> int:
     fleet_sizes = s.get_float_list("fleet_sizes_millions", DEFAULT_FLEET_SIZES_M)
     if not fleet_sizes:
         raise ConfigError("fleet_sizes list is empty")
+    for size in fleet_sizes:
+        _valid(BevFleetSpec, fleet_size_millions=size)
     capacities = _capacities(s)
     base = s.get_float("base_generation_gwe", 13.0)
     consts = _constants(s)
-
-    input_path, year, spec = _load_year(s, default_solar_scale=2.0)
+    spec = _scaling_spec(s, default_solar_scale=2.0)
     out = _out_dir(s)
+
+    input_path, year = _load_year(s, spec, series)
     rows = build_table2(
         year,
         fleet_sizes,
@@ -539,8 +570,20 @@ _COMMANDS = {
 }
 
 
-def main(argv: Sequence[str] | None = None) -> int:
+def configure_logging() -> None:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    """Run one subcommand and return its exit code."""
+    configure_logging()
+    return run(argv)
+
+
+def run(argv: Sequence[str] | None, *, series: GridSeries | None = None) -> int:
+    """``main`` without the logging set-up; ``series``, when given, is used
+    in place of reading ``--input``, which then only names the input in the
+    run manifest. Every setting is still resolved and checked."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -550,7 +593,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 "and accepts no seed"
             )
         settings = _settings_from_args(args)
-        return _COMMANDS[args.command](settings)
+        return _COMMANDS[args.command](settings, series)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 3

@@ -1,15 +1,48 @@
 import csv
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from windfleet import cli
 from windfleet.cli import load_config_file, main, ConfigError
+
+REPRODUCE_ALL = Path(__file__).resolve().parent.parent / "scripts" / "reproduce_all.py"
+
+# one bad setting each; "{file}" stands for an existing file
+BAD_VALUES = [
+    ["curves", "--capacities", "nan"],
+    ["curves", "--capacities", "20,inf"],
+    ["curves", "--headrooms", "-inf"],
+    ["table2", "--fleet-sizes", "nan"],
+    ["bev", "--fleet-size", "nan"],
+    ["bev", "--solar-scale", "inf"],
+    ["lull", "--weeks", "3.7"],
+    ["lull", "--weeks", "nan"],
+    ["curves", "--capacities", "20:80"],
+    ["histogram", "--out-dir", "{file}"],
+    ["curves", "--capacities", "40,20"],
+    ["lull", "--capacities", "0,20"],
+    ["histogram", "--solar-scale", "-1"],
+    ["bev", "--fleet-size", "-5"],
+    ["table2", "--fleet-sizes", "15,-5"],
+    ["curves", "--fleet-sizes", "-1"],
+]
 
 
 def run(*argv):
     return main(list(argv))
+
+
+def bad_value_argv(argv, tmp_path):
+    existing = tmp_path / "a_file"
+    existing.write_text("")
+    argv = [a.replace("{file}", str(existing)) for a in argv]
+    if "--out-dir" not in argv:
+        argv += ["--out-dir", str(tmp_path / "out")]
+    return argv
 
 
 class TestExitCodes:
@@ -49,31 +82,20 @@ class TestExitCodes:
         code = run("histogram", "--input", str(synth_csv), "--config", str(cfg))
         assert code == 3
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["curves", "--capacities", "nan"],
-            ["curves", "--capacities", "20,inf"],
-            ["curves", "--headrooms", "-inf"],
-            ["table2", "--fleet-sizes", "nan"],
-            ["bev", "--fleet-size", "nan"],
-            ["bev", "--solar-scale", "inf"],
-            ["lull", "--weeks", "3.7"],
-            ["lull", "--weeks", "nan"],
-            ["curves", "--capacities", "20:80"],
-            ["histogram", "--out-dir", "{file}"],
-        ],
-    )
+    @pytest.mark.parametrize("argv", BAD_VALUES)
     def test_bad_value_is_one_line_config_error(self, argv, synth_csv, tmp_path, capsys):
-        existing = tmp_path / "a_file"
-        existing.write_text("")
-        argv = [a.replace("{file}", str(existing)) for a in argv]
-        if "--out-dir" not in argv:
-            argv += ["--out-dir", str(tmp_path / "out")]
+        argv = bad_value_argv(argv, tmp_path)
         assert run(*argv, "--input", str(synth_csv)) == 3
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and err.count("\n") == 1
         assert not list((tmp_path / "out").glob("*.csv"))
+
+    @pytest.mark.parametrize("argv", BAD_VALUES)
+    def test_bad_value_fails_before_input_is_read(self, argv, tmp_path, capsys):
+        # a missing input would exit 2; settings are checked first
+        argv = bad_value_argv(argv, tmp_path)
+        assert run(*argv, "--input", str(tmp_path / "absent.csv")) == 3
+        assert capsys.readouterr().err.startswith("configuration error: ")
 
 
 class TestIngestCommand:
@@ -119,6 +141,17 @@ class TestCurvesCommand:
         assert len(lines) == 1 + 2 * 3
         fig12 = (out / "fig12_families.csv").read_text()
         assert "bev=0M" in fig12 and "bev=35M" in fig12
+
+    def test_range_labels_do_not_drift(self, synth_csv, tmp_path):
+        out = tmp_path / "out"
+        code = run(
+            "curves", "--input", str(synth_csv), "--out-dir", str(out),
+            "--capacities", "0.1:0.7:0.1", "--headrooms", "20", "--fleet-sizes", "",
+        )
+        assert code == 0
+        with open(out / "fig5_curve.csv", newline="") as fh:
+            labels = [row["capacity_gwc"] for row in csv.DictReader(fh)]
+        assert labels == ["0.1", "0.2", "0.3", "0.4", "0.5", "0.6", "0.7"]
 
 
 class TestBevCommand:
@@ -266,3 +299,30 @@ def test_module_entrypoint_subprocess(synth_csv, tmp_path):
     )
     assert result.returncode == 0
     assert "weeks usable: 52" in result.stdout
+
+
+class TestReproduceAll:
+    def test_parses_once_and_matches_separate_commands(self, synth_csv, tmp_path, monkeypatch):
+        spec = importlib.util.spec_from_file_location("reproduce_all", REPRODUCE_ALL)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        parsed = []
+        parse_csv = cli.parse_csv
+        monkeypatch.setattr(cli, "parse_csv", lambda *a, **k: parsed.append(a) or parse_csv(*a, **k))
+
+        together, separate = tmp_path / "together", tmp_path / "separate"
+        monkeypatch.setattr(
+            sys, "argv", ["reproduce_all.py", "--input", str(synth_csv), "--out-dir", str(together)]
+        )
+        assert script.main() == 0
+        assert len(parsed) == 1
+        steps = script.steps(synth_csv, separate)
+        for step in steps:
+            assert main(step) == 0
+        assert len(parsed) == 1 + len(steps)
+
+        names = sorted(p.name for p in together.glob("*.csv"))
+        assert len(names) == 8
+        assert names == sorted(p.name for p in separate.glob("*.csv"))
+        for name in names:
+            assert (together / name).read_bytes() == (separate / name).read_bytes(), name

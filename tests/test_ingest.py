@@ -42,7 +42,7 @@ class TestParseCsv:
         )
         records = parse_csv(path)
         assert len(records) == 1
-        r = records[0]
+        [r] = records
         assert r.timestamp == datetime(2017, 1, 16, tzinfo=timezone.utc)
         assert (r.demand_mw, r.wind_mw, r.solar_mw) == (48000.0, 900.0, 0.0)
 
@@ -75,11 +75,11 @@ class TestParseCsv:
 
     def test_column_map(self, tmp_path):
         path = write(tmp_path, "time,load_mw,w,s\n2017-01-16T00:00:00Z,48000,900,12\n")
-        records = parse_csv(
+        [record] = parse_csv(
             path,
             column_map={"timestamp": "time", "demand": "load_mw", "wind": "w", "solar": "s"},
         )
-        assert records[0].solar_mw == 12.0
+        assert record.solar_mw == 12.0
 
     def test_more_than_one_percent_bad_rows_fatal(self, tmp_path):
         rows = [f"2017-01-16T{h:02d}:{m:02d}:00Z,48000,900,0"
@@ -102,6 +102,32 @@ class TestParseCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(IngestError, match="cannot open"):
             parse_csv(tmp_path / "absent.csv")
+
+    @pytest.mark.parametrize("header", ["demand,wind,solar,timestamp", "timestamp,demand,wind,solar"])
+    def test_short_row_is_row_error(self, tmp_path, header):
+        order = header.split(",")
+        values = {"demand": "48000", "wind": "900", "solar": "0"}
+        rows = []
+        for i in range(150):
+            values["timestamp"] = ts(i).strftime("%Y-%m-%dT%H:%M:%SZ")
+            rows.append(",".join(values[name] for name in order))
+        rows[40] = "48000,900"
+        path = write(tmp_path, header + "\n" + "\n".join(rows) + "\n")
+        errors = []
+        records = parse_csv(path, row_errors=errors)
+        assert len(records) == 149
+        assert [(e.line, e.reason) for e in errors] == [
+            (42, "too few fields: 2, the mapped columns need 4")
+        ]
+
+    def test_utf8_bom_before_header(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(
+            "\ufefftimestamp,demand,wind,solar\n2017-01-16T00:00:00Z,48000,900,0\n".encode("utf-8")
+        )
+        [r] = parse_csv(path)
+        assert r.timestamp == datetime(2017, 1, 16, tzinfo=timezone.utc)
+        assert r.demand_mw == 48000.0
 
 
 class TestCanonicalize:

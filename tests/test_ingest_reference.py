@@ -1,0 +1,261 @@
+"""The columnar parse_csv + canonicalize against a row-by-row reference.
+
+The reference is the row-at-a-time reader this package used before its
+ingest worked on columns (csv.DictReader, one RawRecord per row, a sorted
+list for canonicalize), with its two fixes: a row too short for the mapped
+columns is a row error, and a UTF-8 byte-order mark is skipped.
+"""
+
+import csv
+import io
+import tempfile
+from datetime import datetime, timedelta, timezone
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from windfleet import ingest
+from windfleet.ingest import (
+    CADENCE_S,
+    DEFAULT_COLUMNS,
+    MAX_GAP_SAMPLES,
+    MW_PER_GW,
+    GridSeries,
+    IngestError,
+    RawRecord,
+    _parse_timestamp,
+    canonicalize,
+    parse_csv,
+)
+
+T0 = datetime(2017, 1, 16, tzinfo=timezone.utc)
+COLUMNS = {"timestamp": "time", "demand": "nd", "wind": "w", "solar": "pv"}
+
+
+def reference_parse(path, column_map):
+    """(records, [(line, reason)], rows counted), one row at a time."""
+    columns = dict(DEFAULT_COLUMNS, **column_map)
+    records, errors, n_rows = [], [], 0
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.DictReader(fh)
+        need = max(reader.fieldnames.index(c) for c in columns.values()) + 1
+        for row in reader:
+            if all(v is None or not str(v).strip() for v in row.values()):
+                continue
+            n_rows += 1
+            line = reader.line_num
+            if any(row[c] is None for c in columns.values()):
+                n_fields = sum(v is not None for v in row.values())
+                errors.append((line, f"too few fields: {n_fields}, the mapped columns need {need}"))
+                continue
+            try:
+                ts = _parse_timestamp(row[columns["timestamp"]])
+                demand = float(row[columns["demand"]])
+                wind = float(row[columns["wind"]])
+                solar = float(row[columns["solar"]])
+            except (ValueError, OverflowError) as exc:
+                errors.append((line, f"unparseable field: {exc}"))
+                continue
+            if not all(np.isfinite(v) for v in (demand, wind, solar)):
+                errors.append((line, "non-finite value"))
+                continue
+            if demand <= 0:
+                errors.append((line, f"demand must be > 0, got {demand}"))
+                continue
+            if wind < 0 or solar < 0:
+                errors.append((line, "wind and solar must be >= 0"))
+                continue
+            records.append(RawRecord(ts, demand, wind, solar))
+    return records, errors, n_rows
+
+
+def reference_canonicalize(records, source):
+    if not records:
+        raise IngestError("no records to canonicalize")
+    deduped, dropped, last_ts = [], 0, None
+    for rec in sorted(records, key=lambda r: r.timestamp):
+        if last_ts is not None and rec.timestamp == last_ts:
+            dropped += 1
+            continue
+        deduped.append(rec)
+        last_ts = rec.timestamp
+    t0 = deduped[0].timestamp
+    offsets = np.array([(r.timestamp - t0).total_seconds() for r in deduped])
+    misaligned = offsets % CADENCE_S != 0
+    if np.any(misaligned):
+        bad = deduped[int(np.argmax(misaligned))]
+        raise IngestError(f"non-{CADENCE_S} s cadence at {bad.timestamp.isoformat()}")
+    idx = (offsets // CADENCE_S).astype(np.int64)
+    gaps = np.diff(idx) - 1
+    n_gaps = int(np.count_nonzero(gaps))
+    if n_gaps:
+        worst_at = int(np.argmax(gaps))
+        worst = int(gaps[worst_at])
+        if worst > MAX_GAP_SAMPLES:
+            gap_start = deduped[worst_at].timestamp + timedelta(seconds=CADENCE_S)
+            raise IngestError(
+                f"gap exceeds 1 hour: {worst} consecutive samples missing "
+                f"from {gap_start.isoformat()}"
+            )
+    n = int(idx[-1]) + 1
+    full = np.arange(n)
+    columns = [
+        np.interp(full, idx, [getattr(r, name) for r in deduped]) / MW_PER_GW
+        for name in ("demand_mw", "wind_mw", "solar_mw")
+    ]
+    provenance = [f"source: {source}"]
+    if dropped:
+        provenance.append(f"dropped {dropped} duplicate-timestamp rows (kept first)")
+    if n - len(deduped):
+        provenance.append(
+            f"interpolated {n - len(deduped)} missing samples across {n_gaps} gaps"
+        )
+    return GridSeries(t0, *columns, provenance=tuple(provenance))
+
+
+def stamp(i, form):
+    t = T0 + timedelta(seconds=CADENCE_S * i)
+    return {
+        "Z": t.strftime("%Y-%m-%dT%H:%M:%SZ"),
+        "space+00:00": t.strftime("%Y-%m-%d %H:%M:%S+00:00"),
+        "naive": t.strftime("%Y-%m-%dT%H:%M:%S"),
+        "+01:00": (t + timedelta(hours=1)).strftime("%Y-%m-%dT%H:%M:%S+01:00"),
+        "padded": f" {t:%Y-%m-%dT%H:%M:%SZ} ",
+        "fraction": t.strftime("%Y-%m-%dT%H:%M:%S.000Z"),
+        "date-only": t.strftime("%Y-%m-%d"),
+    }[form]
+
+
+GOOD_VALUES = ["48000", "48000.5", " 900 ", "1_000", "1e3", "0.25", "-0"]
+BAD_VALUES = ["nan", "-inf", "inf", "x", "", "-5", "1e999", "0"]
+BAD_STAMPS = [
+    "NaT", "now", "today", "", "2017-02-30T00:00:00Z", "2017-01-16 25:00:00+00:00",
+    "0000-01-01T00:00:00", "2017-01-16T00:02:30Z", "0001-01-01T00:00:00+01:00",
+    "2017-01-16T00:00:00+0000", "2017-1-16T00:00:00Z", "2017-01-16T00:00:00Zjunk",
+]
+NOTES = ["", "plain", "a,b", 'say "hi"']
+BROKEN_NOTES = ["two\nlines", "cr\r\nlf", "cr\ronly"]  # quoted or not, line numbers move
+
+
+@st.composite
+def documents(draw):
+    """A CSV document: renamed, reordered columns plus a note column; mostly
+    good rows over a short run of samples, with odd lines mixed in."""
+    header = draw(st.permutations([*COLUMNS.values(), "note"]))
+    n_good = draw(st.sampled_from([1, 3, 20, 150, 250]))  # 1% of 150 rows: one row error
+    good = draw(st.lists(st.fixed_dictionaries({
+        "time": st.builds(stamp, st.integers(0, 30), st.sampled_from(
+            ["Z", "space+00:00", "naive", "+01:00", "padded", "fraction", "date-only"])),
+        "nd": st.sampled_from(GOOD_VALUES[:-1]),
+        "w": st.sampled_from(GOOD_VALUES),
+        "pv": st.sampled_from(GOOD_VALUES),
+        "note": st.sampled_from(NOTES),
+    }), min_size=n_good, max_size=n_good))
+    rows = [[row[name] for name in header] for row in good]
+    replace = lambda row, col, text: [text if name == col else v for name, v in zip(header, row)]
+    odd_rows = st.one_of(
+        st.just([]),                                   # blank line
+        st.just([""] * len(header)),                   # comma-only line
+        st.just([" "]),                                # whitespace-only line
+        st.just([""] * (len(header) + 2)),             # comma-only, longer than the header
+        st.builds(lambda row, k: row[:k], st.sampled_from(rows), st.integers(1, len(header) - 1)),
+        st.builds(lambda row, extra: row + extra, st.sampled_from(rows),
+                  st.lists(st.sampled_from(NOTES + BROKEN_NOTES), min_size=1, max_size=3)),
+        st.builds(replace, st.sampled_from(rows), st.just("note"), st.sampled_from(BROKEN_NOTES)),
+        st.builds(replace, st.sampled_from(rows), st.sampled_from(["nd", "w", "pv"]),
+                  st.sampled_from(BAD_VALUES)),
+        st.builds(replace, st.sampled_from(rows), st.just("time"), st.sampled_from(BAD_STAMPS)),
+    )
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), draw(odd_rows))
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator=draw(st.sampled_from(["\n", "\r\n"])),
+                        quoting=draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL])))
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+def assert_same_series(series, expected):
+    assert series.start_time == expected.start_time
+    assert series.provenance == expected.provenance
+    for name in ("demand", "wind_metered", "solar"):
+        assert getattr(series, name).tobytes() == getattr(expected, name).tobytes()
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except IngestError as exc:
+        return str(exc)
+
+
+def every_odd_case() -> str:
+    """Each bad stamp, bad value and odd line once, after a line-breaking
+    note, among enough good rows that the 1% rule lets them all through."""
+    header = ["note", "w", "time", "nd", "pv"]
+    good = lambda i, **kw: [kw.get(name, v) for name, v in zip(header, (
+        "", "900", stamp(i % 31, "Z"), "48000", "0"))]
+    odd = [[], [""] * 5, [" "], [""] * 7, good(3)[:2], good(4)[:3], good(5) + ["x", ""]]
+    odd += [good(6, time=text) for text in BAD_STAMPS]
+    odd += [good(7, **{col: text}) for col in ("nd", "w", "pv") for text in BAD_VALUES]
+    rows = []
+    for i, row in enumerate(odd):
+        rows.append(good(i, note=BROKEN_NOTES[i % len(BROKEN_NOTES)]))
+        rows += [good(i + k) for k in range(100)]
+        rows.append(row)
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([header, *rows])
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 3, 16, 8192])
+def test_every_odd_case_matches_reference(chunk_rows):
+    check_against_reference(every_odd_case(), chunk_rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(text=documents(), chunk_rows=st.sampled_from([1, 3, 16, 8192]))
+def test_matches_row_by_row_reference(text, chunk_rows):
+    check_against_reference(text, chunk_rows)
+
+
+def check_against_reference(text, chunk_rows):
+    """Same row errors, records and GridSeries (or error) as the reference."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "export.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        expected_records, expected_errors, n_rows = reference_parse(path, COLUMNS)
+        errors = []
+        with mock.patch.object(ingest, "CHUNK_ROWS", chunk_rows):
+            if len(expected_errors) > 0.01 * n_rows:
+                with pytest.raises(IngestError, match="malformed"):
+                    parse_csv(path, COLUMNS, errors)
+                records = None
+            else:
+                records = parse_csv(path, COLUMNS, errors)
+    assert [(e.line, e.reason) for e in errors] == expected_errors
+    if records is None:
+        return
+    assert list(records) == expected_records
+    expected = outcome(reference_canonicalize, expected_records, "x")
+    for given_records in (records, expected_records):
+        series = outcome(canonicalize, given_records, "x")
+        if isinstance(expected, str):
+            assert series == expected
+        else:
+            assert_same_series(series, expected)
+
+
+def test_synthetic_year_matches_reference(synth_csv):
+    expected_records, expected_errors, _ = reference_parse(synth_csv, {})
+    records = parse_csv(synth_csv)
+    assert not expected_errors
+    assert len(records) == len(expected_records)
+    assert_same_series(
+        canonicalize(records, source="year"), reference_canonicalize(expected_records, "year")
+    )
