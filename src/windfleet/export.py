@@ -3,11 +3,16 @@
 Every result file is a header row over equal-length columns. Floats are
 written as their shortest round-trip repr, timestamps as UTC
 ``YYYY-MM-DDTHH:MM:SSZ``, and integers and strings as themselves.
+
+The bytes are those of the csv module's excel dialect: ``\\r\\n`` line ends,
+and minimal quoting (a cell holding a comma, a double quote or a line break
+is wrapped in double quotes, with its double quotes doubled; a row that is
+one empty cell is written ``""``).
 """
 
 from __future__ import annotations
 
-import csv
+import re
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Sequence
@@ -16,9 +21,11 @@ import numpy as np
 
 from .ingest import CADENCE_S
 
-# Rows formatted per writerows call; bounds the Python objects alive at once,
-# so a year-long export does not raise peak memory.
+# Rows formatted per write; bounds the Python strings alive at once, so a
+# year-long export does not raise peak memory.
 CHUNK_ROWS = 8192
+
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
 
 
 def sample_times(start_time: datetime, n: int) -> np.ndarray:
@@ -28,10 +35,26 @@ def sample_times(start_time: datetime, n: int) -> np.ndarray:
     return np.datetime64(start_time, "s") + np.arange(n) * np.timedelta64(CADENCE_S, "s")
 
 
-def _cells(column: np.ndarray) -> list:
+def _quoted(cell: str) -> str:
+    if _NEEDS_QUOTES.search(cell):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
+def _cells(column: np.ndarray) -> list[str]:
+    """Each value's cell text; only str() of other kinds can need quoting."""
     if column.dtype.kind == "M":
         return np.datetime_as_string(column, unit="s", timezone="UTC").tolist()
-    return column.tolist()  # Python floats, which csv writes as repr
+    if column.dtype.kind == "f":
+        return list(map(float.__repr__, column.tolist()))
+    return [_quoted(str(value)) for value in column.tolist()]
+
+
+def _rows(cells: Sequence[list[str]]) -> str:
+    """Rows of cell texts, given column by column, each row ended by ``\\r\\n``."""
+    if len(cells) == 1:  # csv quotes a row that is one empty cell: it is not a blank line
+        cells = [[cell or '""' for cell in cells[0]]]
+    return "\r\n".join(map(",".join, zip(*cells))) + "\r\n"
 
 
 def write_csv(
@@ -46,14 +69,13 @@ def write_csv(
     holds further (header, columns) blocks, each written after an empty row.
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
         for n, (head, cols) in enumerate([(header, columns), *more]):
             arrays = [np.asarray(c) for c in cols]
             rows = len(arrays[0]) if arrays else 0
             if len(head) != len(arrays) or any(len(a) != rows for a in arrays):
                 raise ValueError("header and columns must match in count and length")
             if n:
-                writer.writerow([])
-            writer.writerow(head)
+                fh.write("\r\n")
+            fh.write(_rows([[_quoted(str(name))] for name in head]))
             for lo in range(0, rows, CHUNK_ROWS):
-                writer.writerows(zip(*(_cells(a[lo : lo + CHUNK_ROWS]) for a in arrays)))
+                fh.write(_rows([_cells(a[lo : lo + CHUNK_ROWS]) for a in arrays]))

@@ -311,8 +311,9 @@ def parse_csv(
     file's column names. The file is read in chunks of CHUNK_ROWS rows, each
     turned into columns. Malformed rows are skipped, logged, and appended to
     ``row_errors`` when a list is supplied; more than 1% malformed rows is
-    fatal. A missing mapped column is always fatal. A UTF-8 byte-order mark
-    before the header is ignored.
+    fatal. A missing mapped column, text that is not UTF-8 and a field the
+    csv module rejects (over its 131,072-character limit) are always fatal.
+    A UTF-8 byte-order mark before the header is ignored.
     """
     columns = dict(DEFAULT_COLUMNS, **(column_map or {}))
     path = Path(path)
@@ -326,17 +327,23 @@ def parse_csv(
     n_rows = 0
     with fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise IngestError(f"{path}: empty file, no header row")
-        missing = [c for c in columns.values() if c not in header]
-        if missing:
-            raise IngestError(f"{path}: missing column(s) {missing}; file has {header}")
-        position = {name: i for i, name in enumerate(header)}  # a repeated name: last one
-        fields = [position[columns[k]] for k in ("timestamp", "demand", "wind", "solar")]
-        for rows, lines in _row_chunks(reader, len(header)):
-            n_rows += len(rows)
-            parts.append(_parse_chunk(rows, lines, fields, errors))
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise IngestError(f"{path}: empty file, no header row")
+            missing = [c for c in columns.values() if c not in header]
+            if missing:
+                raise IngestError(f"{path}: missing column(s) {missing}; file has {header}")
+            position = {name: i for i, name in enumerate(header)}  # a repeated name: last one
+            fields = [position[columns[k]] for k in ("timestamp", "demand", "wind", "solar")]
+            for rows, lines in _row_chunks(reader, len(header)):
+                n_rows += len(rows)
+                parts.append(_parse_chunk(rows, lines, fields, errors))
+        except UnicodeDecodeError as exc:
+            bad = exc.object[exc.start : exc.end].hex(" ")
+            raise IngestError(f"{path}: not UTF-8 text ({exc.reason}: byte {bad})") from exc
+        except csv.Error as exc:
+            raise IngestError(f"{path} line {reader.line_num}: {exc}") from exc
 
     if row_errors is not None:
         row_errors.extend(errors)

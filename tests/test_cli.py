@@ -9,7 +9,9 @@ import pytest
 from windfleet import cli
 from windfleet.cli import load_config_file, main, ConfigError
 
-REPRODUCE_ALL = Path(__file__).resolve().parent.parent / "scripts" / "reproduce_all.py"
+ROOT = Path(__file__).resolve().parent.parent
+REPRODUCE_ALL = ROOT / "scripts" / "reproduce_all.py"
+SRC = ROOT / "src"
 
 # one bad setting each; "{file}" stands for an existing file
 BAD_VALUES = [
@@ -34,6 +36,16 @@ BAD_VALUES = [
 
 def run(*argv):
     return main(list(argv))
+
+
+def run_subprocess(*argv):
+    """``python -m windfleet.cli`` in a fresh interpreter, with its output as text."""
+    return subprocess.run(
+        [sys.executable, "-m", "windfleet.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin:/usr/local/bin"},
+    )
 
 
 def bad_value_argv(argv, tmp_path):
@@ -81,6 +93,22 @@ class TestExitCodes:
         cfg.write_text("no_such_key = 1\n")
         code = run("histogram", "--input", str(synth_csv), "--config", str(cfg))
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"2017-01-16T00:00:00Z,48\xff00,900,0\n",
+            b"2017-01-16T00:00:00Z,48000,900," + b"x" * 140_000 + b"\n",
+        ],
+        ids=["not-utf8", "field-over-csv-limit"],
+    )
+    def test_unreadable_input_is_one_line_input_error(self, body, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"timestamp,demand,wind,solar\n" + body)
+        result = run_subprocess("ingest", "--input", str(path))
+        assert result.returncode == 2
+        assert result.stderr.startswith("input error: ") and result.stderr.count("\n") == 1
+        assert "Traceback" not in result.stderr
 
     @pytest.mark.parametrize("argv", BAD_VALUES)
     def test_bad_value_is_one_line_config_error(self, argv, synth_csv, tmp_path, capsys):
@@ -289,14 +317,7 @@ class TestConfigFile:
 
 
 def test_module_entrypoint_subprocess(synth_csv, tmp_path):
-    env_src = str(Path(__file__).resolve().parent.parent / "src")
-    result = subprocess.run(
-        [sys.executable, "-m", "windfleet.cli", "ingest", "--check",
-         "--input", str(synth_csv)],
-        capture_output=True,
-        text=True,
-        env={"PYTHONPATH": env_src, "PATH": "/usr/bin:/bin:/usr/local/bin"},
-    )
+    result = run_subprocess("ingest", "--check", "--input", str(synth_csv))
     assert result.returncode == 0
     assert "weeks usable: 52" in result.stdout
 

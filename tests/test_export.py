@@ -3,6 +3,8 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from windfleet import export
 from windfleet.export import sample_times, write_csv
@@ -45,3 +47,70 @@ def test_week_matches_per_row_reference(tmp_path, monkeypatch):
 def test_column_lengths_must_match(tmp_path):
     with pytest.raises(ValueError, match="count and length"):
         write_csv(tmp_path / "x.csv", ["a", "b"], [[1.0, 2.0], [1.0]])
+
+
+def csv_writer_reference(path, blocks):
+    """The per-row csv.writer path: each block's header, then its values as rows."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        for n, (head, cols) in enumerate(blocks):
+            if n:
+                writer.writerow([])
+            writer.writerow(head)
+            writer.writerows(zip(*(np.asarray(c).tolist() for c in cols)))
+
+
+def assert_matches_csv_writer(tmp_path, header, columns, more=()):
+    expected, actual = tmp_path / "expected.csv", tmp_path / "actual.csv"
+    csv_writer_reference(expected, [(header, columns), *more])
+    write_csv(actual, header, columns, more=more)
+    assert actual.read_bytes() == expected.read_bytes()
+
+
+LABELS = ["a,b", 'say "hi"', "cr\rhere", "two\nlines", "\r\n", '"', ",", "", " pad ", "plain"]
+
+# name: (header, columns, more)
+CSV_WRITER_CASES = {
+    "labels needing quotes": (["value", "label"], [np.arange(len(LABELS)) / 3, LABELS], ()),
+    "header needing quotes": (
+        ["capacity, GWc", 'the "mean"', "line\nbreak"], [[1.0], [2.0], [3.0]], ()
+    ),
+    "int and bool columns": (
+        ["n", "big", "flag"], [[0, -7, 12], [2**40, -(2**62), 1], [True, False, True]], ()
+    ),
+    "zero-row block after more": (["a"], [[1.5]], [(["b", "c"], [[], []])]),
+    "one-column empty cell": (
+        ["a", "b"], [[1.0], ["x"]], [(["note"], [["", "x", ""]]), ([""], [[""]])]
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(CSV_WRITER_CASES))
+def test_matches_csv_writer(case, tmp_path):
+    header, columns, more = CSV_WRITER_CASES[case]
+    assert_matches_csv_writer(tmp_path, header, columns, more)
+
+
+@pytest.mark.parametrize("rows", [export.CHUNK_ROWS, 2 * export.CHUNK_ROWS, export.CHUNK_ROWS + 1])
+def test_chunk_boundary_matches_csv_writer(rows, tmp_path):
+    values = np.linspace(-1.0, 1.0, rows) ** 3
+    labels = [f"r{i}" if i % 1000 else f"r,{i}" for i in range(rows)]
+    assert_matches_csv_writer(tmp_path, ["v", "label"], [values, labels])
+
+
+SPECIAL_BITS = [
+    np.array(v, dtype=np.float64).view(np.uint64).item()
+    for v in (-0.0, 0.0, 5e-324, -2.2250738585072e-308, np.inf, -np.inf, np.nan, -np.nan, 1e16, 0.1)
+]
+
+
+@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    bits=st.lists(
+        st.one_of(st.integers(0, 2**64 - 1), st.sampled_from(SPECIAL_BITS)), max_size=25
+    )
+)
+def test_any_float64_matches_csv_writer(bits, tmp_path, monkeypatch):
+    monkeypatch.setattr(export, "CHUNK_ROWS", 4)
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    assert_matches_csv_writer(tmp_path, ["x", "reversed"], [values, values[::-1]])

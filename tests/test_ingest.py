@@ -129,6 +129,20 @@ class TestParseCsv:
         assert r.timestamp == datetime(2017, 1, 16, tzinfo=timezone.utc)
         assert r.demand_mw == 48000.0
 
+    def test_not_utf8_fatal(self, tmp_path):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"timestamp,demand,wind,solar\n2017-01-16T00:00:00Z,48\xff00,900,0\n")
+        with pytest.raises(IngestError, match="not UTF-8 text .*byte ff"):
+            parse_csv(path)
+
+    def test_field_over_csv_limit_fatal_with_line(self, tmp_path):
+        path = write(
+            tmp_path,
+            f"timestamp,demand,wind,solar\n{ts(0)},48000,900,0\n{ts(1)},48000,900,{'x' * 140_000}\n",
+        )
+        with pytest.raises(IngestError, match="line 3: field larger than field limit"):
+            parse_csv(path)
+
 
 class TestCanonicalize:
     def test_single_gap_interpolated_midpoint(self):
