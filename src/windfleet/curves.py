@@ -4,11 +4,14 @@ A curve point averages 52 weekly dispatches. Families come in two flavours:
 fixed headroom (base generation set to mean demand minus the headroom, cap at
 real-time demand) and BEV-adjusted (cap leveled at weekly mean demand plus
 mean fleet demand). A cheap histogram-based approximation and a monotone
-piecewise-linear inversion for fleet sizing round out the module.
+piecewise-linear inversion of a sampled curve round out the module, with
+invert_annual_curve for fleet sizing: the exact inverse of a request's annual
+curve, solved on the one linear piece of it that holds the root.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -16,14 +19,13 @@ from typing import Sequence
 import numpy as np
 
 from .bev import BevFleetSpec, fleet_aggregates
-from .dispatch import CapMode, DispatchConfig, dispatch_week
+from .dispatch import CapMode, DispatchConfig, dispatch_week, headroom_series
 from .export import write_csv
 from .scaling import NormalizedYear, WindHistogram
 
 DEFAULT_CAPACITY_GRID_GWC = (20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0)
 DEFAULT_BASE_GENERATION_GWE = 13.0
 INVERSION_RESOLUTION_GWC = 0.1
-REFINEMENT_STEP_GWC = 2.5
 
 _SLOPE_TOL = 1e-7
 
@@ -203,52 +205,89 @@ def invert_curve(
             hi = mid
         else:
             lo = mid
-    return float(np.ceil((hi - 1e-9) / resolution_gwc) * resolution_gwc)
+    return _snap_up(hi, resolution_gwc)
 
 
-def refine_and_invert(
+def invert_annual_curve(
     req: CurveRequest,
-    curve: CharacteristicCurve,
     required_gwe: float,
-    step_gwc: float = REFINEMENT_STEP_GWC,
-) -> tuple[float, CharacteristicCurve]:
-    """Invert with extra curve points around the answer for sub-grid precision.
+    resolution_gwc: float = INVERSION_RESOLUTION_GWC,
+) -> float:
+    """Smallest fleet size whose annual curve reaches required_gwe, exactly.
 
-    A first inversion on the native grid locates the bracketing segment; that
-    segment is filled in at step_gwc spacing, the densified curve is rebuilt,
-    and the inversion repeated. Returns (capacity, densified curve).
+    The exact root of the request's annual curve (see _annual_root), snapped
+    up to the resolution grid. The capacity grid only brackets the root and
+    bounds the answer: a target above the curve's value at the grid's top
+    raises TargetUnreachableError.
     """
-    coarse = invert_curve(curve, required_gwe)
-    caps = curve.capacities_gwc
-    if any(abs(coarse - c) < 1e-9 for c in caps):
-        return coarse, curve
+    if required_gwe <= 0:
+        return 0.0
+    return _snap_up(_annual_root(req, required_gwe), resolution_gwc)
 
-    left = 0.0
-    right = float(caps[-1])
-    for c in caps:
-        if c < coarse:
-            left = float(c)
-        else:
-            right = float(c)
-            break
-    extra = [
-        c
-        for c in np.arange(left + step_gwc, right - 1e-9, step_gwc)
-        if not np.any(np.abs(caps - c) < 1e-9)
-    ]
-    if not extra:
-        return coarse, curve
 
-    fine = annual_curve(replace(req, capacities_gwc=tuple(extra)))
-    merged_caps = np.concatenate([caps, fine.capacities_gwc])
-    merged_vals = np.concatenate([curve.mean_wind_gwe, fine.mean_wind_gwe])
-    order = np.argsort(merged_caps)
-    dense = CharacteristicCurve(
-        capacities_gwc=merged_caps[order],
-        mean_wind_gwe=merged_vals[order],
-        label=curve.label,
-    )
-    return invert_curve(dense, required_gwe), dense
+def _annual_root(req: CurveRequest, required_gwe: float) -> float:
+    """The capacity c at which the annual curve first reaches required_gwe > 0.
+
+    Over the year's n samples the curve is f(c) = mean_i min(h_i, wind_i·c/ref)
+    with h_i = max(cap_i - base - solar_i, 0): the dispatch_week rule, concave
+    and piecewise linear with a breakpoint at each c_i = h_i·ref/wind_i. A
+    bisection over the capacity grid finds the least grid capacity where f
+    reaches the target; then only the breakpoints inside the segment below it
+    are sorted, and the linear piece that holds the root is solved. In units
+    of s = c/ref the sum over samples on a piece is H + s·W: H sums h_i over
+    saturated samples, W sums wind_i over the rest.
+    """
+    weeks = _weeks_with_solar_scale(req)
+    n = sum(w.n_samples for w in weeks)
+    room, wind, buf = np.empty(n), np.empty(n), np.empty(n)
+    start = 0
+    for week, cfg in zip(weeks, _week_configs(req, weeks)):
+        stop = start + week.n_samples
+        np.maximum(headroom_series(week, cfg), 0.0, out=room[start:stop])
+        wind[start:stop] = week.wind
+        start = stop
+
+    ref = req.year.reference_capacity_gwc
+
+    def total(capacity: float) -> float:
+        return float(np.minimum(room, np.multiply(wind, capacity / ref, out=buf), out=buf).sum())
+
+    caps = req.capacities_gwc
+    plateau = total(caps[-1]) / n
+    if required_gwe > plateau + 1e-12:
+        raise TargetUnreachableError(f"target unreachable; curve saturates at {plateau:.3f} GWe")
+    target = required_gwe * n
+    # f is nondecreasing, so the grid totals are sorted
+    i = bisect.bisect_left(caps, target, hi=len(caps) - 1, key=total)
+    lo, hi = (caps[i - 1] if i else 0.0), caps[i]
+
+    s_lo, s_hi = lo / ref, hi / ref
+    below_hi = room < np.multiply(wind, s_hi, out=buf)
+    saturated = room <= np.multiply(wind, s_lo, out=buf)
+    inner = below_hi & ~saturated
+    h, w = room[inner], wind[inner]
+    order = np.argsort(h / w)
+    h, w = h[order], w[order]
+    # piece j runs up to ends[j]; H[j] and W[j] hold once the first j
+    # breakpoints are passed
+    ends = np.append(h / w, s_hi)
+    H = room.sum(where=saturated) + np.concatenate([[0.0], np.cumsum(h)])
+    W = wind.sum(where=~saturated) - np.concatenate([[0.0], np.cumsum(w)])
+    reached = np.flatnonzero(H + ends * W >= target)
+    if reached.size == 0:  # the target is within rounding of the total at hi
+        return hi
+    j = reached[0]
+    return float((target - H[j]) / W[j]) * ref
+
+
+def _snap_up(capacity_gwc: float, resolution_gwc: float) -> float:
+    """The least multiple k·resolution at or above capacity (1e-9 GWc slack).
+
+    Returned as the double nearest k·resolution, so a 0.1 GWc step reads
+    42.9, not 42.900000000000006.
+    """
+    k = np.ceil((capacity_gwc - 1e-9) / resolution_gwc)
+    return round(float(k) * resolution_gwc, 12)
 
 
 def write_curves_csv(curves: Sequence[CharacteristicCurve], path: str | Path) -> None:

@@ -75,6 +75,14 @@ def _cap_series(week: WeekSeries, cfg: DispatchConfig) -> np.ndarray:
     return week.demand
 
 
+def headroom_series(week: WeekSeries, cfg: DispatchConfig) -> np.ndarray:
+    """Room left for wind under the cap at each sample: cap - base - solar (GW).
+
+    Negative where base plus solar already exceed the cap.
+    """
+    return _cap_series(week, cfg) - cfg.base_generation_gwe - week.solar
+
+
 def dispatch_week(
     week: WeekSeries,
     wind_capacity_gwc: float,
@@ -95,7 +103,7 @@ def dispatch_week(
         raise ValueError("wind_capacity must be > 0")
     wind_available = week.wind * (wind_capacity_gwc / reference_capacity_gwc)
 
-    headroom = _cap_series(week, cfg) - cfg.base_generation_gwe - week.solar
+    headroom = headroom_series(week, cfg)
     wind_used = np.minimum(np.maximum(headroom, 0.0), wind_available)
     gas = np.maximum(headroom - wind_used, 0.0)
     curtailed = wind_available - wind_used

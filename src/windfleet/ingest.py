@@ -27,6 +27,7 @@ SAMPLES_PER_YEAR = WEEKS_PER_YEAR * SAMPLES_PER_WEEK
 MAX_GAP_SAMPLES = 12  # one hour of consecutive missing samples
 MW_PER_GW = 1000.0
 CHUNK_ROWS = 8192  # file rows held as Python lists at a time while parsing
+FLOAT_BLOCK = 256  # cells converted together; a bad cell retries only its block
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _ONE_US = timedelta(microseconds=1)
@@ -219,17 +220,26 @@ def _timestamps_us(texts: Sequence[str], reasons: dict[int, str]) -> np.ndarray:
 
 
 def _floats(texts: Sequence[str], reasons: dict[int, str]) -> np.ndarray:
-    """float() of each text; a text it rejects gets a reason and NaN."""
+    """float() of each text; a text it rejects gets a reason and NaN.
+
+    When the column fails as a whole, it is retried FLOAT_BLOCK texts at a
+    time, and only a block that fails goes row by row.
+    """
     try:
         return np.fromiter(map(float, texts), float, len(texts))
     except ValueError:
         out = np.full(len(texts), np.nan)
-        for j, text in enumerate(texts):
-            try:
-                out[j] = float(text)
-            except ValueError as exc:
-                reasons.setdefault(j, f"unparseable field: {exc}")
-        return out
+    for start in range(0, len(texts), FLOAT_BLOCK):
+        block = texts[start:start + FLOAT_BLOCK]
+        try:
+            out[start:start + len(block)] = np.fromiter(map(float, block), float, len(block))
+        except ValueError:
+            for j, text in enumerate(block, start):
+                try:
+                    out[j] = float(text)
+                except ValueError as exc:
+                    reasons.setdefault(j, f"unparseable field: {exc}")
+    return out
 
 
 def _line_breaks(field: str) -> int:

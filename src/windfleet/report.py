@@ -19,12 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .bev import BevFleetSpec, fleet_aggregates
-from .curves import (
-    DEFAULT_CAPACITY_GRID_GWC,
-    CurveRequest,
-    annual_curve,
-    refine_and_invert,
-)
+from .curves import DEFAULT_CAPACITY_GRID_GWC, CurveRequest, invert_annual_curve
 from .dispatch import CapMode, DispatchConfig, dispatch_week
 from .export import write_csv
 from .ingest import WeekSeries
@@ -81,10 +76,11 @@ def build_table2(
 ) -> list[FleetSizingRow]:
     """Wind fleet sizes needed to power BEV fleets, plus the linear columns.
 
-    For each fleet size, a BEV-adjusted characteristic curve is built and
-    inverted at (baseline wind output + fleet mean power); the inversion is
-    refined below the native capacity grid for sub-grid precision. Raises
-    TargetUnreachableError when a fleet is too large for the capacity grid.
+    For each fleet size, the BEV-adjusted annual curve is inverted exactly
+    at (baseline wind output + fleet mean power) and the answer snapped up to
+    the 0.1 GWc grid (invert_annual_curve). capacities_gwc only brackets the
+    root and bounds the answer by its largest value: raises
+    TargetUnreachableError when a fleet is too large for it.
     """
     rows = []
     for size in fleet_sizes_millions:
@@ -97,9 +93,7 @@ def build_table2(
             base_generation_gwe=base_generation_gwe,
             solar_scale=solar_scale,
         )
-        curve = annual_curve(req)
-        target = consts.baseline_wind_gwe + agg.mean_power_gw
-        required, _ = refine_and_invert(req, curve, target)
+        required = invert_annual_curve(req, consts.baseline_wind_gwe + agg.mean_power_gw)
         rows.append(
             FleetSizingRow(
                 fleet_size_millions=float(size),

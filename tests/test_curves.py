@@ -1,19 +1,23 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from windfleet.bev import BevFleetSpec
+from windfleet.bev import BevFleetSpec, fleet_aggregates
 from windfleet.curves import (
     CharacteristicCurve,
     CurveRequest,
     TargetUnreachableError,
+    _annual_root,
     annual_curve,
     curve_from_histogram,
+    invert_annual_curve,
     invert_curve,
-    refine_and_invert,
     write_curves_csv,
 )
+from windfleet.report import ScenarioConstants
 from windfleet.scaling import WindHistogram, wind_histogram
 from _helpers import make_year, two_state_wind
 
@@ -145,7 +149,7 @@ class TestInvertCurve:
     def test_resolution_snap(self):
         # true root 41.75 for slope 0.3 against 12.525 -> snapped up to 41.8
         result = invert_curve(linear_curve(), 0.3 * 41.75)
-        assert result == pytest.approx(41.8, abs=1e-9)
+        assert result == 41.8  # the double nearest 41.8, not 41.800000000000004
         assert 0.3 * result >= 0.3 * 41.75 - 1e-9
 
     @settings(max_examples=60, deadline=None)
@@ -179,22 +183,89 @@ class TestInvertCurve:
         assert result <= oracle + 0.1 + 0.01 + 1e-9
 
 
-class TestRefineAndInvert:
-    def test_subgrid_landing_adds_points(self, synth_year):
-        req = CurveRequest(year=synth_year, bev=BevFleetSpec(25.0))
-        curve = annual_curve(req)
-        target = curve.value_at(47.0)  # deliberately between grid points
-        capacity, dense = refine_and_invert(req, curve, target)
-        assert dense.capacities_gwc.size > curve.capacities_gwc.size
-        assert dense.value_at(capacity) >= target - 1e-9
-        assert capacity == pytest.approx(47.0, abs=2.5 + 0.1)
+def curve_value(req, capacity):
+    """The dispatch loop's annual mean at one capacity."""
+    one = replace(req, capacities_gwc=(capacity,))
+    return float(annual_curve(one).mean_wind_gwe[0])
 
-    def test_grid_landing_skips_refinement(self):
-        curve = linear_curve(caps=(20.0, 30.0, 40.0))
-        req = None  # never touched when the coarse answer is on the grid
-        capacity, dense = refine_and_invert(req, curve, 0.3 * 30.0)
-        assert capacity == pytest.approx(30.0)
-        assert dense is curve
+
+def bisection_root(req, target):
+    """Least capacity the dispatch loop finds reaching target, to 1e-11 GWc."""
+    lo, hi = 0.0, req.capacities_gwc[-1]
+    while hi - lo > 1e-11:
+        mid = 0.5 * (lo + hi)
+        if curve_value(req, mid) >= target:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def table2_target(spec):
+    return ScenarioConstants().baseline_wind_gwe + fleet_aggregates(spec).mean_power_gw
+
+
+EXACT_CASES = [(size, base) for size in (0.0, 15.0, 35.0) for base in (7.0, 13.0)]
+
+
+def case_id(case):
+    return case if isinstance(case, str) else f"bev{case[0]:g}M-base{case[1]:g}"
+
+
+class TestInvertAnnualCurve:
+    """The dispatch loop (annual_curve) is the oracle for the exact inverse."""
+
+    @pytest.fixture(scope="class", params=[*EXACT_CASES, "headroom20"], ids=case_id)
+    def case(self, request, synth_year):
+        if request.param == "headroom20":
+            req = CurveRequest(year=synth_year, headroom_gwe=20.0)
+            return req, 0.63 * curve_value(req, req.capacities_gwc[-1])
+        size, base = request.param
+        spec = BevFleetSpec(size)
+        req = CurveRequest(year=synth_year, bev=spec, base_generation_gwe=base)
+        return req, table2_target(spec)
+
+    def test_root_matches_bisection_on_dispatch_loop(self, case):
+        req, target = case
+        assert _annual_root(req, target) == pytest.approx(
+            bisection_root(req, target), rel=0.0, abs=1e-9
+        )
+
+    def test_answer_is_least_sufficient_grid_step(self, case):
+        req, target = case
+        answer = invert_annual_curve(req, target)
+        assert answer == round(answer, 1)
+        assert curve_value(req, answer) >= target * (1.0 - 1e-9)
+        assert curve_value(req, round(answer - 0.1, 1)) < target
+
+    def test_grid_only_brackets_the_root(self, case):
+        req, target = case
+        answer = invert_annual_curve(req, target)
+        for caps in [(80.0,), tuple(0.5 * k for k in range(1, 161))]:
+            assert invert_annual_curve(replace(req, capacities_gwc=caps), target) == answer
+
+    def test_two_state_closed_form(self):
+        # half the samples 0, half 12 GW at ref 20 GWc; headroom 20 GW:
+        # f(c) = 0.5 * min(20, 0.6 c), so f = 8 at c = 26.67 and f = 10 from 33.33
+        year = make_year(demand=40.0, wind=two_state_wind(), solar=0.0)
+        req = CurveRequest(year=year, capacities_gwc=(20.0, 40.0, 80.0),
+                           headroom_gwe=20.0, solar_scale=0.0)
+        assert _annual_root(req, 8.0) == pytest.approx(80.0 / 3.0, rel=1e-12)
+        assert invert_annual_curve(req, 8.0) == 26.7
+        assert invert_annual_curve(req, 10.0) == 33.4
+        assert invert_annual_curve(req, 6.0) == 20.0  # a root on the grid stays there
+
+    def test_zero_or_negative_target(self, synth_year):
+        req = CurveRequest(year=synth_year, headroom_gwe=20.0)
+        assert invert_annual_curve(req, 0.0) == 0.0
+        assert invert_annual_curve(req, -1.0) == 0.0
+
+    def test_target_above_grid_top_unreachable(self, synth_year):
+        req = CurveRequest(year=synth_year, bev=BevFleetSpec(15.0), capacities_gwc=(20.0, 40.0))
+        top = curve_value(req, 40.0)
+        assert invert_annual_curve(req, top) <= 40.0
+        with pytest.raises(TargetUnreachableError, match=f"saturates at {top:.3f} GWe"):
+            invert_annual_curve(req, top + 0.01)
 
 
 class TestCurveValidation:

@@ -10,13 +10,18 @@ still passes. Run manifests are left out: they record when the run was made.
 To write the references, from the root of the checkout whose output they are:
 
     PYTHONPATH=src python tests/test_golden.py
+
+It prints the name of each reference whose content changed, so a change meant
+to alter one result shows that it altered only that one.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import importlib.util
+import io
 import json
 import math
 import shutil
@@ -94,15 +99,25 @@ def test_result_files_match_references(tmp_path):
 
 
 def write_references() -> None:
+    """Write every reference, and print the name of each one that changed."""
+    old = {}
+    if (GOLDEN / "sha256.json").exists():
+        old = json.loads((GOLDEN / "sha256.json").read_text(encoding="utf-8"))
     with tempfile.TemporaryDirectory() as tmp:
-        files = produce(Path(tmp))
+        with contextlib.redirect_stdout(io.StringIO()):  # the chain's own report
+            files = produce(Path(tmp))
         digests = {}
         for name, path in files.items():
+            digest = sha256(path)
             if path.name in CURVE_FILES:
+                if (GOLDEN / name).exists():
+                    old[name] = sha256(GOLDEN / name)
                 (GOLDEN / name).parent.mkdir(parents=True, exist_ok=True)
                 shutil.copyfile(path, GOLDEN / name)
             else:
-                digests[name] = sha256(path)
+                digests[name] = digest
+            if old.get(name) != digest:
+                print(f"changed: {name}")
     (GOLDEN / "sha256.json").write_text(json.dumps(digests, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(digests)} digests and {len(files) - len(digests)} curve files to {GOLDEN}")
 

@@ -224,6 +224,22 @@ def test_matches_row_by_row_reference(text, chunk_rows):
     check_against_reference(text, chunk_rows)
 
 
+@pytest.mark.parametrize("chunk_rows, float_block", [(16, 4), (8192, 256)])
+def test_bad_cells_at_block_and_chunk_edges(chunk_rows, float_block):
+    """Bad value cells on the first and last cell of a float block and of a chunk."""
+    n = 2 * chunk_rows + float_block + 3
+    edges = [0, float_block - 1, float_block, 2 * float_block - 1,
+             chunk_rows - 1, chunk_rows, chunk_rows + float_block - 1, n - 1]
+    rows = [[stamp(i, "Z"), "48000", "900", "0"] for i in range(n)]
+    for k, i in enumerate(edges):
+        rows[i][1 + k % 3] = ["n/a", "", "x"][k % 3]
+    rows[chunk_rows][1:] = ["", "n/a", "x"]  # the first failing column names the row
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([list(COLUMNS.values()), *rows])
+    with mock.patch.object(ingest, "FLOAT_BLOCK", float_block):
+        check_against_reference(out.getvalue(), chunk_rows)
+
+
 def check_against_reference(text, chunk_rows):
     """Same row errors, records and GridSeries (or error) as the reference."""
     with tempfile.TemporaryDirectory() as tmp:
