@@ -25,8 +25,6 @@ from .dispatch import (
     DispatchConfig,
     DispatchResult,
     dispatch_week,
-    headroom_of,
-    surplus_deficit,
 )
 from .curves import (
     CharacteristicCurve,
@@ -79,8 +77,6 @@ __all__ = [
     "DispatchConfig",
     "DispatchResult",
     "dispatch_week",
-    "headroom_of",
-    "surplus_deficit",
     "CharacteristicCurve",
     "CurveRequest",
     "TargetUnreachableError",

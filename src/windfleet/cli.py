@@ -42,6 +42,7 @@ from .report import (
     build_table2,
     format_table2,
     lull_report,
+    sha256_of,
     write_lull_csv,
     write_run_manifest,
     write_table2_csv,
@@ -59,6 +60,7 @@ log = logging.getLogger(__name__)
 DEFAULT_HEADROOMS_GWE = (20.0, 25.0, 30.0, 35.0)
 DEFAULT_FLEET_SIZES_M = (15.0, 20.0, 25.0, 30.0, 35.0)
 DEFAULT_CURVE_FAMILY_FLEETS_M = (0.0, 15.0, 20.0, 25.0, 30.0, 35.0)
+MAX_RANGE_VALUES = 10_000  # most values one start:stop:step range may give
 
 _KNOWN_CONFIG_KEYS = {
     "input",
@@ -139,6 +141,11 @@ def _parse_float_list(text: str, key: str) -> list[float]:
         start, stop, step = (_finite(p, key) for p in parts)
         if step <= 0:
             raise ConfigError(f"cannot parse {key} from {text!r}: step must be > 0")
+        count = (stop + step / 2 - start) / step  # np.arange gives ceil(count) values
+        if not count <= MAX_RANGE_VALUES:  # inf for a step of 1e-320
+            raise ConfigError(
+                f"cannot parse {key} from {text!r}: more than {MAX_RANGE_VALUES:,} values"
+            )
         # arange drifts (0.1:0.7:0.1 gives 0.30000000000000004); the values
         # carry no more decimals than the start and step were written with
         decimals = max(_decimals(parts[0]), _decimals(parts[2]))
@@ -306,10 +313,11 @@ def _constants(s: Settings) -> ScenarioConstants:
 
 
 def load_series(input_path: str | Path, columns: dict[str, str] | None = None) -> GridSeries:
-    """Parse and canonicalize one input file."""
+    """Parse and canonicalize one input file; the series carries the file's SHA-256."""
     if not Path(input_path).exists():
         raise IngestError(f"input file not found: {input_path}")
-    return canonicalize(parse_csv(input_path, columns), source=str(input_path))
+    series = canonicalize(parse_csv(input_path, columns), source=str(input_path))
+    return replace(series, input_sha256=sha256_of(input_path))
 
 
 def _load_series(s: Settings, series: GridSeries | None):
@@ -323,8 +331,9 @@ def _load_series(s: Settings, series: GridSeries | None):
 
 
 def _load_year(s: Settings, spec: ScalingSpec, series: GridSeries | None):
+    """The input path, its SHA-256 if the series carries it, and the year."""
     input_path, series = _load_series(s, series)
-    return input_path, normalize(series, spec)
+    return input_path, series.input_sha256, normalize(series, spec)
 
 
 def _out_dir(s: Settings) -> Path:
@@ -357,13 +366,14 @@ def _weeks(s: Settings, default: Sequence[int]) -> list[int]:
     return [int(w) for w in weeks]
 
 
-def _manifest(out: Path, command: str, input_path, s: Settings, resolved: dict) -> None:
+def _manifest(out: Path, command: str, input_path, digest, resolved: dict) -> None:
     write_run_manifest(
         out / f"run_manifest_{command}.txt",
         command=command,
         input_path=input_path,
         config_items=resolved,
         version=__version__,
+        input_sha256=digest,
     )
 
 
@@ -384,11 +394,11 @@ def cmd_ingest(s: Settings, series: GridSeries | None) -> int:
 def cmd_histogram(s: Settings, series: GridSeries | None) -> int:
     spec = _scaling_spec(s, default_solar_scale=1.0)
     out = _out_dir(s)
-    input_path, year = _load_year(s, spec, series)
+    input_path, digest, year = _load_year(s, spec, series)
     trace = extrapolate_wind(year, spec.reference_capacity_gwc)
     hist = wind_histogram(trace, 1.0, capacity_gwc=spec.reference_capacity_gwc)
     write_histogram_csv(hist, out / "fig1_histogram.csv")
-    _manifest(out, "histogram", input_path, s, {
+    _manifest(out, "histogram", input_path, digest, {
         "reference_capacity_gwc": spec.reference_capacity_gwc,
         "bin_width_gwe": 1.0,
     })
@@ -410,7 +420,7 @@ def cmd_curves(s: Settings, series: GridSeries | None) -> int:
     spec = _scaling_spec(s, default_solar_scale=2.0)
     out = _out_dir(s)
 
-    input_path, year = _load_year(s, spec, series)
+    input_path, digest, year = _load_year(s, spec, series)
 
     headroom_curves = [
         annual_curve(
@@ -441,7 +451,7 @@ def cmd_curves(s: Settings, series: GridSeries | None) -> int:
         ]
         write_curves_csv(bev_curves, out / "fig12_families.csv")
 
-    _manifest(out, "curves", input_path, s, {
+    _manifest(out, "curves", input_path, digest, {
         "capacities_gwc": capacities,
         "headrooms_gwe": headrooms,
         "fleet_sizes_millions": fleet_sizes,
@@ -458,7 +468,7 @@ def cmd_bev(s: Settings, series: GridSeries | None) -> int:
     spec = _bev_spec(s)
     scale = _scaling_spec(s, default_solar_scale=1.0)
     out = _out_dir(s)
-    input_path, year = _load_year(s, scale, series)
+    input_path, digest, year = _load_year(s, scale, series)
 
     for n, wk in enumerate(weeks):
         week = year.weeks[wk - 1]
@@ -477,7 +487,7 @@ def cmd_bev(s: Settings, series: GridSeries | None) -> int:
         )
 
     agg = fleet_aggregates(spec)
-    _manifest(out, "bev", input_path, s, {
+    _manifest(out, "bev", input_path, digest, {
         "weeks": weeks,
         "fleet_size_millions": spec.fleet_size_millions,
         "mean_power_gw": agg.mean_power_gw,
@@ -494,7 +504,7 @@ def cmd_lull(s: Settings, series: GridSeries | None) -> int:
     spec = _bev_spec(s)
     scale = _scaling_spec(s, default_solar_scale=1.0)
     out = _out_dir(s)
-    input_path, year = _load_year(s, scale, series)
+    input_path, digest, year = _load_year(s, scale, series)
 
     for n, wk in enumerate(weeks):
         week = year.weeks[wk - 1]
@@ -516,7 +526,7 @@ def cmd_lull(s: Settings, series: GridSeries | None) -> int:
             f"identity are not reproducible from the dispatch)"
         )
 
-    _manifest(out, "lull", input_path, s, {
+    _manifest(out, "lull", input_path, digest, {
         "weeks": weeks,
         "capacities_gwc": capacities,
         "base_generation_gwe": base,
@@ -538,7 +548,7 @@ def cmd_table2(s: Settings, series: GridSeries | None) -> int:
     spec = _scaling_spec(s, default_solar_scale=2.0)
     out = _out_dir(s)
 
-    input_path, year = _load_year(s, spec, series)
+    input_path, digest, year = _load_year(s, spec, series)
     rows = build_table2(
         year,
         fleet_sizes,
@@ -548,7 +558,7 @@ def cmd_table2(s: Settings, series: GridSeries | None) -> int:
         solar_scale=spec.solar_scale,
     )
     write_table2_csv(rows, out / "table2.csv")
-    _manifest(out, "table2", input_path, s, {
+    _manifest(out, "table2", input_path, digest, {
         "fleet_sizes_millions": fleet_sizes,
         "capacities_gwc": capacities,
         "base_generation_gwe": base,
@@ -583,7 +593,8 @@ def main(argv: Sequence[str] | None = None) -> int:
 def run(argv: Sequence[str] | None, *, series: GridSeries | None = None) -> int:
     """``main`` without the logging set-up; ``series``, when given, is used
     in place of reading ``--input``, which then only names the input in the
-    run manifest. Every setting is still resolved and checked."""
+    run manifest (and is hashed for it when the series carries no
+    ``input_sha256``). Every setting is still resolved and checked."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

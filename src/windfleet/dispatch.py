@@ -67,20 +67,18 @@ class DispatchResult:
     curtailed_energy_gwh: float
 
 
-def _cap_series(week: WeekSeries, cfg: DispatchConfig) -> np.ndarray:
-    if cfg.cap_mode is CapMode.LEVELED:
-        return np.full(week.n_samples, float(cfg.level_gwe))
-    if cfg.flatten_demand:
-        return np.full(week.n_samples, float(week.demand.mean()))
-    return week.demand
-
-
 def headroom_series(week: WeekSeries, cfg: DispatchConfig) -> np.ndarray:
     """Room left for wind under the cap at each sample: cap - base - solar (GW).
 
     Negative where base plus solar already exceed the cap.
     """
-    return _cap_series(week, cfg) - cfg.base_generation_gwe - week.solar
+    if cfg.cap_mode is CapMode.LEVELED:
+        cap = float(cfg.level_gwe)
+    elif cfg.flatten_demand:
+        cap = float(week.demand.mean())
+    else:
+        cap = week.demand
+    return cap - cfg.base_generation_gwe - week.solar
 
 
 def dispatch_week(
@@ -118,43 +116,6 @@ def dispatch_week(
         gt_energy_gwh=float(gas.sum() * HOURS_PER_SAMPLE),
         curtailed_energy_gwh=float(curtailed.sum() * HOURS_PER_SAMPLE),
     )
-
-
-def headroom_of(mean_demand_gwe: float, base_generation_gwe: float) -> float:
-    """Headroom: average grid demand minus base generation (GWe)."""
-    return mean_demand_gwe - base_generation_gwe
-
-
-def surplus_deficit(
-    week: WeekSeries,
-    wind_capacity_gwc: float,
-    cfg: DispatchConfig,
-    window: slice | tuple[int, int] | None = None,
-    reference_capacity_gwc: float = DEFAULT_REFERENCE_CAPACITY_GWC,
-) -> tuple[float, float]:
-    """Energy deficit and surplus (GWh) over a window, with UNCURTAILED wind.
-
-    This is the pre-curtailment diagnostic: how far total available supply
-    falls short of (deficit) or overshoots (surplus) the cap, integrating
-    left-Riemann at 300 s. ``window`` is a slice or (start, stop) sample pair.
-    """
-    if window is None:
-        sl = slice(0, week.n_samples)
-    elif isinstance(window, tuple):
-        sl = slice(*window)
-    else:
-        sl = window
-    n = len(range(*sl.indices(week.n_samples)))
-    if n == 0:
-        raise ValueError("empty window")
-
-    cap = _cap_series(week, cfg)[sl]
-    wind_available = week.wind[sl] * (wind_capacity_gwc / reference_capacity_gwc)
-    supply = cfg.base_generation_gwe + week.solar[sl] + wind_available
-    short = cap - supply
-    deficit = float(np.clip(short, 0.0, None).sum() * HOURS_PER_SAMPLE)
-    surplus = float(np.clip(-short, 0.0, None).sum() * HOURS_PER_SAMPLE)
-    return deficit, surplus
 
 
 def write_dispatch_csv(

@@ -3,6 +3,11 @@
 Input files are CSV with MW values; everything downstream works in GW.
 Repairs (gap interpolation, duplicate removal) are conservative and logged:
 long outages must fail loudly rather than silently fabricate wind lulls.
+
+The file is read CHUNK_ROWS lines at a time. A chunk without a quote is
+split into cells directly, on commas and line ends; a chunk with one goes
+through the csv module. Both give the cells, row errors and line numbers of
+one csv.reader over the whole file.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ import csv
 import logging
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
-from itertools import islice
+from itertools import chain, compress, islice, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -26,7 +31,7 @@ WEEKS_PER_YEAR = 52
 SAMPLES_PER_YEAR = WEEKS_PER_YEAR * SAMPLES_PER_WEEK
 MAX_GAP_SAMPLES = 12  # one hour of consecutive missing samples
 MW_PER_GW = 1000.0
-CHUNK_ROWS = 8192  # file rows held as Python lists at a time while parsing
+CHUNK_ROWS = 2048  # file lines tokenized together; more raise peak memory, not speed
 FLOAT_BLOCK = 256  # cells converted together; a bad cell retries only its block
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
@@ -74,13 +79,18 @@ def _freeze(array: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GridSeries:
-    """Contiguous 300 s samples of demand, metered wind and solar, in GW."""
+    """Contiguous 300 s samples of demand, metered wind and solar, in GW.
+
+    ``input_sha256`` is the SHA-256 of the file the series was read from,
+    when the reader recorded it.
+    """
 
     start_time: datetime
     demand: np.ndarray
     wind_metered: np.ndarray
     solar: np.ndarray
     provenance: tuple[str, ...] = ()
+    input_sha256: str | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "demand", _freeze(self.demand))
@@ -246,54 +256,112 @@ def _line_breaks(field: str) -> int:
     return field.count("\n") + field.count("\r") - field.count("\r\n")
 
 
-def _row_chunks(reader, width: int) -> Iterator[tuple[list[list[str]], np.ndarray]]:
-    """Non-blank rows and the line each ends on, up to CHUNK_ROWS rows at a time.
+def _split_columns(lines: list[str], text: str, width: int, fields: list[int], need: int):
+    """The ``fields`` columns of quote-free lines, from one split of their text.
 
-    Blank and comma-only lines are skipped; a row longer than the header is
-    never blank. Line numbers are those ``reader.line_num`` reports after
-    each row: a row ends one line after the previous one, plus one more for
-    each line break inside its quoted fields.
+    ``text`` is the lines joined. A line whose comma count is not ``width - 1``,
+    or that starts with a comma or whitespace, is looked at alone: a blank one
+    is dropped, a short or long one padded with "" or cut to ``width`` cells.
+    Returns the columns, the mask of lines kept and, for each kept row with
+    fewer than ``need`` fields, its field count.
     """
-    while True:
-        start = reader.line_num
-        rows = list(islice(reader, CHUNK_ROWS))
-        if not rows:
-            return
-        if reader.line_num - start == len(rows):
-            ends = np.arange(start + 1, reader.line_num + 1)
+    n = len(lines)
+    odd = np.fromiter(map(str.count, lines, repeat(",")), np.int64, n) != width - 1
+    firsts = "".join([line[0] for line in lines])
+    if not firsts.isalnum():  # a blank line starts with a comma or whitespace
+        odd |= np.fromiter((c == "," or c.isspace() for c in firsts), bool, n)
+    keep = np.ones(n, dtype=bool)
+    short = {}
+    if odd.any():
+        for j in np.flatnonzero(odd).tolist():
+            row = lines[j].rstrip("\r\n").split(",")
+            if len(row) <= width and not "".join(row).strip():  # blank: skipped
+                keep[j] = False
+                continue
+            if len(row) < need:
+                short[j] = len(row)
+            lines[j] = ",".join(row[:width] + [""] * (width - len(row))) + "\n"
+        rank = np.cumsum(keep) - 1  # a kept line's row index
+        short = {int(rank[j]): count for j, count in short.items()}
+        text = "".join(compress(lines, keep))
+    if not text:
+        return [], keep, short
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    if not text.endswith("\n"):
+        text += "\n"  # the last line of a file may have no line end
+    cells = text.replace("\n", ",").split(",")
+    del cells[-1]  # after the last line end
+    return [cells[i::width] for i in fields], keep, short
+
+
+def _csv_columns(rows: list[list[str]], width: int, fields: list[int], need: int):
+    """``_split_columns`` for rows the csv module has read."""
+    n = len(rows)
+    lengths = np.fromiter(map(len, rows), np.int64, n)
+    keep = (lengths > width) | np.fromiter(map(bool, map(str.strip, map("".join, rows))), bool, n)
+    rows = list(compress(rows, keep))
+    short = {}
+    for j in np.flatnonzero(lengths[keep] < need).tolist():
+        short[j] = len(rows[j])
+        rows[j] = rows[j] + [""] * (need - len(rows[j]))
+    return [list(map(itemgetter(i), rows)) for i in fields], keep, short
+
+
+def _chunks(fh, done: int, width: int, fields: list[int], path: Path):
+    """Non-blank rows after the header as columns, CHUNK_ROWS lines at a time.
+
+    ``done`` is the number of lines the header took. Yields the mapped
+    columns' texts in ``fields`` order, the line each row ends on, and the
+    reason of each row too short for the mapped columns, by row (its missing
+    cells read ""). A chunk with no quote and no line longer than the csv
+    field limit is split directly. Any other chunk goes through csv.reader,
+    one row per line of the chunk; the reader reads on from the file while
+    a quoted field is open, so rows, line numbers and errors are those of
+    one csv.reader over the whole file.
+    """
+    need = max(fields) + 1
+    limit = csv.field_size_limit()
+    while lines := list(islice(fh, CHUNK_ROWS)):
+        text = "".join(lines)
+        if '"' not in text and (len(text) <= limit or max(map(len, lines)) <= limit):
+            ends = np.arange(done + 1, done + len(lines) + 1)
+            done += len(lines)
+            columns, keep, short = _split_columns(lines, text, width, fields, need)
         else:
-            spans = [1 + sum(map(_line_breaks, row)) for row in rows]
-            ends = start + np.cumsum(spans)
-        n = len(rows)
-        lengths = np.fromiter(map(len, rows), np.int64, n)
-        filled = np.fromiter(map(bool, map(str.strip, map("".join, rows))), bool, n)
-        keep = np.flatnonzero((lengths > width) | filled)
-        if keep.size < n:
-            rows = [rows[j] for j in keep.tolist()]
-        if rows:
-            yield rows, ends[keep]
+            reader = csv.reader(chain(lines, fh))
+            try:
+                rows = list(islice(reader, len(lines)))
+            except csv.Error as exc:
+                raise IngestError(f"{path} line {done + reader.line_num}: {exc}") from exc
+            if reader.line_num == len(rows):
+                ends = np.arange(done + 1, done + len(rows) + 1)
+            else:  # a row ends one line after the last, plus its fields' line breaks
+                ends = done + np.cumsum([1 + sum(map(_line_breaks, row)) for row in rows])
+            done += reader.line_num
+            columns, keep, short = _csv_columns(rows, width, fields, need)
+        if keep.any():
+            too_few = {j: f"too few fields: {n}, the mapped columns need {need}"
+                       for j, n in short.items()}
+            yield columns, ends[keep], too_few
 
 
 def _parse_chunk(
-    rows: list[list[str]], lines: np.ndarray, fields: list[int], errors: list[RowError]
+    columns: list[list[str]], lines: np.ndarray, reasons: dict[int, str],
+    errors: list[RowError],
 ) -> tuple[np.ndarray, ...]:
     """The accepted rows of one chunk as timestamp_us, demand, wind, solar columns.
 
-    Each rejected row appends one RowError, in line order. Its reason is the
+    ``reasons`` holds the rows already rejected as too short, by row. Each
+    rejected row appends one RowError, in line order. Its reason is the
     first failure in the order: too few fields, the timestamp, demand, wind
     and solar fields, non-finite value, demand sign, wind and solar sign.
     """
-    reasons: dict[int, str] = {}
-    need = max(fields) + 1
-    lengths = np.fromiter(map(len, rows), np.int64, len(rows))
-    for j in np.flatnonzero(lengths < need).tolist():
-        reasons[j] = f"too few fields: {len(rows[j])}, the mapped columns need {need}"
-        rows[j] = rows[j] + [""] * (need - len(rows[j]))  # rejected; padded to slice alike
-    stamps, *texts = (list(map(itemgetter(i), rows)) for i in fields)
+    stamps, *texts = columns
     us = _timestamps_us(stamps, reasons)
     demand, wind, solar = (_floats(col, reasons) for col in texts)
 
-    bad = np.zeros(len(rows), dtype=bool)
+    bad = np.zeros(len(stamps), dtype=bool)
     bad[list(reasons)] = True
     range_checks = (
         (~(np.isfinite(demand) & np.isfinite(wind) & np.isfinite(solar)),
@@ -318,7 +386,7 @@ def parse_csv(
     """Read raw records from a CSV file with a header row.
 
     ``column_map`` remaps the logical names timestamp/demand/wind/solar to the
-    file's column names. The file is read in chunks of CHUNK_ROWS rows, each
+    file's column names. The file is read in chunks of CHUNK_ROWS lines, each
     turned into columns. Malformed rows are skipped, logged, and appended to
     ``row_errors`` when a list is supplied; more than 1% malformed rows is
     fatal. A missing mapped column, text that is not UTF-8 and a field the
@@ -346,9 +414,9 @@ def parse_csv(
                 raise IngestError(f"{path}: missing column(s) {missing}; file has {header}")
             position = {name: i for i, name in enumerate(header)}  # a repeated name: last one
             fields = [position[columns[k]] for k in ("timestamp", "demand", "wind", "solar")]
-            for rows, lines in _row_chunks(reader, len(header)):
-                n_rows += len(rows)
-                parts.append(_parse_chunk(rows, lines, fields, errors))
+            for texts, lines, reasons in _chunks(fh, reader.line_num, len(header), fields, path):
+                n_rows += len(lines)
+                parts.append(_parse_chunk(texts, lines, reasons, errors))
         except UnicodeDecodeError as exc:
             bad = exc.object[exc.start : exc.end].hex(" ")
             raise IngestError(f"{path}: not UTF-8 text ({exc.reason}: byte {bad})") from exc

@@ -201,7 +201,11 @@ def write_table2_csv(rows: Sequence[FleetSizingRow], path: str | Path) -> None:
 
 
 def format_table2(rows: Sequence[FleetSizingRow]) -> str:
-    """Display table with conventional rounding (0.1 GWe/GWc, whole GWh and EUR Bn)."""
+    """Display table: 0.1 GWe, GWc, MT p.a. and EUR Bn, whole GWh.
+
+    The battery cost keeps the 0.1 EUR Bn that table2.csv holds (229.5 at
+    30 M), so its display never rounds a half either way.
+    """
     lines = [
         "fleet (M)  power (GWe)  wind fleet (GWc)  storage (GWh)  "
         "emissions saved (MT p.a.)  battery cost (EUR Bn)"
@@ -210,7 +214,7 @@ def format_table2(rows: Sequence[FleetSizingRow]) -> str:
         lines.append(
             f"{r.fleet_size_millions:9g}  {r.mean_power_gwe:11.1f}  "
             f"{r.required_wind_gwc:16.1f}  {r.storage_gwh:13.0f}  "
-            f"{r.emissions_reduction_mtpa:25.1f}  {r.battery_cost_eur_bn:21.0f}"
+            f"{r.emissions_reduction_mtpa:25.1f}  {r.battery_cost_eur_bn:21.1f}"
         )
     return "\n".join(lines)
 
@@ -248,8 +252,12 @@ def write_run_manifest(
     input_path: str | Path | None,
     config_items: dict[str, object],
     version: str,
+    input_sha256: str | None = None,
 ) -> None:
     """Reproducibility record: config, input hash, software version.
+
+    ``input_sha256`` is the input's digest when the caller already has it;
+    without it the file at ``input_path`` is hashed.
 
     The created_utc line is the only run-varying field; all result files are
     byte-identical across reruns of the same config and input.
@@ -257,7 +265,7 @@ def write_run_manifest(
     lines = [f"version = {version}", f"command = {command}"]
     if input_path is not None:
         lines.append(f"input = {input_path}")
-        lines.append(f"input_sha256 = {sha256_of(input_path)}")
+        lines.append(f"input_sha256 = {input_sha256 or sha256_of(input_path)}")
     for key in sorted(config_items):
         lines.append(f"{key} = {config_items[key]}")
     lines.append(

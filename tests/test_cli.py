@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import importlib.util
 import subprocess
 import sys
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from windfleet import cli
+from windfleet import cli, report
 from windfleet.cli import load_config_file, main, ConfigError
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -124,6 +125,34 @@ class TestExitCodes:
         argv = bad_value_argv(argv, tmp_path)
         assert run(*argv, "--input", str(tmp_path / "absent.csv")) == 3
         assert capsys.readouterr().err.startswith("configuration error: ")
+
+
+class TestRangeCap:
+    """A start:stop:step range is sized from its count before any array is built;
+    np.arange fails the test if it is reached with a range over the cap."""
+
+    @pytest.mark.parametrize("text", ["1:1e9:1", "1:2:1e-300", "1:2:1e-320", "0:10000:1"])
+    def test_over_the_cap_is_config_error(self, text, monkeypatch):
+        monkeypatch.setattr(cli.np, "arange", pytest.fail)
+        with pytest.raises(ConfigError, match="more than 10,000 values"):
+            cli._parse_float_list(text, "capacities_gwc")
+
+    def test_at_the_cap_is_accepted(self):
+        values = cli._parse_float_list("1:10000:1", "capacities_gwc")
+        assert len(values) == cli.MAX_RANGE_VALUES == 10_000
+        assert values[-1] == 10_000
+
+    @pytest.mark.parametrize("argv", [
+        ["curves", "--capacities", "1:1e9:1"],
+        ["bev", "--weeks", "1:1e9:1"],
+        ["lull", "--capacities", "20:80:1e-300"],
+    ])
+    def test_cli_exits_3_with_one_line(self, argv, synth_csv, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli.np, "arange", pytest.fail)
+        assert run(*argv, "--input", str(synth_csv), "--out-dir", str(tmp_path)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and err.count("\n") == 1
+        assert "more than 10,000 values" in err
 
 
 class TestIngestCommand:
@@ -347,3 +376,36 @@ class TestReproduceAll:
         assert names == sorted(p.name for p in separate.glob("*.csv"))
         for name in names:
             assert (together / name).read_bytes() == (separate / name).read_bytes(), name
+
+        digest = hashlib.sha256(synth_csv.read_bytes()).hexdigest()
+        for out in (together, separate):
+            manifests = sorted(out.glob("run_manifest_*.txt"))
+            assert len(manifests) == 5
+            for path in manifests:
+                assert f"input_sha256 = {digest}\n" in path.read_text(), path.name
+        for path in together.glob("run_manifest_*.txt"):
+            strip = lambda p: [l for l in p.read_text().splitlines() if not l.startswith("created_utc")]
+            assert strip(path) == strip(separate / path.name)
+
+    def test_hashes_the_input_once(self, synth_csv, tmp_path, monkeypatch):
+        spec = importlib.util.spec_from_file_location("reproduce_all", REPRODUCE_ALL)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        hashed = []
+        sha256_of = report.sha256_of
+        spy = lambda path: hashed.append(path) or sha256_of(path)
+        monkeypatch.setattr(cli, "sha256_of", spy)
+        monkeypatch.setattr(report, "sha256_of", spy)
+        monkeypatch.setattr(
+            sys, "argv", ["reproduce_all.py", "--input", str(synth_csv), "--out-dir", str(tmp_path)]
+        )
+        assert script.main() == 0
+        assert hashed == [str(synth_csv)]
+
+
+def test_in_memory_series_without_digest_hashes_the_input(synth_series, synth_csv, tmp_path):
+    assert synth_series.input_sha256 is None
+    argv = ["histogram", "--input", str(synth_csv), "--out-dir", str(tmp_path)]
+    assert cli.run(argv, series=synth_series) == 0
+    digest = hashlib.sha256(synth_csv.read_bytes()).hexdigest()
+    assert f"input_sha256 = {digest}\n" in (tmp_path / "run_manifest_histogram.txt").read_text()

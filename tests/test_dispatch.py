@@ -10,14 +10,11 @@ from windfleet.dispatch import (
     CapMode,
     DispatchConfig,
     dispatch_week,
-    headroom_of,
-    surplus_deficit,
     write_dispatch_csv,
 )
 from windfleet.ingest import SAMPLES_PER_WEEK
 from _helpers import make_week
 
-DAY = 288  # samples in 24 h
 
 week_arrays = arrays(
     float,
@@ -144,56 +141,6 @@ class TestDispatchWeek:
         a = dispatch_week(week, 60.0, DispatchConfig(base, flatten_demand=True))
         b = dispatch_week(shifted, 60.0, DispatchConfig(base + shift, flatten_demand=True))
         assert b.mean_wind_used_gwe == pytest.approx(a.mean_wind_used_gwe, rel=1e-12)
-
-
-class TestHeadroom:
-    def test_2017_values(self):
-        assert headroom_of(33.0, 13.0) == pytest.approx(20.0)
-
-    def test_low_base(self):
-        assert headroom_of(33.0, 3.0) == pytest.approx(30.0)
-
-    def test_degenerate(self):
-        assert headroom_of(28.5, 28.5) == 0.0
-
-
-class TestSurplusDeficit:
-    def test_constant_shortfall_rectangle(self):
-        # cap - base - solar - wind = 30 - 10 - 0 - 10 = 10 GW short for 24 h
-        week = make_week(demand=30.0, wind=10.0, solar=0.0)
-        deficit, surplus = surplus_deficit(week, 20.0, DispatchConfig(10.0), window=(0, DAY))
-        assert deficit == pytest.approx(240.0)
-        assert surplus == 0.0
-
-    def test_constant_excess_rectangle(self):
-        # supply exceeds cap by 30 GW for 24 h -> 720 GWh surplus
-        week = make_week(demand=20.0, wind=40.0, solar=0.0)
-        deficit, surplus = surplus_deficit(week, 20.0, DispatchConfig(10.0), window=(0, DAY))
-        assert surplus == pytest.approx(720.0)
-        assert deficit == 0.0
-
-    def test_balanced(self):
-        week = make_week(demand=20.0, wind=0.0, solar=5.0)
-        deficit, surplus = surplus_deficit(week, 20.0, DispatchConfig(15.0))
-        assert (deficit, surplus) == (0.0, 0.0)
-
-    def test_uses_uncurtailed_wind(self):
-        # available wind far above cap still counts fully toward the surplus
-        week = make_week(demand=20.0, wind=10.0, solar=0.0)
-        _, surplus_at_20 = surplus_deficit(week, 20.0, DispatchConfig(13.0), window=(0, DAY))
-        _, surplus_at_80 = surplus_deficit(week, 80.0, DispatchConfig(13.0), window=(0, DAY))
-        assert surplus_at_80 == pytest.approx(surplus_at_20 + 30.0 * 24.0)
-
-    def test_empty_window_fatal(self):
-        with pytest.raises(ValueError, match="empty"):
-            surplus_deficit(make_week(), 20.0, DispatchConfig(13.0), window=(5, 5))
-
-    def test_slice_window_equivalent_to_tuple(self):
-        week = make_week(demand=30.0, wind=10.0, solar=0.0)
-        cfg = DispatchConfig(10.0)
-        assert surplus_deficit(week, 20.0, cfg, window=slice(0, DAY)) == surplus_deficit(
-            week, 20.0, cfg, window=(0, DAY)
-        )
 
 
 class TestDispatchCsv:

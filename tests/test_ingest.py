@@ -1,3 +1,4 @@
+import tracemalloc
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -142,6 +143,24 @@ class TestParseCsv:
         )
         with pytest.raises(IngestError, match="line 3: field larger than field limit"):
             parse_csv(path)
+
+
+# tracemalloc peak of one parse_csv of the synthetic year: csv.reader rows in
+# 8,192-row chunks peaked at 9.12 MB by this test's method, the split
+# tokenizer in 2,048-line chunks at 6.87 MB (Python 3.11, numpy 2.4)
+PARSE_PEAK_GUARD_BYTES = 8.72e6
+
+
+def test_parse_peak_memory_within_guard(synth_csv):
+    """Growth in the chunk temporaries fails here, not only as a benchmark's RSS."""
+    parse_csv(synth_csv)  # first-call caches stay out of the measurement
+    tracemalloc.start()
+    try:
+        parse_csv(synth_csv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= PARSE_PEAK_GUARD_BYTES, f"parse_csv peak {peak / 1e6:.2f} MB"
 
 
 class TestCanonicalize:

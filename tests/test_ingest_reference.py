@@ -173,7 +173,7 @@ def documents(draw):
     for _ in range(draw(st.integers(0, 2))):
         rows.insert(draw(st.integers(0, len(rows))), draw(odd_rows))
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator=draw(st.sampled_from(["\n", "\r\n"])),
+    writer = csv.writer(out, lineterminator=draw(st.sampled_from(["\n", "\r\n", "\r"])),
                         quoting=draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL])))
     writer.writerow(header)
     writer.writerows(rows)
@@ -213,13 +213,16 @@ def every_odd_case() -> str:
     return out.getvalue()
 
 
-@pytest.mark.parametrize("chunk_rows", [1, 3, 16, 8192])
+CHUNK_SIZES = [1, 3, 16, ingest.CHUNK_ROWS, 8192]
+
+
+@pytest.mark.parametrize("chunk_rows", CHUNK_SIZES)
 def test_every_odd_case_matches_reference(chunk_rows):
     check_against_reference(every_odd_case(), chunk_rows)
 
 
 @settings(max_examples=80, deadline=None)
-@given(text=documents(), chunk_rows=st.sampled_from([1, 3, 16, 8192]))
+@given(text=documents(), chunk_rows=st.sampled_from(CHUNK_SIZES))
 def test_matches_row_by_row_reference(text, chunk_rows):
     check_against_reference(text, chunk_rows)
 
@@ -238,6 +241,136 @@ def test_bad_cells_at_block_and_chunk_edges(chunk_rows, float_block):
     csv.writer(out, lineterminator="\n").writerows([list(COLUMNS.values()), *rows])
     with mock.patch.object(ingest, "FLOAT_BLOCK", float_block):
         check_against_reference(out.getvalue(), chunk_rows)
+
+
+HEADER = "time,nd,w,pv,note"
+
+
+def good_line(i, note="", end="\n"):
+    """A good row for HEADER, or without its note column when ``note`` is None."""
+    cells = [stamp(i % 31, "Z"), "48000", "900", "0"] + ([] if note is None else [note])
+    return ",".join(cells) + end
+
+
+def document(odd: dict[int, str], n=200, last_end="\n", end="\n", header=HEADER):
+    """The header, then ``n`` good lines, with ``odd[i]`` in place of the i-th."""
+    note = "" if header.endswith("note") else None
+    lines = [odd.get(i, good_line(i, note, end)) for i in range(n)]
+    lines[-1] = lines[-1].rstrip("\r\n") + last_end
+    return header + "\n" + "".join(lines)
+
+
+@pytest.mark.parametrize("chunk_rows", [3, 4, 16])
+@pytest.mark.parametrize("at", [-1, 0, 1])  # the quoted note starts on this line of a chunk
+def test_quoted_note_straddles_a_chunk_boundary(chunk_rows, at):
+    """The chunk with the quote reads on into the next chunk's lines; the
+    quote-free chunks after it keep their line numbers."""
+    first = 2 * chunk_rows + at
+    odd = {first: good_line(first, note='"two\nlines"'),
+           first + 2 * chunk_rows: f"{stamp(3, 'Z')},48000\n",  # row errors name their lines
+           first + 3 * chunk_rows: f"{stamp(4, 'Z')},48000,n/a,0,\n"}
+    check_against_reference(document(odd, n=300), chunk_rows)
+
+
+@pytest.mark.parametrize("last_end", ["\n", ""])
+@pytest.mark.parametrize("note", ['say "hi"', '"a,b"', '"open\nnote"'])
+def test_quote_only_in_the_last_chunk(note, last_end):
+    check_against_reference(document({198: good_line(198, note=note)}, last_end=last_end), 16)
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 3, 16])
+@pytest.mark.parametrize("header", [HEADER, "time,nd,w,pv"])
+def test_cr_only_and_mixed_line_ends(chunk_rows, header):
+    """No line end stays in a cell: the last column's bad texts keep their reasons."""
+    ends = ["\r", "\n", "\r\n"]
+    note = "" if header == HEADER else None
+    mixed = {i: good_line(i, note, end=ends[i % 3]) for i in range(500)}
+    mixed.update({
+        17: "\r", 18: ",,,,\r\n", 19: " \r",
+        40: f"{stamp(4, 'Z')},48000\r",
+        41: "x\r\n",
+        42: f"{stamp(5, 'Z')},48000,900,x\r\n",
+        43: f"{stamp(6, 'Z')},48000,900,\r",
+    })
+    check_against_reference(document(mixed, n=500, header=header), chunk_rows)
+    check_against_reference(document({5: "\r", 6: " , \r"}, end="\r", header=header), chunk_rows)
+
+
+BLANK_LINES = ["\n", " \n", "\t\n", ",,,,\n", " , ,, ,\n", ",\n", "\x1c\n", "\u3000,\n"]
+
+
+@pytest.mark.parametrize("blank", BLANK_LINES)
+@pytest.mark.parametrize("last_end", ["\n", ""])
+def test_blank_lines_at_chunk_edges_and_end_of_file(blank, last_end):
+    """Blank, whitespace-only and comma-only lines first and last in a chunk of
+    4 lines, and as the file's last line, with and without a line end."""
+    odd = {i: blank for i in (0, 3, 4, 7, 12, 13, 14, 15, 197, 199)}
+    check_against_reference(document(odd, last_end=last_end), 4)
+
+
+@pytest.mark.parametrize("chunk_rows", [3, 16, ingest.CHUNK_ROWS])
+def test_rows_shorter_and_longer_than_the_header(chunk_rows):
+    full = good_line(9).rstrip("\n")
+    odd = {
+        3: full.rsplit(",", 1)[0] + "\n",      # no note: the mapped columns are all there
+        4: ",".join(full.split(",")[:2]) + "\n",  # too few fields
+        5: full.split(",")[0] + "\n",          # one field
+        6: full + ",x,y,z\n",                  # longer than the header
+        7: full + ",,,,,,\n",
+        8: ",,,,,,,,\n",                       # comma-only, longer than the header: a row error
+    }
+    check_against_reference(document(odd, n=700), chunk_rows)
+
+
+def expected_csv_error(path):
+    """The IngestError text of a csv.reader over the whole file, as parse_csv
+    reported it before it split quote-free lines itself."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            for _ in reader:
+                pass
+        except csv.Error as exc:
+            return f"{path} line {reader.line_num}: {exc}"
+    return None
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 3, ingest.CHUNK_ROWS])
+def test_field_over_the_csv_limit_same_error_and_line(tmp_path, chunk_rows):
+    path = tmp_path / "long.csv"
+    path.write_text(document({5: good_line(5, note="x" * 140_000)}), encoding="utf-8")
+    expected = expected_csv_error(path)
+    assert expected == f"{path} line 7: field larger than field limit (131072)"
+    with mock.patch.object(ingest, "CHUNK_ROWS", chunk_rows):
+        with pytest.raises(IngestError) as raised:
+            parse_csv(path, COLUMNS)
+    assert str(raised.value) == expected
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 3, 16])
+@pytest.mark.parametrize("odd", [
+    {5: good_line(5, note="x" * 60)},                       # one field over the limit
+    {5: good_line(5, note="x" * 30 + ",y" + "y" * 30)},     # a long line of short fields
+    {5: good_line(5, note="x" * 60), 9: good_line(9, note='"q"')},
+    {9: good_line(9, note='"q\n' + "x" * 60 + '"')},         # a quoted field over the limit
+])
+def test_lines_over_a_lowered_csv_limit(tmp_path, chunk_rows, odd):
+    """Lines longer than the field limit go through the csv module: a field
+    over it is the same fatal error, on the same line; short fields pass."""
+    path = tmp_path / "long.csv"
+    path.write_text(document(odd), encoding="utf-8")
+    limit = csv.field_size_limit(50)
+    try:
+        expected = expected_csv_error(path)
+        if expected is None:
+            check_against_reference(document(odd), chunk_rows)
+        else:
+            with mock.patch.object(ingest, "CHUNK_ROWS", chunk_rows):
+                with pytest.raises(IngestError) as raised:
+                    parse_csv(path, COLUMNS)
+            assert str(raised.value) == expected
+    finally:
+        csv.field_size_limit(limit)
 
 
 def check_against_reference(text, chunk_rows):

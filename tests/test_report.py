@@ -66,6 +66,13 @@ class TestBuildTable2:
         text = format_table2(rows)
         assert "14.6" in text  # display rounding to one decimal
 
+    def test_display_keeps_the_half_of_the_30m_battery_cost(self, synth_year):
+        [row] = build_table2(synth_year, [30.0])
+        assert row.battery_cost_eur_bn == 229.5
+        line = format_table2([row]).splitlines()[1]
+        assert line.split()[0] == "30"
+        assert line.split()[-1] == "229.5"  # not 230 (half to even) nor 229
+
 
 class TestLullReport:
     def test_zero_wind_week_mean_gt_is_level_minus_base(self):
