@@ -3,8 +3,11 @@
 Subcommands: ingest (validation only), histogram, curves, bev, lull, table2.
 Settings resolve flag > config file > built-in default. Config files are
 plain ``key = value`` text; lists are comma-separated and capacity lists also
-accept ``start:stop:step``. Exit codes: 0 ok, 1 simulation error, 2 input
-error, 3 configuration error.
+accept ``start:stop:step``. The config keys are the input, output and sweep
+settings plus every field of ScalingSpec, BevFleetSpec and ScenarioConstants,
+whose defaults are those of the dataclasses. Flag and config values are text,
+parsed the same way. Exit codes: 0 ok, 1 simulation error, 2 input error,
+3 configuration error (including a result file that cannot be written).
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from decimal import Decimal
 from pathlib import Path
 from typing import Sequence
@@ -29,12 +32,14 @@ from .bev import (
     write_bev_csv,
 )
 from .curves import (
+    ANNUAL_SOLAR_SCALE,
+    DEFAULT_BASE_GENERATION_GWE,
     DEFAULT_CAPACITY_GRID_GWC,
     CurveRequest,
     annual_curve,
     write_curves_csv,
 )
-from .dispatch import CapMode, DispatchConfig, dispatch_week, write_dispatch_csv
+from .dispatch import write_dispatch_csv
 from .ingest import GridSeries, IngestError, canonicalize, parse_csv, segment_weeks
 from .report import (
     DEFAULT_LULL_BASE_GENERATION_GWE,
@@ -58,36 +63,22 @@ from .scaling import (
 log = logging.getLogger(__name__)
 
 DEFAULT_HEADROOMS_GWE = (20.0, 25.0, 30.0, 35.0)
+DEFAULT_FLEET_SIZE_M = 35.0
 DEFAULT_FLEET_SIZES_M = (15.0, 20.0, 25.0, 30.0, 35.0)
 DEFAULT_CURVE_FAMILY_FLEETS_M = (0.0, 15.0, 20.0, 25.0, 30.0, 35.0)
 MAX_RANGE_VALUES = 10_000  # most values one start:stop:step range may give
 
 _KNOWN_CONFIG_KEYS = {
+    f.name for spec in (ScalingSpec, BevFleetSpec, ScenarioConstants) for f in fields(spec)
+} | {
     "input",
     "out_dir",
     "columns",
-    "embedded_multiplier",
-    "reference_capacity_gwc",
-    "target_capacity_factor",
-    "solar_scale",
     "base_generation_gwe",
     "capacities_gwc",
     "headrooms_gwe",
     "fleet_sizes_millions",
     "weeks",
-    "fleet_size_millions",
-    "daily_energy_per_vehicle_kwh",
-    "battery_per_vehicle_kwh",
-    "night_fraction",
-    "day_start_hour",
-    "day_end_hour",
-    "initial_soc_fraction",
-    "v2g_power_limit_gw",
-    "round_trip_efficiency",
-    "baseline_wind_gwe",
-    "battery_unit_cost_eur_per_kwh",
-    "baseline_fleet_emissions_mtpa",
-    "baseline_fleet_size_millions",
 }
 
 
@@ -101,8 +92,9 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def load_config_file(path: str | Path) -> dict[str, str]:
-    """Parse a plain key = value config file; unknown keys are fatal."""
+    """Parse a plain key = value config file; unknown and repeated keys are fatal."""
     values: dict[str, str] = {}
+    linenos: dict[str, int] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -116,18 +108,25 @@ def load_config_file(path: str | Path) -> dict[str, str]:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _KNOWN_CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in linenos:
+            raise ConfigError(f"{path}:{lineno}: {key!r} already set on line {linenos[key]}")
+        linenos[key] = lineno
         values[key] = value
     return values
 
 
-def _finite(value: object, key: str) -> float:
+def _finite(value: str | float, key: str) -> float:
     try:
         number = float(value)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"cannot parse {key} from {value!r}") from exc
     if not np.isfinite(number):
         raise ConfigError(f"{key} must be finite, got {value!r}")
     return number
+
+
+def _float_list(s: dict[str, str], key: str, default: Sequence[float]) -> list[float]:
+    return _parse_float_list(s[key], key) if key in s else list(default)
 
 
 def _parse_float_list(text: str, key: str) -> list[float]:
@@ -172,44 +171,6 @@ def _parse_columns(text: str) -> dict[str, str]:
     return mapping
 
 
-class Settings:
-    """Merged flag/config values with typed accessors."""
-
-    def __init__(self, flags: dict[str, object], config: dict[str, str]):
-        self._flags = flags
-        self._config = config
-
-    def _raw(self, key: str) -> object | None:
-        flag = self._flags.get(key)
-        if flag is not None:
-            return flag
-        return self._config.get(key)
-
-    def get_str(self, key: str, default: str | None = None) -> str | None:
-        raw = self._raw(key)
-        return default if raw is None else str(raw)
-
-    def get_float(self, key: str, default: float | None = None) -> float | None:
-        raw = self._raw(key)
-        return default if raw is None else _finite(raw, key)
-
-    def get_float_list(self, key: str, default: Sequence[float]) -> list[float]:
-        raw = self._raw(key)
-        if raw is None:
-            return list(default)
-        if isinstance(raw, str):
-            return _parse_float_list(raw, key)
-        return [_finite(v, key) for v in raw]
-
-    def get_columns(self) -> dict[str, str]:
-        raw = self._raw("columns")
-        if raw is None:
-            return {}
-        if isinstance(raw, str):
-            return _parse_columns(raw)
-        return dict(raw)
-
-
 def _build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(
         prog="windfleet",
@@ -223,13 +184,8 @@ def _build_parser() -> _ArgumentParser:
         p.add_argument("--config", help="key = value config file")
         p.add_argument("--out-dir", dest="out_dir", help="output directory (default: out)")
         p.add_argument("--columns", help="column remap, e.g. timestamp=ts,demand=d")
-        p.add_argument("--solar-scale", dest="solar_scale", type=float)
-        p.add_argument("--base-gen", dest="base_generation_gwe", type=float)
-        p.add_argument(
-            "--seedless",
-            action="store_true",
-            help="reserved; the model is deterministic and accepts no seed",
-        )
+        p.add_argument("--solar-scale", dest="solar_scale")
+        p.add_argument("--base-gen", dest="base_generation_gwe")
 
     p_ingest = sub.add_parser("ingest", help="validate an input file, write nothing")
     common(p_ingest)
@@ -247,13 +203,13 @@ def _build_parser() -> _ArgumentParser:
     p_bev = sub.add_parser("bev", help="weekly leveling schedule and SOC trajectory")
     common(p_bev)
     p_bev.add_argument("--weeks")
-    p_bev.add_argument("--fleet-size", dest="fleet_size_millions", type=float)
+    p_bev.add_argument("--fleet-size", dest="fleet_size_millions")
 
     p_lull = sub.add_parser("lull", help="stressed-week leveled dispatch report")
     common(p_lull)
     p_lull.add_argument("--weeks")
     p_lull.add_argument("--capacities", dest="capacities_gwc")
-    p_lull.add_argument("--fleet-size", dest="fleet_size_millions", type=float)
+    p_lull.add_argument("--fleet-size", dest="fleet_size_millions")
 
     p_table = sub.add_parser("table2", help="wind fleet sizes needed per BEV fleet size")
     common(p_table)
@@ -263,10 +219,13 @@ def _build_parser() -> _ArgumentParser:
     return parser
 
 
-def _settings_from_args(args: argparse.Namespace) -> Settings:
-    flags = {k: v for k, v in vars(args).items() if k not in ("command", "seedless", "check")}
-    config = load_config_file(args.config) if args.config else {}
-    return Settings(flags, config)
+def _settings(args: argparse.Namespace) -> dict[str, str]:
+    """Config file values overridden by the flags given, all as text."""
+    settings = load_config_file(args.config) if args.config else {}
+    for key, value in vars(args).items():
+        if value is not None and key not in ("command", "config", "check"):
+            settings[key] = value
+    return settings
 
 
 def _valid(build, *args, **kwargs):
@@ -277,39 +236,11 @@ def _valid(build, *args, **kwargs):
         raise ConfigError(str(exc)) from exc
 
 
-def _scaling_spec(s: Settings, default_solar_scale: float) -> ScalingSpec:
-    return _valid(
-        ScalingSpec,
-        embedded_multiplier=s.get_float("embedded_multiplier", 1.5),
-        reference_capacity_gwc=s.get_float("reference_capacity_gwc", 20.0),
-        target_capacity_factor=s.get_float("target_capacity_factor", 0.30),
-        solar_scale=s.get_float("solar_scale", default_solar_scale),
-    )
-
-
-def _bev_spec(s: Settings, default_fleet: float = 35.0) -> BevFleetSpec:
-    return _valid(
-        BevFleetSpec,
-        fleet_size_millions=s.get_float("fleet_size_millions", default_fleet),
-        daily_energy_per_vehicle_kwh=s.get_float("daily_energy_per_vehicle_kwh", 10.0),
-        battery_per_vehicle_kwh=s.get_float("battery_per_vehicle_kwh", 30.0),
-        night_fraction=s.get_float("night_fraction", 0.2),
-        day_start_hour=s.get_float("day_start_hour", 6.0),
-        day_end_hour=s.get_float("day_end_hour", 21.0),
-        initial_soc_fraction=s.get_float("initial_soc_fraction", 0.8),
-        v2g_power_limit_gw=s.get_float("v2g_power_limit_gw", None),
-        round_trip_efficiency=s.get_float("round_trip_efficiency", 1.0),
-    )
-
-
-def _constants(s: Settings) -> ScenarioConstants:
-    return _valid(
-        ScenarioConstants,
-        baseline_fleet_emissions_mtpa=s.get_float("baseline_fleet_emissions_mtpa", 66.3),
-        baseline_fleet_size_millions=s.get_float("baseline_fleet_size_millions", 35.0),
-        battery_unit_cost_eur_per_kwh=s.get_float("battery_unit_cost_eur_per_kwh", 255.0),
-        baseline_wind_gwe=s.get_float("baseline_wind_gwe", 6.0),
-    )
+def _spec(spec_class, s: dict[str, str], **defaults):
+    """A ``spec_class`` instance built from the settings named after its fields;
+    ``defaults`` stand in for missing ones, then the dataclass's own defaults."""
+    values = {f.name: _finite(s[f.name], f.name) for f in fields(spec_class) if f.name in s}
+    return _valid(spec_class, **{**defaults, **values})
 
 
 def load_series(input_path: str | Path, columns: dict[str, str] | None = None) -> GridSeries:
@@ -320,24 +251,24 @@ def load_series(input_path: str | Path, columns: dict[str, str] | None = None) -
     return replace(series, input_sha256=sha256_of(input_path))
 
 
-def _load_series(s: Settings, series: GridSeries | None):
+def _load_series(s: dict[str, str], series: GridSeries | None):
     """The input path, and ``series`` or else the series read from it."""
-    input_path = s.get_str("input")
+    input_path = s.get("input")
     if not input_path:
         raise ConfigError("no input file given (use --input or the config file)")
     if series is None:
-        series = load_series(input_path, s.get_columns())
+        series = load_series(input_path, _parse_columns(s.get("columns", "")))
     return input_path, series
 
 
-def _load_year(s: Settings, spec: ScalingSpec, series: GridSeries | None):
+def _load_year(s: dict[str, str], spec: ScalingSpec, series: GridSeries | None):
     """The input path, its SHA-256 if the series carries it, and the year."""
     input_path, series = _load_series(s, series)
     return input_path, series.input_sha256, normalize(series, spec)
 
 
-def _out_dir(s: Settings) -> Path:
-    out = Path(s.get_str("out_dir", "out"))
+def _out_dir(s: dict[str, str]) -> Path:
+    out = Path(s.get("out_dir", "out"))
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -345,8 +276,12 @@ def _out_dir(s: Settings) -> Path:
     return out
 
 
-def _capacities(s: Settings) -> tuple[float, ...]:
-    capacities = tuple(s.get_float_list("capacities_gwc", DEFAULT_CAPACITY_GRID_GWC))
+def _base_generation(s: dict[str, str], default: float) -> float:
+    return _finite(s.get("base_generation_gwe", default), "base_generation_gwe")
+
+
+def _capacities(s: dict[str, str]) -> tuple[float, ...]:
+    capacities = tuple(_float_list(s, "capacities_gwc", DEFAULT_CAPACITY_GRID_GWC))
     if not capacities:
         raise ConfigError("capacities list is empty")
     if capacities[0] <= 0 or any(b <= a for a, b in zip(capacities, capacities[1:])):
@@ -354,8 +289,8 @@ def _capacities(s: Settings) -> tuple[float, ...]:
     return capacities
 
 
-def _weeks(s: Settings, default: Sequence[int]) -> list[int]:
-    weeks = s.get_float_list("weeks", list(default))
+def _weeks(s: dict[str, str], default: Sequence[int]) -> list[int]:
+    weeks = _float_list(s, "weeks", default)
     if not weeks:
         raise ConfigError("weeks list is empty")
     for w in weeks:
@@ -377,7 +312,7 @@ def _manifest(out: Path, command: str, input_path, digest, resolved: dict) -> No
     )
 
 
-def cmd_ingest(s: Settings, series: GridSeries | None) -> int:
+def cmd_ingest(s: dict[str, str], series: GridSeries | None) -> int:
     input_path, series = _load_series(s, series)
     weeks = segment_weeks(series)
     print(f"input: {input_path}")
@@ -391,8 +326,8 @@ def cmd_ingest(s: Settings, series: GridSeries | None) -> int:
     return 0
 
 
-def cmd_histogram(s: Settings, series: GridSeries | None) -> int:
-    spec = _scaling_spec(s, default_solar_scale=1.0)
+def cmd_histogram(s: dict[str, str], series: GridSeries | None) -> int:
+    spec = _spec(ScalingSpec, s)
     out = _out_dir(s)
     input_path, digest, year = _load_year(s, spec, series)
     trace = extrapolate_wind(year, spec.reference_capacity_gwc)
@@ -409,47 +344,35 @@ def cmd_histogram(s: Settings, series: GridSeries | None) -> int:
     return 0
 
 
-def cmd_curves(s: Settings, series: GridSeries | None) -> int:
-    headrooms = s.get_float_list("headrooms_gwe", DEFAULT_HEADROOMS_GWE)
+def cmd_curves(s: dict[str, str], series: GridSeries | None) -> int:
+    headrooms = _float_list(s, "headrooms_gwe", DEFAULT_HEADROOMS_GWE)
     if not headrooms:
         raise ConfigError("headrooms list is empty")
     capacities = _capacities(s)
-    fleet_sizes = s.get_float_list("fleet_sizes_millions", DEFAULT_CURVE_FAMILY_FLEETS_M)
-    base = s.get_float("base_generation_gwe", 13.0)
-    bev_specs = [_valid(replace, _bev_spec(s), fleet_size_millions=size) for size in fleet_sizes]
-    spec = _scaling_spec(s, default_solar_scale=2.0)
+    fleet_sizes = _float_list(s, "fleet_sizes_millions", DEFAULT_CURVE_FAMILY_FLEETS_M)
+    base = _base_generation(s, DEFAULT_BASE_GENERATION_GWE)
+    # the BEV settings are read, and so checked, only for BEV families
+    fleet = (
+        _spec(BevFleetSpec, s, fleet_size_millions=DEFAULT_FLEET_SIZE_M) if fleet_sizes else None
+    )
+    families = [{"headroom_gwe": h} for h in headrooms] + [
+        {"bev": _valid(replace, fleet, fleet_size_millions=size), "base_generation_gwe": base}
+        for size in fleet_sizes
+    ]
+    spec = _spec(ScalingSpec, s, solar_scale=ANNUAL_SOLAR_SCALE)
     out = _out_dir(s)
 
     input_path, digest, year = _load_year(s, spec, series)
-
-    headroom_curves = [
-        annual_curve(
-            CurveRequest(
-                year=year,
-                capacities_gwc=capacities,
-                headroom_gwe=h,
-                solar_scale=spec.solar_scale,
-            )
-        )
-        for h in headrooms
+    curves = [
+        annual_curve(CurveRequest(
+            year=year, capacities_gwc=capacities, solar_scale=spec.solar_scale, **family
+        ))
+        for family in families
     ]
-    write_curves_csv(headroom_curves[:1], out / "fig5_curve.csv")
-    write_curves_csv(headroom_curves, out / "fig7_families.csv")
-
+    write_curves_csv(curves[:1], out / "fig5_curve.csv")
+    write_curves_csv(curves[:len(headrooms)], out / "fig7_families.csv")
     if fleet_sizes:
-        bev_curves = [
-            annual_curve(
-                CurveRequest(
-                    year=year,
-                    capacities_gwc=capacities,
-                    bev=bev,
-                    base_generation_gwe=base,
-                    solar_scale=spec.solar_scale,
-                )
-            )
-            for bev in bev_specs
-        ]
-        write_curves_csv(bev_curves, out / "fig12_families.csv")
+        write_curves_csv(curves[len(headrooms):], out / "fig12_families.csv")
 
     _manifest(out, "curves", input_path, digest, {
         "capacities_gwc": capacities,
@@ -463,10 +386,10 @@ def cmd_curves(s: Settings, series: GridSeries | None) -> int:
     return 0
 
 
-def cmd_bev(s: Settings, series: GridSeries | None) -> int:
+def cmd_bev(s: dict[str, str], series: GridSeries | None) -> int:
     weeks = _weeks(s, default=[17])
-    spec = _bev_spec(s)
-    scale = _scaling_spec(s, default_solar_scale=1.0)
+    spec = _spec(BevFleetSpec, s, fleet_size_millions=DEFAULT_FLEET_SIZE_M)
+    scale = _spec(ScalingSpec, s)
     out = _out_dir(s)
     input_path, digest, year = _load_year(s, scale, series)
 
@@ -497,12 +420,12 @@ def cmd_bev(s: Settings, series: GridSeries | None) -> int:
     return 0
 
 
-def cmd_lull(s: Settings, series: GridSeries | None) -> int:
+def cmd_lull(s: dict[str, str], series: GridSeries | None) -> int:
     weeks = _weeks(s, default=[3])
     capacities = _capacities(s)
-    base = s.get_float("base_generation_gwe", DEFAULT_LULL_BASE_GENERATION_GWE)
-    spec = _bev_spec(s)
-    scale = _scaling_spec(s, default_solar_scale=1.0)
+    base = _base_generation(s, DEFAULT_LULL_BASE_GENERATION_GWE)
+    spec = _spec(BevFleetSpec, s, fleet_size_millions=DEFAULT_FLEET_SIZE_M)
+    scale = _spec(ScalingSpec, s)
     out = _out_dir(s)
     input_path, digest, year = _load_year(s, scale, series)
 
@@ -510,11 +433,7 @@ def cmd_lull(s: Settings, series: GridSeries | None) -> int:
         week = year.weeks[wk - 1]
         rep = lull_report(week, spec, base, capacities, year.reference_capacity_gwc)
         suffix = "" if n == 0 else f"_w{wk}"
-        cfg = DispatchConfig(
-            base_generation_gwe=base, cap_mode=CapMode.LEVELED, level_gwe=rep.level_gwe
-        )
-        result = dispatch_week(week, max(capacities), cfg, year.reference_capacity_gwc)
-        write_dispatch_csv(week, result, cfg, out / f"fig15_gt{suffix}.csv")
+        write_dispatch_csv(week, rep.dispatch, base, out / f"fig15_gt{suffix}.csv")
         write_lull_csv(rep, out / f"lull_report{suffix}.csv")
         print(
             f"week {wk}: level {rep.level_gwe:.1f} GWe, peak GT {rep.peak_gt_gwe:.1f} GWe, "
@@ -536,16 +455,16 @@ def cmd_lull(s: Settings, series: GridSeries | None) -> int:
     return 0
 
 
-def cmd_table2(s: Settings, series: GridSeries | None) -> int:
-    fleet_sizes = s.get_float_list("fleet_sizes_millions", DEFAULT_FLEET_SIZES_M)
+def cmd_table2(s: dict[str, str], series: GridSeries | None) -> int:
+    fleet_sizes = _float_list(s, "fleet_sizes_millions", DEFAULT_FLEET_SIZES_M)
     if not fleet_sizes:
         raise ConfigError("fleet_sizes list is empty")
     for size in fleet_sizes:
         _valid(BevFleetSpec, fleet_size_millions=size)
     capacities = _capacities(s)
-    base = s.get_float("base_generation_gwe", 13.0)
-    consts = _constants(s)
-    spec = _scaling_spec(s, default_solar_scale=2.0)
+    base = _base_generation(s, DEFAULT_BASE_GENERATION_GWE)
+    consts = _spec(ScenarioConstants, s)
+    spec = _spec(ScalingSpec, s, solar_scale=ANNUAL_SOLAR_SCALE)
     out = _out_dir(s)
 
     input_path, digest, year = _load_year(s, spec, series)
@@ -598,14 +517,8 @@ def run(argv: Sequence[str] | None, *, series: GridSeries | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "seedless", False):
-            raise ConfigError(
-                "--seedless is reserved: the model is fully deterministic "
-                "and accepts no seed"
-            )
-        settings = _settings_from_args(args)
-        return _COMMANDS[args.command](settings, series)
-    except ConfigError as exc:
+        return _COMMANDS[args.command](_settings(args), series)
+    except (ConfigError, OSError) as exc:  # OSError: a result file that cannot be written
         print(f"configuration error: {exc}", file=sys.stderr)
         return 3
     except IngestError as exc:

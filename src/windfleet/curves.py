@@ -25,6 +25,7 @@ from .scaling import NormalizedYear, WindHistogram
 
 DEFAULT_CAPACITY_GRID_GWC = (20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0)
 DEFAULT_BASE_GENERATION_GWE = 13.0
+ANNUAL_SOLAR_SCALE = 2.0  # annual curves double the recorded solar
 INVERSION_RESOLUTION_GWC = 0.1
 
 _SLOPE_TOL = 1e-7
@@ -48,7 +49,7 @@ class CurveRequest:
     headroom_gwe: float | None = None
     bev: BevFleetSpec | None = None
     base_generation_gwe: float = DEFAULT_BASE_GENERATION_GWE
-    solar_scale: float = 2.0
+    solar_scale: float = ANNUAL_SOLAR_SCALE
     label: str = ""
 
     def __post_init__(self):

@@ -119,7 +119,7 @@ def dispatch_week(
 
 
 def write_dispatch_csv(
-    week: WeekSeries, result: DispatchResult, cfg: DispatchConfig, path: str | Path
+    week: WeekSeries, result: DispatchResult, base_generation_gwe: float, path: str | Path
 ) -> None:
     """Per-sample dispatch export, one row per 300 s sample."""
     write_csv(
@@ -136,7 +136,7 @@ def write_dispatch_csv(
         [
             sample_times(week.start_time, week.n_samples),
             week.demand,
-            np.full(week.n_samples, float(cfg.base_generation_gwe)),
+            np.full(week.n_samples, float(base_generation_gwe)),
             week.solar,
             result.wind_used,
             result.wind_curtailed,

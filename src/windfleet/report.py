@@ -19,8 +19,14 @@ from typing import Sequence
 import numpy as np
 
 from .bev import BevFleetSpec, fleet_aggregates
-from .curves import DEFAULT_CAPACITY_GRID_GWC, CurveRequest, invert_annual_curve
-from .dispatch import CapMode, DispatchConfig, dispatch_week
+from .curves import (
+    ANNUAL_SOLAR_SCALE,
+    DEFAULT_BASE_GENERATION_GWE,
+    DEFAULT_CAPACITY_GRID_GWC,
+    CurveRequest,
+    invert_annual_curve,
+)
+from .dispatch import CapMode, DispatchConfig, DispatchResult, dispatch_week
 from .export import write_csv
 from .ingest import WeekSeries
 from .scaling import DEFAULT_REFERENCE_CAPACITY_GWC, NormalizedYear
@@ -64,6 +70,7 @@ class LullReport:
     gt_energy_gwh: float
     min_wind_gwe: float
     wind_means_gwe: dict[float, float]
+    dispatch: DispatchResult  # at the largest capacity
 
 
 def build_table2(
@@ -71,8 +78,8 @@ def build_table2(
     fleet_sizes_millions: Sequence[float],
     consts: ScenarioConstants = ScenarioConstants(),
     capacities_gwc: tuple[float, ...] | None = None,
-    base_generation_gwe: float = 13.0,
-    solar_scale: float = 2.0,
+    base_generation_gwe: float = DEFAULT_BASE_GENERATION_GWE,
+    solar_scale: float = ANNUAL_SOLAR_SCALE,
 ) -> list[FleetSizingRow]:
     """Wind fleet sizes needed to power BEV fleets, plus the linear columns.
 
@@ -148,6 +155,7 @@ def lull_report(
         gt_energy_gwh=summary.gt_energy_gwh,
         min_wind_gwe=min_wind,
         wind_means_gwe=wind_means,
+        dispatch=summary,
     )
 
 

@@ -36,6 +36,8 @@ class ScalingSpec:
     solar_scale: float = 1.0
 
     def __post_init__(self):
+        if not all(np.isfinite(v) for v in vars(self).values()):
+            raise ValueError("scaling parameters must be finite")
         if self.embedded_multiplier <= 0 or self.reference_capacity_gwc <= 0:
             raise ValueError("embedded_multiplier and reference_capacity must be > 0")
         if not 0 < self.target_capacity_factor <= 1:

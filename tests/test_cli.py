@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import importlib.util
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from windfleet import cli, report
+from windfleet import BevFleetSpec, ScalingSpec, ScenarioConstants, cli, report
 from windfleet.cli import load_config_file, main, ConfigError
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -32,6 +33,33 @@ BAD_VALUES = [
     ["bev", "--fleet-size", "-5"],
     ["table2", "--fleet-sizes", "15,-5"],
     ["curves", "--fleet-sizes", "-1"],
+]
+
+SCALING_READERS = ("histogram", "curves", "bev", "lull", "table2")
+FLEET_READERS = ("curves", "bev", "lull")
+# each spec-field config key: an out-of-range value, and the commands that read it
+SPEC_FIELD_BAD_VALUES = {
+    "embedded_multiplier": ("0", SCALING_READERS),
+    "reference_capacity_gwc": ("-20", SCALING_READERS),
+    "target_capacity_factor": ("2", SCALING_READERS),
+    "solar_scale": ("0", SCALING_READERS),
+    "fleet_size_millions": ("-1", FLEET_READERS),
+    "daily_energy_per_vehicle_kwh": ("0", FLEET_READERS),
+    "battery_per_vehicle_kwh": ("0", FLEET_READERS),
+    "night_fraction": ("2", FLEET_READERS),
+    "day_start_hour": ("22", FLEET_READERS),
+    "day_end_hour": ("25", FLEET_READERS),
+    "initial_soc_fraction": ("1.5", FLEET_READERS),
+    "v2g_power_limit_gw": ("0", FLEET_READERS),
+    "round_trip_efficiency": ("2", FLEET_READERS),
+    "baseline_fleet_emissions_mtpa": ("0", ("table2",)),
+    "baseline_fleet_size_millions": ("0", ("table2",)),
+    "battery_unit_cost_eur_per_kwh": ("0", ("table2",)),
+    "baseline_wind_gwe": ("-6", ("table2",)),
+}
+PATH_AND_SWEEP_KEYS = [
+    "input", "out_dir", "columns", "base_generation_gwe",
+    "capacities_gwc", "headrooms_gwe", "fleet_sizes_millions", "weeks",
 ]
 
 
@@ -125,6 +153,40 @@ class TestExitCodes:
         argv = bad_value_argv(argv, tmp_path)
         assert run(*argv, "--input", str(tmp_path / "absent.csv")) == 3
         assert capsys.readouterr().err.startswith("configuration error: ")
+
+    def test_spec_field_cases_cover_every_field(self):
+        specs = (ScalingSpec, BevFleetSpec, ScenarioConstants)
+        names = {f.name for spec in specs for f in dataclasses.fields(spec)}
+        assert set(SPEC_FIELD_BAD_VALUES) == names
+
+    @pytest.mark.parametrize("key,value,command", [
+        (key, value, command)
+        for key, (value, commands) in SPEC_FIELD_BAD_VALUES.items()
+        for command in commands
+    ])
+    def test_bad_spec_field_in_config_fails_before_input_is_read(
+        self, key, value, command, tmp_path, capsys
+    ):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        out = tmp_path / "out"
+        code = run(
+            command, "--config", str(cfg), "--input", str(tmp_path / "absent.csv"),
+            "--out-dir", str(out),
+        )
+        assert code == 3
+        assert capsys.readouterr().err.startswith("configuration error: ")
+        assert not out.exists()
+
+    def test_unwritable_result_file_is_one_line_config_error(self, synth_csv, tmp_path):
+        out = tmp_path / "out"
+        (out / "fig1_histogram.csv").mkdir(parents=True)  # root ignores permission bits
+        result = run_subprocess("histogram", "--input", str(synth_csv), "--out-dir", str(out))
+        assert result.returncode == 3
+        assert "Traceback" not in result.stderr
+        errors = [l for l in result.stderr.splitlines() if "error" in l]
+        assert len(errors) == 1 and errors[0].startswith("configuration error: ")
+        assert str(out / "fig1_histogram.csv") in errors[0]
 
 
 class TestRangeCap:
@@ -286,6 +348,20 @@ class TestLullCommand:
         text = capsys.readouterr().out
         assert "GT energy" in text and "mean GT x 168 h" in text
 
+    def test_dispatches_each_capacity_once(self, synth_csv, tmp_path, monkeypatch):
+        capacities = []
+        dispatch_week = report.dispatch_week
+        spy = lambda *a, **k: capacities.append(a[1]) or dispatch_week(*a, **k)
+        for module in (cli, report):
+            if hasattr(module, "dispatch_week"):
+                monkeypatch.setattr(module, "dispatch_week", spy)
+        code = run(
+            "lull", "--input", str(synth_csv), "--out-dir", str(tmp_path),
+            "--weeks", "43", "--capacities", "20,80",
+        )
+        assert code == 0
+        assert capacities == [20.0, 80.0]
+
 
 class TestTable2Command:
     def test_writes_table_and_respects_flags_over_config(self, synth_csv, tmp_path):
@@ -337,6 +413,30 @@ class TestConfigFile:
         values = load_config_file(cfg)
         assert values["base_generation_gwe"] == "13"
         assert values["capacities_gwc"] == "20, 30, 40"
+
+    def test_accepts_exactly_the_known_keys(self, tmp_path):
+        keys = [*SPEC_FIELD_BAD_VALUES, *PATH_AND_SWEEP_KEYS]
+        assert len(keys) == 25
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{key} = 1\n" for key in keys))
+        assert sorted(load_config_file(cfg)) == sorted(keys)
+        for key in ("config", "check", "command", "seedless", "label"):
+            cfg.write_text(f"{key} = 1\n")
+            with pytest.raises(ConfigError, match="unknown config key"):
+                load_config_file(cfg)
+
+    def test_example_config_has_no_unknown_key(self):
+        values = load_config_file(ROOT / "config.example.cfg")
+        assert set(values) <= {*SPEC_FIELD_BAD_VALUES, *PATH_AND_SWEEP_KEYS}
+        assert values["weeks"] == "17"
+
+    def test_repeated_key_rejected(self, synth_csv, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("weeks = 3\n# stressed week\nweeks = 17\n")
+        with pytest.raises(ConfigError, match=r"run.cfg:3: 'weeks' already set on line 1"):
+            load_config_file(cfg)
+        assert run("bev", "--input", str(synth_csv), "--config", str(cfg)) == 3
+        assert capsys.readouterr().err.startswith("configuration error: ")
 
     def test_bad_line_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"

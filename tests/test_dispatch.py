@@ -149,7 +149,7 @@ class TestDispatchCsv:
         cfg = DispatchConfig(7.0, CapMode.LEVELED, level_gwe=50.0)
         result = dispatch_week(week, 80.0, cfg)
         path = tmp_path / "dispatch.csv"
-        write_dispatch_csv(week, result, cfg, path)
+        write_dispatch_csv(week, result, cfg.base_generation_gwe, path)
 
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))

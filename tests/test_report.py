@@ -98,7 +98,7 @@ class TestLullReport:
         cfg = DispatchConfig(7.0, CapMode.LEVELED, level_gwe=report.level_gwe)
         result = dispatch_week(week, 80.0, cfg)
         path = tmp_path / "gt.csv"
-        write_dispatch_csv(week, result, cfg, path)
+        write_dispatch_csv(week, result, cfg.base_generation_gwe, path)
 
         peak = 0.0
         total = 0.0

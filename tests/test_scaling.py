@@ -40,6 +40,14 @@ class TestNormalize:
             synth_year.demand, synth_series.demand[:SAMPLES_PER_YEAR]
         )
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", [
+        "embedded_multiplier", "reference_capacity_gwc", "target_capacity_factor", "solar_scale",
+    ])
+    def test_spec_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            ScalingSpec(**{field: value})
+
     def test_zero_wind_fatal(self):
         series = make_year_series(wind=0.0)
         with pytest.raises(ValueError, match="zero"):
