@@ -179,23 +179,28 @@ def _build_parser() -> _ArgumentParser:
     parser.add_argument("--version", action="version", version=f"windfleet {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(
+        p: argparse.ArgumentParser, *, solar_scale: bool = True, base_gen: bool = False
+    ) -> None:
+        """The input and output flags, plus the scaling flags the command reads."""
         p.add_argument("--input", help="5-minute records CSV (MW)")
         p.add_argument("--config", help="key = value config file")
         p.add_argument("--out-dir", dest="out_dir", help="output directory (default: out)")
         p.add_argument("--columns", help="column remap, e.g. timestamp=ts,demand=d")
-        p.add_argument("--solar-scale", dest="solar_scale")
-        p.add_argument("--base-gen", dest="base_generation_gwe")
+        if solar_scale:
+            p.add_argument("--solar-scale", dest="solar_scale")
+        if base_gen:
+            p.add_argument("--base-gen", dest="base_generation_gwe")
 
     p_ingest = sub.add_parser("ingest", help="validate an input file, write nothing")
-    common(p_ingest)
+    common(p_ingest, solar_scale=False)
     p_ingest.add_argument("--check", action="store_true", help="validation only (default)")
 
     p_hist = sub.add_parser("histogram", help="wind generation-band histogram")
     common(p_hist)
 
     p_curves = sub.add_parser("curves", help="annual characteristic-curve families")
-    common(p_curves)
+    common(p_curves, base_gen=True)
     p_curves.add_argument("--capacities", dest="capacities_gwc")
     p_curves.add_argument("--headrooms", dest="headrooms_gwe")
     p_curves.add_argument("--fleet-sizes", dest="fleet_sizes_millions")
@@ -206,13 +211,13 @@ def _build_parser() -> _ArgumentParser:
     p_bev.add_argument("--fleet-size", dest="fleet_size_millions")
 
     p_lull = sub.add_parser("lull", help="stressed-week leveled dispatch report")
-    common(p_lull)
+    common(p_lull, base_gen=True)
     p_lull.add_argument("--weeks")
     p_lull.add_argument("--capacities", dest="capacities_gwc")
     p_lull.add_argument("--fleet-size", dest="fleet_size_millions")
 
     p_table = sub.add_parser("table2", help="wind fleet sizes needed per BEV fleet size")
-    common(p_table)
+    common(p_table, base_gen=True)
     p_table.add_argument("--capacities", dest="capacities_gwc")
     p_table.add_argument("--fleet-sizes", dest="fleet_sizes_millions")
 

@@ -1,7 +1,9 @@
 """Result CSV output: the one place that knows the file format.
 
 Every result file is a header row over equal-length columns. Floats are
-written as their shortest round-trip repr, timestamps as UTC
+written as orjson's shortest round-trip text, and as their ``repr`` where
+that uses exponent notation or the value is not finite, so the bytes are
+those of ``repr`` throughout. Timestamps are written as UTC
 ``YYYY-MM-DDTHH:MM:SSZ``, and integers and strings as themselves.
 
 The bytes are those of the csv module's excel dialect: ``\\r\\n`` line ends,
@@ -18,6 +20,7 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+import orjson
 
 from .ingest import CADENCE_S
 
@@ -46,7 +49,17 @@ def _cells(column: np.ndarray) -> list[str]:
     if column.dtype.kind == "M":
         return np.datetime_as_string(column, unit="s", timezone="UTC").tolist()
     if column.dtype.kind == "f":
-        return list(map(float.__repr__, column.tolist()))
+        # orjson takes only C-contiguous arrays; float64 digits are those of repr
+        values = np.ascontiguousarray(column, dtype=np.float64)
+        text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
+        cells = text.split(",")
+        # except where repr uses exponent notation, 0 < |x| < 1e-4 and |x| >= 1e16
+        # (orjson writes 1e-5 for 1e-05), and for nan and inf (orjson writes null)
+        magnitude = np.abs(values)
+        unlike_repr = ~((magnitude >= 1e-4) & (magnitude < 1e16)) & (magnitude != 0)
+        for i in np.flatnonzero(unlike_repr).tolist():
+            cells[i] = repr(float(values[i]))
+        return cells
     return [_quoted(str(value)) for value in column.tolist()]
 
 

@@ -99,6 +99,19 @@ class TestExitCodes:
         code = run("histogram", "--input", str(synth_csv), "--seedless")
         assert code == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["ingest", "--solar-scale", "nan"],
+        ["histogram", "--base-gen", "abc"],
+        ["bev", "--base-gen", "inf"],
+    ])
+    def test_flag_the_command_never_reads_is_rejected(self, argv, synth_csv, tmp_path, capsys):
+        code = run(*argv, "--input", str(synth_csv), "--out-dir", str(tmp_path / "out"))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: unrecognized arguments: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_flag_is_config_error(self, synth_csv):
         code = run("histogram", "--input", str(synth_csv), "--frobnicate")
         assert code == 3

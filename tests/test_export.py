@@ -98,9 +98,18 @@ def test_chunk_boundary_matches_csv_writer(rows, tmp_path):
     assert_matches_csv_writer(tmp_path, ["v", "label"], [values, labels])
 
 
+# where repr switches between fixed and exponent notation, with both neighbours
+NOTATION_EDGES = [
+    np.nextafter(edge, toward)
+    for edge in (1e-4, -1e-4, 1e16, -1e16)
+    for toward in (-np.inf, 0.0, np.inf)
+]
 SPECIAL_BITS = [
     np.array(v, dtype=np.float64).view(np.uint64).item()
-    for v in (-0.0, 0.0, 5e-324, -2.2250738585072e-308, np.inf, -np.inf, np.nan, -np.nan, 1e16, 0.1)
+    for v in (
+        -0.0, 0.0, 5e-324, -2.2250738585072e-308, np.inf, -np.inf, np.nan, -np.nan, 1e16, 0.1,
+        *NOTATION_EDGES,
+    )
 ]
 
 
@@ -114,3 +123,23 @@ def test_any_float64_matches_csv_writer(bits, tmp_path, monkeypatch):
     monkeypatch.setattr(export, "CHUNK_ROWS", 4)
     values = np.array(bits, dtype=np.uint64).view(np.float64)
     assert_matches_csv_writer(tmp_path, ["x", "reversed"], [values, values[::-1]])
+
+
+def float_bits(rng, exponents):
+    """float64 bit patterns with the given biased exponents, random signs and mantissas."""
+    exponents = np.asarray(exponents, dtype=np.uint64)
+    signs = rng.integers(0, 2, size=exponents.size, dtype=np.uint64)
+    mantissas = rng.integers(0, 2**52, size=exponents.size, dtype=np.uint64)
+    return (signs << np.uint64(63)) | (exponents << np.uint64(52)) | mantissas
+
+
+def test_float_cells_match_repr_over_every_binade():
+    rng = np.random.default_rng(20170116)
+    # biased exponents 1009-1077 span 2**-14 to 2**55: every fixed-notation value,
+    # where the cell is orjson's text, and the binades on either side
+    fixed_range = float_bits(rng, rng.integers(1009, 1078, size=2**19))
+    any_bits = rng.integers(0, 2**64, size=2**16, dtype=np.uint64)
+    every_binade = float_bits(rng, np.repeat(np.arange(2048), 32))  # log-uniform
+    for bits in (fixed_range, any_bits, every_binade, np.array(SPECIAL_BITS, dtype=np.uint64)):
+        values = bits.view(np.float64)
+        assert export._cells(values) == list(map(float.__repr__, values.tolist()))
