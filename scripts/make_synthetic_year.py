@@ -6,8 +6,10 @@ Usage:
 
 The file has the default columns (timestamp,demand,wind,solar) in MW at
 5-minute cadence, 52 full weeks. Repeated runs produce identical bytes.
+A path that cannot be written exits 3 with one line.
 """
 
+import argparse
 import sys
 from pathlib import Path
 
@@ -17,9 +19,15 @@ from windfleet.synth import synthetic_year, write_series_csv  # noqa: E402
 
 
 def main() -> int:
-    out = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("synthetic_year.csv")
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("out", nargs="?", default="synthetic_year.csv", help="output CSV path")
+    out = Path(parser.parse_args().out)
     series = synthetic_year()
-    write_series_csv(series, out)
+    try:
+        write_series_csv(series, out)
+    except OSError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 3
     print(f"wrote {series.n_samples} samples to {out}")
     return 0
 

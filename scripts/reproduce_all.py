@@ -6,7 +6,8 @@ Usage:
 
 Runs, in order: ingest --check, histogram, curves, bev (week 17),
 lull (week 3, base 7 GWe), table2. The input is parsed once and every step
-works on that one series. Stops at the first nonzero exit code.
+works on that one series. Stops at the first nonzero exit code; an --out-dir
+that cannot be created exits 3 with one line, as the CLI does.
 Without --input, generates the synthetic year into the output directory first.
 """
 
@@ -41,7 +42,12 @@ def main() -> int:
     args = parser.parse_args()
 
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"configuration error: cannot create output directory {out_dir}: {exc}",
+              file=sys.stderr)
+        return 3
     input_path = args.input
     if input_path is None:
         input_path = out_dir / "synthetic_year.csv"

@@ -9,8 +9,8 @@ from .ingest import (
     Records,
     WeekSeries,
     canonicalize,
+    cut_year,
     parse_csv,
-    segment_weeks,
 )
 from .scaling import (
     NormalizedYear,
@@ -21,7 +21,6 @@ from .scaling import (
     wind_histogram,
 )
 from .dispatch import (
-    CapMode,
     DispatchConfig,
     DispatchResult,
     dispatch_week,
@@ -45,6 +44,7 @@ from .bev import (
     leveling_schedule,
     soc_trajectory,
     unmanaged_peak,
+    weekly_levels,
 )
 from .report import (
     FleetSizingRow,
@@ -65,15 +65,14 @@ __all__ = [
     "Records",
     "WeekSeries",
     "canonicalize",
+    "cut_year",
     "parse_csv",
-    "segment_weeks",
     "NormalizedYear",
     "ScalingSpec",
     "WindHistogram",
     "extrapolate_wind",
     "normalize",
     "wind_histogram",
-    "CapMode",
     "DispatchConfig",
     "DispatchResult",
     "dispatch_week",
@@ -93,6 +92,7 @@ __all__ = [
     "leveling_schedule",
     "soc_trajectory",
     "unmanaged_peak",
+    "weekly_levels",
     "FleetSizingRow",
     "LullReport",
     "ScenarioConstants",

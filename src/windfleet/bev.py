@@ -11,13 +11,13 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
-from .ingest import CADENCE_S, WeekSeries
+from .ingest import CADENCE_S, SAMPLES_PER_WEEK, WeekSeries
 from .dispatch import HOURS_PER_SAMPLE
 from .export import sample_times, write_csv
+from .scaling import NormalizedYear
 
 log = logging.getLogger(__name__)
 
@@ -107,8 +107,17 @@ def fleet_aggregates(spec: BevFleetSpec) -> FleetAggregates:
     )
 
 
-def consumption_profile(spec: BevFleetSpec, week: WeekSeries) -> np.ndarray:
-    """Two-level day/night fleet consumption, one value per 300 s sample.
+def weekly_levels(demand: np.ndarray, spec: BevFleetSpec) -> np.ndarray:
+    """The V2G leveled cap of each week of demand: its mean plus the fleet's mean power (GW).
+
+    demand holds whole weeks of 2016 samples, one week or a year of them.
+    """
+    weekly_mean = demand.reshape(-1, SAMPLES_PER_WEEK).mean(axis=1)
+    return weekly_mean + fleet_aggregates(spec).mean_power_gw
+
+
+def consumption_profile(spec: BevFleetSpec, week: WeekSeries | NormalizedYear) -> np.ndarray:
+    """Two-level day/night fleet consumption, one value per 300 s sample of a week or year.
 
     Day power P_d is chosen so the weekly mean equals the fleet's mean power:
     P_d = 24 * mean / (day_hours + night_hours * night_fraction). With the
@@ -121,7 +130,7 @@ def consumption_profile(spec: BevFleetSpec, week: WeekSeries) -> np.ndarray:
 
     start = week.start_time
     start_sec = start.hour * 3600 + start.minute * 60 + start.second
-    sec_of_day = (start_sec + np.arange(week.n_samples) * CADENCE_S) % SECONDS_PER_DAY
+    sec_of_day = (start_sec + np.arange(week.demand.size) * CADENCE_S) % SECONDS_PER_DAY
     day_mask = (sec_of_day >= spec.day_start_hour * 3600) & (
         sec_of_day < spec.day_end_hour * 3600
     )
@@ -136,8 +145,7 @@ def leveling_schedule(week: WeekSeries, spec: BevFleetSpec) -> ChargeSchedule:
     set, exports are clipped at -limit and the violation is reported (the
     leveling guarantee no longer holds on clipped samples).
     """
-    agg = fleet_aggregates(spec)
-    level = float(week.demand.mean()) + agg.mean_power_gw
+    level = float(weekly_levels(week.demand, spec)[0])
     charge = level - week.demand
 
     clipped_samples = 0
@@ -206,7 +214,7 @@ def soc_trajectory(
 
 
 def unmanaged_peak(
-    weeks: WeekSeries | Sequence[WeekSeries],
+    span: WeekSeries | NormalizedYear,
     spec: BevFleetSpec,
     base_generation_gwe: float,
     wind_trace: np.ndarray,
@@ -216,16 +224,13 @@ def unmanaged_peak(
     Total load is demand(t) + consumption(t); gas turbines cover whatever
     base, solar and the given wind trace cannot. Returns the peak gas-turbine
     requirement (GWe) and fleet utilization of that peak (mean GT / peak GT)
-    over the span supplied, typically a year of weeks.
+    over the span supplied, one week or the year.
     """
-    if isinstance(weeks, WeekSeries):
-        weeks = [weeks]
-    demand = np.concatenate([w.demand for w in weeks])
-    solar = np.concatenate([w.solar for w in weeks])
-    consumption = np.concatenate([consumption_profile(spec, w) for w in weeks])
+    demand, solar = span.demand, span.solar
+    consumption = consumption_profile(spec, span)
     wind = np.asarray(wind_trace, dtype=float)
     if wind.shape != demand.shape:
-        raise ValueError("wind trace must align with the supplied weeks")
+        raise ValueError("wind trace must align with the supplied span")
 
     gas = np.maximum(demand + consumption - base_generation_gwe - solar - wind, 0.0)
     peak = float(gas.max())

@@ -40,7 +40,7 @@ from .curves import (
     write_curves_csv,
 )
 from .dispatch import write_dispatch_csv
-from .ingest import GridSeries, IngestError, canonicalize, parse_csv, segment_weeks
+from .ingest import WEEKS_PER_YEAR, GridSeries, IngestError, canonicalize, cut_year, parse_csv
 from .report import (
     DEFAULT_LULL_BASE_GENERATION_GWE,
     ScenarioConstants,
@@ -319,10 +319,10 @@ def _manifest(out: Path, command: str, input_path, digest, resolved: dict) -> No
 
 def cmd_ingest(s: dict[str, str], series: GridSeries | None) -> int:
     input_path, series = _load_series(s, series)
-    weeks = segment_weeks(series)
+    cut_year(series)  # under 52 weeks is an input error; a remainder is logged
     print(f"input: {input_path}")
     print(f"samples: {series.n_samples} ({series.n_samples / 2016:.2f} weeks of data)")
-    print(f"weeks usable: {len(weeks)}")
+    print(f"weeks usable: {WEEKS_PER_YEAR}")
     for note in series.provenance:
         print(f"provenance: {note}")
     print(f"mean demand: {series.demand.mean():.2f} GW")

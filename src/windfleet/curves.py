@@ -2,8 +2,10 @@
 
 A curve point averages 52 weekly dispatches. Families come in two flavours:
 fixed headroom (base generation set to mean demand minus the headroom, cap at
-real-time demand) and BEV-adjusted (cap leveled at weekly mean demand plus
-mean fleet demand). A cheap histogram-based approximation and a monotone
+real-time demand) and BEV-adjusted (each week's cap leveled at its mean
+demand plus mean fleet demand, bev.weekly_levels). The curve and its exact
+inverse get the year at the request's solar scale, the base and the weekly
+levels from one helper. A cheap histogram-based approximation and a monotone
 piecewise-linear inversion of a sampled curve round out the module, with
 invert_annual_curve for fleet sizing: the exact inverse of a request's annual
 curve, solved on the one linear piece of it that holds the root.
@@ -18,9 +20,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .bev import BevFleetSpec, fleet_aggregates
-from .dispatch import CapMode, DispatchConfig, dispatch_week, headroom_series
+from .bev import BevFleetSpec, weekly_levels
+from .dispatch import DispatchConfig, dispatch_week
 from .export import write_csv
+from .ingest import SAMPLES_PER_WEEK
 from .scaling import NormalizedYear, WindHistogram
 
 DEFAULT_CAPACITY_GRID_GWC = (20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0)
@@ -114,39 +117,29 @@ class CharacteristicCurve:
         return float(np.interp(capacity_gwc, caps, vals))
 
 
-def _weeks_with_solar_scale(req: CurveRequest):
-    factor = req.solar_scale / req.year.solar_scale
-    if abs(factor - 1.0) < 1e-12:
-        return req.year.weeks
-    return tuple(replace(w, solar=w.solar * factor) for w in req.year.weeks)
-
-
-def _week_configs(req: CurveRequest, weeks) -> list[DispatchConfig]:
+def _dispatch_inputs(req: CurveRequest) -> tuple[NormalizedYear, float, np.ndarray | None]:
+    """The request's year at its solar scale, its base generation, and each
+    week's leveled cap (None for a headroom family: the cap is real-time demand)."""
+    year = req.year
+    factor = req.solar_scale / year.solar_scale
+    if abs(factor - 1.0) >= 1e-12:
+        year = replace(year, solar=year.solar * factor, solar_scale=req.solar_scale)
     if req.headroom_gwe is not None:
-        base = req.year.mean_demand_gwe - req.headroom_gwe
-        cfg = DispatchConfig(base_generation_gwe=base)
-        return [cfg] * len(weeks)
-    power = fleet_aggregates(req.bev).mean_power_gw
-    return [
-        DispatchConfig(
-            base_generation_gwe=req.base_generation_gwe,
-            cap_mode=CapMode.LEVELED,
-            level_gwe=float(w.demand.mean()) + power,
-        )
-        for w in weeks
-    ]
+        return year, year.mean_demand_gwe - req.headroom_gwe, None
+    return year, req.base_generation_gwe, weekly_levels(year.demand, req.bev)
 
 
 def annual_curve(req: CurveRequest) -> CharacteristicCurve:
     """Average 52 weekly dispatches at each capacity on the request grid."""
-    weeks = _weeks_with_solar_scale(req)
-    configs = _week_configs(req, weeks)
-    ref = req.year.reference_capacity_gwc
+    year, base, levels = _dispatch_inputs(req)
+    levels = [None] * len(year.weeks) if levels is None else levels.tolist()
+    configs = [DispatchConfig(base, level) for level in levels]
+    ref = year.reference_capacity_gwc
 
     def point(capacity: float) -> float:
         weekly = [
             dispatch_week(w, capacity, cfg, ref).mean_wind_used_gwe
-            for w, cfg in zip(weeks, configs)
+            for w, cfg in zip(year.weeks, configs)
         ]
         return float(np.mean(weekly))
 
@@ -238,17 +231,11 @@ def _annual_root(req: CurveRequest, required_gwe: float) -> float:
     of s = c/ref the sum over samples on a piece is H + s·W: H sums h_i over
     saturated samples, W sums wind_i over the rest.
     """
-    weeks = _weeks_with_solar_scale(req)
-    n = sum(w.n_samples for w in weeks)
-    room, wind, buf = np.empty(n), np.empty(n), np.empty(n)
-    start = 0
-    for week, cfg in zip(weeks, _week_configs(req, weeks)):
-        stop = start + week.n_samples
-        np.maximum(headroom_series(week, cfg), 0.0, out=room[start:stop])
-        wind[start:stop] = week.wind
-        start = stop
-
-    ref = req.year.reference_capacity_gwc
+    year, base, levels = _dispatch_inputs(req)
+    cap = year.demand if levels is None else np.repeat(levels, SAMPLES_PER_WEEK)
+    room = np.maximum(cap - base - year.solar, 0.0)
+    wind, n, buf = year.wind, year.wind.size, np.empty(year.wind.size)
+    ref = year.reference_capacity_gwc
 
     def total(capacity: float) -> float:
         return float(np.minimum(room, np.multiply(wind, capacity / ref, out=buf), out=buf).sum())

@@ -2,14 +2,14 @@
 
 Stacking order is fixed: base generation, then solar, then wind. Wind fills
 whatever headroom remains below the cap and is curtailed above it; gas
-turbines cover any remaining shortfall. The cap is either the real-time
-demand or, under V2G charge leveling, a constant weekly level.
+turbines cover any remaining shortfall. The cap is the real-time demand, or
+under V2G charge leveling the week's constant level (DispatchConfig.level_gwe,
+see bev.weekly_levels).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -22,35 +22,24 @@ SAMPLES_PER_HOUR = 3600 // CADENCE_S  # 12
 HOURS_PER_SAMPLE = 1.0 / SAMPLES_PER_HOUR
 
 
-class CapMode(Enum):
-    REAL_TIME_DEMAND = "real_time_demand"
-    LEVELED = "leveled"
-
-
 @dataclass(frozen=True)
 class DispatchConfig:
     """Dispatch scenario for one week.
 
-    base_generation may be negative: headroom-family sweeps set
-    base = mean demand - headroom, which drops below zero once the headroom
-    parameter exceeds mean demand. flatten_demand replaces the real-time
-    demand cap with its weekly mean (used to verify the translation property,
-    not for scenario runs).
+    level_gwe is the cap under V2G charge leveling, a constant for the week;
+    None caps at real-time demand. base_generation may be negative:
+    headroom-family sweeps set base = mean demand - headroom, which drops
+    below zero once the headroom parameter exceeds mean demand.
     """
 
     base_generation_gwe: float
-    cap_mode: CapMode = CapMode.REAL_TIME_DEMAND
     level_gwe: float | None = None
-    flatten_demand: bool = False
 
     def __post_init__(self):
         if not np.isfinite(self.base_generation_gwe):
             raise ValueError("base_generation must be finite")
-        if self.cap_mode is CapMode.LEVELED:
-            if self.level_gwe is None or self.level_gwe <= 0:
-                raise ValueError("Leveled dispatch requires level_gwe > 0")
-        elif self.level_gwe is not None:
-            raise ValueError("level_gwe is only meaningful in Leveled mode")
+        if self.level_gwe is not None and not (np.isfinite(self.level_gwe) and self.level_gwe > 0):
+            raise ValueError("level_gwe must be finite and > 0 when set")
 
 
 @dataclass(frozen=True)
@@ -65,20 +54,6 @@ class DispatchResult:
     mean_gas_turbine_gwe: float
     gt_energy_gwh: float
     curtailed_energy_gwh: float
-
-
-def headroom_series(week: WeekSeries, cfg: DispatchConfig) -> np.ndarray:
-    """Room left for wind under the cap at each sample: cap - base - solar (GW).
-
-    Negative where base plus solar already exceed the cap.
-    """
-    if cfg.cap_mode is CapMode.LEVELED:
-        cap = float(cfg.level_gwe)
-    elif cfg.flatten_demand:
-        cap = float(week.demand.mean())
-    else:
-        cap = week.demand
-    return cap - cfg.base_generation_gwe - week.solar
 
 
 def dispatch_week(
@@ -101,7 +76,8 @@ def dispatch_week(
         raise ValueError("wind_capacity must be > 0")
     wind_available = week.wind * (wind_capacity_gwc / reference_capacity_gwc)
 
-    headroom = headroom_series(week, cfg)
+    cap = week.demand if cfg.level_gwe is None else cfg.level_gwe
+    headroom = cap - cfg.base_generation_gwe - week.solar
     wind_used = np.minimum(np.maximum(headroom, 0.0), wind_available)
     gas = np.maximum(headroom - wind_used, 0.0)
     curtailed = wind_available - wind_used

@@ -44,23 +44,30 @@ def _quoted(cell: str) -> str:
     return cell
 
 
-def _cells(column: np.ndarray) -> list[str]:
-    """Each value's cell text; only str() of other kinds can need quoting."""
-    if column.dtype.kind == "M":
-        return np.datetime_as_string(column, unit="s", timezone="UTC").tolist()
-    if column.dtype.kind == "f":
-        # orjson takes only C-contiguous arrays; float64 digits are those of repr
-        values = np.ascontiguousarray(column, dtype=np.float64)
-        text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
-        cells = text.split(",")
+def _cells(columns: Sequence[np.ndarray]) -> list[list[str]]:
+    """Each column's cell texts; only str() of other kinds can need quoting.
+
+    The float columns, all of one length, are formatted by one orjson call.
+    """
+    floats = [c.dtype.kind == "f" for c in columns]
+    if any(floats):
+        # one C-contiguous float64 array, as orjson takes; its digits are those of repr
+        values = np.concatenate([c for c, f in zip(columns, floats) if f], dtype=np.float64)
+        text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
         # except where repr uses exponent notation, 0 < |x| < 1e-4 and |x| >= 1e16
         # (orjson writes 1e-5 for 1e-05), and for nan and inf (orjson writes null)
         magnitude = np.abs(values)
         unlike_repr = ~((magnitude >= 1e-4) & (magnitude < 1e16)) & (magnitude != 0)
         for i in np.flatnonzero(unlike_repr).tolist():
-            cells[i] = repr(float(values[i]))
-        return cells
-    return [_quoted(str(value)) for value in column.tolist()]
+            text[i] = repr(float(values[i]))
+        n = len(columns[0])
+        float_cells = iter([text[lo : lo + n] for lo in range(0, len(text), n)])
+    return [
+        next(float_cells) if is_float
+        else np.datetime_as_string(c, unit="s", timezone="UTC").tolist() if c.dtype.kind == "M"
+        else [_quoted(str(value)) for value in c.tolist()]
+        for c, is_float in zip(columns, floats)
+    ]
 
 
 def _rows(cells: Sequence[list[str]]) -> str:
@@ -91,4 +98,4 @@ def write_csv(
                 fh.write("\r\n")
             fh.write(_rows([[_quoted(str(name))] for name in head]))
             for lo in range(0, rows, CHUNK_ROWS):
-                fh.write(_rows([_cells(a[lo : lo + CHUNK_ROWS]) for a in arrays]))
+                fh.write(_rows(_cells([a[lo : lo + CHUNK_ROWS] for a in arrays])))

@@ -1,4 +1,4 @@
-"""Parse, validate, repair, and segment raw 5-minute grid records.
+"""Parse, validate and repair raw 5-minute grid records; cut out the 52-week year.
 
 Input files are CSV with MW values; everything downstream works in GW.
 Repairs (gap interpolation, duplicate removal) are conservative and logged:
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
 from itertools import chain, compress, islice, repeat
 from operator import itemgetter
@@ -72,6 +72,9 @@ class RowError:
 
 
 def _freeze(array: np.ndarray) -> np.ndarray:
+    """``array`` as read-only float64: itself if it already is one, else a copy."""
+    if isinstance(array, np.ndarray) and array.dtype == np.float64 and not array.flags.writeable:
+        return array
     out = np.array(array, dtype=float)
     out.setflags(write=False)
     return out
@@ -111,16 +114,14 @@ class GridSeries:
     def n_samples(self) -> int:
         return self.demand.size
 
-    def timestamp(self, i: int) -> datetime:
-        return self.start_time + timedelta(seconds=i * CADENCE_S)
-
 
 @dataclass(frozen=True)
 class WeekSeries:
-    """Exactly one week (2016 samples) sliced out of a GridSeries.
+    """Exactly one week (2016 samples), as a NormalizedYear hands it out.
 
-    ``wind`` is metered wind for raw weeks and total (embedded-corrected,
-    capacity-factor-normalized) wind for weeks inside a NormalizedYear.
+    ``wind`` is total (embedded-corrected, capacity-factor-normalized) wind.
+    Read-only float64 arrays are kept as given, so the weeks of a year are
+    views of its arrays.
     """
 
     index: int
@@ -503,8 +504,8 @@ def canonicalize(
     )
 
 
-def segment_weeks(series: GridSeries) -> list[WeekSeries]:
-    """Slice a GridSeries into 52 contiguous weeks of 2016 samples.
+def cut_year(series: GridSeries) -> GridSeries:
+    """The first 52 weeks of a series, as views of its arrays.
 
     Weeks are counted from the first sample, not calendar-aligned. Any
     trailing remainder beyond week 52 is discarded and logged.
@@ -514,20 +515,13 @@ def segment_weeks(series: GridSeries) -> list[WeekSeries]:
         raise IngestError(
             f"need at least {SAMPLES_PER_YEAR} samples for 52 weeks, got {n}"
         )
-    leftover = n - SAMPLES_PER_YEAR
-    if leftover:
-        log.info("discarding %d trailing samples beyond week 52", leftover)
-
-    weeks = []
-    for w in range(WEEKS_PER_YEAR):
-        sl = slice(w * SAMPLES_PER_WEEK, (w + 1) * SAMPLES_PER_WEEK)
-        weeks.append(
-            WeekSeries(
-                index=w + 1,
-                start_time=series.timestamp(sl.start),
-                demand=series.demand[sl],
-                wind=series.wind_metered[sl],
-                solar=series.solar[sl],
-            )
-        )
-    return weeks
+    if n == SAMPLES_PER_YEAR:
+        return series
+    log.info("discarding %d trailing samples beyond week 52", n - SAMPLES_PER_YEAR)
+    year = slice(SAMPLES_PER_YEAR)
+    return replace(
+        series,
+        demand=series.demand[year],
+        wind_metered=series.wind_metered[year],
+        solar=series.solar[year],
+    )

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bev import BevFleetSpec, fleet_aggregates
+from .bev import BevFleetSpec, fleet_aggregates, weekly_levels
 from .curves import (
     ANNUAL_SOLAR_SCALE,
     DEFAULT_BASE_GENERATION_GWE,
@@ -26,9 +26,9 @@ from .curves import (
     CurveRequest,
     invert_annual_curve,
 )
-from .dispatch import CapMode, DispatchConfig, DispatchResult, dispatch_week
+from .dispatch import DispatchConfig, DispatchResult, dispatch_week
 from .export import write_csv
-from .ingest import WeekSeries
+from .ingest import SAMPLES_PER_WEEK, WeekSeries
 from .scaling import DEFAULT_REFERENCE_CAPACITY_GWC, NormalizedYear
 
 DEFAULT_LULL_BASE_GENERATION_GWE = 7.0  # reduced nuclear, no imports
@@ -131,13 +131,8 @@ def lull_report(
     always equals mean GT x 168 h; any externally quoted deficit that breaks
     that identity is not reproducible from the dispatch itself.
     """
-    agg = fleet_aggregates(spec)
-    level = float(week.demand.mean()) + agg.mean_power_gw
-    cfg = DispatchConfig(
-        base_generation_gwe=base_generation_gwe,
-        cap_mode=CapMode.LEVELED,
-        level_gwe=level,
-    )
+    level = float(weekly_levels(week.demand, spec)[0])
+    cfg = DispatchConfig(base_generation_gwe, level)
     wind_means = {}
     largest = max(capacities_gwc)
     summary = None
@@ -168,25 +163,16 @@ def annual_leveled_gt(
 ) -> tuple[float, float]:
     """Annual mean and peak gas-turbine requirement under V2G leveling.
 
-    Each week is dispatched at its own level (weekly mean demand plus the
-    fleet's mean power); the turbines cover whatever the wind fleet of
-    capacity_gwc cannot. Feed the mean into gt_utilization against the peak
-    to size the shadow fleet.
+    Each week is capped at its own level (weekly mean demand plus the
+    fleet's mean power); the turbines cover whatever base, solar and the wind
+    fleet of capacity_gwc leave below it, as in dispatch_week. Feed the mean
+    into gt_utilization against the peak to size the shadow fleet.
     """
     ref = reference_capacity_gwc or year.reference_capacity_gwc
-    agg = fleet_aggregates(spec)
-    means = []
-    peak = 0.0
-    for week in year.weeks:
-        cfg = DispatchConfig(
-            base_generation_gwe=base_generation_gwe,
-            cap_mode=CapMode.LEVELED,
-            level_gwe=float(week.demand.mean()) + agg.mean_power_gw,
-        )
-        result = dispatch_week(week, capacity_gwc, cfg, ref)
-        means.append(result.mean_gas_turbine_gwe)
-        peak = max(peak, result.peak_gas_turbine_gwe)
-    return float(np.mean(means)), peak
+    cap = np.repeat(weekly_levels(year.demand, spec), SAMPLES_PER_WEEK)
+    wind = year.wind * (capacity_gwc / ref)
+    gas = np.maximum(cap - base_generation_gwe - year.solar - wind, 0.0)
+    return float(gas.mean()), float(gas.max())
 
 
 def gt_utilization(mean_gt_gwe: float, capacity_gwe: float) -> float:

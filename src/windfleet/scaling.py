@@ -3,20 +3,21 @@
 Metered wind undercounts the embedded (behind-the-meter) component, so it is
 multiplied up and then rescaled so the year hits the target capacity factor
 at the reference fleet size. Larger hypothetical fleets are pure linear
-extrapolations of the reference trace.
+extrapolations of the reference trace. The normalized year holds the first
+52 weeks as flat arrays of 52 x 2016 samples; its weeks are views of them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from datetime import datetime, timedelta
 from functools import cached_property
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
 from .export import write_csv
-from .ingest import GridSeries, WeekSeries, WEEKS_PER_YEAR, segment_weeks
+from .ingest import SAMPLES_PER_YEAR, WEEKS_PER_YEAR, GridSeries, WeekSeries, _freeze, cut_year
 
 DEFAULT_REFERENCE_CAPACITY_GWC = 20.0
 
@@ -48,35 +49,37 @@ class ScalingSpec:
 
 @dataclass(frozen=True)
 class NormalizedYear:
-    """52 weeks whose wind is total generation at the reference fleet size."""
+    """52 weeks whose wind is total generation at the reference fleet size.
 
-    weeks: tuple[WeekSeries, ...]
+    demand, wind and solar are read-only arrays from start_time; ``weeks`` are views.
+    """
+
+    start_time: datetime
+    demand: np.ndarray
+    wind: np.ndarray
+    solar: np.ndarray
     reference_capacity_gwc: float
     target_capacity_factor: float
     solar_scale: float
 
     def __post_init__(self):
-        object.__setattr__(self, "weeks", tuple(self.weeks))
-        if len(self.weeks) != WEEKS_PER_YEAR:
-            raise ValueError(f"a year holds {WEEKS_PER_YEAR} weeks, got {len(self.weeks)}")
+        for name in ("demand", "wind", "solar"):
+            array = _freeze(getattr(self, name))
+            if array.shape != (SAMPLES_PER_YEAR,):
+                raise ValueError(f"a year holds {SAMPLES_PER_YEAR} samples, got {array.size}")
+            object.__setattr__(self, name, array)
         target = self.target_capacity_factor * self.reference_capacity_gwc
-        mean = float(np.mean([w.wind.mean() for w in self.weeks]))
+        mean = self.mean_wind_gwe
         if abs(mean - target) > 1e-9 * max(1.0, abs(target)):
             raise ValueError(
                 f"annual mean wind {mean} GW does not meet target {target} GW"
             )
 
     @cached_property
-    def demand(self) -> np.ndarray:
-        return np.concatenate([w.demand for w in self.weeks])
-
-    @cached_property
-    def wind(self) -> np.ndarray:
-        return np.concatenate([w.wind for w in self.weeks])
-
-    @cached_property
-    def solar(self) -> np.ndarray:
-        return np.concatenate([w.solar for w in self.weeks])
+    def weeks(self) -> tuple[WeekSeries, ...]:
+        step = timedelta(weeks=1)
+        rows = zip(*(a.reshape(WEEKS_PER_YEAR, -1) for a in (self.demand, self.wind, self.solar)))
+        return tuple(WeekSeries(w + 1, self.start_time + w * step, *row) for w, row in enumerate(rows))
 
     @property
     def mean_demand_gwe(self) -> float:
@@ -119,35 +122,27 @@ class WindHistogram:
         return self.bin_lower_gwe + 0.5 * self.bin_width_gwe
 
 
-def normalize(
-    source: GridSeries | Sequence[WeekSeries], spec: ScalingSpec
-) -> NormalizedYear:
-    """Scale a year of records to the reference fleet at the target capacity factor.
+def normalize(series: GridSeries, spec: ScalingSpec) -> NormalizedYear:
+    """Scale the first 52 weeks of a series to the reference fleet at the target capacity factor.
 
     wind(t) = wind_metered(t) * embedded_multiplier * k with k chosen so the
-    annual mean equals target_capacity_factor * reference_capacity; one k for
-    the whole year. Solar is multiplied by solar_scale; demand is untouched.
+    annual mean (the mean of the weekly means) equals target_capacity_factor
+    * reference_capacity; one k for the whole year. Solar is multiplied by
+    solar_scale; demand is untouched, and the year's demand is a view of the
+    series'.
     """
-    weeks = segment_weeks(source) if isinstance(source, GridSeries) else list(source)
-    if len(weeks) != WEEKS_PER_YEAR:
-        raise ValueError(f"normalize needs {WEEKS_PER_YEAR} weeks, got {len(weeks)}")
-
-    metered_mean = float(np.mean([w.wind.mean() for w in weeks]))
-    pre_mean = metered_mean * spec.embedded_multiplier
+    series = cut_year(series)
+    weekly = series.wind_metered.reshape(WEEKS_PER_YEAR, -1).mean(axis=1)
+    pre_mean = float(weekly.mean()) * spec.embedded_multiplier
     if pre_mean <= 0:
         raise ValueError("annual mean of metered wind is zero; cannot normalize")
     k = (spec.target_capacity_factor * spec.reference_capacity_gwc) / pre_mean
 
-    scaled = tuple(
-        replace(
-            w,
-            wind=w.wind * (spec.embedded_multiplier * k),
-            solar=w.solar * spec.solar_scale,
-        )
-        for w in weeks
-    )
     return NormalizedYear(
-        weeks=scaled,
+        start_time=series.start_time,
+        demand=series.demand,
+        wind=series.wind_metered * (spec.embedded_multiplier * k),
+        solar=series.solar * spec.solar_scale,
         reference_capacity_gwc=spec.reference_capacity_gwc,
         target_capacity_factor=spec.target_capacity_factor,
         solar_scale=spec.solar_scale,

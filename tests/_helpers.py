@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
 from windfleet.ingest import (
+    CADENCE_S,
     SAMPLES_PER_WEEK,
     SAMPLES_PER_YEAR,
+    WEEKS_PER_YEAR,
     GridSeries,
     RawRecord,
     WeekSeries,
@@ -47,12 +49,12 @@ def make_year_series(demand=33.0, wind=4.0, solar=1.0, n=SAMPLES_PER_YEAR):
 
 
 def make_year(demand=33.0, wind=6.0, solar=0.0, reference=20.0, cf=0.3):
-    """NormalizedYear from per-week trace patterns; wind mean must hit cf*reference."""
-    weeks = tuple(
-        make_week(demand, wind, solar, index=i + 1) for i in range(52)
-    )
+    """NormalizedYear of 52 copies of one week's traces; wind mean must hit cf*reference."""
     return NormalizedYear(
-        weeks=weeks,
+        start_time=MONDAY_MIDNIGHT,
+        demand=np.tile(_as_array(demand, SAMPLES_PER_WEEK), WEEKS_PER_YEAR),
+        wind=np.tile(_as_array(wind, SAMPLES_PER_WEEK), WEEKS_PER_YEAR),
+        solar=np.tile(_as_array(solar, SAMPLES_PER_WEEK), WEEKS_PER_YEAR),
         reference_capacity_gwc=reference,
         target_capacity_factor=cf,
         solar_scale=1.0,
@@ -71,7 +73,7 @@ def series_to_records(series: GridSeries) -> list[RawRecord]:
     """GW series back to MW records, for re-ingestion round trips."""
     return [
         RawRecord(
-            series.timestamp(i),
+            series.start_time + timedelta(seconds=i * CADENCE_S),
             float(series.demand[i] * 1000.0),
             float(series.wind_metered[i] * 1000.0),
             float(series.solar[i] * 1000.0),

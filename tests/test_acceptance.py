@@ -227,7 +227,7 @@ def test_criterion_09_translation_property(synth_year, real_year):
             total = 0.0
             for week in year.weeks:
                 shifted = week if flavor_shift == 0.0 else _shifted_week(week, flavor_shift)
-                cfg = DispatchConfig(flavor_base, flatten_demand=True)
+                cfg = DispatchConfig(flavor_base, float(shifted.demand.mean()))
                 total += dispatch_week(shifted, 60.0, cfg).mean_wind_used_gwe
             means.append(total / len(year.weeks))
         worst_flat = max(worst_flat, abs(means[0] - means[1]) / means[0])
@@ -237,7 +237,7 @@ def test_criterion_09_translation_property(synth_year, real_year):
     )
     flattened = np.mean(
         [
-            dispatch_week(w, 60.0, DispatchConfig(base, flatten_demand=True)).mean_wind_used_gwe
+            dispatch_week(w, 60.0, DispatchConfig(base, float(w.demand.mean()))).mean_wind_used_gwe
             for w in year.weeks
         ]
     )

@@ -14,6 +14,7 @@ from windfleet.bev import (
     leveling_schedule,
     soc_trajectory,
     unmanaged_peak,
+    weekly_levels,
     write_bev_csv,
 )
 from windfleet.dispatch import DispatchConfig, dispatch_week
@@ -96,6 +97,18 @@ class TestConsumptionProfile:
         assert u[0] == u.min()  # 00:00 is night
         assert u[12 * 6] == u.max()  # 06:00 is day
         assert u[12 * 21] == u.min()  # 21:00 is night again
+
+
+class TestWeeklyLevels:
+    def test_each_week_is_its_mean_demand_plus_fleet_power(self, synth_year):
+        spec = BevFleetSpec(35.0)
+        power = fleet_aggregates(spec).mean_power_gw
+        levels = weekly_levels(synth_year.demand, spec)
+        assert levels.tolist() == [float(w.demand.mean()) + power for w in synth_year.weeks]
+
+    def test_one_week(self):
+        [level] = weekly_levels(make_week(demand=33.0).demand, BevFleetSpec(24.0))
+        assert level == 33.0 + 10.0
 
 
 class TestLevelingSchedule:
@@ -231,25 +244,20 @@ class TestUnmanagedPeak:
         wind = week.wind * 4.0
         unmanaged, _ = unmanaged_peak(week, spec, 7.0, wind)
         level = float(week.demand.mean()) + fleet_aggregates(spec).mean_power_gw
-        from windfleet.dispatch import CapMode
-        leveled = dispatch_week(
-            week, 80.0, DispatchConfig(7.0, CapMode.LEVELED, level_gwe=level)
-        )
+        leveled = dispatch_week(week, 80.0, DispatchConfig(7.0, level_gwe=level))
         assert unmanaged > leveled.peak_gas_turbine_gwe
 
     def test_misaligned_wind_rejected(self, synth_year):
         with pytest.raises(ValueError, match="align"):
             unmanaged_peak(synth_year.weeks[0], BevFleetSpec(35.0), 7.0, np.zeros(10))
 
-    def test_multi_week_span_peak_is_max_of_weeks(self, synth_year):
+    def test_year_span_peak_is_max_of_weeks(self, synth_year):
         spec = BevFleetSpec(35.0)
-        weeks = synth_year.weeks[:3]
-        wind = np.concatenate([w.wind for w in weeks]) * 4.0
-        span_peak, _ = unmanaged_peak(weeks, spec, 7.0, wind)
+        year_peak, _ = unmanaged_peak(synth_year, spec, 7.0, synth_year.wind * 4.0)
         single_peaks = [
-            unmanaged_peak(w, spec, 7.0, w.wind * 4.0)[0] for w in weeks
+            unmanaged_peak(w, spec, 7.0, w.wind * 4.0)[0] for w in synth_year.weeks
         ]
-        assert span_peak == pytest.approx(max(single_peaks), rel=1e-12)
+        assert year_peak == pytest.approx(max(single_peaks), rel=1e-12)
 
 
 def test_write_bev_csv(tmp_path, synth_year):

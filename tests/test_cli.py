@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import hashlib
 import importlib.util
+import logging
 import subprocess
 import sys
 from pathlib import Path
@@ -10,9 +11,11 @@ import pytest
 
 from windfleet import BevFleetSpec, ScalingSpec, ScenarioConstants, cli, report
 from windfleet.cli import load_config_file, main, ConfigError
+from _helpers import make_year_series
 
 ROOT = Path(__file__).resolve().parent.parent
 REPRODUCE_ALL = ROOT / "scripts" / "reproduce_all.py"
+MAKE_SYNTHETIC_YEAR = ROOT / "scripts" / "make_synthetic_year.py"
 SRC = ROOT / "src"
 
 # one bad setting each; "{file}" stands for an existing file
@@ -75,6 +78,21 @@ def run_subprocess(*argv):
         text=True,
         env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin:/usr/local/bin"},
     )
+
+
+def run_script(script, *argv, cwd):
+    """One of scripts/ in a fresh interpreter, run from ``cwd``, with its output as text."""
+    return subprocess.run(
+        [sys.executable, str(script), *argv], capture_output=True, text=True, cwd=cwd,
+        env={"PATH": "/usr/bin:/bin:/usr/local/bin"},
+    )
+
+
+def assert_one_line_config_error(result):
+    assert result.returncode == 3
+    assert "Traceback" not in result.stderr
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("configuration error: ")
 
 
 def bad_value_argv(argv, tmp_path):
@@ -462,6 +480,34 @@ def test_module_entrypoint_subprocess(synth_csv, tmp_path):
     result = run_subprocess("ingest", "--check", "--input", str(synth_csv))
     assert result.returncode == 0
     assert "weeks usable: 52" in result.stdout
+
+
+@pytest.mark.parametrize("command", ["ingest", "lull"])
+def test_trailing_samples_logged_once_per_command(command, tmp_path, caplog):
+    series = dataclasses.replace(make_year_series(n=105_120), input_sha256="0" * 64)
+    argv = [command, "--input", "year.csv", "--out-dir", str(tmp_path)]
+    with caplog.at_level(logging.INFO, logger="windfleet.ingest"):
+        assert cli.run(argv, series=series) == 0
+    trailing = [m for m in caplog.messages if "trailing" in m]
+    assert trailing == ["discarding 288 trailing samples beyond week 52"]
+
+
+class TestScripts:
+    def test_make_synthetic_year_help_writes_nothing(self, tmp_path):
+        result = run_script(MAKE_SYNTHETIC_YEAR, "--help", cwd=tmp_path)
+        assert result.returncode == 0
+        assert result.stdout.startswith("usage: ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_make_synthetic_year_unwritable_path_exits_3(self, tmp_path):
+        result = run_script(MAKE_SYNTHETIC_YEAR, str(tmp_path / "absent" / "year.csv"), cwd=tmp_path)
+        assert_one_line_config_error(result)
+
+    def test_reproduce_all_out_dir_that_is_a_file_exits_3(self, tmp_path):
+        (tmp_path / "out").write_text("")
+        result = run_script(REPRODUCE_ALL, "--out-dir", str(tmp_path / "out"), cwd=tmp_path)
+        assert_one_line_config_error(result)
+        assert str(tmp_path / "out") in result.stderr
 
 
 class TestReproduceAll:

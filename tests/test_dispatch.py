@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from windfleet.dispatch import (
-    CapMode,
     DispatchConfig,
     dispatch_week,
     write_dispatch_csv,
@@ -41,7 +40,7 @@ class TestDispatchWeek:
     def test_leveled_lull_peak(self):
         # at the lull floor (wind 1.6 GWe) the turbines carry 55.6 - 7 - 1.6 = 47.0
         week = make_week(demand=50.0, wind=1.6, solar=0.0)
-        cfg = DispatchConfig(7.0, CapMode.LEVELED, level_gwe=55.6)
+        cfg = DispatchConfig(7.0, level_gwe=55.6)
         result = dispatch_week(week, 20.0, cfg)
         assert result.wind_used[0] == pytest.approx(1.6)
         assert result.peak_gas_turbine_gwe == pytest.approx(47.0)
@@ -49,7 +48,7 @@ class TestDispatchWeek:
     def test_leveled_weekly_mean(self):
         # at the weekly mean wind of 8.6 GWe the turbines carry 55.6 - 7 - 8.6 = 40.0
         week = make_week(demand=50.0, wind=8.6, solar=0.0)
-        cfg = DispatchConfig(7.0, CapMode.LEVELED, level_gwe=55.6)
+        cfg = DispatchConfig(7.0, level_gwe=55.6)
         result = dispatch_week(week, 20.0, cfg)
         assert result.mean_gas_turbine_gwe == pytest.approx(40.0)
 
@@ -66,13 +65,10 @@ class TestDispatchWeek:
         result = dispatch_week(week, 40.0, DispatchConfig(0.0), reference_capacity_gwc=20.0)
         assert result.wind_used[0] == pytest.approx(12.0)
 
-    def test_leveled_requires_level(self):
+    @pytest.mark.parametrize("level", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_nonpositive_or_non_finite_level(self, level):
         with pytest.raises(ValueError, match="level"):
-            DispatchConfig(7.0, CapMode.LEVELED)
-
-    def test_level_rejected_outside_leveled_mode(self):
-        with pytest.raises(ValueError, match="Leveled"):
-            DispatchConfig(7.0, level_gwe=40.0)
+            DispatchConfig(7.0, level_gwe=level)
 
     def test_rejects_nonpositive_capacity(self):
         with pytest.raises(ValueError):
@@ -98,7 +94,7 @@ class TestDispatchWeek:
            level=st.floats(min_value=5.0, max_value=60.0))
     def test_leveled_supply_identity(self, demand, wind, level):
         week = make_week(demand=demand + 1.0, wind=wind, solar=0.0)
-        cfg = DispatchConfig(3.0, CapMode.LEVELED, level_gwe=level)
+        cfg = DispatchConfig(3.0, level_gwe=level)
         result = dispatch_week(week, 20.0, cfg)
         active = (result.gas_turbine > 0.0) | (result.wind_curtailed > 0.0)
         supply = 3.0 + week.solar + result.wind_used + result.gas_turbine
@@ -123,7 +119,7 @@ class TestDispatchWeek:
             index=base_week.index,
             start=base_week.start_time,
         )
-        cfg = DispatchConfig(7.0, CapMode.LEVELED, level_gwe=50.0)
+        cfg = DispatchConfig(7.0, level_gwe=50.0)
         a = dispatch_week(base_week, 60.0, cfg)
         b = dispatch_week(reshaped, 60.0, cfg)
         np.testing.assert_array_equal(a.gas_turbine, b.gas_turbine)
@@ -138,15 +134,15 @@ class TestDispatchWeek:
             demand=week.demand + shift, wind=week.wind, solar=week.solar,
             index=week.index, start=week.start_time,
         )
-        a = dispatch_week(week, 60.0, DispatchConfig(base, flatten_demand=True))
-        b = dispatch_week(shifted, 60.0, DispatchConfig(base + shift, flatten_demand=True))
+        a = dispatch_week(week, 60.0, DispatchConfig(base, float(week.demand.mean())))
+        b = dispatch_week(shifted, 60.0, DispatchConfig(base + shift, float(shifted.demand.mean())))
         assert b.mean_wind_used_gwe == pytest.approx(a.mean_wind_used_gwe, rel=1e-12)
 
 
 class TestDispatchCsv:
     def test_roundtrip_matches_result(self, tmp_path, synth_year):
         week = synth_year.weeks[2]
-        cfg = DispatchConfig(7.0, CapMode.LEVELED, level_gwe=50.0)
+        cfg = DispatchConfig(7.0, level_gwe=50.0)
         result = dispatch_week(week, 80.0, cfg)
         path = tmp_path / "dispatch.csv"
         write_dispatch_csv(week, result, cfg.base_generation_gwe, path)

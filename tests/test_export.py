@@ -142,4 +142,4 @@ def test_float_cells_match_repr_over_every_binade():
     every_binade = float_bits(rng, np.repeat(np.arange(2048), 32))  # log-uniform
     for bits in (fixed_range, any_bits, every_binade, np.array(SPECIAL_BITS, dtype=np.uint64)):
         values = bits.view(np.float64)
-        assert export._cells(values) == list(map(float.__repr__, values.tolist()))
+        assert export._cells([values]) == [list(map(float.__repr__, values.tolist()))]

@@ -1,4 +1,5 @@
 import ast
+import pkgutil
 import re
 import sys
 from pathlib import Path
@@ -28,3 +29,18 @@ def test_third_party_imports_are_the_declared_dependencies():
     project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
     declared = {re.match(r"[\w.-]+", dep).group() for dep in project["dependencies"]}
     assert third_party == declared
+
+
+def test_names_the_benchmark_uses_still_resolve():
+    """Every ``windfleet.<name>`` and ``cli.<name>`` in perfbench/*.py, read as text."""
+    text = "\n".join(p.read_text(encoding="utf-8") for p in (ROOT / "perfbench").glob("*.py"))
+    references = set(re.findall(r"\b(?:windfleet|cli)(?:\.[A-Za-z_]\w*)+", text))
+    assert {"windfleet.normalize", "cli.main"} <= references
+    unresolved = []
+    for reference in sorted(references):
+        name = reference if reference.startswith("windfleet.") else f"windfleet.{reference}"
+        try:
+            pkgutil.resolve_name(name)
+        except (ImportError, AttributeError):
+            unresolved.append(reference)
+    assert unresolved == []

@@ -1,8 +1,9 @@
 import csv
 
+import numpy as np
 import pytest
 
-from windfleet.bev import BevFleetSpec
+from windfleet.bev import BevFleetSpec, fleet_aggregates
 from windfleet.curves import TargetUnreachableError
 from windfleet.report import (
     ScenarioConstants,
@@ -15,7 +16,7 @@ from windfleet.report import (
     write_run_manifest,
     write_table2_csv,
 )
-from windfleet.dispatch import CapMode, DispatchConfig, dispatch_week, write_dispatch_csv
+from windfleet.dispatch import DispatchConfig, dispatch_week, write_dispatch_csv
 from _helpers import make_week
 
 # published fleet-sizing table: size -> (power GWe, storage GWh, emissions MT, cost EUR Bn)
@@ -95,7 +96,7 @@ class TestLullReport:
         week = synth_year.weeks[42]
         spec = BevFleetSpec(35.0)
         report = lull_report(week, spec, 7.0, [20.0, 80.0])
-        cfg = DispatchConfig(7.0, CapMode.LEVELED, level_gwe=report.level_gwe)
+        cfg = DispatchConfig(7.0, level_gwe=report.level_gwe)
         result = dispatch_week(week, 80.0, cfg)
         path = tmp_path / "gt.csv"
         write_dispatch_csv(week, result, cfg.base_generation_gwe, path)
@@ -133,6 +134,17 @@ class TestAnnualLeveledGt:
         level = 40.0 + 350.0 / 24.0
         assert peak_gt == pytest.approx(level - 7.0, rel=1e-12)
         assert mean_gt == pytest.approx(0.5 * (level - 7.0), rel=1e-12)
+
+    def test_matches_weekly_dispatch_loop(self, synth_year):
+        spec = BevFleetSpec(35.0)
+        mean_gt, peak_gt = annual_leveled_gt(synth_year, spec, 7.0, 75.0)
+        power = fleet_aggregates(spec).mean_power_gw
+        results = [
+            dispatch_week(w, 75.0, DispatchConfig(7.0, float(w.demand.mean()) + power))
+            for w in synth_year.weeks
+        ]
+        assert peak_gt == max(r.peak_gas_turbine_gwe for r in results)
+        assert mean_gt == pytest.approx(np.mean([r.mean_gas_turbine_gwe for r in results]), rel=1e-12)
 
     def test_utilization_wiring(self, synth_year):
         mean_gt, peak_gt = annual_leveled_gt(synth_year, BevFleetSpec(35.0), 7.0, 75.0)

@@ -1,10 +1,13 @@
+import logging
+from datetime import timedelta
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from windfleet.ingest import SAMPLES_PER_YEAR
+from windfleet.ingest import CADENCE_S, SAMPLES_PER_WEEK, SAMPLES_PER_YEAR, IngestError
 from windfleet.scaling import (
     ScalingSpec,
     WindHistogram,
@@ -71,6 +74,51 @@ class TestNormalize:
         )
         year = normalize(series, spec)
         assert abs(year.mean_wind_gwe - cf * ref) <= 1e-9 * cf * ref
+
+
+class TestYearWeeks:
+    """normalize keeps the first 52 weeks; the year's weeks are views of its arrays."""
+
+    def test_exact_fit(self):
+        year = normalize(make_year_series(n=SAMPLES_PER_YEAR), ScalingSpec())
+        assert [w.index for w in year.weeks] == list(range(1, 53))
+        assert all(w.n_samples == SAMPLES_PER_WEEK for w in year.weeks)
+
+    def test_365_day_year_discards_288(self, caplog):
+        # 105,120 - 52*2016 = 288 trailing samples dropped, said once
+        series = make_year_series(n=105_120)
+        with caplog.at_level(logging.INFO, logger="windfleet.ingest"):
+            year = normalize(series, ScalingSpec())
+        assert year.demand.size == SAMPLES_PER_YEAR == 105_120 - 288
+        assert len(year.weeks) == 52
+        assert caplog.messages == ["discarding 288 trailing samples beyond week 52"]
+
+    def test_too_short_fatal(self):
+        with pytest.raises(IngestError, match="100000"):
+            normalize(make_year_series(n=100_000), ScalingSpec())
+
+    def test_weeks_concatenate_to_the_year(self, synth_series, synth_year):
+        for name in ("demand", "wind", "solar"):
+            joined = np.concatenate([getattr(w, name) for w in synth_year.weeks])
+            np.testing.assert_array_equal(joined, getattr(synth_year, name))
+        np.testing.assert_array_equal(synth_year.demand, synth_series.demand[:SAMPLES_PER_YEAR])
+
+    def test_week_start_times_contiguous(self, synth_series, synth_year):
+        weeks = synth_year.weeks
+        assert weeks[0].start_time == synth_series.start_time
+        for prev, nxt in zip(weeks, weeks[1:]):
+            assert nxt.start_time - prev.start_time == timedelta(seconds=SAMPLES_PER_WEEK * CADENCE_S)
+
+    def test_weeks_are_read_only_views(self, synth_year):
+        for week in synth_year.weeks:
+            for name in ("demand", "wind", "solar"):
+                part = getattr(week, name)
+                assert np.shares_memory(part, getattr(synth_year, name))
+                assert not part.flags.writeable
+
+    def test_demand_is_the_series_demand(self, synth_series, synth_year):
+        assert np.shares_memory(synth_year.demand, synth_series.demand)
+        assert not synth_year.demand.flags.writeable
 
 
 class TestExtrapolate:
