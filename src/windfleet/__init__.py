@@ -50,7 +50,6 @@ from .report import (
     FleetSizingRow,
     LullReport,
     ScenarioConstants,
-    annual_leveled_gt,
     build_table2,
     gt_utilization,
     lull_report,
@@ -96,7 +95,6 @@ __all__ = [
     "FleetSizingRow",
     "LullReport",
     "ScenarioConstants",
-    "annual_leveled_gt",
     "build_table2",
     "gt_utilization",
     "lull_report",

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .ingest import CADENCE_S, SAMPLES_PER_WEEK, WeekSeries
-from .dispatch import HOURS_PER_SAMPLE
+from .dispatch import HOURS_PER_SAMPLE, DispatchConfig, headroom
 from .export import sample_times, write_csv
 from .scaling import NormalizedYear
 
@@ -226,13 +226,13 @@ def unmanaged_peak(
     requirement (GWe) and fleet utilization of that peak (mean GT / peak GT)
     over the span supplied, one week or the year.
     """
-    demand, solar = span.demand, span.solar
     consumption = consumption_profile(spec, span)
     wind = np.asarray(wind_trace, dtype=float)
-    if wind.shape != demand.shape:
+    if wind.shape != span.demand.shape:
         raise ValueError("wind trace must align with the supplied span")
 
-    gas = np.maximum(demand + consumption - base_generation_gwe - solar - wind, 0.0)
+    room = headroom(span, DispatchConfig(base_generation_gwe))
+    gas = np.maximum(room + consumption - wind, 0.0)
     peak = float(gas.max())
     utilization = float(gas.mean() / peak) if peak > 0 else 0.0
     return peak, utilization

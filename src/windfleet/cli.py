@@ -248,26 +248,33 @@ def _spec(spec_class, s: dict[str, str], **defaults):
     return _valid(spec_class, **{**defaults, **values})
 
 
-def load_series(input_path: str | Path, columns: dict[str, str] | None = None) -> GridSeries:
-    """Parse and canonicalize one input file; the series carries the file's SHA-256."""
+def _existing(input_path: str | Path) -> str | Path:
     if not Path(input_path).exists():
         raise IngestError(f"input file not found: {input_path}")
-    series = canonicalize(parse_csv(input_path, columns), source=str(input_path))
+    return input_path
+
+
+def load_series(input_path: str | Path, columns: dict[str, str] | None = None) -> GridSeries:
+    """Parse and canonicalize one input file; the series carries the file's SHA-256."""
+    series = canonicalize(parse_csv(_existing(input_path), columns), source=str(input_path))
     return replace(series, input_sha256=sha256_of(input_path))
 
 
 def _load_series(s: dict[str, str], series: GridSeries | None):
-    """The input path, and ``series`` or else the series read from it."""
+    """The input path, and ``series`` or else the series read from it; either
+    carries the input's SHA-256 before anything is written."""
     input_path = s.get("input")
     if not input_path:
         raise ConfigError("no input file given (use --input or the config file)")
     if series is None:
         series = load_series(input_path, _parse_columns(s.get("columns", "")))
+    elif series.input_sha256 is None:
+        series = replace(series, input_sha256=sha256_of(_existing(input_path)))
     return input_path, series
 
 
 def _load_year(s: dict[str, str], spec: ScalingSpec, series: GridSeries | None):
-    """The input path, its SHA-256 if the series carries it, and the year."""
+    """The input path, its SHA-256 and the year."""
     input_path, series = _load_series(s, series)
     return input_path, series.input_sha256, normalize(series, spec)
 
@@ -517,8 +524,8 @@ def main(argv: Sequence[str] | None = None) -> int:
 def run(argv: Sequence[str] | None, *, series: GridSeries | None = None) -> int:
     """``main`` without the logging set-up; ``series``, when given, is used
     in place of reading ``--input``, which then only names the input in the
-    run manifest (and is hashed for it when the series carries no
-    ``input_sha256``). Every setting is still resolved and checked."""
+    run manifest (and is hashed for it, before any output, when the series
+    carries no ``input_sha256``). Every setting is still resolved and checked."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

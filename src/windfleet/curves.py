@@ -1,11 +1,12 @@
 """Annual characteristic curves: mean delivered wind (GWe) vs fleet size (GWc).
 
-A curve point averages 52 weekly dispatches. Families come in two flavours:
+A curve point is the mean delivered wind of one dispatch of the whole year.
+Families come in two flavours:
 fixed headroom (base generation set to mean demand minus the headroom, cap at
 real-time demand) and BEV-adjusted (each week's cap leveled at its mean
 demand plus mean fleet demand, bev.weekly_levels). The curve and its exact
-inverse get the year at the request's solar scale, the base and the weekly
-levels from one helper. A cheap histogram-based approximation and a monotone
+inverse get the year at the request's solar scale and its DispatchConfig
+from one helper. A cheap histogram-based approximation and a monotone
 piecewise-linear inversion of a sampled curve round out the module, with
 invert_annual_curve for fleet sizing: the exact inverse of a request's annual
 curve, solved on the one linear piece of it that holds the root.
@@ -21,9 +22,8 @@ from typing import Sequence
 import numpy as np
 
 from .bev import BevFleetSpec, weekly_levels
-from .dispatch import DispatchConfig, dispatch_week
+from .dispatch import DispatchConfig, dispatch_week, headroom
 from .export import write_csv
-from .ingest import SAMPLES_PER_WEEK
 from .scaling import NormalizedYear, WindHistogram
 
 DEFAULT_CAPACITY_GRID_GWC = (20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0)
@@ -53,7 +53,6 @@ class CurveRequest:
     bev: BevFleetSpec | None = None
     base_generation_gwe: float = DEFAULT_BASE_GENERATION_GWE
     solar_scale: float = ANNUAL_SOLAR_SCALE
-    label: str = ""
 
     def __post_init__(self):
         caps = tuple(float(c) for c in self.capacities_gwc)
@@ -69,8 +68,6 @@ class CurveRequest:
 
     @property
     def family_label(self) -> str:
-        if self.label:
-            return self.label
         if self.headroom_gwe is not None:
             return f"headroom={self.headroom_gwe:g}"
         return f"bev={self.bev.fleet_size_millions:g}M"
@@ -117,35 +114,27 @@ class CharacteristicCurve:
         return float(np.interp(capacity_gwc, caps, vals))
 
 
-def _dispatch_inputs(req: CurveRequest) -> tuple[NormalizedYear, float, np.ndarray | None]:
-    """The request's year at its solar scale, its base generation, and each
-    week's leveled cap (None for a headroom family: the cap is real-time demand)."""
+def _dispatch_inputs(req: CurveRequest) -> tuple[NormalizedYear, DispatchConfig]:
+    """The request's year at its solar scale, and its dispatch: a headroom
+    family caps at real-time demand, a BEV family at each week's level."""
     year = req.year
     factor = req.solar_scale / year.solar_scale
     if abs(factor - 1.0) >= 1e-12:
         year = replace(year, solar=year.solar * factor, solar_scale=req.solar_scale)
     if req.headroom_gwe is not None:
-        return year, year.mean_demand_gwe - req.headroom_gwe, None
-    return year, req.base_generation_gwe, weekly_levels(year.demand, req.bev)
+        return year, DispatchConfig(year.mean_demand_gwe - req.headroom_gwe)
+    return year, DispatchConfig(req.base_generation_gwe, weekly_levels(year.demand, req.bev))
 
 
 def annual_curve(req: CurveRequest) -> CharacteristicCurve:
-    """Average 52 weekly dispatches at each capacity on the request grid."""
-    year, base, levels = _dispatch_inputs(req)
-    levels = [None] * len(year.weeks) if levels is None else levels.tolist()
-    configs = [DispatchConfig(base, level) for level in levels]
+    """Dispatch the year once at each capacity on the request grid."""
+    year, cfg = _dispatch_inputs(req)
     ref = year.reference_capacity_gwc
-
-    def point(capacity: float) -> float:
-        weekly = [
-            dispatch_week(w, capacity, cfg, ref).mean_wind_used_gwe
-            for w, cfg in zip(year.weeks, configs)
-        ]
-        return float(np.mean(weekly))
-
     return CharacteristicCurve(
         capacities_gwc=np.array(req.capacities_gwc),
-        mean_wind_gwe=np.array([point(c) for c in req.capacities_gwc]),
+        mean_wind_gwe=np.array(
+            [dispatch_week(year, c, cfg, ref).mean_wind_used_gwe for c in req.capacities_gwc]
+        ),
         label=req.family_label,
     )
 
@@ -179,11 +168,13 @@ def invert_curve(
 ) -> float:
     """Smallest fleet size whose curve value reaches required_gwe.
 
-    Bisection on the piecewise-linear interpolation (anchored through the
-    origin), then snapped up to the resolution grid so the returned capacity
-    is guaranteed sufficient.
+    The root is solved exactly on the first linear piece of the
+    interpolation (anchored through the origin) that reaches the target,
+    then snapped up to the resolution grid so the returned capacity is
+    guaranteed sufficient. A target within 1e-12 above the plateau returns
+    the last capacity.
     """
-    vals = curve.mean_wind_gwe
+    caps, vals = curve.capacities_gwc, curve.mean_wind_gwe
     plateau = float(vals[-1])
     if required_gwe > plateau + 1e-12:
         raise TargetUnreachableError(
@@ -192,14 +183,14 @@ def invert_curve(
     if required_gwe <= 0:
         return 0.0
 
-    lo, hi = 0.0, float(curve.capacities_gwc[-1])
-    while hi - lo > 1e-9:
-        mid = 0.5 * (lo + hi)
-        if curve.value_at(mid) >= required_gwe:
-            hi = mid
-        else:
-            lo = mid
-    return _snap_up(hi, resolution_gwc)
+    # a scan, not searchsorted: plateau values may dip within the curve's tolerance
+    reached = np.flatnonzero(vals >= required_gwe)
+    if reached.size == 0:
+        return _snap_up(float(caps[-1]), resolution_gwc)
+    i = reached[0]
+    c0, v0 = (caps[i - 1], vals[i - 1]) if i else (0.0, 0.0)
+    root = c0 + (required_gwe - v0) * (caps[i] - c0) / (vals[i] - v0)
+    return _snap_up(float(root), resolution_gwc)
 
 
 def invert_annual_curve(
@@ -223,7 +214,7 @@ def _annual_root(req: CurveRequest, required_gwe: float) -> float:
     """The capacity c at which the annual curve first reaches required_gwe > 0.
 
     Over the year's n samples the curve is f(c) = mean_i min(h_i, wind_i·c/ref)
-    with h_i = max(cap_i - base - solar_i, 0): the dispatch_week rule, concave
+    with h_i = max(dispatch.headroom_i, 0): the dispatch_week rule, concave
     and piecewise linear with a breakpoint at each c_i = h_i·ref/wind_i. A
     bisection over the capacity grid finds the least grid capacity where f
     reaches the target; then only the breakpoints inside the segment below it
@@ -231,9 +222,8 @@ def _annual_root(req: CurveRequest, required_gwe: float) -> float:
     of s = c/ref the sum over samples on a piece is H + s·W: H sums h_i over
     saturated samples, W sums wind_i over the rest.
     """
-    year, base, levels = _dispatch_inputs(req)
-    cap = year.demand if levels is None else np.repeat(levels, SAMPLES_PER_WEEK)
-    room = np.maximum(cap - base - year.solar, 0.0)
+    year, cfg = _dispatch_inputs(req)
+    room = np.maximum(headroom(year, cfg), 0.0)
     wind, n, buf = year.wind, year.wind.size, np.empty(year.wind.size)
     ref = year.reference_capacity_gwc
 

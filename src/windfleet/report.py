@@ -28,7 +28,7 @@ from .curves import (
 )
 from .dispatch import DispatchConfig, DispatchResult, dispatch_week
 from .export import write_csv
-from .ingest import SAMPLES_PER_WEEK, WeekSeries
+from .ingest import WeekSeries
 from .scaling import DEFAULT_REFERENCE_CAPACITY_GWC, NormalizedYear
 
 DEFAULT_LULL_BASE_GENERATION_GWE = 7.0  # reduced nuclear, no imports
@@ -154,27 +154,6 @@ def lull_report(
     )
 
 
-def annual_leveled_gt(
-    year: NormalizedYear,
-    spec: BevFleetSpec,
-    base_generation_gwe: float,
-    capacity_gwc: float,
-    reference_capacity_gwc: float | None = None,
-) -> tuple[float, float]:
-    """Annual mean and peak gas-turbine requirement under V2G leveling.
-
-    Each week is capped at its own level (weekly mean demand plus the
-    fleet's mean power); the turbines cover whatever base, solar and the wind
-    fleet of capacity_gwc leave below it, as in dispatch_week. Feed the mean
-    into gt_utilization against the peak to size the shadow fleet.
-    """
-    ref = reference_capacity_gwc or year.reference_capacity_gwc
-    cap = np.repeat(weekly_levels(year.demand, spec), SAMPLES_PER_WEEK)
-    wind = year.wind * (capacity_gwc / ref)
-    gas = np.maximum(cap - base_generation_gwe - year.solar - wind, 0.0)
-    return float(gas.mean()), float(gas.max())
-
-
 def gt_utilization(mean_gt_gwe: float, capacity_gwe: float) -> float:
     """Fraction of the gas-turbine fleet's capacity actually generating."""
     if capacity_gwe <= 0:
@@ -250,8 +229,7 @@ def write_run_manifest(
 ) -> None:
     """Reproducibility record: config, input hash, software version.
 
-    ``input_sha256`` is the input's digest when the caller already has it;
-    without it the file at ``input_path`` is hashed.
+    ``input_sha256`` is the digest of the file at ``input_path``, as given.
 
     The created_utc line is the only run-varying field; all result files are
     byte-identical across reruns of the same config and input.
@@ -259,7 +237,7 @@ def write_run_manifest(
     lines = [f"version = {version}", f"command = {command}"]
     if input_path is not None:
         lines.append(f"input = {input_path}")
-        lines.append(f"input_sha256 = {input_sha256 or sha256_of(input_path)}")
+        lines.append(f"input_sha256 = {input_sha256}")
     for key in sorted(config_items):
         lines.append(f"{key} = {config_items[key]}")
     lines.append(

@@ -568,3 +568,14 @@ def test_in_memory_series_without_digest_hashes_the_input(synth_series, synth_cs
     assert cli.run(argv, series=synth_series) == 0
     digest = hashlib.sha256(synth_csv.read_bytes()).hexdigest()
     assert f"input_sha256 = {digest}\n" in (tmp_path / "run_manifest_histogram.txt").read_text()
+
+
+@pytest.mark.parametrize("command", ["histogram", "curves", "bev", "lull", "table2"])
+def test_in_memory_series_with_missing_input_writes_nothing(command, synth_series, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = [command, "--input", str(tmp_path / "absent.csv"), "--out-dir", str(out)]
+    assert cli.run(argv, series=synth_series) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: input file not found: ")
+    assert err.count("\n") == 1
+    assert list(out.glob("*")) == []

@@ -17,9 +17,10 @@ from windfleet.curves import (
     invert_curve,
     write_curves_csv,
 )
+from windfleet.dispatch import DispatchConfig, dispatch_week
 from windfleet.report import ScenarioConstants
 from windfleet.scaling import WindHistogram, wind_histogram
-from _helpers import make_year, two_state_wind
+from _helpers import make_week, make_year, two_state_wind
 
 
 def linear_curve(slope=0.3, caps=(20.0, 40.0, 60.0, 80.0)):
@@ -27,7 +28,36 @@ def linear_curve(slope=0.3, caps=(20.0, 40.0, 60.0, 80.0)):
     return CharacteristicCurve(caps, slope * caps, label="linear")
 
 
+def weekly_loop_curve(req):
+    """Oracle: each point is the mean of the 52 weekly dispatches at that capacity."""
+    year, ref = req.year, req.year.reference_capacity_gwc
+    factor = req.solar_scale / year.solar_scale
+    weeks = [make_week(w.demand, w.wind, w.solar * factor, w.index, w.start_time) for w in year.weeks]
+    if req.headroom_gwe is not None:
+        configs = [DispatchConfig(year.mean_demand_gwe - req.headroom_gwe)] * len(weeks)
+    else:
+        power = fleet_aggregates(req.bev).mean_power_gw
+        configs = [DispatchConfig(req.base_generation_gwe, float(w.demand.mean()) + power)
+                   for w in weeks]
+    return np.array([
+        np.mean([dispatch_week(w, c, cfg, ref).mean_wind_used_gwe for w, cfg in zip(weeks, configs)])
+        for c in req.capacities_gwc
+    ])
+
+
 class TestAnnualCurve:
+    @pytest.mark.parametrize("family", [
+        {"headroom_gwe": 20.0},
+        {"headroom_gwe": 45.0, "solar_scale": 1.0},
+        {"bev": BevFleetSpec(35.0)},
+        {"bev": BevFleetSpec(15.0), "base_generation_gwe": 7.0, "solar_scale": 0.0},
+    ], ids=["headroom20", "headroom45-solar1", "bev35M", "bev15M-base7-nosolar"])
+    def test_matches_the_weekly_dispatch_loop(self, synth_year, family):
+        req = CurveRequest(year=synth_year, **family)
+        np.testing.assert_allclose(
+            annual_curve(req).mean_wind_gwe, weekly_loop_curve(req), rtol=1e-12, atol=0.0
+        )
+
     def test_two_state_closed_form(self):
         # 50% at 0, 50% at 12 GW (ref 20 GWc); flat demand 40, headroom 20
         # at 40 GWc available alternates 0/24 -> mean used = 0.5*min(24, 20) = 10
@@ -117,6 +147,24 @@ class TestInvertCurve:
     def test_linear_inversion(self):
         assert invert_curve(linear_curve(), 6.0) == pytest.approx(20.0, abs=1e-6)
 
+    def test_root_solved_on_its_piece(self):
+        curve = CharacteristicCurve(
+            np.array([20.0, 40.0, 80.0]), np.array([6.0, 10.0, 10.0])
+        )
+        assert invert_curve(curve, 7.0) == 25.0
+        assert invert_curve(curve, 9.9) == 39.5
+
+    def test_first_point_reaching_the_target_wins_over_a_dip(self):
+        # the plateau dips within the curve's tolerance; a sorted search from
+        # the top would land on 80 GWc
+        curve = CharacteristicCurve(
+            np.array([20.0, 40.0, 60.0, 80.0]), np.array([6.0, 10.0, 10.0 - 1e-8, 10.0])
+        )
+        assert invert_curve(curve, 10.0) == 40.0
+
+    def test_target_within_rounding_above_plateau_returns_last_capacity(self):
+        assert invert_curve(linear_curve(), 0.3 * 80.0 + 5e-13) == 80.0
+
     def test_smallest_sufficient_capacity(self):
         curve = CharacteristicCurve(
             np.array([20.0, 40.0, 80.0]), np.array([6.0, 10.0, 10.0])
@@ -184,13 +232,13 @@ class TestInvertCurve:
 
 
 def curve_value(req, capacity):
-    """The dispatch loop's annual mean at one capacity."""
+    """The annual curve at one capacity: the year's mean delivered wind."""
     one = replace(req, capacities_gwc=(capacity,))
     return float(annual_curve(one).mean_wind_gwe[0])
 
 
 def bisection_root(req, target):
-    """Least capacity the dispatch loop finds reaching target, to 1e-11 GWc."""
+    """Least capacity the year's dispatch finds reaching target, to 1e-11 GWc."""
     lo, hi = 0.0, req.capacities_gwc[-1]
     while hi - lo > 1e-11:
         mid = 0.5 * (lo + hi)
@@ -213,7 +261,7 @@ def case_id(case):
 
 
 class TestInvertAnnualCurve:
-    """The dispatch loop (annual_curve) is the oracle for the exact inverse."""
+    """The year's dispatch (annual_curve) is the oracle for the exact inverse."""
 
     @pytest.fixture(scope="class", params=[*EXACT_CASES, "headroom20"], ids=case_id)
     def case(self, request, synth_year):

@@ -6,13 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from windfleet.bev import BevFleetSpec, fleet_aggregates, weekly_levels
 from windfleet.dispatch import (
     DispatchConfig,
     dispatch_week,
     write_dispatch_csv,
 )
 from windfleet.ingest import SAMPLES_PER_WEEK
-from _helpers import make_week
+from windfleet.report import gt_utilization
+from _helpers import make_week, make_year, two_state_wind
 
 
 week_arrays = arrays(
@@ -69,6 +71,10 @@ class TestDispatchWeek:
     def test_rejects_nonpositive_or_non_finite_level(self, level):
         with pytest.raises(ValueError, match="level"):
             DispatchConfig(7.0, level_gwe=level)
+        levels = np.full(52, 40.0)
+        levels[17] = level
+        with pytest.raises(ValueError, match="level"):
+            DispatchConfig(7.0, level_gwe=levels)  # one bad week in a year's levels
 
     def test_rejects_nonpositive_capacity(self):
         with pytest.raises(ValueError):
@@ -137,6 +143,65 @@ class TestDispatchWeek:
         a = dispatch_week(week, 60.0, DispatchConfig(base, float(week.demand.mean())))
         b = dispatch_week(shifted, 60.0, DispatchConfig(base + shift, float(shifted.demand.mean())))
         assert b.mean_wind_used_gwe == pytest.approx(a.mean_wind_used_gwe, rel=1e-12)
+
+
+class TestYearDispatch:
+    """dispatch_week on a NormalizedYear: the weekly rule over every sample."""
+
+    @pytest.mark.parametrize("leveled", [False, True], ids=["headroom", "leveled"])
+    def test_equals_the_52_weekly_dispatches(self, synth_year, leveled):
+        levels = weekly_levels(synth_year.demand, BevFleetSpec(35.0)) if leveled else None
+        ref = synth_year.reference_capacity_gwc
+        year = dispatch_week(synth_year, 75.0, DispatchConfig(7.0, levels), ref)
+        weeks = [
+            dispatch_week(w, 75.0, DispatchConfig(7.0, None if levels is None else levels[k]), ref)
+            for k, w in enumerate(synth_year.weeks)
+        ]
+        for name in ("wind_used", "wind_curtailed", "gas_turbine"):
+            np.testing.assert_array_equal(
+                getattr(year, name), np.concatenate([getattr(r, name) for r in weeks]), name
+            )
+        assert year.peak_gas_turbine_gwe == max(r.peak_gas_turbine_gwe for r in weeks)
+        assert year.mean_wind_used_gwe == pytest.approx(
+            np.mean([r.mean_wind_used_gwe for r in weeks]), rel=1e-12
+        )
+
+    def test_rejects_a_level_count_that_does_not_match_the_span(self, synth_year):
+        with pytest.raises(ValueError, match="51 levels for a span of 52 weeks"):
+            dispatch_week(synth_year, 40.0, DispatchConfig(7.0, np.full(51, 40.0)))
+        with pytest.raises(ValueError, match="52 levels for a span of 1 weeks"):
+            dispatch_week(synth_year.weeks[0], 40.0, DispatchConfig(7.0, np.full(52, 40.0)))
+
+    def test_leveled_two_state_year_closed_form(self):
+        year = make_year(demand=40.0, wind=two_state_wind(), solar=0.0)
+        cfg = DispatchConfig(7.0, weekly_levels(year.demand, BevFleetSpec(35.0)))
+        result = dispatch_week(year, 80.0, cfg, year.reference_capacity_gwc)
+        # wind alternates 0/12 at ref, so 0/48 at 80 GWc; headroom is
+        # level - base = 47.58, fully covered on high samples, bare on low
+        level = 40.0 + 350.0 / 24.0
+        assert result.peak_gas_turbine_gwe == pytest.approx(level - 7.0, rel=1e-12)
+        assert result.mean_gas_turbine_gwe == pytest.approx(0.5 * (level - 7.0), rel=1e-12)
+
+    def test_leveled_gt_matches_weekly_dispatch_loop(self, synth_year):
+        spec = BevFleetSpec(35.0)
+        cfg = DispatchConfig(7.0, weekly_levels(synth_year.demand, spec))
+        result = dispatch_week(synth_year, 75.0, cfg, synth_year.reference_capacity_gwc)
+        power = fleet_aggregates(spec).mean_power_gw
+        results = [
+            dispatch_week(w, 75.0, DispatchConfig(7.0, float(w.demand.mean()) + power))
+            for w in synth_year.weeks
+        ]
+        assert result.peak_gas_turbine_gwe == max(r.peak_gas_turbine_gwe for r in results)
+        assert result.mean_gas_turbine_gwe == pytest.approx(
+            np.mean([r.mean_gas_turbine_gwe for r in results]), rel=1e-12
+        )
+
+    def test_leveled_gt_utilization_wiring(self, synth_year):
+        cfg = DispatchConfig(7.0, weekly_levels(synth_year.demand, BevFleetSpec(35.0)))
+        result = dispatch_week(synth_year, 75.0, cfg, synth_year.reference_capacity_gwc)
+        mean_gt, peak_gt = result.mean_gas_turbine_gwe, result.peak_gas_turbine_gwe
+        assert 0.0 < mean_gt <= peak_gt
+        assert 0.0 < gt_utilization(mean_gt, peak_gt) <= 1.0
 
 
 class TestDispatchCsv:

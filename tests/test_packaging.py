@@ -44,3 +44,11 @@ def test_names_the_benchmark_uses_still_resolve():
         except (ImportError, AttributeError):
             unresolved.append(reference)
     assert unresolved == []
+
+
+def test_every_exported_name_resolves_once():
+    import windfleet
+
+    assert len(windfleet.__all__) == len(set(windfleet.__all__))
+    missing = [name for name in windfleet.__all__ if not hasattr(windfleet, name)]
+    assert missing == []

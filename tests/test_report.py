@@ -1,13 +1,11 @@
 import csv
 
-import numpy as np
 import pytest
 
-from windfleet.bev import BevFleetSpec, fleet_aggregates
+from windfleet.bev import BevFleetSpec
 from windfleet.curves import TargetUnreachableError
 from windfleet.report import (
     ScenarioConstants,
-    annual_leveled_gt,
     build_table2,
     format_table2,
     gt_utilization,
@@ -123,35 +121,6 @@ class TestLullReport:
         assert "capacity_gwc" in text
 
 
-class TestAnnualLeveledGt:
-    def test_two_state_year_closed_form(self):
-        from _helpers import make_year, two_state_wind
-
-        year = make_year(demand=40.0, wind=two_state_wind(), solar=0.0)
-        mean_gt, peak_gt = annual_leveled_gt(year, BevFleetSpec(35.0), 7.0, 80.0)
-        # wind alternates 0/12 at ref, so 0/48 at 80 GWc; headroom is
-        # level - base = 47.58, fully covered on high samples, bare on low
-        level = 40.0 + 350.0 / 24.0
-        assert peak_gt == pytest.approx(level - 7.0, rel=1e-12)
-        assert mean_gt == pytest.approx(0.5 * (level - 7.0), rel=1e-12)
-
-    def test_matches_weekly_dispatch_loop(self, synth_year):
-        spec = BevFleetSpec(35.0)
-        mean_gt, peak_gt = annual_leveled_gt(synth_year, spec, 7.0, 75.0)
-        power = fleet_aggregates(spec).mean_power_gw
-        results = [
-            dispatch_week(w, 75.0, DispatchConfig(7.0, float(w.demand.mean()) + power))
-            for w in synth_year.weeks
-        ]
-        assert peak_gt == max(r.peak_gas_turbine_gwe for r in results)
-        assert mean_gt == pytest.approx(np.mean([r.mean_gas_turbine_gwe for r in results]), rel=1e-12)
-
-    def test_utilization_wiring(self, synth_year):
-        mean_gt, peak_gt = annual_leveled_gt(synth_year, BevFleetSpec(35.0), 7.0, 75.0)
-        assert 0.0 < mean_gt <= peak_gt
-        assert 0.0 < gt_utilization(mean_gt, peak_gt) <= 1.0
-
-
 class TestGtUtilization:
     def test_published_v2g_case(self):
         assert gt_utilization(11.6, 47.0) == pytest.approx(0.2468, abs=5e-4)
@@ -181,18 +150,20 @@ class TestScenarioConstants:
 class TestRunManifest:
     def test_fields_recorded(self, tmp_path, synth_csv):
         path = tmp_path / "manifest.txt"
-        write_run_manifest(path, "curves", synth_csv, {"workers": 2}, version="0.1.0")
+        write_run_manifest(path, "curves", synth_csv, {"workers": 2}, version="0.1.0",
+                           input_sha256="ab" * 32)
         text = path.read_text()
         assert "version = 0.1.0" in text
         assert "command = curves" in text
-        assert "input_sha256 = " in text
+        assert f"input_sha256 = {'ab' * 32}\n" in text  # as given, not re-hashed
         assert "workers = 2" in text
         assert "created_utc = " in text
 
     def test_only_timestamp_varies(self, tmp_path, synth_csv):
         a = tmp_path / "a.txt"
         b = tmp_path / "b.txt"
-        write_run_manifest(a, "bev", synth_csv, {"weeks": [17]}, version="0.1.0")
-        write_run_manifest(b, "bev", synth_csv, {"weeks": [17]}, version="0.1.0")
+        digest = "ab" * 32
+        write_run_manifest(a, "bev", synth_csv, {"weeks": [17]}, version="0.1.0", input_sha256=digest)
+        write_run_manifest(b, "bev", synth_csv, {"weeks": [17]}, version="0.1.0", input_sha256=digest)
         strip = lambda p: [l for l in p.read_text().splitlines() if not l.startswith("created_utc")]
         assert strip(a) == strip(b)
