@@ -1,13 +1,17 @@
 """Batch command line: one subcommand per reproducible artifact.
 
-Subcommands: ingest (validation only), histogram, curves, bev, lull, table2.
-Settings resolve flag > config file > built-in default. Config files are
-plain ``key = value`` text; lists are comma-separated and capacity lists also
-accept ``start:stop:step``. The config keys are the input, output and sweep
-settings plus every field of ScalingSpec, BevFleetSpec and ScenarioConstants,
-whose defaults are those of the dataclasses. Flag and config values are text,
-parsed the same way. Exit codes: 0 ok, 1 simulation error, 2 input error,
-3 configuration error (including a result file that cannot be written).
+Subcommands: ingest (validation only), histogram, curves, bev, lull, table2,
+one record each in COMMANDS: the keys it takes as flags, the spec dataclasses
+it reads whole, its own defaults and its compute function. The parser, the
+known config keys, the checks and the run manifest derive from that table.
+Settings resolve flag > config file > default. Config files are plain
+``key = value`` text; lists are comma-separated, capacity lists also accept
+``start:stop:step``, and an optional number left empty is unset. Every key a
+command reads is checked before the input is read, and is recorded in its
+manifest (all but out_dir) in config syntax, so the manifest less its version,
+command, input_sha256 and created_utc lines reruns it as a config file. Exit
+codes: 0 ok, 1 simulation error, 2 input error, 3 configuration error
+(including a result file that cannot be written).
 """
 
 from __future__ import annotations
@@ -15,10 +19,10 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from dataclasses import fields, replace
+from dataclasses import dataclass, field, fields, replace
 from decimal import Decimal
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -26,7 +30,6 @@ from . import __version__
 from .bev import (
     BevFleetSpec,
     consumption_profile,
-    fleet_aggregates,
     leveling_schedule,
     soc_trajectory,
     write_bev_csv,
@@ -40,7 +43,9 @@ from .curves import (
     write_curves_csv,
 )
 from .dispatch import write_dispatch_csv
-from .ingest import WEEKS_PER_YEAR, GridSeries, IngestError, canonicalize, cut_year, parse_csv
+from .ingest import (
+    DEFAULT_COLUMNS, WEEKS_PER_YEAR, GridSeries, IngestError, canonicalize, cut_year, parse_csv,
+)
 from .report import (
     DEFAULT_LULL_BASE_GENERATION_GWE,
     ScenarioConstants,
@@ -60,25 +65,38 @@ from .scaling import (
     write_histogram_csv,
 )
 
-log = logging.getLogger(__name__)
-
 DEFAULT_HEADROOMS_GWE = (20.0, 25.0, 30.0, 35.0)
 DEFAULT_FLEET_SIZE_M = 35.0
 DEFAULT_FLEET_SIZES_M = (15.0, 20.0, 25.0, 30.0, 35.0)
 DEFAULT_CURVE_FAMILY_FLEETS_M = (0.0, 15.0, 20.0, 25.0, 30.0, 35.0)
 MAX_RANGE_VALUES = 10_000  # most values one start:stop:step range may give
 
-_KNOWN_CONFIG_KEYS = {
-    f.name for spec in (ScalingSpec, BevFleetSpec, ScenarioConstants) for f in fields(spec)
-} | {
-    "input",
-    "out_dir",
-    "columns",
-    "base_generation_gwe",
-    "capacities_gwc",
-    "headrooms_gwe",
-    "fleet_sizes_millions",
-    "weeks",
+_SPECS = (ScalingSpec, BevFleetSpec, ScenarioConstants)
+_PATH_KEYS = ("input", "out_dir", "columns")  # read by every command
+# the flag of each setting key that has one; --config is the one flag that is no setting
+_FLAGS = {
+    "input": "--input", "config": "--config", "out_dir": "--out-dir", "columns": "--columns",
+    "solar_scale": "--solar-scale", "base_generation_gwe": "--base-gen",
+    "capacities_gwc": "--capacities", "headrooms_gwe": "--headrooms",
+    "fleet_sizes_millions": "--fleet-sizes", "fleet_size_millions": "--fleet-size",
+    "weeks": "--weeks",
+}
+_HELP = {
+    "input": "5-minute records CSV (MW)",
+    "config": "key = value config file",
+    "out_dir": "output directory (default: out)",
+    "columns": "column remap, e.g. timestamp=ts,demand=d",
+}
+# the shared defaults; a command's own (Command.defaults) override them
+_DEFAULTS = {
+    **{f.name: f.default for spec in _SPECS for f in fields(spec)},
+    "fleet_size_millions": DEFAULT_FLEET_SIZE_M,  # BevFleetSpec has no default for it
+    "input": None,
+    "out_dir": "out",
+    "columns": DEFAULT_COLUMNS,
+    "base_generation_gwe": DEFAULT_BASE_GENERATION_GWE,
+    "capacities_gwc": DEFAULT_CAPACITY_GRID_GWC,
+    "headrooms_gwe": DEFAULT_HEADROOMS_GWE,
 }
 
 
@@ -115,7 +133,7 @@ def load_config_file(path: str | Path) -> dict[str, str]:
     return values
 
 
-def _finite(value: str | float, key: str) -> float:
+def _finite(value: str, key: str) -> float:
     try:
         number = float(value)
     except ValueError as exc:
@@ -125,8 +143,11 @@ def _finite(value: str | float, key: str) -> float:
     return number
 
 
-def _float_list(s: dict[str, str], key: str, default: Sequence[float]) -> list[float]:
-    return _parse_float_list(s[key], key) if key in s else list(default)
+def _number(text: str, key: str) -> float | None:
+    """One finite number; empty text unsets a key whose default is None."""
+    if not text.strip() and key in _DEFAULTS and _DEFAULTS[key] is None:
+        return None
+    return _finite(text, key)
 
 
 def _parse_float_list(text: str, key: str) -> list[float]:
@@ -156,8 +177,28 @@ def _decimals(text: str) -> int:
     return max(0, -Decimal(text.strip()).as_tuple().exponent)
 
 
-def _parse_columns(text: str) -> dict[str, str]:
-    mapping = {}
+def _capacities(text: str, key: str) -> list[float]:
+    capacities = _parse_float_list(text, key)
+    if capacities and (
+        capacities[0] <= 0 or any(b <= a for a, b in zip(capacities, capacities[1:]))
+    ):
+        raise ConfigError("capacities must be positive and strictly increasing")
+    return capacities
+
+
+def _weeks(text: str, key: str) -> list[int]:
+    weeks = _parse_float_list(text, key)
+    for w in weeks:
+        if w != int(w):
+            raise ConfigError(f"week index {w:g} is not a whole number")
+        if not 1 <= w <= 52:
+            raise ConfigError(f"week index {w:g} out of range 1..52")
+    return [int(w) for w in weeks]
+
+
+def _parse_columns(text: str, key: str) -> dict[str, str]:
+    """The full logical -> file column mapping; unnamed columns keep their defaults."""
+    mapping = dict(DEFAULT_COLUMNS)
     for part in text.split(","):
         part = part.strip()
         if not part:
@@ -165,72 +206,57 @@ def _parse_columns(text: str) -> dict[str, str]:
         if "=" not in part:
             raise ConfigError(f"column mapping entries look like logical=file, got {part!r}")
         logical, actual = (p.strip() for p in part.split("=", 1))
-        if logical not in ("timestamp", "demand", "wind", "solar"):
+        if logical not in DEFAULT_COLUMNS:
             raise ConfigError(f"unknown logical column {logical!r}")
         mapping[logical] = actual
     return mapping
 
 
-def _build_parser() -> _ArgumentParser:
-    parser = _ArgumentParser(
-        prog="windfleet",
-        description="Grid + wind fleet + V2G BEV fleet scenario simulator",
-    )
-    parser.add_argument("--version", action="version", version=f"windfleet {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(
-        p: argparse.ArgumentParser, *, solar_scale: bool = True, base_gen: bool = False
-    ) -> None:
-        """The input and output flags, plus the scaling flags the command reads."""
-        p.add_argument("--input", help="5-minute records CSV (MW)")
-        p.add_argument("--config", help="key = value config file")
-        p.add_argument("--out-dir", dest="out_dir", help="output directory (default: out)")
-        p.add_argument("--columns", help="column remap, e.g. timestamp=ts,demand=d")
-        if solar_scale:
-            p.add_argument("--solar-scale", dest="solar_scale")
-        if base_gen:
-            p.add_argument("--base-gen", dest="base_generation_gwe")
-
-    p_ingest = sub.add_parser("ingest", help="validate an input file, write nothing")
-    common(p_ingest, solar_scale=False)
-    p_ingest.add_argument("--check", action="store_true", help="validation only (default)")
-
-    p_hist = sub.add_parser("histogram", help="wind generation-band histogram")
-    common(p_hist)
-
-    p_curves = sub.add_parser("curves", help="annual characteristic-curve families")
-    common(p_curves, base_gen=True)
-    p_curves.add_argument("--capacities", dest="capacities_gwc")
-    p_curves.add_argument("--headrooms", dest="headrooms_gwe")
-    p_curves.add_argument("--fleet-sizes", dest="fleet_sizes_millions")
-
-    p_bev = sub.add_parser("bev", help="weekly leveling schedule and SOC trajectory")
-    common(p_bev)
-    p_bev.add_argument("--weeks")
-    p_bev.add_argument("--fleet-size", dest="fleet_size_millions")
-
-    p_lull = sub.add_parser("lull", help="stressed-week leveled dispatch report")
-    common(p_lull, base_gen=True)
-    p_lull.add_argument("--weeks")
-    p_lull.add_argument("--capacities", dest="capacities_gwc")
-    p_lull.add_argument("--fleet-size", dest="fleet_size_millions")
-
-    p_table = sub.add_parser("table2", help="wind fleet sizes needed per BEV fleet size")
-    common(p_table, base_gen=True)
-    p_table.add_argument("--capacities", dest="capacities_gwc")
-    p_table.add_argument("--fleet-sizes", dest="fleet_sizes_millions")
-
-    return parser
+# every other key is one number (_number)
+_PARSERS = {
+    "input": lambda text, key: text,
+    "out_dir": lambda text, key: text,
+    "columns": _parse_columns,
+    "capacities_gwc": _capacities,
+    "headrooms_gwe": _parse_float_list,
+    "fleet_sizes_millions": _parse_float_list,
+    "weeks": _weeks,
+}
 
 
-def _settings(args: argparse.Namespace) -> dict[str, str]:
-    """Config file values overridden by the flags given, all as text."""
-    settings = load_config_file(args.config) if args.config else {}
-    for key, value in vars(args).items():
-        if value is not None and key not in ("command", "config", "check"):
-            settings[key] = value
-    return settings
+def _config_text(value: object) -> str:
+    """``value`` as a config file writes it; it parses back to ``value``."""
+    if value is None:
+        return ""
+    if isinstance(value, dict):
+        return ", ".join(f"{k}={v}" for k, v in value.items())
+    if isinstance(value, (list, tuple)):
+        return ", ".join(map(str, value))
+    return str(value)
+
+
+@dataclass(frozen=True)
+class Command:
+    """One subcommand. ``compute(settings, year, out)`` writes its artifacts and
+    prints its report; ingest's gets the series and no output directory."""
+
+    help: str
+    compute: Callable[[dict, object, Path | None], None]
+    flags: tuple[str, ...] = ()  # setting keys it takes as flags, beyond _PATH_KEYS
+    specs: tuple[type, ...] = ()  # spec dataclasses it reads whole
+    defaults: dict[str, object] = field(default_factory=dict)
+    may_be_empty: tuple[str, ...] = ()  # list keys that may resolve to no value
+
+    @property
+    def keys(self) -> tuple[str, ...]:
+        """Every setting key the command reads, in a stable order."""
+        spec_keys = (f.name for spec in self.specs for f in fields(spec))
+        return tuple(dict.fromkeys([*_PATH_KEYS, *self.flags, *spec_keys]))
+
+
+def _spec(spec_class, s: dict[str, object]):
+    """A ``spec_class`` instance from the resolved settings named after its fields."""
+    return spec_class(**{f.name: s[f.name] for f in fields(spec_class)})
 
 
 def _valid(build, *args, **kwargs):
@@ -241,11 +267,25 @@ def _valid(build, *args, **kwargs):
         raise ConfigError(str(exc)) from exc
 
 
-def _spec(spec_class, s: dict[str, str], **defaults):
-    """A ``spec_class`` instance built from the settings named after its fields;
-    ``defaults`` stand in for missing ones, then the dataclass's own defaults."""
-    values = {f.name: _finite(s[f.name], f.name) for f in fields(spec_class) if f.name in s}
-    return _valid(spec_class, **{**defaults, **values})
+def _resolve(cmd: Command, text: dict[str, str]) -> dict[str, object]:
+    """Every key ``cmd`` reads, parsed from ``text`` or defaulted, and checked."""
+    defaults = {**_DEFAULTS, **cmd.defaults}
+    s = {
+        key: _PARSERS.get(key, _number)(text[key], key) if key in text else defaults[key]
+        for key in cmd.keys
+    }
+    if not s["input"]:
+        raise ConfigError("no input file given (use --input or the config file)")
+    for key, value in s.items():
+        if isinstance(value, (list, tuple)) and not value and key not in cmd.may_be_empty:
+            raise ConfigError(f"{key} list is empty")
+    for spec in cmd.specs:
+        _valid(_spec, spec, s)
+    if "fleet_sizes_millions" in s:
+        fleet = _spec(BevFleetSpec, s)
+        for size in s["fleet_sizes_millions"]:
+            _valid(replace, fleet, fleet_size_millions=size)
+    return s
 
 
 def _existing(input_path: str | Path) -> str | Path:
@@ -260,27 +300,18 @@ def load_series(input_path: str | Path, columns: dict[str, str] | None = None) -
     return replace(series, input_sha256=sha256_of(input_path))
 
 
-def _load_series(s: dict[str, str], series: GridSeries | None):
-    """The input path, and ``series`` or else the series read from it; either
-    carries the input's SHA-256 before anything is written."""
-    input_path = s.get("input")
-    if not input_path:
-        raise ConfigError("no input file given (use --input or the config file)")
+def _load_series(s: dict[str, object], series: GridSeries | None) -> GridSeries:
+    """``series``, or else the series read from the input; either carries the
+    input's SHA-256 before anything is written."""
     if series is None:
-        series = load_series(input_path, _parse_columns(s.get("columns", "")))
-    elif series.input_sha256 is None:
-        series = replace(series, input_sha256=sha256_of(_existing(input_path)))
-    return input_path, series
+        return load_series(s["input"], s["columns"])
+    if series.input_sha256 is None:
+        return replace(series, input_sha256=sha256_of(_existing(s["input"])))
+    return series
 
 
-def _load_year(s: dict[str, str], spec: ScalingSpec, series: GridSeries | None):
-    """The input path, its SHA-256 and the year."""
-    input_path, series = _load_series(s, series)
-    return input_path, series.input_sha256, normalize(series, spec)
-
-
-def _out_dir(s: dict[str, str]) -> Path:
-    out = Path(s.get("out_dir", "out"))
+def _out_dir(s: dict[str, object]) -> Path:
+    out = Path(s["out_dir"])
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -288,46 +319,9 @@ def _out_dir(s: dict[str, str]) -> Path:
     return out
 
 
-def _base_generation(s: dict[str, str], default: float) -> float:
-    return _finite(s.get("base_generation_gwe", default), "base_generation_gwe")
-
-
-def _capacities(s: dict[str, str]) -> tuple[float, ...]:
-    capacities = tuple(_float_list(s, "capacities_gwc", DEFAULT_CAPACITY_GRID_GWC))
-    if not capacities:
-        raise ConfigError("capacities list is empty")
-    if capacities[0] <= 0 or any(b <= a for a, b in zip(capacities, capacities[1:])):
-        raise ConfigError("capacities must be positive and strictly increasing")
-    return capacities
-
-
-def _weeks(s: dict[str, str], default: Sequence[int]) -> list[int]:
-    weeks = _float_list(s, "weeks", default)
-    if not weeks:
-        raise ConfigError("weeks list is empty")
-    for w in weeks:
-        if w != int(w):
-            raise ConfigError(f"week index {w:g} is not a whole number")
-        if not 1 <= w <= 52:
-            raise ConfigError(f"week index {w:g} out of range 1..52")
-    return [int(w) for w in weeks]
-
-
-def _manifest(out: Path, command: str, input_path, digest, resolved: dict) -> None:
-    write_run_manifest(
-        out / f"run_manifest_{command}.txt",
-        command=command,
-        input_path=input_path,
-        config_items=resolved,
-        version=__version__,
-        input_sha256=digest,
-    )
-
-
-def cmd_ingest(s: dict[str, str], series: GridSeries | None) -> int:
-    input_path, series = _load_series(s, series)
+def _ingest(s: dict, series: GridSeries, out: None) -> None:
     cut_year(series)  # under 52 weeks is an input error; a remainder is logged
-    print(f"input: {input_path}")
+    print(f"input: {s['input']}")
     print(f"samples: {series.n_samples} ({series.n_samples / 2016:.2f} weeks of data)")
     print(f"weeks usable: {WEEKS_PER_YEAR}")
     for note in series.provenance:
@@ -335,49 +329,29 @@ def cmd_ingest(s: dict[str, str], series: GridSeries | None) -> int:
     print(f"mean demand: {series.demand.mean():.2f} GW")
     print(f"mean metered wind: {series.wind_metered.mean():.2f} GW")
     print(f"mean solar: {series.solar.mean():.2f} GW")
-    return 0
 
 
-def cmd_histogram(s: dict[str, str], series: GridSeries | None) -> int:
-    spec = _spec(ScalingSpec, s)
-    out = _out_dir(s)
-    input_path, digest, year = _load_year(s, spec, series)
-    trace = extrapolate_wind(year, spec.reference_capacity_gwc)
-    hist = wind_histogram(trace, 1.0, capacity_gwc=spec.reference_capacity_gwc)
+def _histogram(s: dict, year, out: Path) -> None:
+    reference = s["reference_capacity_gwc"]
+    trace = extrapolate_wind(year, reference)
+    hist = wind_histogram(trace, 1.0, capacity_gwc=reference)
     write_histogram_csv(hist, out / "fig1_histogram.csv")
-    _manifest(out, "histogram", input_path, digest, {
-        "reference_capacity_gwc": spec.reference_capacity_gwc,
-        "bin_width_gwe": 1.0,
-    })
-    in_first_band = hist.bin_lower_gwe < 1.0
-    low_band = float(hist.percent[in_first_band].sum())
+    low_band = float(hist.percent[hist.bin_lower_gwe < 1.0].sum())
     print(f"wrote {out / 'fig1_histogram.csv'}")
     print(f"share of year in the 0-1 GWe band: {low_band:.2f}%")
-    return 0
 
 
-def cmd_curves(s: dict[str, str], series: GridSeries | None) -> int:
-    headrooms = _float_list(s, "headrooms_gwe", DEFAULT_HEADROOMS_GWE)
-    if not headrooms:
-        raise ConfigError("headrooms list is empty")
-    capacities = _capacities(s)
-    fleet_sizes = _float_list(s, "fleet_sizes_millions", DEFAULT_CURVE_FAMILY_FLEETS_M)
-    base = _base_generation(s, DEFAULT_BASE_GENERATION_GWE)
-    # the BEV settings are read, and so checked, only for BEV families
-    fleet = (
-        _spec(BevFleetSpec, s, fleet_size_millions=DEFAULT_FLEET_SIZE_M) if fleet_sizes else None
-    )
+def _curves(s: dict, year, out: Path) -> None:
+    headrooms, fleet_sizes = s["headrooms_gwe"], s["fleet_sizes_millions"]
+    fleet = _spec(BevFleetSpec, s)
     families = [{"headroom_gwe": h} for h in headrooms] + [
-        {"bev": _valid(replace, fleet, fleet_size_millions=size), "base_generation_gwe": base}
+        {"bev": replace(fleet, fleet_size_millions=size),
+         "base_generation_gwe": s["base_generation_gwe"]}
         for size in fleet_sizes
     ]
-    spec = _spec(ScalingSpec, s, solar_scale=ANNUAL_SOLAR_SCALE)
-    out = _out_dir(s)
-
-    input_path, digest, year = _load_year(s, spec, series)
     curves = [
         annual_curve(CurveRequest(
-            year=year, capacities_gwc=capacities, solar_scale=spec.solar_scale, **family
+            year=year, capacities_gwc=s["capacities_gwc"], solar_scale=s["solar_scale"], **family
         ))
         for family in families
     ]
@@ -385,27 +359,13 @@ def cmd_curves(s: dict[str, str], series: GridSeries | None) -> int:
     write_curves_csv(curves[:len(headrooms)], out / "fig7_families.csv")
     if fleet_sizes:
         write_curves_csv(curves[len(headrooms):], out / "fig12_families.csv")
-
-    _manifest(out, "curves", input_path, digest, {
-        "capacities_gwc": capacities,
-        "headrooms_gwe": headrooms,
-        "fleet_sizes_millions": fleet_sizes,
-        "base_generation_gwe": base,
-        "solar_scale": spec.solar_scale,
-    })
     print(f"wrote {out / 'fig5_curve.csv'}, {out / 'fig7_families.csv'}"
           + (f", {out / 'fig12_families.csv'}" if fleet_sizes else ""))
-    return 0
 
 
-def cmd_bev(s: dict[str, str], series: GridSeries | None) -> int:
-    weeks = _weeks(s, default=[17])
-    spec = _spec(BevFleetSpec, s, fleet_size_millions=DEFAULT_FLEET_SIZE_M)
-    scale = _spec(ScalingSpec, s)
-    out = _out_dir(s)
-    input_path, digest, year = _load_year(s, scale, series)
-
-    for n, wk in enumerate(weeks):
+def _bev(s: dict, year, out: Path) -> None:
+    spec = _spec(BevFleetSpec, s)
+    for n, wk in enumerate(s["weeks"]):
         week = year.weeks[wk - 1]
         schedule = leveling_schedule(week, spec)
         consumption = consumption_profile(spec, week)
@@ -421,29 +381,12 @@ def cmd_bev(s: dict[str, str], series: GridSeries | None) -> int:
             f"({status})"
         )
 
-    agg = fleet_aggregates(spec)
-    _manifest(out, "bev", input_path, digest, {
-        "weeks": weeks,
-        "fleet_size_millions": spec.fleet_size_millions,
-        "mean_power_gw": agg.mean_power_gw,
-        "storage_capacity_gwh": agg.storage_capacity_gwh,
-        "solar_scale": scale.solar_scale,
-    })
-    return 0
 
-
-def cmd_lull(s: dict[str, str], series: GridSeries | None) -> int:
-    weeks = _weeks(s, default=[3])
-    capacities = _capacities(s)
-    base = _base_generation(s, DEFAULT_LULL_BASE_GENERATION_GWE)
-    spec = _spec(BevFleetSpec, s, fleet_size_millions=DEFAULT_FLEET_SIZE_M)
-    scale = _spec(ScalingSpec, s)
-    out = _out_dir(s)
-    input_path, digest, year = _load_year(s, scale, series)
-
-    for n, wk in enumerate(weeks):
+def _lull(s: dict, year, out: Path) -> None:
+    spec, base = _spec(BevFleetSpec, s), s["base_generation_gwe"]
+    for n, wk in enumerate(s["weeks"]):
         week = year.weeks[wk - 1]
-        rep = lull_report(week, spec, base, capacities, year.reference_capacity_gwc)
+        rep = lull_report(week, spec, base, s["capacities_gwc"], year.reference_capacity_gwc)
         suffix = "" if n == 0 else f"_w{wk}"
         write_dispatch_csv(week, rep.dispatch, base, out / f"fig15_gt{suffix}.csv")
         write_lull_csv(rep, out / f"lull_report{suffix}.csv")
@@ -457,58 +400,104 @@ def cmd_lull(s: dict[str, str], series: GridSeries | None) -> int:
             f"identity are not reproducible from the dispatch)"
         )
 
-    _manifest(out, "lull", input_path, digest, {
-        "weeks": weeks,
-        "capacities_gwc": capacities,
-        "base_generation_gwe": base,
-        "fleet_size_millions": spec.fleet_size_millions,
-        "solar_scale": scale.solar_scale,
-    })
-    return 0
 
-
-def cmd_table2(s: dict[str, str], series: GridSeries | None) -> int:
-    fleet_sizes = _float_list(s, "fleet_sizes_millions", DEFAULT_FLEET_SIZES_M)
-    if not fleet_sizes:
-        raise ConfigError("fleet_sizes list is empty")
-    for size in fleet_sizes:
-        _valid(BevFleetSpec, fleet_size_millions=size)
-    capacities = _capacities(s)
-    base = _base_generation(s, DEFAULT_BASE_GENERATION_GWE)
-    consts = _spec(ScenarioConstants, s)
-    spec = _spec(ScalingSpec, s, solar_scale=ANNUAL_SOLAR_SCALE)
-    out = _out_dir(s)
-
-    input_path, digest, year = _load_year(s, spec, series)
+def _table2(s: dict, year, out: Path) -> None:
     rows = build_table2(
         year,
-        fleet_sizes,
-        consts,
-        capacities_gwc=capacities,
-        base_generation_gwe=base,
-        solar_scale=spec.solar_scale,
+        s["fleet_sizes_millions"],
+        _spec(ScenarioConstants, s),
+        capacities_gwc=tuple(s["capacities_gwc"]),
+        base_generation_gwe=s["base_generation_gwe"],
+        solar_scale=s["solar_scale"],
+        fleet=_spec(BevFleetSpec, s),
     )
     write_table2_csv(rows, out / "table2.csv")
-    _manifest(out, "table2", input_path, digest, {
-        "fleet_sizes_millions": fleet_sizes,
-        "capacities_gwc": capacities,
-        "base_generation_gwe": base,
-        "solar_scale": spec.solar_scale,
-        "baseline_wind_gwe": consts.baseline_wind_gwe,
-    })
     print(format_table2(rows))
     print(f"wrote {out / 'table2.csv'}")
-    return 0
 
 
-_COMMANDS = {
-    "ingest": cmd_ingest,
-    "histogram": cmd_histogram,
-    "curves": cmd_curves,
-    "bev": cmd_bev,
-    "lull": cmd_lull,
-    "table2": cmd_table2,
+COMMANDS = {
+    "ingest": Command("validate an input file, write nothing", _ingest),
+    "histogram": Command(
+        "wind generation-band histogram", _histogram, ("solar_scale",), (ScalingSpec,)
+    ),
+    "curves": Command(
+        "annual characteristic-curve families",
+        _curves,
+        ("solar_scale", "base_generation_gwe", "capacities_gwc", "headrooms_gwe",
+         "fleet_sizes_millions"),
+        (ScalingSpec, BevFleetSpec),
+        {"solar_scale": ANNUAL_SOLAR_SCALE, "fleet_sizes_millions": DEFAULT_CURVE_FAMILY_FLEETS_M},
+        may_be_empty=("fleet_sizes_millions",),  # headroom families only
+    ),
+    "bev": Command(
+        "weekly leveling schedule and SOC trajectory",
+        _bev,
+        ("solar_scale", "weeks", "fleet_size_millions"),
+        (ScalingSpec, BevFleetSpec),
+        {"weeks": (17,)},
+    ),
+    "lull": Command(
+        "stressed-week leveled dispatch report",
+        _lull,
+        ("solar_scale", "base_generation_gwe", "weeks", "capacities_gwc", "fleet_size_millions"),
+        (ScalingSpec, BevFleetSpec),
+        {"base_generation_gwe": DEFAULT_LULL_BASE_GENERATION_GWE, "weeks": (3,)},
+    ),
+    "table2": Command(
+        "wind fleet sizes needed per BEV fleet size",
+        _table2,
+        ("solar_scale", "base_generation_gwe", "capacities_gwc", "fleet_sizes_millions"),
+        (ScalingSpec, BevFleetSpec, ScenarioConstants),
+        {"solar_scale": ANNUAL_SOLAR_SCALE, "fleet_sizes_millions": DEFAULT_FLEET_SIZES_M},
+    ),
 }
+_KNOWN_CONFIG_KEYS = {key for cmd in COMMANDS.values() for key in cmd.keys}
+
+
+def _build_parser() -> _ArgumentParser:
+    parser = _ArgumentParser(
+        prog="windfleet",
+        description="Grid + wind fleet + V2G BEV fleet scenario simulator",
+    )
+    parser.add_argument("--version", action="version", version=f"windfleet {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, cmd in COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help)
+        for key in ("input", "config", "out_dir", "columns", *cmd.flags):
+            p.add_argument(_FLAGS[key], dest=key, help=_HELP.get(key))
+        if name == "ingest":
+            p.add_argument("--check", action="store_true", help="validation only (default)")
+    return parser
+
+
+def _settings(args: argparse.Namespace) -> dict[str, str]:
+    """Config file values overridden by the flags given, all as text."""
+    settings = load_config_file(args.config) if args.config else {}
+    for key, value in vars(args).items():
+        if value is not None and key not in ("command", "config", "check"):
+            settings[key] = value
+    return settings
+
+
+def _execute(name: str, s: dict[str, object], series: GridSeries | None) -> None:
+    """Load the input and run the command on it; every command but ingest
+    writes its artifacts and then its run manifest into the output directory."""
+    cmd = COMMANDS[name]
+    if name == "ingest":
+        cmd.compute(s, _load_series(s, series), None)
+        return
+    out = _out_dir(s)
+    series = _load_series(s, series)
+    cmd.compute(s, normalize(series, _spec(ScalingSpec, s)), out)
+    write_run_manifest(
+        out / f"run_manifest_{name}.txt",
+        command=name,
+        input_path=s["input"],
+        config_items={k: _config_text(v) for k, v in s.items() if k not in ("input", "out_dir")},
+        version=__version__,
+        input_sha256=series.input_sha256,
+    )
 
 
 def configure_logging() -> None:
@@ -529,7 +518,8 @@ def run(argv: Sequence[str] | None, *, series: GridSeries | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](_settings(args), series)
+        _execute(args.command, _resolve(COMMANDS[args.command], _settings(args)), series)
+        return 0
     except (ConfigError, OSError) as exc:  # OSError: a result file that cannot be written
         print(f"configuration error: {exc}", file=sys.stderr)
         return 3

@@ -11,7 +11,7 @@ rounding happens only at display time.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Sequence
@@ -80,18 +80,20 @@ def build_table2(
     capacities_gwc: tuple[float, ...] | None = None,
     base_generation_gwe: float = DEFAULT_BASE_GENERATION_GWE,
     solar_scale: float = ANNUAL_SOLAR_SCALE,
+    fleet: BevFleetSpec = BevFleetSpec(fleet_size_millions=0.0),
 ) -> list[FleetSizingRow]:
     """Wind fleet sizes needed to power BEV fleets, plus the linear columns.
 
-    For each fleet size, the BEV-adjusted annual curve is inverted exactly
-    at (baseline wind output + fleet mean power) and the answer snapped up to
-    the 0.1 GWc grid (invert_annual_curve). capacities_gwc only brackets the
-    root and bounds the answer by its largest value: raises
-    TargetUnreachableError when a fleet is too large for it.
+    Each row's BEV fleet is ``fleet`` with that row's size. For each size,
+    the BEV-adjusted annual curve is inverted exactly at (baseline wind
+    output + fleet mean power) and the answer snapped up to the 0.1 GWc grid
+    (invert_annual_curve). capacities_gwc only brackets the root and bounds
+    the answer by its largest value: raises TargetUnreachableError when a
+    fleet is too large for it.
     """
     rows = []
     for size in fleet_sizes_millions:
-        spec = BevFleetSpec(fleet_size_millions=size)
+        spec = replace(fleet, fleet_size_millions=size)
         agg = fleet_aggregates(spec)
         req = CurveRequest(
             year=year,
@@ -239,7 +241,7 @@ def write_run_manifest(
         lines.append(f"input = {input_path}")
         lines.append(f"input_sha256 = {input_sha256}")
     for key in sorted(config_items):
-        lines.append(f"{key} = {config_items[key]}")
+        lines.append(f"{key} = {config_items[key]}".rstrip())  # "key =" for an empty value
     lines.append(
         f"created_utc = {datetime.now(timezone.utc).strftime('%Y-%m-%dT%H:%M:%SZ')}"
     )

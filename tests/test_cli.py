@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import importlib.util
 import logging
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 
 from windfleet import BevFleetSpec, ScalingSpec, ScenarioConstants, cli, report
 from windfleet.cli import load_config_file, main, ConfigError
+from windfleet.scaling import normalize
 from _helpers import make_year_series
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -39,7 +41,7 @@ BAD_VALUES = [
 ]
 
 SCALING_READERS = ("histogram", "curves", "bev", "lull", "table2")
-FLEET_READERS = ("curves", "bev", "lull")
+FLEET_READERS = ("curves", "bev", "lull", "table2")
 # each spec-field config key: an out-of-range value, and the commands that read it
 SPEC_FIELD_BAD_VALUES = {
     "embedded_multiplier": ("0", SCALING_READERS),
@@ -456,9 +458,16 @@ class TestConfigFile:
             with pytest.raises(ConfigError, match="unknown config key"):
                 load_config_file(cfg)
 
-    def test_example_config_has_no_unknown_key(self):
-        values = load_config_file(ROOT / "config.example.cfg")
-        assert set(values) <= {*SPEC_FIELD_BAD_VALUES, *PATH_AND_SWEEP_KEYS}
+    def test_example_config_documents_exactly_the_known_keys(self):
+        path = ROOT / "config.example.cfg"
+        values = load_config_file(path)
+        commented = {
+            m.group(1) for line in path.read_text().splitlines()
+            if (m := re.match(r"#\s*(\w+)\s*=", line.strip()))
+        }
+        assert not set(values) & commented
+        assert set(values) | commented == cli._KNOWN_CONFIG_KEYS
+        assert cli._KNOWN_CONFIG_KEYS == {*SPEC_FIELD_BAD_VALUES, *PATH_AND_SWEEP_KEYS}
         assert values["weeks"] == "17"
 
     def test_repeated_key_rejected(self, synth_csv, tmp_path, capsys):
@@ -579,3 +588,183 @@ def test_in_memory_series_with_missing_input_writes_nothing(command, synth_serie
     assert err.startswith("input error: input file not found: ")
     assert err.count("\n") == 1
     assert list(out.glob("*")) == []
+
+
+# the flags each command takes; --help lists the same ones
+COMMAND_FLAGS = {
+    "ingest": [],
+    "histogram": ["--solar-scale"],
+    "curves": ["--solar-scale", "--base-gen", "--capacities", "--headrooms", "--fleet-sizes"],
+    "bev": ["--solar-scale", "--weeks", "--fleet-size"],
+    "lull": ["--solar-scale", "--base-gen", "--weeks", "--capacities", "--fleet-size"],
+    "table2": ["--solar-scale", "--base-gen", "--capacities", "--fleet-sizes"],
+}
+
+
+def test_each_command_takes_exactly_its_flags():
+    sub = next(a for a in cli._build_parser()._actions if a.dest == "command")
+    assert list(sub.choices) == list(COMMAND_FLAGS) == list(cli.COMMANDS)
+    for name, flags in COMMAND_FLAGS.items():
+        taken = [a.option_strings[0] for a in sub.choices[name]._actions]
+        check = ["--check"] if name == "ingest" else []
+        assert taken == ["-h", "--input", "--config", "--out-dir", "--columns", *flags, *check]
+
+
+# small lists, so that each in-memory run takes milliseconds
+SMALL = {
+    "input": "year.csv",
+    "capacities_gwc": "20, 80",
+    "headrooms_gwe": "20",
+    "fleet_sizes_millions": "15",
+    "weeks": "3",
+}
+# another valid value for every config key but out_dir
+OTHER = {
+    "input": "other.csv",
+    "columns": "timestamp=ts",
+    "solar_scale": "1.5",
+    "base_generation_gwe": "9",
+    "capacities_gwc": "30, 90",
+    "headrooms_gwe": "22",
+    "fleet_sizes_millions": "10",
+    "weeks": "5",
+    "embedded_multiplier": "1.4",
+    "reference_capacity_gwc": "25",
+    "target_capacity_factor": "0.35",
+    "fleet_size_millions": "30",
+    "daily_energy_per_vehicle_kwh": "12",
+    "battery_per_vehicle_kwh": "40",
+    "night_fraction": "0.3",
+    "day_start_hour": "7",
+    "day_end_hour": "20",
+    "initial_soc_fraction": "0.7",
+    "v2g_power_limit_gw": "50",
+    "round_trip_efficiency": "0.9",
+    "baseline_fleet_emissions_mtpa": "60",
+    "baseline_fleet_size_millions": "30",
+    "battery_unit_cost_eur_per_kwh": "300",
+    "baseline_wind_gwe": "5",
+}
+WRITERS = ("histogram", "curves", "bev", "lull", "table2")
+RUN_LINES = ("version = ", "command = ", "input_sha256 = ", "created_utc = ")
+
+
+@pytest.fixture(scope="module")
+def hashed_series(synth_series):
+    """The synthetic year, carrying a digest, so no run reads or hashes a file."""
+    return dataclasses.replace(synth_series, input_sha256="0" * 64)
+
+
+def run_config(command, settings, series, out, capsys):
+    """``command`` on ``series`` with ``settings`` as its config file; its
+    result CSVs by name, its manifest's config block and its stdout."""
+    out.mkdir(parents=True)
+    cfg = out.parent / f"{out.name}.cfg"
+    cfg.write_text("".join(f"{key} = {value}\n" for key, value in settings.items()))
+    capsys.readouterr()
+    assert cli.run([command, "--config", str(cfg), "--out-dir", str(out)], series=series) == 0
+    manifest = out / f"run_manifest_{command}.txt"
+    block = [l for l in manifest.read_text().splitlines()
+             if not l.startswith(RUN_LINES)] if manifest.exists() else None
+    results = {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.suffix == ".csv"}
+    return results, block, capsys.readouterr().out
+
+
+class TestManifest:
+    def test_other_values_cover_every_key_but_out_dir(self):
+        assert set(OTHER) == cli._KNOWN_CONFIG_KEYS - {"out_dir"}
+
+    @pytest.mark.parametrize("command", WRITERS)
+    def test_round_trips_as_a_config_file(self, command, hashed_series, tmp_path, capsys):
+        settings = {**OTHER, "capacities_gwc": "20:60:20", "headrooms_gwe": "22, 31",
+                    "fleet_sizes_millions": "0, 12.5", "weeks": "5, 9", "columns": "wind=w"}
+        del settings["v2g_power_limit_gw"]  # unset: written empty, read back as unset
+        first = tmp_path / "a"
+        results, block, stdout = run_config(command, settings, hashed_series, first, capsys)
+        assert results
+        keys = [line.split("=", 1)[0].strip() for line in block]
+        assert sorted(keys[1:]) == keys[1:] and keys[0] == "input"
+        assert set(keys) == set(cli.COMMANDS[command].keys) - {"out_dir"}
+        assert "columns = timestamp=timestamp, demand=demand, wind=w, solar=solar" in block
+        if "v2g_power_limit_gw" in keys:
+            assert "v2g_power_limit_gw =" in block
+
+        cfg = tmp_path / "manifest.cfg"
+        cfg.write_text("\n".join(block) + "\n")
+        out = tmp_path / "b"
+        capsys.readouterr()
+        argv = [command, "--config", str(cfg), "--out-dir", str(out)]
+        assert cli.run(argv, series=hashed_series) == 0
+        assert capsys.readouterr().out == stdout.replace(str(first), str(out))
+        for name, data in results.items():
+            assert (out / name).read_bytes() == data, name
+        again = [l for l in (out / f"run_manifest_{command}.txt").read_text().splitlines()
+                 if not l.startswith(RUN_LINES)]
+        assert again == block
+
+    @pytest.mark.parametrize("command", WRITERS)
+    def test_every_key_read_is_recorded(self, command, hashed_series, tmp_path, capsys):
+        _, base, _ = run_config(command, SMALL, hashed_series, tmp_path / "base", capsys)
+        for key in cli.COMMANDS[command].keys:
+            if key == "out_dir":
+                continue
+            _, block, _ = run_config(
+                command, {**SMALL, key: OTHER[key]}, hashed_series, tmp_path / key, capsys
+            )
+            assert block != base, key
+
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    def test_a_key_not_read_changes_no_result(self, command, hashed_series, tmp_path, capsys):
+        base = run_config(command, SMALL, hashed_series, tmp_path / "base", capsys)
+        unread = cli._KNOWN_CONFIG_KEYS - set(cli.COMMANDS[command].keys)
+        assert unread
+        for key in sorted(unread):
+            results, block, stdout = run_config(
+                command, {**SMALL, key: OTHER[key]}, hashed_series, tmp_path / key, capsys
+            )
+            assert results == base[0] and block == base[1], key
+            if command == "ingest":  # its report is its stdout; it writes nothing
+                assert stdout == base[2] and not list((tmp_path / key).iterdir())
+
+
+class TestBevFleetKeys:
+    """table2 and curves read every BevFleetSpec key, BEV families or not."""
+
+    def table2(self, series, out, capsys, **settings):
+        settings = {"input": "year.csv", "fleet_sizes_millions": "15, 25",
+                    "capacities_gwc": "20:160:20", **settings}
+        run_config("table2", settings, series, out, capsys)
+        with open(out / "table2.csv", newline="") as fh:
+            return list(csv.DictReader(fh))
+
+    def test_table2_battery_size_doubles_storage(self, hashed_series, tmp_path, capsys):
+        base = self.table2(hashed_series, tmp_path / "base", capsys)
+        bigger = self.table2(hashed_series, tmp_path / "60", capsys, battery_per_vehicle_kwh="60")
+        for a, b in zip(base, bigger):
+            assert float(b["storage_gwh"]) == 2 * float(a["storage_gwh"])
+            assert float(b["battery_cost_eur_bn"]) == 2 * float(a["battery_cost_eur_bn"])
+
+    def test_table2_daily_energy_matches_build_table2(self, hashed_series, tmp_path, capsys):
+        base = self.table2(hashed_series, tmp_path / "base", capsys)
+        rows = self.table2(hashed_series, tmp_path / "20", capsys,
+                           daily_energy_per_vehicle_kwh="20")
+        year = normalize(hashed_series, ScalingSpec(solar_scale=2.0))
+        fleet = BevFleetSpec(fleet_size_millions=0.0, daily_energy_per_vehicle_kwh=20.0)
+        capacities = tuple(float(c) for c in range(20, 161, 20))
+        expected = report.build_table2(year, [15.0, 25.0], capacities_gwc=capacities, fleet=fleet)
+        assert [float(r["required_wind_gwc"]) for r in rows] == [
+            r.required_wind_gwc for r in expected]
+        assert all(float(r["required_wind_gwc"]) > float(b["required_wind_gwc"])
+                   for r, b in zip(rows, base))
+
+    @pytest.mark.parametrize("command", ["curves", "table2"])
+    def test_checked_without_a_bev_family_in_use(self, command, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("fleet_sizes_millions =\nheadrooms_gwe = 20\n"
+                       "daily_energy_per_vehicle_kwh = 0\n")
+        out = tmp_path / "out"
+        argv = [command, "--config", str(cfg), "--input", str(tmp_path / "absent.csv"),
+                "--out-dir", str(out)]
+        assert run(*argv) == 3
+        assert capsys.readouterr().err.startswith("configuration error: ")
+        assert not out.exists()
