@@ -22,6 +22,10 @@ from .scaling import NormalizedYear
 log = logging.getLogger(__name__)
 
 SECONDS_PER_DAY = 86400
+# The largest fleet size (millions) and per-vehicle kWh figure a BevFleetSpec
+# takes: far beyond any real fleet, and small enough that every GW and GWh
+# value, and its sum over a year of samples, stays finite.
+MAX_FLEET_FIGURE = 1e6
 
 
 @dataclass(frozen=True)
@@ -54,6 +58,11 @@ class BevFleetSpec:
             raise ValueError("fleet_size must be >= 0")
         if self.daily_energy_per_vehicle_kwh <= 0 or self.battery_per_vehicle_kwh <= 0:
             raise ValueError("per-vehicle energy figures must be > 0")
+        figures = (self.fleet_size_millions, self.daily_energy_per_vehicle_kwh,
+                   self.battery_per_vehicle_kwh)
+        if max(figures) > MAX_FLEET_FIGURE:
+            raise ValueError("fleet size (millions) and per-vehicle kWh figures "
+                             f"must be <= {MAX_FLEET_FIGURE:,.0f}")
         if not 0 < self.night_fraction <= 1:
             raise ValueError("night_fraction must be in (0, 1]")
         if not 0 <= self.day_start_hour < self.day_end_hour <= 24:

@@ -8,6 +8,14 @@ The file is read CHUNK_ROWS lines at a time. A chunk without a quote is
 split into cells directly, on commas and line ends; a chunk with one goes
 through the csv module. Both give the cells, row errors and line numbers of
 one csv.reader over the whole file.
+
+A chunk's value column is parsed by orjson as one JSON array when its cells
+are all plain JSON numbers and none is the integer "-0"; orjson rounds as
+float() does. Any other column (blanks, "n/a", "nan", " 900 ", "+1", ".5",
+"1e400", a signed integer zero ...) goes through float(), which also gives
+the reasons. Timestamps of 19, 20 and 25 ASCII characters are read as byte
+matrices in YYYY-MM-DD[T ]HH:MM:SS[Z|+00:00] form; any other text goes
+through _parse_timestamp.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+import orjson
 
 log = logging.getLogger(__name__)
 
@@ -40,8 +49,10 @@ _CADENCE_US = CADENCE_S * 1_000_000
 # where YYYY-MM-DD?HH:MM:SS holds digits and punctuation, and the one UTC offset
 _ISO_DIGITS_AT = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18]
 _ISO_PUNCT_AT = [4, 7, 13, 16]
-_ISO_PUNCT = np.array([ord(c) for c in "--::"], dtype=np.uint32)
-_UTC_SUFFIX = np.array([ord(c) for c in "+00:00"], dtype=np.uint32)
+_ISO_PUNCT = np.frombuffer(b"--::", np.uint8)
+_UTC_SUFFIXES = {19: b"", 20: b"Z", 25: b"+00:00"}  # by text length
+# what a column of JSON numbers may hold; no space, so "-0" is the one integer zero with a sign
+_JSON_NUMBER_BYTES = b"0123456789eE.+-,"
 
 DEFAULT_COLUMNS = {
     "timestamp": "timestamp",
@@ -192,31 +203,39 @@ def _iso_utc_us(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     Returns microseconds since the epoch and the mask of texts in exactly that
     form that also name a real date and time; on those, _parse_timestamp
     gives the same instant. Anything else (other offsets, fractions, blanks,
-    "NaT", "now", 2017-02-30 ...) is left out of the mask.
+    "NaT", "now", 2017-02-30 ...) is left out of the mask. The texts of each
+    of the three lengths are read as one byte matrix; a length that holds a
+    non-ASCII text is left out whole.
     """
     n = len(texts)
     lengths = np.fromiter(map(len, texts), np.int64, n)
-    codes = np.array(texts, dtype="U25").view(np.uint32).reshape(n, 25)
-    ok = (
-        (lengths == 19)
-        | ((lengths == 20) & (codes[:, 19] == ord("Z")))
-        | ((lengths == 25) & (codes[:, 19:] == _UTC_SUFFIX).all(axis=1))
-    )
-    ok &= (codes[:, _ISO_PUNCT_AT] == _ISO_PUNCT).all(axis=1)
-    ok &= (codes[:, 10] == ord("T")) | (codes[:, 10] == ord(" "))
-    digits = codes[:, _ISO_DIGITS_AT].astype(np.int64) - ord("0")
-    ok &= ((digits >= 0) & (digits <= 9)).all(axis=1)
-    year = digits[:, :4] @ np.array([1000, 100, 10, 1])
-    month, day, hour, minute, second = (
-        digits[:, k] * 10 + digits[:, k + 1] for k in range(4, 14, 2)
-    )
-    ok &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)
-    ok &= (hour < 24) & (minute < 60) & (second < 60)
-    months = np.where(ok, (year - 1970) * 12 + month - 1, 0).astype("datetime64[M]")
-    dates = months.astype("datetime64[D]") + (day - 1)
-    ok &= dates.astype("datetime64[M]") == months  # day exists in its month
-    seconds = ((dates.astype(np.int64) * 24 + hour) * 60 + minute) * 60 + second
-    return np.where(ok, seconds * 1_000_000, 0), ok
+    us, ok = np.zeros(n, np.int64), np.zeros(n, bool)
+    for length, suffix in _UTC_SUFFIXES.items():
+        rows = lengths == length
+        if not rows.any():
+            continue
+        group = "".join(compress(texts, rows.tolist()))
+        if not group.isascii():  # full-width digits, say: _parse_timestamp decides
+            continue
+        codes = np.frombuffer(group.encode("ascii"), np.uint8).reshape(-1, length)
+        good = (codes[:, 19:] == np.frombuffer(suffix, np.uint8)).all(axis=1)
+        good &= (codes[:, _ISO_PUNCT_AT] == _ISO_PUNCT).all(axis=1)
+        good &= (codes[:, 10] == ord("T")) | (codes[:, 10] == ord(" "))
+        digits = codes[:, _ISO_DIGITS_AT] - np.uint8(ord("0"))  # below "0" wraps past 9
+        good &= (digits <= 9).all(axis=1)
+        digits = digits.astype(np.int64)
+        year = digits[:, :4] @ np.array([1000, 100, 10, 1])
+        month, day, hour, minute, second = (
+            digits[:, k] * 10 + digits[:, k + 1] for k in range(4, 14, 2)
+        )
+        good &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)
+        good &= (hour < 24) & (minute < 60) & (second < 60)
+        months = np.where(good, (year - 1970) * 12 + month - 1, 0).astype("datetime64[M]")
+        dates = months.astype("datetime64[D]") + (day - 1)
+        good &= dates.astype("datetime64[M]") == months  # day exists in its month
+        seconds = ((dates.astype(np.int64) * 24 + hour) * 60 + minute) * 60 + second
+        us[rows], ok[rows] = np.where(good, seconds * 1_000_000, 0), good
+    return us, ok
 
 
 def _timestamps_us(texts: Sequence[str], reasons: dict[int, str]) -> np.ndarray:
@@ -233,9 +252,20 @@ def _timestamps_us(texts: Sequence[str], reasons: dict[int, str]) -> np.ndarray:
 def _floats(texts: Sequence[str], reasons: dict[int, str]) -> np.ndarray:
     """float() of each text; a text it rejects gets a reason and NaN.
 
-    When the column fails as a whole, it is retried FLOAT_BLOCK texts at a
-    time, and only a block that fails goes row by row.
+    A column of plain JSON numbers is parsed by orjson as one array, which
+    rounds as float() does; an integer cell "-0", whose sign orjson drops,
+    keeps the column off that path. Any other column goes through float():
+    when it fails as a whole, it is retried FLOAT_BLOCK texts at a time, and
+    only a block that fails goes row by row.
     """
+    joined = ",".join(texts)
+    if not joined.encode().translate(None, _JSON_NUMBER_BYTES) and ",-0," not in f",{joined},":
+        try:
+            values = orjson.loads(f"[{joined}]")
+        except orjson.JSONDecodeError:  # "", "+1", ".5", "01", "1e400" ...
+            values = ()
+        if len(values) == len(texts):  # a quoted cell may hold a comma
+            return np.fromiter(values, np.float64, len(values))
     try:
         return np.fromiter(map(float, texts), float, len(texts))
     except ValueError:

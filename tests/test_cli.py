@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import importlib.util
 import logging
+import math
 import re
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from windfleet import BevFleetSpec, ScalingSpec, ScenarioConstants, cli, report
+from windfleet.bev import MAX_FLEET_FIGURE
 from windfleet.cli import load_config_file, main, ConfigError
 from windfleet.scaling import normalize
 from _helpers import make_year_series
@@ -767,4 +769,78 @@ class TestBevFleetKeys:
                 "--out-dir", str(out)]
         assert run(*argv) == 3
         assert capsys.readouterr().err.startswith("configuration error: ")
+        assert not out.exists()
+
+
+FLEET_SIZE_FLAG = {"curves": "--fleet-sizes", "bev": "--fleet-size", "lull": "--fleet-size",
+                   "table2": "--fleet-sizes"}
+FLEET_FIGURES = ("fleet_size_millions", "daily_energy_per_vehicle_kwh", "battery_per_vehicle_kwh")
+
+
+class TestFleetBound:
+    """Fleet size and per-vehicle kWh are bounded, so no result holds inf or NaN:
+    at the bound every CSV cell and printed number is finite, above it the run
+    exits 3 with one line and writes nothing."""
+
+    def fleet_run(self, command, series, tmp_path, capsys, **figures):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in figures.items()
+                               if key != "fleet_size_millions"))
+        out = tmp_path / "out"
+        argv = [command, "--config", str(cfg), "--input", "year.csv", "--out-dir", str(out)]
+        if "fleet_size_millions" in figures:
+            argv += [FLEET_SIZE_FLAG[command], figures["fleet_size_millions"]]
+        if command != "bev":
+            argv += ["--capacities", "20,80"]
+        capsys.readouterr()
+        code = cli.run(argv, series=series)
+        return code, capsys.readouterr(), out
+
+    @pytest.mark.parametrize("command", FLEET_READERS)
+    def test_at_the_bound_every_result_is_finite(self, command, hashed_series, tmp_path, capsys):
+        bound = repr(MAX_FLEET_FIGURE)
+        code, output, out = self.fleet_run(
+            command, hashed_series, tmp_path, capsys, **dict.fromkeys(FLEET_FIGURES, bound))
+        if code == 1:  # table2: no wind fleet reaches the target
+            assert output.err.startswith("simulation error: ") and output.err.count("\n") == 1
+            assert not list(out.glob("*.csv"))
+            return
+        assert code == 0, output.err
+        assert not re.search(r"\b(inf|nan)\b", output.out, re.IGNORECASE)
+        results = list(out.glob("*.csv"))
+        assert results
+        for path in results:
+            with open(path, newline="") as fh:
+                for row in csv.reader(fh):
+                    for cell in row:
+                        try:
+                            value = float(cell)
+                        except ValueError:
+                            continue
+                        assert math.isfinite(value), (path.name, row)
+
+    @pytest.mark.parametrize("key", FLEET_FIGURES)
+    @pytest.mark.parametrize("command", FLEET_READERS)
+    def test_just_above_the_bound_writes_nothing(self, command, key, tmp_path, capsys):
+        above = repr(math.nextafter(MAX_FLEET_FIGURE, math.inf))
+        code, output, out = self.fleet_run(
+            command, None, tmp_path, capsys, **{key: above})
+        assert code == 3
+        assert output.err.startswith("configuration error: ") and output.err.count("\n") == 1
+        assert "must be <= 1,000,000" in output.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["bev", "--fleet-size", "1e307"],
+        ["bev", "--fleet-size", "1e308"],
+        ["lull", "--fleet-size", "1e306"],
+        ["lull", "--fleet-size", "1e308"],
+        ["table2", "--fleet-sizes", "15,1e308"],
+        ["curves", "--fleet-sizes", "1e307"],
+    ])
+    def test_huge_fleet_exits_3_before_the_input_is_read(self, argv, synth_csv, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(*argv, "--input", str(synth_csv), "--out-dir", str(out)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and err.count("\n") == 1
         assert not out.exists()

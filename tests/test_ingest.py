@@ -1,17 +1,24 @@
+import re
 import tracemalloc
 from datetime import datetime, timedelta, timezone
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from windfleet import ingest
 from windfleet.ingest import (
     CADENCE_S,
     SAMPLES_PER_WEEK,
     SAMPLES_PER_YEAR,
     IngestError,
     RawRecord,
+    _floats,
+    _iso_utc_us,
+    _parse_timestamp,
+    _timestamps_us,
     canonicalize,
     parse_csv,
 )
@@ -246,3 +253,166 @@ class TestCsvRoundTrip:
             series.wind_metered, synth_series.wind_metered, rtol=1e-12, atol=1e-15
         )
         np.testing.assert_allclose(series.solar, synth_series.solar, rtol=1e-12, atol=1e-15)
+
+
+def float_reference(texts):
+    """float() of each text as float64 bits (NaN where it fails), and its reasons."""
+    values, reasons = [], {}
+    for j, text in enumerate(texts):
+        try:
+            values.append(float(text))
+        except ValueError as exc:
+            values.append(np.nan)
+            reasons[j] = f"unparseable field: {exc}"
+    return np.array(values).view(np.uint64), reasons
+
+
+def assert_floats_match_float(texts):
+    reasons = {}
+    out = _floats(texts, reasons)
+    expected, expected_reasons = float_reference(texts)
+    assert reasons == expected_reasons
+    assert out.view(np.uint64).tolist() == expected.tolist()
+
+
+# cells where orjson and float() could part: signed zeros, integers at and past
+# 2**53 and 64 bits, 17-25 significant digits, halfway cases, under- and
+# overflow, and forms one of the two parsers rejects
+FLOAT_EDGES = [
+    "-0", "-0.0", "-0e0", "-0E+0", "0", "0.0", "-1e-400", "1e-400",
+    *(str(sign * (2**k + d)) for k in (53, 63, 64) for d in (-1, 0, 1) for sign in (1, -1)),
+    str(2**64 + 2049), str(10**25 + 1), str(10**30),
+    "9007199254740993.0", "0.1000000000000000055511151231257827", "123456789012345678901234.5",
+    "1.00000000000000011102230246251565404236316680908203125",  # halfway: rounds to even
+    "1.00000000000000011102230246251565404236316680908203126",
+    "1.7976931348623157e308", "1.7976931348623158e308", "1.7976931348623159e308",
+    "2.2250738585072011e-308", "2.2250738585072012e-308", "4.9406564584124654e-324",
+    "2.4703282292062327e-324", "2.4703282292062328e-324",
+    "1e400", "-1e400", "1" * 5000, "0." + "0" * 5000 + "1",
+    " 900 ", "\t900", "900\t", " -0", "-0 ", "\t-0",
+    "+1", ".5", "5.", "01", "-01", "1_000", "1e5", "1E5", "1e+5",
+    "nan", "NaN", "inf", "-inf", "Infinity", "true", "null", '"1.5"', "[1]", "", " ", "-", "1e",
+    "1,5", "1,2,3", "1.2.3", "1e5.5", "--1", "\uff11", "\u0661.5",  # float() reads any digit
+]
+
+
+@pytest.mark.parametrize("text", FLOAT_EDGES)
+def test_float_edge_cell_matches_float(text):
+    """Alone, between clean cells, and twice around a signed zero."""
+    assert_floats_match_float([text])
+    assert_floats_match_float(["48000.5", text, "2", "1e3"])
+    assert_floats_match_float([text, "-0.0", text])
+
+
+def test_every_float_edge_in_one_column():
+    assert_floats_match_float(FLOAT_EDGES)
+
+
+JSON_NUMBERS = st.from_regex(
+    r"-?(0|[1-9][0-9]{0,24})(\.[0-9]{1,25})?([eE][+-]?[0-9]{1,3})?", fullmatch=True
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(texts=st.lists(st.one_of(
+    JSON_NUMBERS,
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(2**70), 2**70).map(str),
+    st.sampled_from(FLOAT_EDGES),
+), min_size=1, max_size=40))
+def test_any_number_cells_match_float(texts):
+    assert_floats_match_float(texts)
+
+
+def test_float_cells_match_repr_over_every_binade():
+    """Every finite binade read back from its repr, a chunk of cells at a time,
+    bit for bit and without a call to float()."""
+    rng = np.random.default_rng(20170116)
+    # biased exponents 1009-1077 span the fixed-notation reprs; 0-2046 every finite binade
+    exponents = np.concatenate(
+        [rng.integers(1009, 1078, size=2**17), np.repeat(np.arange(2047), 32)]
+    )
+    signs = rng.integers(0, 2, size=exponents.size, dtype=np.uint64)
+    mantissas = rng.integers(0, 2**52, size=exponents.size, dtype=np.uint64)
+    bits = (signs << np.uint64(63)) | (exponents.astype(np.uint64) << np.uint64(52)) | mantissas
+    texts = list(map(float.__repr__, bits.view(np.float64).tolist()))
+    with mock.patch.object(ingest, "float", create=True, side_effect=AssertionError):
+        for start in range(0, len(texts), ingest.CHUNK_ROWS):
+            chunk = texts[start:start + ingest.CHUNK_ROWS]
+            out = _floats(chunk, {})
+            assert out.view(np.uint64).tolist() == bits[start:start + len(chunk)].tolist()
+
+
+def test_clean_year_takes_only_the_fast_paths(synth_csv):
+    """float() is looked up in the module first, so a clean value column that
+    fell back to it would call the mock; so would a timestamp that left the
+    byte matrix for _parse_timestamp."""
+    with mock.patch.object(ingest, "float", create=True, side_effect=AssertionError), \
+            mock.patch.object(ingest, "_parse_timestamp", side_effect=AssertionError):
+        records = parse_csv(synth_csv)
+    assert len(records) == SAMPLES_PER_YEAR
+
+
+# YYYY-MM-DD[T ]HH:MM:SS with a Z or +00:00 suffix or none, in ASCII digits
+FAST_STAMP = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}[T ][0-9]{2}:[0-9]{2}:[0-9]{2}(Z|\+00:00)?")
+STAMP_EDGES = [
+    "2017-01-16T00:00:00", "2017-01-16 00:00:00Z", "2017-01-16T00:00:00+00:00",
+    "2017-02-30T00:00:00Z", "2017-01-16T24:00:00", "2017-01-16T00:00:00+01:00",
+    "\uff12\uff10\uff11\uff17-01-16T00:00:00Z", "2017-01-16T00:00:0\uff10",
+    "2016-02-29T12:00:00Z", "2017-02-29T12:00:00Z", "1900-02-29 00:00:00", "2000-02-29 00:00:00",
+    "0001-01-01T00:00:00", "9999-12-31T23:59:59Z", "0000-01-01T00:00:00",
+    "2017-01-16T00:00:60Z", "2017-13-01T00:00:00Z", "2017-00-10T00:00:00Z",
+    "2017-01-00T00:00:00Z", "2017-01-16T00:00:00z", "2017-01-16T00:00:00+00:01",
+    "2017/01/16T00:00:00", "2017-01-16X00:00:00", "2017-01-16T00:00:00.000Z", "2017-01-16",
+    "", "NaT", " 2017-01-16T00:00:00", "2017-01-16T00:00:00 ", "2017-1-16T00:00:00Z",
+]
+
+
+def assert_stamps_match_parse_timestamp(texts):
+    """Every text in the fast form is in the mask, unless a text of its length is
+    not ASCII (that length is left to _parse_timestamp whole), and the mask's
+    instants and the slow path's are _parse_timestamp's."""
+    us, mask = _iso_utc_us(texts)
+    reasons = {}
+    slow = _timestamps_us(texts, reasons)
+    not_ascii = {len(text) for text in texts if not text.isascii()}
+    for j, text in enumerate(texts):
+        try:
+            expected = (_parse_timestamp(text) - ingest._EPOCH) // ingest._ONE_US
+        except (ValueError, OverflowError) as exc:
+            assert not mask[j], text
+            assert reasons[j] == f"unparseable field: {exc}"
+            continue
+        assert mask[j] == (bool(FAST_STAMP.fullmatch(text)) and len(text) not in not_ascii), text
+        assert slow[j] == expected and j not in reasons, text
+        if mask[j]:
+            assert us[j] == expected, text
+
+
+@st.composite
+def stamp_texts(draw):
+    """An ISO stamp in one of several forms, sometimes with one character changed."""
+    t = draw(st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31)))
+    text = t.replace(microsecond=0).isoformat(draw(st.sampled_from("T ")))
+    text += draw(st.sampled_from(["", "Z", "+00:00", "+01:00", ".000Z", "-00:00"]))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, len(text) - 1))
+        text = text[:k] + draw(st.sampled_from("0123456789\uff10-: TZ+x")) + text[k + 1:]
+    return text
+
+
+@pytest.mark.parametrize("text", STAMP_EDGES)
+def test_stamp_edge_matches_parse_timestamp(text):
+    assert_stamps_match_parse_timestamp([text])
+    assert_stamps_match_parse_timestamp(["2017-01-16T00:00:00Z", text, "2017-01-16 00:05:00"])
+
+
+def test_every_stamp_edge_in_one_chunk():
+    assert_stamps_match_parse_timestamp(STAMP_EDGES * 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(texts=st.lists(st.one_of(stamp_texts(), st.sampled_from(STAMP_EDGES)),
+                      min_size=1, max_size=40))
+def test_mixed_length_stamp_chunks_match_parse_timestamp(texts):
+    assert_stamps_match_parse_timestamp(texts)

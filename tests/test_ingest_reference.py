@@ -130,8 +130,16 @@ def stamp(i, form):
     }[form]
 
 
-GOOD_VALUES = ["48000", "48000.5", " 900 ", "1_000", "1e3", "0.25", "-0"]
-BAD_VALUES = ["nan", "-inf", "inf", "x", "", "-5", "1e999", "0"]
+GOOD_VALUES = [
+    "48000", "48000.5", " 900 ", "1_000", "1e3", "0.25", "+1", ".5", "5.", "01",
+    "9007199254740993", "18446744073709551617", "0.1000000000000000055511151231257827",
+    "1.00000000000000011102230246251565404236316680908203125", "4.9406564584124654e-324",
+]
+ZERO_VALUES = ["-0", "-0.0", "-0e0", " -0", "1e-400", "0.0"]  # good for wind and solar only
+BAD_VALUES = [
+    "nan", "-inf", "inf", "x", "", "-5", "1e999", "0", "1" * 5000, "true", "null", '"1.5"',
+    "1,5", "1e",
+]
 BAD_STAMPS = [
     "NaT", "now", "today", "", "2017-02-30T00:00:00Z", "2017-01-16 25:00:00+00:00",
     "0000-01-01T00:00:00", "2017-01-16T00:02:30Z", "0001-01-01T00:00:00+01:00",
@@ -150,9 +158,9 @@ def documents(draw):
     good = draw(st.lists(st.fixed_dictionaries({
         "time": st.builds(stamp, st.integers(0, 30), st.sampled_from(
             ["Z", "space+00:00", "naive", "+01:00", "padded", "fraction", "date-only"])),
-        "nd": st.sampled_from(GOOD_VALUES[:-1]),
-        "w": st.sampled_from(GOOD_VALUES),
-        "pv": st.sampled_from(GOOD_VALUES),
+        "nd": st.sampled_from(GOOD_VALUES),
+        "w": st.sampled_from(GOOD_VALUES + ZERO_VALUES),
+        "pv": st.sampled_from(GOOD_VALUES + ZERO_VALUES),
         "note": st.sampled_from(NOTES),
     }), min_size=n_good, max_size=n_good))
     rows = [[row[name] for name in header] for row in good]
@@ -391,6 +399,9 @@ def check_against_reference(text, chunk_rows):
     if records is None:
         return
     assert list(records) == expected_records
+    for name in ("demand_mw", "wind_mw", "solar_mw"):  # bit for bit: -0.0 is not 0.0
+        expected_bits = np.array([getattr(r, name) for r in expected_records], dtype=float)
+        assert getattr(records, name).tobytes() == expected_bits.tobytes(), name
     expected = outcome(reference_canonicalize, expected_records, "x")
     for given_records in (records, expected_records):
         series = outcome(canonicalize, given_records, "x")
