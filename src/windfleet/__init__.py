@@ -43,7 +43,6 @@ from .bev import (
     fleet_aggregates,
     leveling_schedule,
     soc_trajectory,
-    unmanaged_peak,
     weekly_levels,
 )
 from .report import (
@@ -51,7 +50,6 @@ from .report import (
     LullReport,
     ScenarioConstants,
     build_table2,
-    gt_utilization,
     lull_report,
 )
 from .synth import synthetic_year
@@ -90,13 +88,11 @@ __all__ = [
     "fleet_aggregates",
     "leveling_schedule",
     "soc_trajectory",
-    "unmanaged_peak",
     "weekly_levels",
     "FleetSizingRow",
     "LullReport",
     "ScenarioConstants",
     "build_table2",
-    "gt_utilization",
     "lull_report",
     "synthetic_year",
 ]

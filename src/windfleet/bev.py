@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .ingest import CADENCE_S, SAMPLES_PER_WEEK, WeekSeries
-from .dispatch import HOURS_PER_SAMPLE, DispatchConfig, headroom
+from .dispatch import HOURS_PER_SAMPLE
 from .export import sample_times, write_csv
 from .scaling import NormalizedYear
 
@@ -220,31 +220,6 @@ def soc_trajectory(
         max_energy_gwh=e_max,
         storage_capacity_gwh=capacity,
     )
-
-
-def unmanaged_peak(
-    span: WeekSeries | NormalizedYear,
-    spec: BevFleetSpec,
-    base_generation_gwe: float,
-    wind_trace: np.ndarray,
-) -> tuple[float, float]:
-    """Worst case without V2G: the fleet draws grid power as it consumes it.
-
-    Total load is demand(t) + consumption(t); gas turbines cover whatever
-    base, solar and the given wind trace cannot. Returns the peak gas-turbine
-    requirement (GWe) and fleet utilization of that peak (mean GT / peak GT)
-    over the span supplied, one week or the year.
-    """
-    consumption = consumption_profile(spec, span)
-    wind = np.asarray(wind_trace, dtype=float)
-    if wind.shape != span.demand.shape:
-        raise ValueError("wind trace must align with the supplied span")
-
-    room = headroom(span, DispatchConfig(base_generation_gwe))
-    gas = np.maximum(room + consumption - wind, 0.0)
-    peak = float(gas.max())
-    utilization = float(gas.mean() / peak) if peak > 0 else 0.0
-    return peak, utilization
 
 
 def write_bev_csv(

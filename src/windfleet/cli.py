@@ -1,9 +1,10 @@
 """Batch command line: one subcommand per reproducible artifact.
 
 Subcommands: ingest (validation only), histogram, curves, bev, lull, table2,
-one record each in COMMANDS: the keys it takes as flags, the spec dataclasses
-it reads whole, its own defaults and its compute function. The parser, the
-known config keys, the checks and the run manifest derive from that table.
+one record each in COMMANDS: the setting keys it reads (those with a flag are
+its flags), its own defaults and its compute function. A command reads only
+the keys that change its results. The parser, the known config keys, the
+checks and the run manifest derive from that table.
 Settings resolve flag > config file > default. Config files are plain
 ``key = value`` text; lists are comma-separated, capacity lists also accept
 ``start:stop:step``, and an optional number left empty is unset. Every key a
@@ -242,21 +243,24 @@ class Command:
 
     help: str
     compute: Callable[[dict, object, Path | None], None]
-    flags: tuple[str, ...] = ()  # setting keys it takes as flags, beyond _PATH_KEYS
-    specs: tuple[type, ...] = ()  # spec dataclasses it reads whole
+    reads: tuple[str, ...] = ()  # setting keys it reads beyond _PATH_KEYS
     defaults: dict[str, object] = field(default_factory=dict)
     may_be_empty: tuple[str, ...] = ()  # list keys that may resolve to no value
 
     @property
     def keys(self) -> tuple[str, ...]:
-        """Every setting key the command reads, in a stable order."""
-        spec_keys = (f.name for spec in self.specs for f in fields(spec))
-        return tuple(dict.fromkeys([*_PATH_KEYS, *self.flags, *spec_keys]))
+        """Every setting key the command reads."""
+        return (*_PATH_KEYS, *self.reads)
 
 
-def _spec(spec_class, s: dict[str, object]):
-    """A ``spec_class`` instance from the resolved settings named after its fields."""
-    return spec_class(**{f.name: s[f.name] for f in fields(spec_class)})
+def _fields(spec_class) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(spec_class))
+
+
+def _spec(spec_class, s: dict[str, object], **given):
+    """A ``spec_class`` from ``given`` and the settings in ``s`` named after its
+    other fields; a field the command does not read keeps its dataclass default."""
+    return spec_class(**{k: s[k] for k in _fields(spec_class) if k in s}, **given)
 
 
 def _valid(build, *args, **kwargs):
@@ -279,12 +283,15 @@ def _resolve(cmd: Command, text: dict[str, str]) -> dict[str, object]:
     for key, value in s.items():
         if isinstance(value, (list, tuple)) and not value and key not in cmd.may_be_empty:
             raise ConfigError(f"{key} list is empty")
-    for spec in cmd.specs:
-        _valid(_spec, spec, s)
-    if "fleet_sizes_millions" in s:
-        fleet = _spec(BevFleetSpec, s)
-        for size in s["fleet_sizes_millions"]:
-            _valid(replace, fleet, fleet_size_millions=size)
+    for spec in _SPECS:  # checked when the command reads any of its fields
+        if not any(k in s for k in _fields(spec)):
+            continue
+        if spec is BevFleetSpec and "fleet_size_millions" not in s:
+            # one fleet per family size, or an empty fleet when there is none
+            for size in s["fleet_sizes_millions"] or [0.0]:
+                _valid(_spec, spec, s, fleet_size_millions=size)
+        else:
+            _valid(_spec, spec, s)
     return s
 
 
@@ -343,9 +350,8 @@ def _histogram(s: dict, year, out: Path) -> None:
 
 def _curves(s: dict, year, out: Path) -> None:
     headrooms, fleet_sizes = s["headrooms_gwe"], s["fleet_sizes_millions"]
-    fleet = _spec(BevFleetSpec, s)
     families = [{"headroom_gwe": h} for h in headrooms] + [
-        {"bev": replace(fleet, fleet_size_millions=size),
+        {"bev": _spec(BevFleetSpec, s, fleet_size_millions=size),
          "base_generation_gwe": s["base_generation_gwe"]}
         for size in fleet_sizes
     ]
@@ -409,7 +415,7 @@ def _table2(s: dict, year, out: Path) -> None:
         capacities_gwc=tuple(s["capacities_gwc"]),
         base_generation_gwe=s["base_generation_gwe"],
         solar_scale=s["solar_scale"],
-        fleet=_spec(BevFleetSpec, s),
+        fleet=_spec(BevFleetSpec, s, fleet_size_millions=0.0),  # each row sets its size
     )
     write_table2_csv(rows, out / "table2.csv")
     print(format_table2(rows))
@@ -419,36 +425,37 @@ def _table2(s: dict, year, out: Path) -> None:
 COMMANDS = {
     "ingest": Command("validate an input file, write nothing", _ingest),
     "histogram": Command(
-        "wind generation-band histogram", _histogram, ("solar_scale",), (ScalingSpec,)
+        "wind generation-band histogram",
+        _histogram,
+        ("reference_capacity_gwc", "target_capacity_factor"),
     ),
     "curves": Command(
         "annual characteristic-curve families",
         _curves,
         ("solar_scale", "base_generation_gwe", "capacities_gwc", "headrooms_gwe",
-         "fleet_sizes_millions"),
-        (ScalingSpec, BevFleetSpec),
+         "fleet_sizes_millions", "target_capacity_factor", "daily_energy_per_vehicle_kwh"),
         {"solar_scale": ANNUAL_SOLAR_SCALE, "fleet_sizes_millions": DEFAULT_CURVE_FAMILY_FLEETS_M},
         may_be_empty=("fleet_sizes_millions",),  # headroom families only
     ),
     "bev": Command(
         "weekly leveling schedule and SOC trajectory",
         _bev,
-        ("solar_scale", "weeks", "fleet_size_millions"),
-        (ScalingSpec, BevFleetSpec),
+        ("weeks", *_fields(BevFleetSpec)),
         {"weeks": (17,)},
     ),
     "lull": Command(
         "stressed-week leveled dispatch report",
         _lull,
-        ("solar_scale", "base_generation_gwe", "weeks", "capacities_gwc", "fleet_size_millions"),
-        (ScalingSpec, BevFleetSpec),
+        ("solar_scale", "base_generation_gwe", "weeks", "capacities_gwc", "fleet_size_millions",
+         "target_capacity_factor", "daily_energy_per_vehicle_kwh"),
         {"base_generation_gwe": DEFAULT_LULL_BASE_GENERATION_GWE, "weeks": (3,)},
     ),
     "table2": Command(
         "wind fleet sizes needed per BEV fleet size",
         _table2,
-        ("solar_scale", "base_generation_gwe", "capacities_gwc", "fleet_sizes_millions"),
-        (ScalingSpec, BevFleetSpec, ScenarioConstants),
+        ("solar_scale", "base_generation_gwe", "capacities_gwc", "fleet_sizes_millions",
+         "target_capacity_factor", "daily_energy_per_vehicle_kwh", "battery_per_vehicle_kwh",
+         *_fields(ScenarioConstants)),
         {"solar_scale": ANNUAL_SOLAR_SCALE, "fleet_sizes_millions": DEFAULT_FLEET_SIZES_M},
     ),
 }
@@ -464,8 +471,9 @@ def _build_parser() -> _ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, cmd in COMMANDS.items():
         p = sub.add_parser(name, help=cmd.help)
-        for key in ("input", "config", "out_dir", "columns", *cmd.flags):
-            p.add_argument(_FLAGS[key], dest=key, help=_HELP.get(key))
+        for key in ("input", "config", "out_dir", "columns", *cmd.reads):
+            if key in _FLAGS:
+                p.add_argument(_FLAGS[key], dest=key, help=_HELP.get(key))
         if name == "ingest":
             p.add_argument("--check", action="store_true", help="validation only (default)")
     return parser

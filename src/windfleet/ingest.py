@@ -27,7 +27,7 @@ from datetime import datetime, timedelta, timezone
 from itertools import chain, compress, islice, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 import orjson
@@ -130,7 +130,7 @@ class GridSeries:
 class WeekSeries:
     """Exactly one week (2016 samples), as a NormalizedYear hands it out.
 
-    ``wind`` is total (embedded-corrected, capacity-factor-normalized) wind.
+    ``wind`` is capacity-factor-normalized total wind.
     Read-only float64 arrays are kept as given, so the weeks of a year are
     views of its arrays.
     """
@@ -177,16 +177,6 @@ class Records:
     demand_mw: np.ndarray
     wind_mw: np.ndarray
     solar_mw: np.ndarray
-
-    @classmethod
-    def from_raw(cls, records: Iterable[RawRecord]) -> Records:
-        records = list(records)
-        return cls(
-            np.array([(r.timestamp - _EPOCH) // _ONE_US for r in records], dtype=np.int64),
-            np.array([r.demand_mw for r in records], dtype=float),
-            np.array([r.wind_mw for r in records], dtype=float),
-            np.array([r.solar_mw for r in records], dtype=float),
-        )
 
     def __len__(self) -> int:
         return self.timestamp_us.size
@@ -467,18 +457,14 @@ def parse_csv(
     return Records(*(np.concatenate(column) for column in zip(*parts)))
 
 
-def canonicalize(
-    records: Records | Sequence[RawRecord], source: str = "<records>"
-) -> GridSeries:
+def canonicalize(records: Records, source: str = "<records>") -> GridSeries:
     """Sort, de-duplicate, gap-fill and convert raw records to a GridSeries.
 
     Duplicated timestamps keep the first occurrence. Gaps of up to one hour
     (12 samples) are filled by linear interpolation; anything longer is fatal,
     as is any timestamp off the 300 s grid. All repairs are recorded in the
-    provenance and logged. A list of RawRecords is turned into Records first.
+    provenance and logged.
     """
-    if not isinstance(records, Records):
-        records = Records.from_raw(records)
     if not len(records):
         raise IngestError("no records to canonicalize")
     order = np.argsort(records.timestamp_us, kind="stable")

@@ -156,13 +156,6 @@ def lull_report(
     )
 
 
-def gt_utilization(mean_gt_gwe: float, capacity_gwe: float) -> float:
-    """Fraction of the gas-turbine fleet's capacity actually generating."""
-    if capacity_gwe <= 0:
-        raise ValueError("capacity must be > 0")
-    return mean_gt_gwe / capacity_gwe
-
-
 def write_table2_csv(rows: Sequence[FleetSizingRow], path: str | Path) -> None:
     header = [
         "fleet_size_millions",

@@ -1,10 +1,11 @@
 """Normalize metered series to a reference wind fleet and extrapolate.
 
-Metered wind undercounts the embedded (behind-the-meter) component, so it is
-multiplied up and then rescaled so the year hits the target capacity factor
-at the reference fleet size. Larger hypothetical fleets are pure linear
-extrapolations of the reference trace. The normalized year holds the first
-52 weeks as flat arrays of 52 x 2016 samples; its weeks are views of them.
+Metered wind is rescaled so the year hits the target capacity factor at the
+reference fleet size. The target absorbs the embedded (behind-the-meter) wind
+correction: any multiplier on the metered trace would cancel in the rescale.
+Larger hypothetical fleets are pure linear extrapolations of the reference
+trace. The normalized year holds the first 52 weeks as flat arrays of
+52 x 2016 samples; its weeks are views of them.
 """
 
 from __future__ import annotations
@@ -26,12 +27,10 @@ DEFAULT_REFERENCE_CAPACITY_GWC = 20.0
 class ScalingSpec:
     """How to turn metered wind/solar into the model's normalized traces.
 
-    embedded_multiplier corrects for unmetered embedded wind (metered is
-    roughly two thirds of the total). solar_scale is 1.0 when reproducing
-    weekly traces and is set to 2.0 for annual characteristic-curve runs.
+    solar_scale is 1.0 when reproducing weekly traces and is set to 2.0 for
+    annual characteristic-curve runs.
     """
 
-    embedded_multiplier: float = 1.5
     reference_capacity_gwc: float = DEFAULT_REFERENCE_CAPACITY_GWC
     target_capacity_factor: float = 0.30
     solar_scale: float = 1.0
@@ -39,8 +38,8 @@ class ScalingSpec:
     def __post_init__(self):
         if not all(np.isfinite(v) for v in vars(self).values()):
             raise ValueError("scaling parameters must be finite")
-        if self.embedded_multiplier <= 0 or self.reference_capacity_gwc <= 0:
-            raise ValueError("embedded_multiplier and reference_capacity must be > 0")
+        if self.reference_capacity_gwc <= 0:
+            raise ValueError("reference_capacity must be > 0")
         if not 0 < self.target_capacity_factor <= 1:
             raise ValueError("target_capacity_factor must be in (0, 1]")
         if self.solar_scale <= 0:
@@ -125,23 +124,22 @@ class WindHistogram:
 def normalize(series: GridSeries, spec: ScalingSpec) -> NormalizedYear:
     """Scale the first 52 weeks of a series to the reference fleet at the target capacity factor.
 
-    wind(t) = wind_metered(t) * embedded_multiplier * k with k chosen so the
-    annual mean (the mean of the weekly means) equals target_capacity_factor
-    * reference_capacity; one k for the whole year. Solar is multiplied by
-    solar_scale; demand is untouched, and the year's demand is a view of the
-    series'.
+    wind(t) = wind_metered(t) * k, one k for the whole year: the target
+    capacity factor times the reference capacity over the annual mean (the
+    mean of the weekly means). Solar is multiplied by solar_scale; demand is
+    untouched, and the year's demand is a view of the series'.
     """
     series = cut_year(series)
     weekly = series.wind_metered.reshape(WEEKS_PER_YEAR, -1).mean(axis=1)
-    pre_mean = float(weekly.mean()) * spec.embedded_multiplier
-    if pre_mean <= 0:
+    mean = float(weekly.mean())
+    if mean <= 0:
         raise ValueError("annual mean of metered wind is zero; cannot normalize")
-    k = (spec.target_capacity_factor * spec.reference_capacity_gwc) / pre_mean
+    k = spec.target_capacity_factor * spec.reference_capacity_gwc / mean
 
     return NormalizedYear(
         start_time=series.start_time,
         demand=series.demand,
-        wind=series.wind_metered * (spec.embedded_multiplier * k),
+        wind=series.wind_metered * k,
         solar=series.solar * spec.solar_scale,
         reference_capacity_gwc=spec.reference_capacity_gwc,
         target_capacity_factor=spec.target_capacity_factor,

@@ -12,11 +12,12 @@ from windfleet.ingest import (
     SAMPLES_PER_YEAR,
     WEEKS_PER_YEAR,
     GridSeries,
-    RawRecord,
+    Records,
     WeekSeries,
 )
 from windfleet.scaling import NormalizedYear
 
+EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 MONDAY_MIDNIGHT = datetime(2017, 1, 2, tzinfo=timezone.utc)
 
 
@@ -69,14 +70,12 @@ def two_state_wind(low=0.0, high=12.0):
     return wind
 
 
-def series_to_records(series: GridSeries) -> list[RawRecord]:
+def series_to_records(series: GridSeries) -> Records:
     """GW series back to MW records, for re-ingestion round trips."""
-    return [
-        RawRecord(
-            series.start_time + timedelta(seconds=i * CADENCE_S),
-            float(series.demand[i] * 1000.0),
-            float(series.wind_metered[i] * 1000.0),
-            float(series.solar[i] * 1000.0),
-        )
-        for i in range(series.n_samples)
-    ]
+    start_us = (series.start_time - EPOCH) // timedelta(microseconds=1)
+    return Records(
+        start_us + np.arange(series.n_samples, dtype=np.int64) * CADENCE_S * 1_000_000,
+        series.demand * 1000.0,
+        series.wind_metered * 1000.0,
+        series.solar * 1000.0,
+    )

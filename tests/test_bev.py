@@ -13,11 +13,9 @@ from windfleet.bev import (
     fleet_aggregates,
     leveling_schedule,
     soc_trajectory,
-    unmanaged_peak,
     weekly_levels,
     write_bev_csv,
 )
-from windfleet.dispatch import DispatchConfig, dispatch_week
 from windfleet.ingest import SAMPLES_PER_WEEK
 from _helpers import make_week
 
@@ -219,45 +217,6 @@ class TestSocTrajectory:
         traj = soc_trajectory(schedule, u, spec)
         assert traj.feasible
         assert 0.0 <= traj.min_energy_gwh <= traj.max_energy_gwh <= 1050.0
-
-
-class TestUnmanagedPeak:
-    def test_zero_fleet_reduces_to_plain_dispatch(self, synth_year):
-        week = synth_year.weeks[2]
-        wind = week.wind * 4.0  # 80 GWc
-        peak, _ = unmanaged_peak(week, BevFleetSpec(0.0), 7.0, wind)
-        result = dispatch_week(week, 80.0, DispatchConfig(7.0))
-        assert peak == pytest.approx(result.peak_gas_turbine_gwe, rel=1e-12)
-
-    def test_flat_week_closed_form(self):
-        spec = BevFleetSpec(35.0)
-        week = make_week(demand=50.0, wind=2.0, solar=0.0)
-        peak, utilization = unmanaged_peak(week, spec, 7.0, week.wind)
-        p_day = fleet_aggregates(spec).mean_power_gw / 0.7
-        assert peak == pytest.approx(50.0 + p_day - 7.0 - 2.0, rel=1e-12)
-        mean_gt = 50.0 + fleet_aggregates(spec).mean_power_gw - 9.0
-        assert utilization == pytest.approx(mean_gt / peak, rel=1e-12)
-
-    def test_daytime_charging_raises_peak_above_leveled(self, synth_year):
-        spec = BevFleetSpec(35.0)
-        week = synth_year.weeks[2]
-        wind = week.wind * 4.0
-        unmanaged, _ = unmanaged_peak(week, spec, 7.0, wind)
-        level = float(week.demand.mean()) + fleet_aggregates(spec).mean_power_gw
-        leveled = dispatch_week(week, 80.0, DispatchConfig(7.0, level_gwe=level))
-        assert unmanaged > leveled.peak_gas_turbine_gwe
-
-    def test_misaligned_wind_rejected(self, synth_year):
-        with pytest.raises(ValueError, match="align"):
-            unmanaged_peak(synth_year.weeks[0], BevFleetSpec(35.0), 7.0, np.zeros(10))
-
-    def test_year_span_peak_is_max_of_weeks(self, synth_year):
-        spec = BevFleetSpec(35.0)
-        year_peak, _ = unmanaged_peak(synth_year, spec, 7.0, synth_year.wind * 4.0)
-        single_peaks = [
-            unmanaged_peak(w, spec, 7.0, w.wind * 4.0)[0] for w in synth_year.weeks
-        ]
-        assert year_peak == pytest.approx(max(single_peaks), rel=1e-12)
 
 
 def test_write_bev_csv(tmp_path, synth_year):

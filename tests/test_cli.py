@@ -29,36 +29,34 @@ BAD_VALUES = [
     ["curves", "--headrooms", "-inf"],
     ["table2", "--fleet-sizes", "nan"],
     ["bev", "--fleet-size", "nan"],
-    ["bev", "--solar-scale", "inf"],
+    ["lull", "--solar-scale", "inf"],
     ["lull", "--weeks", "3.7"],
     ["lull", "--weeks", "nan"],
     ["curves", "--capacities", "20:80"],
     ["histogram", "--out-dir", "{file}"],
     ["curves", "--capacities", "40,20"],
     ["lull", "--capacities", "0,20"],
-    ["histogram", "--solar-scale", "-1"],
+    ["table2", "--solar-scale", "-1"],
     ["bev", "--fleet-size", "-5"],
     ["table2", "--fleet-sizes", "15,-5"],
     ["curves", "--fleet-sizes", "-1"],
 ]
 
-SCALING_READERS = ("histogram", "curves", "bev", "lull", "table2")
 FLEET_READERS = ("curves", "bev", "lull", "table2")
 # each spec-field config key: an out-of-range value, and the commands that read it
 SPEC_FIELD_BAD_VALUES = {
-    "embedded_multiplier": ("0", SCALING_READERS),
-    "reference_capacity_gwc": ("-20", SCALING_READERS),
-    "target_capacity_factor": ("2", SCALING_READERS),
-    "solar_scale": ("0", SCALING_READERS),
-    "fleet_size_millions": ("-1", FLEET_READERS),
+    "reference_capacity_gwc": ("-20", ("histogram",)),
+    "target_capacity_factor": ("2", ("histogram", "curves", "lull", "table2")),
+    "solar_scale": ("0", ("curves", "lull", "table2")),
+    "fleet_size_millions": ("-1", ("bev", "lull")),
     "daily_energy_per_vehicle_kwh": ("0", FLEET_READERS),
-    "battery_per_vehicle_kwh": ("0", FLEET_READERS),
-    "night_fraction": ("2", FLEET_READERS),
-    "day_start_hour": ("22", FLEET_READERS),
-    "day_end_hour": ("25", FLEET_READERS),
-    "initial_soc_fraction": ("1.5", FLEET_READERS),
-    "v2g_power_limit_gw": ("0", FLEET_READERS),
-    "round_trip_efficiency": ("2", FLEET_READERS),
+    "battery_per_vehicle_kwh": ("0", ("bev", "table2")),
+    "night_fraction": ("2", ("bev",)),
+    "day_start_hour": ("22", ("bev",)),
+    "day_end_hour": ("25", ("bev",)),
+    "initial_soc_fraction": ("1.5", ("bev",)),
+    "v2g_power_limit_gw": ("0", ("bev",)),
+    "round_trip_efficiency": ("2", ("bev",)),
     "baseline_fleet_emissions_mtpa": ("0", ("table2",)),
     "baseline_fleet_size_millions": ("0", ("table2",)),
     "battery_unit_cost_eur_per_kwh": ("0", ("table2",)),
@@ -125,6 +123,8 @@ class TestExitCodes:
         ["ingest", "--solar-scale", "nan"],
         ["histogram", "--base-gen", "abc"],
         ["bev", "--base-gen", "inf"],
+        ["histogram", "--solar-scale", "1.5"],
+        ["bev", "--solar-scale", "1.5"],
     ])
     def test_flag_the_command_never_reads_is_rejected(self, argv, synth_csv, tmp_path, capsys):
         code = run(*argv, "--input", str(synth_csv), "--out-dir", str(tmp_path / "out"))
@@ -193,6 +193,8 @@ class TestExitCodes:
         specs = (ScalingSpec, BevFleetSpec, ScenarioConstants)
         names = {f.name for spec in specs for f in dataclasses.fields(spec)}
         assert set(SPEC_FIELD_BAD_VALUES) == names
+        for key, (_, commands) in SPEC_FIELD_BAD_VALUES.items():
+            assert commands == tuple(c for c in cli.COMMANDS if key in cli.COMMANDS[c].keys), key
 
     @pytest.mark.parametrize("key,value,command", [
         (key, value, command)
@@ -212,6 +214,18 @@ class TestExitCodes:
         assert code == 3
         assert capsys.readouterr().err.startswith("configuration error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("key,value,command", [
+        (key, value, command)
+        for key, (value, commands) in SPEC_FIELD_BAD_VALUES.items()
+        for command in cli.COMMANDS if command not in commands
+    ])
+    def test_bad_spec_field_a_command_does_not_read_is_ignored(
+        self, key, value, command, hashed_series, tmp_path, capsys
+    ):
+        _, block, _ = run_config(
+            command, {**SMALL, key: value}, hashed_series, tmp_path / "out", capsys)
+        assert block is None or not [line for line in block if line.startswith(f"{key} =")]
 
     def test_unwritable_result_file_is_one_line_config_error(self, synth_csv, tmp_path):
         out = tmp_path / "out"
@@ -451,7 +465,7 @@ class TestConfigFile:
 
     def test_accepts_exactly_the_known_keys(self, tmp_path):
         keys = [*SPEC_FIELD_BAD_VALUES, *PATH_AND_SWEEP_KEYS]
-        assert len(keys) == 25
+        assert len(keys) == 24
         cfg = tmp_path / "run.cfg"
         cfg.write_text("".join(f"{key} = 1\n" for key in keys))
         assert sorted(load_config_file(cfg)) == sorted(keys)
@@ -595,9 +609,9 @@ def test_in_memory_series_with_missing_input_writes_nothing(command, synth_serie
 # the flags each command takes; --help lists the same ones
 COMMAND_FLAGS = {
     "ingest": [],
-    "histogram": ["--solar-scale"],
+    "histogram": [],
     "curves": ["--solar-scale", "--base-gen", "--capacities", "--headrooms", "--fleet-sizes"],
-    "bev": ["--solar-scale", "--weeks", "--fleet-size"],
+    "bev": ["--weeks", "--fleet-size"],
     "lull": ["--solar-scale", "--base-gen", "--weeks", "--capacities", "--fleet-size"],
     "table2": ["--solar-scale", "--base-gen", "--capacities", "--fleet-sizes"],
 }
@@ -630,7 +644,6 @@ OTHER = {
     "headrooms_gwe": "22",
     "fleet_sizes_millions": "10",
     "weeks": "5",
-    "embedded_multiplier": "1.4",
     "reference_capacity_gwc": "25",
     "target_capacity_factor": "0.35",
     "fleet_size_millions": "30",
@@ -649,6 +662,13 @@ OTHER = {
 }
 WRITERS = ("histogram", "curves", "bev", "lull", "table2")
 RUN_LINES = ("version = ", "command = ", "input_sha256 = ", "created_utc = ")
+# a fleet small enough to export to the grid, so that a V2G limit can bind
+EXPORTING = {**SMALL, "fleet_size_millions": "1"}
+# where OTHER's value changes no result, a value of the key that does
+CHANGING = {
+    ("bev", "v2g_power_limit_gw"): "1",  # below the 1 M fleet's exports; 50 never binds
+    ("table2", "capacities_gwc"): "5, 10",  # it only bounds the root: too small exits 1
+}
 
 
 @pytest.fixture(scope="module")
@@ -670,6 +690,37 @@ def run_config(command, settings, series, out, capsys):
              if not l.startswith(RUN_LINES)] if manifest.exists() else None
     results = {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.suffix == ".csv"}
     return results, block, capsys.readouterr().out
+
+
+def exit_and_cells(command, settings, series, out):
+    """``command``'s exit code on ``series`` with ``settings`` as its config
+    file, and the cells of each result CSV it wrote, by name."""
+    out.mkdir(parents=True)
+    cfg = out.parent / f"{out.name}.cfg"
+    cfg.write_text("".join(f"{key} = {value}\n" for key, value in settings.items()))
+    code = cli.run([command, "--config", str(cfg), "--out-dir", str(out)], series=series)
+    cells = {}
+    for path in sorted(out.glob("*.csv")):
+        with open(path, newline="") as fh:
+            cells[path.name] = list(csv.reader(fh))
+    return code, cells
+
+
+def same_cell(a, b):
+    """Equal text, or numbers within 1e-9 relative (1e-9 absolute near zero)."""
+    try:
+        x, y = float(a), float(b)
+    except ValueError:
+        return a == b
+    return math.isclose(x, y, rel_tol=1e-9, abs_tol=1e-9)
+
+
+def same_results(a, b):
+    return a.keys() == b.keys() and all(
+        [len(row) for row in a[name]] == [len(row) for row in b[name]]
+        and all(same_cell(x, y) for ra, rb in zip(a[name], b[name]) for x, y in zip(ra, rb))
+        for name in a
+    )
 
 
 class TestManifest:
@@ -715,6 +766,18 @@ class TestManifest:
             )
             assert block != base, key
 
+    @pytest.mark.parametrize("command", WRITERS)
+    def test_every_key_read_changes_a_result(self, command, hashed_series, tmp_path):
+        base_code, base = exit_and_cells(command, EXPORTING, hashed_series, tmp_path / "base")
+        assert base_code == 0 and base
+        for key in cli.COMMANDS[command].keys:
+            if key in cli._PATH_KEYS:
+                continue
+            value = CHANGING.get((command, key), OTHER[key])
+            code, cells = exit_and_cells(
+                command, {**EXPORTING, key: value}, hashed_series, tmp_path / key)
+            assert code != base_code or not same_results(cells, base), key
+
     @pytest.mark.parametrize("command", cli.COMMANDS)
     def test_a_key_not_read_changes_no_result(self, command, hashed_series, tmp_path, capsys):
         base = run_config(command, SMALL, hashed_series, tmp_path / "base", capsys)
@@ -730,7 +793,8 @@ class TestManifest:
 
 
 class TestBevFleetKeys:
-    """table2 and curves read every BevFleetSpec key, BEV families or not."""
+    """curves and table2 build each family's fleet from the BevFleetSpec keys
+    they read, and check those keys, BEV families or not."""
 
     def table2(self, series, out, capsys, **settings):
         settings = {"input": "year.csv", "fleet_sizes_millions": "15, 25",
@@ -819,8 +883,11 @@ class TestFleetBound:
                             continue
                         assert math.isfinite(value), (path.name, row)
 
-    @pytest.mark.parametrize("key", FLEET_FIGURES)
-    @pytest.mark.parametrize("command", FLEET_READERS)
+    @pytest.mark.parametrize("command,key", [
+        (command, key) for key in FLEET_FIGURES for command in FLEET_READERS
+        # every reader takes a fleet size, as --fleet-size or --fleet-sizes
+        if key == "fleet_size_millions" or command in SPEC_FIELD_BAD_VALUES[key][1]
+    ])
     def test_just_above_the_bound_writes_nothing(self, command, key, tmp_path, capsys):
         above = repr(math.nextafter(MAX_FLEET_FIGURE, math.inf))
         code, output, out = self.fleet_run(

@@ -13,7 +13,6 @@ from windfleet.dispatch import (
     write_dispatch_csv,
 )
 from windfleet.ingest import SAMPLES_PER_WEEK
-from windfleet.report import gt_utilization
 from _helpers import make_week, make_year, two_state_wind
 
 
@@ -201,7 +200,6 @@ class TestYearDispatch:
         result = dispatch_week(synth_year, 75.0, cfg, synth_year.reference_capacity_gwc)
         mean_gt, peak_gt = result.mean_gas_turbine_gwe, result.peak_gas_turbine_gwe
         assert 0.0 < mean_gt <= peak_gt
-        assert 0.0 < gt_utilization(mean_gt, peak_gt) <= 1.0
 
 
 class TestDispatchCsv:

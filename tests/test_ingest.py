@@ -14,7 +14,7 @@ from windfleet.ingest import (
     SAMPLES_PER_WEEK,
     SAMPLES_PER_YEAR,
     IngestError,
-    RawRecord,
+    Records,
     _floats,
     _iso_utc_us,
     _parse_timestamp,
@@ -22,7 +22,7 @@ from windfleet.ingest import (
     canonicalize,
     parse_csv,
 )
-from _helpers import series_to_records
+from _helpers import EPOCH, series_to_records
 
 T0 = datetime(2017, 1, 16, tzinfo=timezone.utc)
 
@@ -31,8 +31,16 @@ def ts(i):
     return T0 + timedelta(seconds=i * CADENCE_S)
 
 
-def rec(i, demand=48000.0, wind=900.0, solar=0.0):
-    return RawRecord(ts(i), demand, wind, solar)
+def rec(i, demand=48000.0, wind=900.0, solar=0.0, offset_s=0):
+    """One row at sample ``i`` (plus ``offset_s``): UTC microseconds and MW values."""
+    us = (ts(i) - EPOCH) // timedelta(microseconds=1) + offset_s * 1_000_000
+    return us, demand, wind, solar
+
+
+def as_records(*rows):
+    """The Records of ``rec`` rows, in the order given."""
+    stamps, *values = zip(*rows) if rows else ((),) * 4
+    return Records(np.array(stamps, dtype=np.int64), *(np.array(v, dtype=float) for v in values))
 
 
 def write(tmp_path, text, name="in.csv"):
@@ -171,45 +179,43 @@ def test_parse_peak_memory_within_guard(synth_csv):
 
 class TestCanonicalize:
     def test_single_gap_interpolated_midpoint(self):
-        records = [rec(0, demand=48000.0), rec(2, demand=50000.0)]
-        series = canonicalize(records)
+        series = canonicalize(as_records(rec(0, demand=48000.0), rec(2, demand=50000.0)))
         assert series.n_samples == 3
         assert series.demand[1] == pytest.approx(49.0)
         assert any("interpolated 1" in note for note in series.provenance)
 
     def test_gap_of_twelve_repaired(self):
-        series = canonicalize([rec(0), rec(13)])
+        series = canonicalize(as_records(rec(0), rec(13)))
         assert series.n_samples == 14
 
     def test_gap_of_thirteen_fatal(self):
         with pytest.raises(IngestError, match="gap exceeds 1 hour"):
-            canonicalize([rec(0), rec(14)])
+            canonicalize(as_records(rec(0), rec(14)))
 
     def test_duplicates_keep_first(self):
-        records = [rec(0, demand=48000.0), rec(0, demand=1000.0), rec(1)]
-        series = canonicalize(records)
+        series = canonicalize(as_records(rec(0, demand=48000.0), rec(0, demand=1000.0), rec(1)))
         assert series.demand[0] == pytest.approx(48.0)
 
     def test_mw_to_gw(self):
-        series = canonicalize([rec(0, demand=48000.0), rec(1, demand=48000.0)])
+        series = canonicalize(as_records(rec(0, demand=48000.0), rec(1, demand=48000.0)))
         assert series.demand[0] == pytest.approx(48.0)
 
     def test_unsorted_input_sorted(self):
-        series = canonicalize([rec(1, demand=50000.0), rec(0, demand=48000.0)])
+        series = canonicalize(as_records(rec(1, demand=50000.0), rec(0, demand=48000.0)))
         assert series.demand[0] == pytest.approx(48.0)
         assert series.start_time == ts(0)
 
     def test_off_grid_timestamp_fatal(self):
-        bad = RawRecord(ts(0) + timedelta(seconds=150), 48000.0, 0.0, 0.0)
+        bad = rec(0, wind=0.0, offset_s=150)
         with pytest.raises(IngestError, match="cadence"):
-            canonicalize([rec(0), bad, rec(1)])
+            canonicalize(as_records(rec(0), bad, rec(1)))
 
     def test_empty_fatal(self):
         with pytest.raises(IngestError, match="no records"):
-            canonicalize([])
+            canonicalize(as_records())
 
     def test_timestamps_reconstruct(self):
-        series = canonicalize([rec(2), rec(0), rec(1)])
+        series = canonicalize(as_records(rec(2), rec(0), rec(1)))
         assert series.start_time == ts(0)
         assert series.n_samples == 3
 
@@ -227,12 +233,11 @@ class TestCanonicalize:
         drop=st.sets(st.integers(min_value=1, max_value=38), max_size=6),
     )
     def test_idempotent(self, values, drop):
-        records = [
+        first = canonicalize(as_records(*(
             rec(i, demand=float(d), wind=float(w), solar=float(s))
             for i, (d, w, s) in enumerate(values)
             if i not in drop or i in (0, len(values) - 1)
-        ]
-        first = canonicalize(records)
+        )))
         second = canonicalize(series_to_records(first))
         assert second.start_time == first.start_time
         assert second.n_samples == first.n_samples

@@ -8,7 +8,6 @@ from windfleet.report import (
     ScenarioConstants,
     build_table2,
     format_table2,
-    gt_utilization,
     lull_report,
     write_lull_csv,
     write_run_manifest,
@@ -119,21 +118,6 @@ class TestLullReport:
         text = path.read_text()
         assert "peak_gt_gwe" in text
         assert "capacity_gwc" in text
-
-
-class TestGtUtilization:
-    def test_published_v2g_case(self):
-        assert gt_utilization(11.6, 47.0) == pytest.approx(0.2468, abs=5e-4)
-
-    def test_published_unmanaged_case(self):
-        assert gt_utilization(11.5, 72.0) == pytest.approx(0.16, abs=5e-3)
-
-    def test_full_utilization(self):
-        assert gt_utilization(3.7, 3.7) == 1.0
-
-    def test_zero_capacity_fatal(self):
-        with pytest.raises(ValueError):
-            gt_utilization(5.0, 0.0)
 
 
 class TestScenarioConstants:

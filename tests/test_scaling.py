@@ -21,14 +21,14 @@ from _helpers import make_year_series
 
 class TestNormalize:
     def test_already_at_target(self):
-        # metered 4 GW * 1.5 = 6 GW = 0.30 * 20 GWc, so k = 1
-        series = make_year_series(wind=4.0)
+        # metered 6 GW = 0.30 * 20 GWc, so k = 1
+        series = make_year_series(wind=6.0)
         year = normalize(series, ScalingSpec())
         np.testing.assert_allclose(year.wind, 6.0, rtol=1e-12)
 
     def test_rescaled_to_target(self):
-        # metered 2 GW * 1.5 = 3 GW mean, k = 2, wind becomes 6 everywhere
-        series = make_year_series(wind=2.0)
+        # metered 3 GW mean, k = 2, wind becomes 6 everywhere
+        series = make_year_series(wind=3.0)
         year = normalize(series, ScalingSpec())
         np.testing.assert_allclose(year.wind, 6.0, rtol=1e-12)
 
@@ -45,7 +45,7 @@ class TestNormalize:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("field", [
-        "embedded_multiplier", "reference_capacity_gwc", "target_capacity_factor", "solar_scale",
+        "reference_capacity_gwc", "target_capacity_factor", "solar_scale",
     ])
     def test_spec_rejects_non_finite(self, field, value):
         with pytest.raises(ValueError, match="finite"):
@@ -64,14 +64,11 @@ class TestNormalize:
     @given(
         cf=st.floats(min_value=0.1, max_value=0.6),
         ref=st.floats(min_value=5.0, max_value=60.0),
-        mult=st.floats(min_value=1.0, max_value=2.0),
     )
-    def test_mean_invariant_for_any_spec(self, cf, ref, mult):
+    def test_mean_invariant_for_any_spec(self, cf, ref):
         wind = np.abs(np.sin(np.arange(SAMPLES_PER_YEAR) / 777.0)) * 9.0 + 0.1
         series = make_year_series(wind=wind)
-        spec = ScalingSpec(
-            embedded_multiplier=mult, reference_capacity_gwc=ref, target_capacity_factor=cf
-        )
+        spec = ScalingSpec(reference_capacity_gwc=ref, target_capacity_factor=cf)
         year = normalize(series, spec)
         assert abs(year.mean_wind_gwe - cf * ref) <= 1e-9 * cf * ref
 
