@@ -18,6 +18,7 @@ codes: 0 ok, 1 simulation error, 2 input error, 3 configuration error
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import sys
 from dataclasses import dataclass, field, fields, replace
@@ -46,6 +47,7 @@ from .curves import (
 from .dispatch import write_dispatch_csv
 from .ingest import (
     DEFAULT_COLUMNS, WEEKS_PER_YEAR, GridSeries, IngestError, canonicalize, cut_year, parse_csv,
+    split_weeks,
 )
 from .report import (
     DEFAULT_LULL_BASE_GENERATION_GWE,
@@ -59,6 +61,7 @@ from .report import (
     write_table2_csv,
 )
 from .scaling import (
+    NormalizedYear,
     ScalingSpec,
     extrapolate_wind,
     normalize,
@@ -238,11 +241,11 @@ def _config_text(value: object) -> str:
 
 @dataclass(frozen=True)
 class Command:
-    """One subcommand. ``compute(settings, year, out)`` writes its artifacts and
-    prints its report; ingest's gets the series and no output directory."""
+    """One subcommand. ``compute(settings, series, out)`` writes its artifacts
+    and prints its report; ingest's gets no output directory."""
 
     help: str
-    compute: Callable[[dict, object, Path | None], None]
+    compute: Callable[[dict, GridSeries, Path | None], None]
     reads: tuple[str, ...] = ()  # setting keys it reads beyond _PATH_KEYS
     defaults: dict[str, object] = field(default_factory=dict)
     may_be_empty: tuple[str, ...] = ()  # list keys that may resolve to no value
@@ -326,6 +329,11 @@ def _out_dir(s: dict[str, object]) -> Path:
     return out
 
 
+def _year(s: dict, series: GridSeries) -> NormalizedYear:
+    """The normalized year, for the commands that read wind."""
+    return normalize(series, _spec(ScalingSpec, s))
+
+
 def _ingest(s: dict, series: GridSeries, out: None) -> None:
     cut_year(series)  # under 52 weeks is an input error; a remainder is logged
     print(f"input: {s['input']}")
@@ -338,9 +346,9 @@ def _ingest(s: dict, series: GridSeries, out: None) -> None:
     print(f"mean solar: {series.solar.mean():.2f} GW")
 
 
-def _histogram(s: dict, year, out: Path) -> None:
+def _histogram(s: dict, series: GridSeries, out: Path) -> None:
     reference = s["reference_capacity_gwc"]
-    trace = extrapolate_wind(year, reference)
+    trace = extrapolate_wind(_year(s, series), reference)
     hist = wind_histogram(trace, 1.0, capacity_gwc=reference)
     write_histogram_csv(hist, out / "fig1_histogram.csv")
     low_band = float(hist.percent[hist.bin_lower_gwe < 1.0].sum())
@@ -348,7 +356,8 @@ def _histogram(s: dict, year, out: Path) -> None:
     print(f"share of year in the 0-1 GWe band: {low_band:.2f}%")
 
 
-def _curves(s: dict, year, out: Path) -> None:
+def _curves(s: dict, series: GridSeries, out: Path) -> None:
+    year = _year(s, series)
     headrooms, fleet_sizes = s["headrooms_gwe"], s["fleet_sizes_millions"]
     families = [{"headroom_gwe": h} for h in headrooms] + [
         {"bev": _spec(BevFleetSpec, s, fleet_size_millions=size),
@@ -369,10 +378,13 @@ def _curves(s: dict, year, out: Path) -> None:
           + (f", {out / 'fig12_families.csv'}" if fleet_sizes else ""))
 
 
-def _bev(s: dict, year, out: Path) -> None:
+def _bev(s: dict, series: GridSeries, out: Path) -> None:
+    """The fleet levels demand alone, so the weeks are the cut year's, not normalized."""
     spec = _spec(BevFleetSpec, s)
+    year = cut_year(series)
+    weeks = split_weeks(year.start_time, year.demand, year.wind_metered, year.solar)
     for n, wk in enumerate(s["weeks"]):
-        week = year.weeks[wk - 1]
+        week = weeks[wk - 1]
         schedule = leveling_schedule(week, spec)
         consumption = consumption_profile(spec, week)
         trajectory = soc_trajectory(schedule, consumption, spec)
@@ -388,7 +400,8 @@ def _bev(s: dict, year, out: Path) -> None:
         )
 
 
-def _lull(s: dict, year, out: Path) -> None:
+def _lull(s: dict, series: GridSeries, out: Path) -> None:
+    year = _year(s, series)
     spec, base = _spec(BevFleetSpec, s), s["base_generation_gwe"]
     for n, wk in enumerate(s["weeks"]):
         week = year.weeks[wk - 1]
@@ -407,9 +420,9 @@ def _lull(s: dict, year, out: Path) -> None:
         )
 
 
-def _table2(s: dict, year, out: Path) -> None:
+def _table2(s: dict, series: GridSeries, out: Path) -> None:
     rows = build_table2(
-        year,
+        _year(s, series),
         s["fleet_sizes_millions"],
         _spec(ScenarioConstants, s),
         capacities_gwc=tuple(s["capacities_gwc"]),
@@ -462,7 +475,9 @@ COMMANDS = {
 _KNOWN_CONFIG_KEYS = {key for cmd in COMMANDS.values() for key in cmd.keys}
 
 
+@functools.cache
 def _build_parser() -> _ArgumentParser:
+    """The one parser of every subcommand; parse_args leaves it as it was."""
     parser = _ArgumentParser(
         prog="windfleet",
         description="Grid + wind fleet + V2G BEV fleet scenario simulator",
@@ -491,13 +506,11 @@ def _settings(args: argparse.Namespace) -> dict[str, str]:
 def _execute(name: str, s: dict[str, object], series: GridSeries | None) -> None:
     """Load the input and run the command on it; every command but ingest
     writes its artifacts and then its run manifest into the output directory."""
-    cmd = COMMANDS[name]
-    if name == "ingest":
-        cmd.compute(s, _load_series(s, series), None)
-        return
-    out = _out_dir(s)
+    out = None if name == "ingest" else _out_dir(s)
     series = _load_series(s, series)
-    cmd.compute(s, normalize(series, _spec(ScalingSpec, s)), out)
+    COMMANDS[name].compute(s, series, out)
+    if out is None:
+        return
     write_run_manifest(
         out / f"run_manifest_{name}.txt",
         command=name,

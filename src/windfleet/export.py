@@ -10,12 +10,17 @@ The bytes are those of the csv module's excel dialect: ``\\r\\n`` line ends,
 and minimal quoting (a cell holding a comma, a double quote or a line break
 is wrapped in double quotes, with its double quotes doubled; a row that is
 one empty cell is written ``""``).
+
+Rows are built as bytes, CHUNK_ROWS at a time: each run of adjacent float
+columns is one orjson call over its rows, split into row texts, and each
+timestamp column one byte matrix; one join makes the chunk's text.
 """
 
 from __future__ import annotations
 
 import re
 from datetime import datetime, timezone
+from itertools import groupby
 from pathlib import Path
 from typing import Sequence
 
@@ -24,11 +29,13 @@ import orjson
 
 from .ingest import CADENCE_S
 
-# Rows formatted per write; bounds the Python strings alive at once, so a
-# year-long export does not raise peak memory.
+# Rows formatted per write; bounds the bytes alive at once, so a year-long
+# export does not raise peak memory.
 CHUNK_ROWS = 8192
 
 _NEEDS_QUOTES = re.compile('[,"\r\n]')
+_TWO_DIGITS = np.array([list(f"{i:02d}".encode()) for i in range(100)], np.uint8)  # "00"-"99"
+_SECONDS_PER_DAY = 86400
 
 
 def sample_times(start_time: datetime, n: int) -> np.ndarray:
@@ -44,37 +51,71 @@ def _quoted(cell: str) -> str:
     return cell
 
 
-def _cells(columns: Sequence[np.ndarray]) -> list[list[str]]:
-    """Each column's cell texts; only str() of other kinds can need quoting.
+def _float_rows(run: Sequence[np.ndarray]) -> list[bytes]:
+    """Each row's cells of adjacent float columns, comma-joined, from one orjson call.
 
-    The float columns, all of one length, are formatted by one orjson call.
+    orjson's digits are those of repr, except where repr uses exponent
+    notation, 0 < |x| < 1e-4 and |x| >= 1e16 (orjson writes 1e-5 for 1e-05),
+    and for nan and inf (orjson writes null); a row holding such a cell is
+    written with repr.
     """
-    floats = [c.dtype.kind == "f" for c in columns]
-    if any(floats):
-        # one C-contiguous float64 array, as orjson takes; its digits are those of repr
-        values = np.concatenate([c for c, f in zip(columns, floats) if f], dtype=np.float64)
-        text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
-        # except where repr uses exponent notation, 0 < |x| < 1e-4 and |x| >= 1e16
-        # (orjson writes 1e-5 for 1e-05), and for nan and inf (orjson writes null)
-        magnitude = np.abs(values)
-        unlike_repr = ~((magnitude >= 1e-4) & (magnitude < 1e16)) & (magnitude != 0)
-        for i in np.flatnonzero(unlike_repr).tolist():
-            text[i] = repr(float(values[i]))
-        n = len(columns[0])
-        float_cells = iter([text[lo : lo + n] for lo in range(0, len(text), n)])
-    return [
-        next(float_cells) if is_float
-        else np.datetime_as_string(c, unit="s", timezone="UTC").tolist() if c.dtype.kind == "M"
-        else [_quoted(str(value)) for value in c.tolist()]
-        for c, is_float in zip(columns, floats)
-    ]
+    values = np.column_stack(run).astype(np.float64, copy=False)  # C order, as orjson takes
+    rows = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].split(b"],[")
+    magnitude = np.abs(values)
+    unlike_repr = ~((magnitude >= 1e-4) & (magnitude < 1e16)) & (magnitude != 0)
+    for i in np.flatnonzero(unlike_repr.any(axis=1)).tolist():
+        rows[i] = ",".join(map(float.__repr__, values[i].tolist())).encode()
+    return rows
 
 
-def _rows(cells: Sequence[list[str]]) -> str:
-    """Rows of cell texts, given column by column, each row ended by ``\\r\\n``."""
-    if len(cells) == 1:  # csv quotes a row that is one empty cell: it is not a blank line
-        cells = [[cell or '""' for cell in cells[0]]]
-    return "\r\n".join(map(",".join, zip(*cells))) + "\r\n"
+def _stamps(times: np.ndarray) -> list[bytes]:
+    """UTC ``YYYY-MM-DDTHH:MM:SSZ`` of each datetime64, as np.datetime_as_string writes it.
+
+    The dates come from one table of the span's days, the times of day from
+    a table of two digits; NaT stays ``NaT``.
+    """
+    seconds = times.astype("datetime64[s]").astype(np.int64)
+    nat = np.isnat(times)
+    seconds[nat] = 0
+    days, of_day = np.divmod(seconds, _SECONDS_PER_DAY)
+    unique_days, day = np.unique(days, return_inverse=True)
+    dates = "".join(np.datetime_as_string(unique_days.astype("datetime64[D]")).tolist()).encode()
+    if len(dates) != 10 * unique_days.size:  # a year past 9999
+        return np.char.encode(np.datetime_as_string(times, unit="s", timezone="UTC")).tolist()
+    text = np.empty((times.size, 20), np.uint8)
+    text[:, :10] = np.frombuffer(dates, np.uint8).reshape(-1, 10)[day]
+    hours, of_hour = np.divmod(of_day, 3600)
+    text[:, 11:13] = _TWO_DIGITS[hours]
+    text[:, 14:16] = _TWO_DIGITS[of_hour // 60]
+    text[:, 17:19] = _TWO_DIGITS[of_hour % 60]
+    text[:, [10, 13, 16, 19]] = np.frombuffer(b"T::Z", np.uint8)
+    stamps = text.view("S20").ravel()
+    stamps[nat] = b"NaT"
+    return stamps.tolist()
+
+
+def _segments(columns: Sequence[np.ndarray]) -> list[list[bytes]]:
+    """The cell texts of each column, with each run of adjacent float columns
+    as one segment of row texts; only str() of other kinds can need quoting."""
+    segments = []
+    for is_float, run in groupby(columns, key=lambda c: c.dtype.kind == "f"):
+        if is_float:
+            segments.append(_float_rows(list(run)))
+        else:
+            segments += [
+                _stamps(c) if c.dtype.kind == "M"
+                else [_quoted(str(value)).encode() for value in c.tolist()]
+                for c in run
+            ]
+    return segments
+
+
+def _write_rows(fh, segments: Sequence[list[bytes]]) -> None:
+    """Rows of cell texts, given segment by segment, each row ended by ``\\r\\n``."""
+    if len(segments) == 1:  # csv quotes a row that is one empty cell: it is not a blank line
+        segments = [[cell or b'""' for cell in segments[0]]]
+    fh.write(b"\r\n".join(map(b",".join, zip(*segments))))
+    fh.write(b"\r\n")  # on its own, so the rows' text is not copied
 
 
 def write_csv(
@@ -88,14 +129,14 @@ def write_csv(
     datetime64 columns (see sample_times) become timestamp strings. ``more``
     holds further (header, columns) blocks, each written after an empty row.
     """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with open(path, "wb") as fh:
         for n, (head, cols) in enumerate([(header, columns), *more]):
             arrays = [np.asarray(c) for c in cols]
             rows = len(arrays[0]) if arrays else 0
             if len(head) != len(arrays) or any(len(a) != rows for a in arrays):
                 raise ValueError("header and columns must match in count and length")
             if n:
-                fh.write("\r\n")
-            fh.write(_rows([[_quoted(str(name))] for name in head]))
+                fh.write(b"\r\n")
+            _write_rows(fh, [[_quoted(str(name)).encode()] for name in head])
             for lo in range(0, rows, CHUNK_ROWS):
-                fh.write(_rows(_cells([a[lo : lo + CHUNK_ROWS] for a in arrays])))
+                _write_rows(fh, _segments([a[lo : lo + CHUNK_ROWS] for a in arrays]))

@@ -5,15 +5,17 @@ Repairs (gap interpolation, duplicate removal) are conservative and logged:
 long outages must fail loudly rather than silently fabricate wind lulls.
 
 The file is read CHUNK_ROWS lines at a time. A chunk without a quote is
-split into cells directly, on commas and line ends; a chunk with one goes
-through the csv module. Both give the cells, row errors and line numbers of
-one csv.reader over the whole file.
+split into cells directly, on commas and line ends, after one pass over its
+bytes picks out the lines that may be blank, short or long; a chunk with a
+quote goes through the csv module. Both give the cells, row errors and line
+numbers of one csv.reader over the whole file.
 
-A chunk's value column is parsed by orjson as one JSON array when its cells
-are all plain JSON numbers and none is the integer "-0"; orjson rounds as
-float() does. Any other column (blanks, "n/a", "nan", " 900 ", "+1", ".5",
-"1e400", a signed integer zero ...) goes through float(), which also gives
-the reasons. Timestamps of 19, 20 and 25 ASCII characters are read as byte
+A chunk's value column is parsed by orjson as one JSON array, which rounds
+as float() does. Only the cells that are not plain JSON numbers (blanks,
+"n/a", "nan", " 900 ", a signed integer zero ...) go through float(), which
+also gives the reasons; a column that orjson still rejects ("+1", ".5",
+"1e400" ...), or where most cells are not plain, goes through float()
+whole. Timestamps of 19, 20 and 25 ASCII characters are read as byte
 matrices in YYYY-MM-DD[T ]HH:MM:SS[Z|+00:00] form; any other text goes
 through _parse_timestamp.
 """
@@ -24,7 +26,7 @@ import csv
 import logging
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
-from itertools import chain, compress, islice, repeat
+from itertools import chain, compress, islice
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -41,7 +43,6 @@ SAMPLES_PER_YEAR = WEEKS_PER_YEAR * SAMPLES_PER_WEEK
 MAX_GAP_SAMPLES = 12  # one hour of consecutive missing samples
 MW_PER_GW = 1000.0
 CHUNK_ROWS = 2048  # file lines tokenized together; more raise peak memory, not speed
-FLOAT_BLOCK = 256  # cells converted together; a bad cell retries only its block
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _ONE_US = timedelta(microseconds=1)
@@ -53,6 +54,8 @@ _ISO_PUNCT = np.frombuffer(b"--::", np.uint8)
 _UTC_SUFFIXES = {19: b"", 20: b"Z", 25: b"+00:00"}  # by text length
 # what a column of JSON numbers may hold; no space, so "-0" is the one integer zero with a sign
 _JSON_NUMBER_BYTES = b"0123456789eE.+-,"
+# bytes.translate table: 1 for a byte no JSON number holds, else 0
+_FOREIGN = bytes(b not in _JSON_NUMBER_BYTES for b in range(256))
 
 DEFAULT_COLUMNS = {
     "timestamp": "timestamp",
@@ -128,9 +131,10 @@ class GridSeries:
 
 @dataclass(frozen=True)
 class WeekSeries:
-    """Exactly one week (2016 samples), as a NormalizedYear hands it out.
+    """Exactly one week (2016 samples), as split_weeks hands it out.
 
-    ``wind`` is capacity-factor-normalized total wind.
+    ``wind`` is capacity-factor-normalized total wind in a NormalizedYear's
+    weeks, and metered wind in the weeks of a series that was only cut.
     Read-only float64 arrays are kept as given, so the weeks of a year are
     views of its arrays.
     """
@@ -242,35 +246,70 @@ def _timestamps_us(texts: Sequence[str], reasons: dict[int, str]) -> np.ndarray:
 def _floats(texts: Sequence[str], reasons: dict[int, str]) -> np.ndarray:
     """float() of each text; a text it rejects gets a reason and NaN.
 
-    A column of plain JSON numbers is parsed by orjson as one array, which
-    rounds as float() does; an integer cell "-0", whose sign orjson drops,
-    keeps the column off that path. Any other column goes through float():
-    when it fails as a whole, it is retried FLOAT_BLOCK texts at a time, and
-    only a block that fails goes row by row.
+    orjson parses the column's plain JSON numbers in one call, and rounds as
+    float() does. Only the other cells go through float(), together: those
+    that are empty, hold a byte outside ``0-9eE.+-``, or are the integer "-0",
+    whose sign orjson drops. When orjson rejects what is left ("+1", ".5",
+    "01", "1e400" ...), when a cell holds a comma, or when most cells are not
+    plain, the whole column goes through float(). Texts go one by one only
+    when float() fails on one of them.
     """
+    n = len(texts)
     joined = ",".join(texts)
-    if not joined.encode().translate(None, _JSON_NUMBER_BYTES) and ",-0," not in f",{joined},":
+    odd = _odd_cells(joined, n)
+    if odd is not None and 2 * odd.size < n:  # else orjson would read too few cells to pay
+        rows = odd.tolist()
+        if rows:  # each odd cell is read as 0 here, then by float()
+            plain = list(texts)
+            for j in rows:
+                plain[j] = "0"
+            joined = ",".join(plain)
         try:
-            values = orjson.loads(f"[{joined}]")
-        except orjson.JSONDecodeError:  # "", "+1", ".5", "01", "1e400" ...
-            values = ()
-        if len(values) == len(texts):  # a quoted cell may hold a comma
-            return np.fromiter(values, np.float64, len(values))
+            out = np.fromiter(orjson.loads(f"[{joined}]"), np.float64, n)
+        except orjson.JSONDecodeError:
+            pass
+        else:
+            out[odd] = _float_texts([texts[j] for j in rows], rows, reasons)
+            return out
+    return _float_texts(texts, range(n), reasons)
+
+
+def _float_texts(texts: Sequence[str], rows: Sequence[int], reasons: dict[int, str]) -> np.ndarray:
+    """float() of the texts in one call, and text by text when one fails; a
+    failing text gets NaN and a reason under its row in ``rows``."""
     try:
         return np.fromiter(map(float, texts), float, len(texts))
     except ValueError:
-        out = np.full(len(texts), np.nan)
-    for start in range(0, len(texts), FLOAT_BLOCK):
-        block = texts[start:start + FLOAT_BLOCK]
-        try:
-            out[start:start + len(block)] = np.fromiter(map(float, block), float, len(block))
-        except ValueError:
-            for j, text in enumerate(block, start):
-                try:
-                    out[j] = float(text)
-                except ValueError as exc:
-                    reasons.setdefault(j, f"unparseable field: {exc}")
-    return out
+        return np.array([_float(text, j, reasons) for j, text in zip(rows, texts)], np.float64)
+
+
+def _odd_cells(joined: str, n: int) -> np.ndarray | None:
+    """The cells of ``joined``, ``n`` texts joined with ",", that orjson may
+    not read as float() does, from one pass over their bytes; None when a cell
+    holds a comma."""
+    codes = f",{joined},".encode()
+    data = np.frombuffer(codes, np.uint8)
+    commas = np.flatnonzero(data == ord(","))  # before and after each cell
+    if commas.size != n + 1:
+        return None
+    lengths = np.diff(commas) - 1
+    odd = lengths == 0
+    if codes.translate(None, _JSON_NUMBER_BYTES):
+        foreign = np.flatnonzero(np.frombuffer(codes.translate(_FOREIGN), bool))
+        odd[np.searchsorted(commas, foreign) - 1] = True
+    two = np.flatnonzero(lengths == 2)
+    at = commas[two] + 1
+    odd[two[(data[at] == ord("-")) & (data[at + 1] == ord("0"))]] = True
+    return np.flatnonzero(odd)
+
+
+def _float(text: str, j: int, reasons: dict[int, str]) -> float:
+    """float(text), or NaN with a reason for row ``j``."""
+    try:
+        return float(text)
+    except ValueError as exc:
+        reasons.setdefault(j, f"unparseable field: {exc}")
+        return np.nan
 
 
 def _line_breaks(field: str) -> int:
@@ -283,14 +322,24 @@ def _split_columns(lines: list[str], text: str, width: int, fields: list[int], n
     ``text`` is the lines joined. A line whose comma count is not ``width - 1``,
     or that starts with a comma or whitespace, is looked at alone: a blank one
     is dropped, a short or long one padded with "" or cut to ``width`` cells.
+    One pass over the text's bytes finds these lines; it also marks those
+    that start with a control or non-ASCII byte, which are looked at alone too.
     Returns the columns, the mask of lines kept and, for each kept row with
     fewer than ``need`` fields, its field count.
     """
     n = len(lines)
-    odd = np.fromiter(map(str.count, lines, repeat(",")), np.int64, n) != width - 1
-    firsts = "".join([line[0] for line in lines])
-    if not firsts.isalnum():  # a blank line starts with a comma or whitespace
-        odd |= np.fromiter((c == "," or c.isspace() for c in firsts), bool, n)
+    data = np.frombuffer(text.encode(), np.uint8)
+    nl = data == ord("\n")
+    cr = data == ord("\r")
+    cr[:-1] &= ~nl[1:]  # a lone "\r" ends a line, the "\r" of "\r\n" does not
+    ends = np.flatnonzero(nl | cr)
+    if ends.size < n:  # the last line of a file may have no line end
+        ends = np.append(ends, data.size)
+    commas = np.searchsorted(np.flatnonzero(data == ord(",")), ends)
+    odd = np.diff(commas, prepend=0) != width - 1
+    firsts = data[np.concatenate(([0], ends[:-1] + 1))]
+    # a blank line starts with a comma or whitespace, which is ASCII or not
+    odd |= (firsts <= ord(" ")) | (firsts >= 0x80) | (firsts == ord(","))
     keep = np.ones(n, dtype=bool)
     short = {}
     if odd.any():
@@ -518,6 +567,15 @@ def canonicalize(records: Records, source: str = "<records>") -> GridSeries:
         solar=solar,
         provenance=tuple(provenance),
     )
+
+
+def split_weeks(
+    start_time: datetime, demand: np.ndarray, wind: np.ndarray, solar: np.ndarray
+) -> tuple[WeekSeries, ...]:
+    """The 52 weeks of a year's arrays from ``start_time``, as row views of them."""
+    step = timedelta(weeks=1)
+    rows = zip(*(a.reshape(WEEKS_PER_YEAR, -1) for a in (demand, wind, solar)))
+    return tuple(WeekSeries(w + 1, start_time + w * step, *row) for w, row in enumerate(rows))
 
 
 def cut_year(series: GridSeries) -> GridSeries:

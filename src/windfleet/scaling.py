@@ -11,14 +11,16 @@ trace. The normalized year holds the first 52 weeks as flat arrays of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import datetime, timedelta
+from datetime import datetime
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .export import write_csv
-from .ingest import SAMPLES_PER_YEAR, WEEKS_PER_YEAR, GridSeries, WeekSeries, _freeze, cut_year
+from .ingest import (
+    SAMPLES_PER_YEAR, WEEKS_PER_YEAR, GridSeries, WeekSeries, _freeze, cut_year, split_weeks,
+)
 
 DEFAULT_REFERENCE_CAPACITY_GWC = 20.0
 
@@ -76,9 +78,7 @@ class NormalizedYear:
 
     @cached_property
     def weeks(self) -> tuple[WeekSeries, ...]:
-        step = timedelta(weeks=1)
-        rows = zip(*(a.reshape(WEEKS_PER_YEAR, -1) for a in (self.demand, self.wind, self.solar)))
-        return tuple(WeekSeries(w + 1, self.start_time + w * step, *row) for w, row in enumerate(rows))
+        return split_weeks(self.start_time, self.demand, self.wind, self.solar)
 
     @property
     def mean_demand_gwe(self) -> float:

@@ -337,6 +337,16 @@ class TestBevCommand:
         assert all(0.0 <= v <= 1050.0 for v in soc)
 
 
+    def test_year_without_wind(self, tmp_path):
+        """bev reads demand alone: a year whose metered wind is all zero, which
+        no command that reads wind can normalize, still gets its schedule."""
+        series = dataclasses.replace(make_year_series(wind=0.0), input_sha256="0" * 64)
+        out = tmp_path / "out"
+        assert cli.run(["bev", "--input", "y.csv", "--out-dir", str(out)], series=series) == 0
+        assert (out / "fig9_schedule.csv").exists()
+        assert cli.run(["lull", "--input", "y.csv", "--out-dir", str(out)], series=series) == 1
+
+
 class TestColumnRemap:
     def test_renamed_columns_through_cli(self, synth_csv, tmp_path):
         renamed = tmp_path / "renamed.csv"
@@ -911,3 +921,30 @@ class TestFleetBound:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and err.count("\n") == 1
         assert not out.exists()
+
+
+def manifest_settings(out, command):
+    lines = (out / f"run_manifest_{command}.txt").read_text().splitlines()
+    pairs = (line.partition("=") for line in lines if not line.startswith(RUN_LINES))
+    return {key.strip(): value.strip() for key, _, value in pairs}
+
+
+def test_one_parser_keeps_no_setting_between_runs(hashed_series, tmp_path):
+    """The parser is built once; each run's manifest holds its own flags and
+    the defaults, never a flag of the run before it."""
+    assert cli._build_parser() is cli._build_parser()
+    runs = [
+        ("bev", ["--fleet-size", "20", "--weeks", "5"]),
+        ("lull", ["--solar-scale", "1.5", "--capacities", "20, 40"]),
+        ("bev", []),
+    ]
+    manifests = []
+    for n, (command, flags) in enumerate(runs):
+        out = tmp_path / str(n)
+        argv = [command, "--input", "year.csv", "--out-dir", str(out), *flags]
+        assert cli.run(argv, series=hashed_series) == 0
+        manifests.append(manifest_settings(out, command))
+    first, lull, bev = manifests
+    assert (first["fleet_size_millions"], first["weeks"]) == ("20.0", "5")
+    assert (lull["fleet_size_millions"], lull["weeks"], lull["solar_scale"]) == ("35.0", "3", "1.5")
+    assert (bev["fleet_size_millions"], bev["weeks"]) == ("35.0", "17")

@@ -134,12 +134,42 @@ def float_bits(rng, exponents):
 
 
 def test_float_cells_match_repr_over_every_binade():
+    """Three columns a row, so that most rows patch one cell among orjson's."""
     rng = np.random.default_rng(20170116)
     # biased exponents 1009-1077 span 2**-14 to 2**55: every fixed-notation value,
     # where the cell is orjson's text, and the binades on either side
-    fixed_range = float_bits(rng, rng.integers(1009, 1078, size=2**19))
-    any_bits = rng.integers(0, 2**64, size=2**16, dtype=np.uint64)
-    every_binade = float_bits(rng, np.repeat(np.arange(2048), 32))  # log-uniform
-    for bits in (fixed_range, any_bits, every_binade, np.array(SPECIAL_BITS, dtype=np.uint64)):
-        values = bits.view(np.float64)
-        assert export._cells([values]) == [list(map(float.__repr__, values.tolist()))]
+    fixed_range = float_bits(rng, rng.integers(1009, 1078, size=2**19 + 1))
+    any_bits = rng.integers(0, 2**64, size=2**16 + 2, dtype=np.uint64)
+    every_binade = float_bits(rng, np.repeat(np.arange(2048), 33))  # log-uniform
+    specials = np.tile(np.array(SPECIAL_BITS, dtype=np.uint64), 3)
+    for bits in (fixed_range, any_bits, every_binade, specials):
+        rows = bits.view(np.float64).reshape(-1, 3)
+        expected = [",".join(map(float.__repr__, row)).encode() for row in rows.tolist()]
+        assert export._float_rows(list(rows.T)) == expected
+
+
+def seconds(start, stop, step):
+    """datetime64[s] from ``start`` up to ``stop``, every ``step`` seconds."""
+    return np.arange(np.datetime64(start, "s"), np.datetime64(stop, "s"), np.timedelta64(step, "s"))
+
+
+STAMP_SPANS = {
+    "month ends and 29 Feb": seconds("2016-01-30T00:00:00", "2016-03-02T00:00:00", 3599),
+    "year end": seconds("2016-12-31T21:00:00", "2017-01-01T03:00:00", 61),
+    "2100-02-28, no leap day": seconds("2100-02-27T23:00:00", "2100-03-01T01:00:00", 997),
+    "before 1970": seconds("1969-12-30T00:00:00", "1970-01-02T00:00:00", 1237),
+    "1900 and year 1": np.array(["1900-02-28T23:59:59", "0001-01-01T00:00:00", "1900-03-01"],
+                                dtype="datetime64[s]"),
+    "irregular, unsorted": np.random.default_rng(7).integers(
+        -62_135_596_800, 253_402_300_800, size=5000).astype("datetime64[s]"),  # years 1-9999
+    "NaT": np.array(["NaT", "2017-01-16T00:05:00", "NaT"], dtype="datetime64[s]"),
+    "past 9999": np.array(["9999-12-31T23:59:59", "10000-01-01T00:00:00", "NaT"],
+                          dtype="datetime64[s]"),
+}
+
+
+@pytest.mark.parametrize("span", list(STAMP_SPANS))
+def test_stamps_match_datetime_as_string(span):
+    times = STAMP_SPANS[span]
+    expected = np.datetime_as_string(times, unit="s", timezone="UTC").tolist()
+    assert [stamp.decode() for stamp in export._stamps(times)] == expected

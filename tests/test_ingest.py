@@ -318,15 +318,39 @@ JSON_NUMBERS = st.from_regex(
 )
 
 
+# cells that keep a column of plain numbers off orjson's path one cell at a time
+DIRTY_CELLS = ["", "n/a", "nan", "-0", " 900 ", "\uff11"]
+
+
 @settings(max_examples=300, deadline=None)
 @given(texts=st.lists(st.one_of(
     JSON_NUMBERS,
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.integers(-(2**70), 2**70).map(str),
     st.sampled_from(FLOAT_EDGES),
-), min_size=1, max_size=40))
-def test_any_number_cells_match_float(texts):
+), min_size=1, max_size=40), dirty=st.lists(
+    st.tuples(st.integers(0, 40), st.sampled_from(DIRTY_CELLS)), max_size=4))
+def test_any_number_cells_match_float(texts, dirty):
     assert_floats_match_float(texts)
+    for at, cell in dirty:
+        texts.insert(at, cell)
+    assert_floats_match_float(texts)
+
+
+@pytest.mark.parametrize("cell", [" 900", "900 ", "nan", "-0", "\uff11", "n/a", ""])
+def test_column_of_odd_cells_is_read_in_one_float_call(cell):
+    """A column where every cell leaves orjson's path, padded or not a JSON
+    number, goes through float() as one call; only a cell float() rejects is
+    then read alone."""
+    texts = [cell] * ingest.CHUNK_ROWS
+    texts[7] = "48000.5"
+    try:
+        float(cell)
+    except ValueError:
+        assert_floats_match_float(texts)
+        return
+    with mock.patch.object(ingest, "_float", side_effect=AssertionError):
+        assert_floats_match_float(texts)
 
 
 def test_float_cells_match_repr_over_every_binade():

@@ -235,20 +235,19 @@ def test_matches_row_by_row_reference(text, chunk_rows):
     check_against_reference(text, chunk_rows)
 
 
-@pytest.mark.parametrize("chunk_rows, float_block", [(16, 4), (8192, 256)])
-def test_bad_cells_at_block_and_chunk_edges(chunk_rows, float_block):
-    """Bad value cells on the first and last cell of a float block and of a chunk."""
-    n = 2 * chunk_rows + float_block + 3
-    edges = [0, float_block - 1, float_block, 2 * float_block - 1,
-             chunk_rows - 1, chunk_rows, chunk_rows + float_block - 1, n - 1]
+@pytest.mark.parametrize("chunk_rows", [16, 8192])
+def test_bad_cells_at_chunk_and_column_edges(chunk_rows):
+    """Bad value cells on the first and last cell of a chunk and of a column."""
+    n = 2 * chunk_rows + 3
+    edges = [0, 1, chunk_rows - 1, chunk_rows, chunk_rows + 1, 2 * chunk_rows - 1,
+             2 * chunk_rows, n - 1]
     rows = [[stamp(i, "Z"), "48000", "900", "0"] for i in range(n)]
     for k, i in enumerate(edges):
         rows[i][1 + k % 3] = ["n/a", "", "x"][k % 3]
     rows[chunk_rows][1:] = ["", "n/a", "x"]  # the first failing column names the row
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerows([list(COLUMNS.values()), *rows])
-    with mock.patch.object(ingest, "FLOAT_BLOCK", float_block):
-        check_against_reference(out.getvalue(), chunk_rows)
+    check_against_reference(out.getvalue(), chunk_rows)
 
 
 HEADER = "time,nd,w,pv,note"
@@ -314,6 +313,23 @@ def test_blank_lines_at_chunk_edges_and_end_of_file(blank, last_end):
     4 lines, and as the file's last line, with and without a line end."""
     odd = {i: blank for i in (0, 3, 4, 7, 12, 13, 14, 15, 197, 199)}
     check_against_reference(document(odd, last_end=last_end), 4)
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 4, 16])
+@pytest.mark.parametrize("last_end", ["\n", ""])
+def test_lines_starting_with_a_control_or_non_ascii_byte(chunk_rows, last_end):
+    """Lines whose first byte is a control or non-ASCII byte, blank or not."""
+    odd = {
+        3: "\x01" + good_line(3),            # its timestamp is unparseable
+        5: "\u00e9" + good_line(5),
+        7: "\u3000" + good_line(7),          # whitespace that strip() takes off the stamp
+        9: "\x0c" + good_line(9),
+        11: "\u00a0,,,,\n", 12: "\x1f,,,,\n",  # blank
+        13: "\x7f,48000,900,0,\n",
+    }
+    check_against_reference(document(odd, n=700, last_end=last_end), chunk_rows)
+    check_against_reference(document({699: "\u3000" + good_line(699)}, n=700, last_end=last_end),
+                            chunk_rows)
 
 
 @pytest.mark.parametrize("chunk_rows", [3, 16, ingest.CHUNK_ROWS])
