@@ -4,20 +4,17 @@ Input files are CSV with MW values; everything downstream works in GW.
 Repairs (gap interpolation, duplicate removal) are conservative and logged:
 long outages must fail loudly rather than silently fabricate wind lulls.
 
-The file is read CHUNK_ROWS lines at a time. A chunk without a quote is
-split into cells directly, on commas and line ends, after one pass over its
-bytes picks out the lines that may be blank, short or long; a chunk with a
-quote goes through the csv module. Both give the cells, row errors and line
-numbers of one csv.reader over the whole file.
-
-A chunk's value column is parsed by orjson as one JSON array, which rounds
-as float() does. Only the cells that are not plain JSON numbers (blanks,
-"n/a", "nan", " 900 ", a signed integer zero ...) go through float(), which
-also gives the reasons; a column that orjson still rejects ("+1", ".5",
-"1e400" ...), or where most cells are not plain, goes through float()
-whole. Timestamps of 19, 20 and 25 ASCII characters are read as byte
-matrices in YYYY-MM-DD[T ]HH:MM:SS[Z|+00:00] form; any other text goes
-through _parse_timestamp.
+The file is read as bytes, CHUNK_ROWS lines at a time, cut where csv.reader
+cuts lines. In a chunk without a quote, the plain rows are read straight
+from the bytes: rows with one cell per header column and a timestamp of 19,
+20 or 25 ASCII bytes in YYYY-MM-DD[T ]HH:MM:SS[Z|+00:00] form. One orjson
+call per chunk reads their value cells that are plain JSON numbers, as
+float() does; their other value cells ("n/a", "nan", " 900 ", blanks ...)
+go through float(), which also gives the reasons. The other rows (blank,
+short or long lines, other timestamp forms) are split into text cells and
+go through float() and _parse_timestamp. A chunk with a quote goes through
+the csv module. Both give the cells, row errors and line numbers of one
+csv.reader over the whole file.
 """
 
 from __future__ import annotations
@@ -42,20 +39,37 @@ WEEKS_PER_YEAR = 52
 SAMPLES_PER_YEAR = WEEKS_PER_YEAR * SAMPLES_PER_WEEK
 MAX_GAP_SAMPLES = 12  # one hour of consecutive missing samples
 MW_PER_GW = 1000.0
-CHUNK_ROWS = 2048  # file lines tokenized together; more raise peak memory, not speed
+# file lines parsed together: 4,096 parse a year about 10% faster, and 8,192
+# raise the parse's peak traced memory by 0.8 MB
+CHUNK_ROWS = 2048
+READ_BYTES = 1 << 16  # bytes per file read; a chunk's lines may take several reads
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _ONE_US = timedelta(microseconds=1)
 _CADENCE_US = CADENCE_S * 1_000_000
-# where YYYY-MM-DD?HH:MM:SS holds digits and punctuation, and the one UTC offset
+# where YYYY-MM-DD?HH:MM:SS holds digits
 _ISO_DIGITS_AT = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18]
-_ISO_PUNCT_AT = [4, 7, 13, 16]
-_ISO_PUNCT = np.frombuffer(b"--::", np.uint8)
-_UTC_SUFFIXES = {19: b"", 20: b"Z", 25: b"+00:00"}  # by text length
-# what a column of JSON numbers may hold; no space, so "-0" is the one integer zero with a sign
-_JSON_NUMBER_BYTES = b"0123456789eE.+-,"
-# bytes.translate table: 1 for a byte no JSON number holds, else 0
-_FOREIGN = bytes(b not in _JSON_NUMBER_BYTES for b in range(256))
+
+
+def _iso_form(suffix: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """The lowest byte a YYYY-MM-DD?HH:MM:SS text with ``suffix`` may hold at
+    each position, and how far above it. At "?" that is any byte here;
+    _iso_utc_us allows "T" or " "."""
+    low = np.frombuffer(b"0000-00-00T00:00:00" + suffix, np.uint8).copy()
+    span = np.zeros(low.size, np.uint8)
+    span[_ISO_DIGITS_AT] = 9
+    low[10], span[10] = 0, 255
+    return low, span
+
+
+_ISO_FORMS = {19 + len(s): _iso_form(s) for s in (b"", b"Z", b"+00:00")}  # by text length
+_FEW_TEXTS = 64  # up to this many timestamp texts, _parse_timestamp one by one is faster
+_BOM = b"\xef\xbb\xbf"  # UTF-8 byte-order mark
+# what the JSON text of plain value cells may hold inside its brackets; no
+# space, so "-0" is the one integer zero with a sign
+_JSON_BYTES = b"0123456789eE.+-,\n"
+# bytes.translate table: 1 for a byte that text may not hold, else 0
+_FOREIGN = bytes(b not in _JSON_BYTES for b in range(256))
 
 DEFAULT_COLUMNS = {
     "timestamp": "timestamp",
@@ -191,51 +205,53 @@ class Records:
             yield RawRecord(_utc(us), demand, wind, solar)
 
 
-def _iso_utc_us(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+def _iso_utc_us(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized ``YYYY-MM-DD[T ]HH:MM:SS`` with a ``Z`` or ``+00:00`` suffix or none.
 
-    Returns microseconds since the epoch and the mask of texts in exactly that
-    form that also name a real date and time; on those, _parse_timestamp
-    gives the same instant. Anything else (other offsets, fractions, blanks,
-    "NaT", "now", 2017-02-30 ...) is left out of the mask. The texts of each
-    of the three lengths are read as one byte matrix; a length that holds a
-    non-ASCII text is left out whole.
+    ``codes`` holds one text's bytes per row: 19, 20 or 25 of them, which
+    sets the suffix. Returns microseconds since the epoch and the mask of
+    rows in exactly that form that also name a real date and time; on those,
+    _parse_timestamp gives the same instant. Anything else (other offsets,
+    blanks, "NaT", 2017-02-30, non-ASCII digits ...) is left out of the mask.
     """
-    n = len(texts)
-    lengths = np.fromiter(map(len, texts), np.int64, n)
-    us, ok = np.zeros(n, np.int64), np.zeros(n, bool)
-    for length, suffix in _UTC_SUFFIXES.items():
-        rows = lengths == length
-        if not rows.any():
-            continue
-        group = "".join(compress(texts, rows.tolist()))
-        if not group.isascii():  # full-width digits, say: _parse_timestamp decides
-            continue
-        codes = np.frombuffer(group.encode("ascii"), np.uint8).reshape(-1, length)
-        good = (codes[:, 19:] == np.frombuffer(suffix, np.uint8)).all(axis=1)
-        good &= (codes[:, _ISO_PUNCT_AT] == _ISO_PUNCT).all(axis=1)
-        good &= (codes[:, 10] == ord("T")) | (codes[:, 10] == ord(" "))
-        digits = codes[:, _ISO_DIGITS_AT] - np.uint8(ord("0"))  # below "0" wraps past 9
-        good &= (digits <= 9).all(axis=1)
-        digits = digits.astype(np.int64)
-        year = digits[:, :4] @ np.array([1000, 100, 10, 1])
-        month, day, hour, minute, second = (
-            digits[:, k] * 10 + digits[:, k + 1] for k in range(4, 14, 2)
-        )
-        good &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)
-        good &= (hour < 24) & (minute < 60) & (second < 60)
-        months = np.where(good, (year - 1970) * 12 + month - 1, 0).astype("datetime64[M]")
-        dates = months.astype("datetime64[D]") + (day - 1)
-        good &= dates.astype("datetime64[M]") == months  # day exists in its month
-        seconds = ((dates.astype(np.int64) * 24 + hour) * 60 + minute) * 60 + second
-        us[rows], ok[rows] = np.where(good, seconds * 1_000_000, 0), good
-    return us, ok
+    low, span = _ISO_FORMS[codes.shape[1]]
+    offsets = codes - low  # below the lowest byte wraps past the span
+    good = (offsets <= span).all(axis=1)
+    good &= (codes[:, 10] == ord("T")) | (codes[:, 10] == ord(" "))
+    digits = offsets[:, _ISO_DIGITS_AT].astype(np.int64)
+    pairs = digits[:, 0::2] * 10 + digits[:, 1::2]  # century, year, month ... second
+    year = pairs[:, 0] * 100 + pairs[:, 1]
+    month, day, hour, minute, second = pairs[:, 2:].T
+    good &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)
+    good &= (hour < 24) & (minute < 60) & (second < 60)
+    months = np.where(good, (year - 1970) * 12 + month - 1, 0).astype("datetime64[M]")
+    dates = months.astype("datetime64[D]") + (day - 1)
+    good &= dates.astype("datetime64[M]") == months  # day exists in its month
+    seconds = ((dates.astype(np.int64) * 24 + hour) * 60 + minute) * 60 + second
+    return np.where(good, seconds * 1_000_000, 0), good
 
 
 def _timestamps_us(texts: Sequence[str], reasons: dict[int, str]) -> np.ndarray:
-    """UTC microseconds per text; a text _parse_timestamp rejects gets a reason."""
-    us, fast = _iso_utc_us(texts)
-    for j in np.flatnonzero(~fast).tolist():
+    """UTC microseconds per text; a text _parse_timestamp rejects gets a reason.
+
+    Among more than _FEW_TEXTS texts, the ASCII ones of 19, 20 and 25
+    characters are read as one byte matrix per length first, and only the
+    others go through _parse_timestamp.
+    """
+    n = len(texts)
+    us = np.zeros(n, np.int64)
+    slow = range(n)
+    if n > _FEW_TEXTS:
+        lengths = np.fromiter(map(len, texts), np.int64, n)
+        fast = np.zeros(n, bool)
+        for length in _ISO_FORMS:
+            rows = lengths == length
+            group = "".join(compress(texts, rows.tolist()))
+            if group and group.isascii():  # full-width digits, say: _parse_timestamp decides
+                codes = np.frombuffer(group.encode("ascii"), np.uint8).reshape(-1, length)
+                us[rows], fast[rows] = _iso_utc_us(codes)
+        slow = np.flatnonzero(~fast).tolist()
+    for j in slow:
         try:
             us[j] = (_parse_timestamp(texts[j]) - _EPOCH) // _ONE_US
         except (ValueError, OverflowError) as exc:
@@ -244,63 +260,12 @@ def _timestamps_us(texts: Sequence[str], reasons: dict[int, str]) -> np.ndarray:
 
 
 def _floats(texts: Sequence[str], reasons: dict[int, str]) -> np.ndarray:
-    """float() of each text; a text it rejects gets a reason and NaN.
-
-    orjson parses the column's plain JSON numbers in one call, and rounds as
-    float() does. Only the other cells go through float(), together: those
-    that are empty, hold a byte outside ``0-9eE.+-``, or are the integer "-0",
-    whose sign orjson drops. When orjson rejects what is left ("+1", ".5",
-    "01", "1e400" ...), when a cell holds a comma, or when most cells are not
-    plain, the whole column goes through float(). Texts go one by one only
-    when float() fails on one of them.
-    """
-    n = len(texts)
-    joined = ",".join(texts)
-    odd = _odd_cells(joined, n)
-    if odd is not None and 2 * odd.size < n:  # else orjson would read too few cells to pay
-        rows = odd.tolist()
-        if rows:  # each odd cell is read as 0 here, then by float()
-            plain = list(texts)
-            for j in rows:
-                plain[j] = "0"
-            joined = ",".join(plain)
-        try:
-            out = np.fromiter(orjson.loads(f"[{joined}]"), np.float64, n)
-        except orjson.JSONDecodeError:
-            pass
-        else:
-            out[odd] = _float_texts([texts[j] for j in rows], rows, reasons)
-            return out
-    return _float_texts(texts, range(n), reasons)
-
-
-def _float_texts(texts: Sequence[str], rows: Sequence[int], reasons: dict[int, str]) -> np.ndarray:
-    """float() of the texts in one call, and text by text when one fails; a
-    failing text gets NaN and a reason under its row in ``rows``."""
+    """float() of each text, in one call for the column; text by text when
+    one fails, where a text float() rejects gets NaN and a reason by row."""
     try:
-        return np.fromiter(map(float, texts), float, len(texts))
+        return np.fromiter(map(float, texts), np.float64, len(texts))
     except ValueError:
-        return np.array([_float(text, j, reasons) for j, text in zip(rows, texts)], np.float64)
-
-
-def _odd_cells(joined: str, n: int) -> np.ndarray | None:
-    """The cells of ``joined``, ``n`` texts joined with ",", that orjson may
-    not read as float() does, from one pass over their bytes; None when a cell
-    holds a comma."""
-    codes = f",{joined},".encode()
-    data = np.frombuffer(codes, np.uint8)
-    commas = np.flatnonzero(data == ord(","))  # before and after each cell
-    if commas.size != n + 1:
-        return None
-    lengths = np.diff(commas) - 1
-    odd = lengths == 0
-    if codes.translate(None, _JSON_NUMBER_BYTES):
-        foreign = np.flatnonzero(np.frombuffer(codes.translate(_FOREIGN), bool))
-        odd[np.searchsorted(commas, foreign) - 1] = True
-    two = np.flatnonzero(lengths == 2)
-    at = commas[two] + 1
-    odd[two[(data[at] == ord("-")) & (data[at + 1] == ord("0"))]] = True
-    return np.flatnonzero(odd)
+        return np.array([_float(text, j, reasons) for j, text in enumerate(texts)], np.float64)
 
 
 def _float(text: str, j: int, reasons: dict[int, str]) -> float:
@@ -312,130 +277,305 @@ def _float(text: str, j: int, reasons: dict[int, str]) -> float:
         return np.nan
 
 
-def _line_breaks(field: str) -> int:
-    return field.count("\n") + field.count("\r") - field.count("\r\n")
+def _text_rows(columns: list[list[str]], reasons: dict[int, str]) -> tuple[np.ndarray, ...]:
+    """timestamp_us and the rows x 3 demand/wind/solar values of text columns.
 
-
-def _split_columns(lines: list[str], text: str, width: int, fields: list[int], need: int):
-    """The ``fields`` columns of quote-free lines, from one split of their text.
-
-    ``text`` is the lines joined. A line whose comma count is not ``width - 1``,
-    or that starts with a comma or whitespace, is looked at alone: a blank one
-    is dropped, a short or long one padded with "" or cut to ``width`` cells.
-    One pass over the text's bytes finds these lines; it also marks those
-    that start with a control or non-ASCII byte, which are looked at alone too.
-    Returns the columns, the mask of lines kept and, for each kept row with
-    fewer than ``need`` fields, its field count.
+    A cell that _parse_timestamp or float() rejects gives its row a reason,
+    unless the row has one already.
     """
-    n = len(lines)
-    data = np.frombuffer(text.encode(), np.uint8)
-    nl = data == ord("\n")
-    cr = data == ord("\r")
-    cr[:-1] &= ~nl[1:]  # a lone "\r" ends a line, the "\r" of "\r\n" does not
-    ends = np.flatnonzero(nl | cr)
-    if ends.size < n:  # the last line of a file may have no line end
-        ends = np.append(ends, data.size)
-    commas = np.searchsorted(np.flatnonzero(data == ord(",")), ends)
-    odd = np.diff(commas, prepend=0) != width - 1
-    firsts = data[np.concatenate(([0], ends[:-1] + 1))]
-    # a blank line starts with a comma or whitespace, which is ASCII or not
-    odd |= (firsts <= ord(" ")) | (firsts >= 0x80) | (firsts == ord(","))
-    keep = np.ones(n, dtype=bool)
-    short = {}
-    if odd.any():
-        for j in np.flatnonzero(odd).tolist():
-            row = lines[j].rstrip("\r\n").split(",")
-            if len(row) <= width and not "".join(row).strip():  # blank: skipped
-                keep[j] = False
-                continue
-            if len(row) < need:
-                short[j] = len(row)
-            lines[j] = ",".join(row[:width] + [""] * (width - len(row))) + "\n"
-        rank = np.cumsum(keep) - 1  # a kept line's row index
-        short = {int(rank[j]): count for j, count in short.items()}
-        text = "".join(compress(lines, keep))
-    if not text:
-        return [], keep, short
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    if not text.endswith("\n"):
-        text += "\n"  # the last line of a file may have no line end
-    cells = text.replace("\n", ",").split(",")
-    del cells[-1]  # after the last line end
-    return [cells[i::width] for i in fields], keep, short
+    stamps, *texts = columns
+    us = _timestamps_us(stamps, reasons)
+    values = np.empty((len(stamps), 3))
+    for i, column in enumerate(texts):
+        values[:, i] = _floats(column, reasons)
+    return us, values
 
 
-def _csv_columns(rows: list[list[str]], width: int, fields: list[int], need: int):
-    """``_split_columns`` for rows the csv module has read."""
+def _columns(rows: list[list[str]], width: int, fields: list[int], need: int):
+    """The ``fields`` columns of ``rows``, given as lists of cells.
+
+    A row of at most ``width`` cells that are all whitespace is blank and
+    dropped. Returns the columns, the mask of rows kept and, by kept row, the
+    reason of each row with fewer than ``need`` cells; its missing cells read "".
+    """
     n = len(rows)
     lengths = np.fromiter(map(len, rows), np.int64, n)
     keep = (lengths > width) | np.fromiter(map(bool, map(str.strip, map("".join, rows))), bool, n)
     rows = list(compress(rows, keep))
-    short = {}
+    reasons = {}
     for j in np.flatnonzero(lengths[keep] < need).tolist():
-        short[j] = len(rows[j])
+        reasons[j] = f"too few fields: {len(rows[j])}, the mapped columns need {need}"
         rows[j] = rows[j] + [""] * (need - len(rows[j]))
-    return [list(map(itemgetter(i), rows)) for i in fields], keep, short
+    return [list(map(itemgetter(i), rows)) for i in fields], keep, reasons
 
 
-def _chunks(fh, done: int, width: int, fields: list[int], path: Path):
-    """Non-blank rows after the header as columns, CHUNK_ROWS lines at a time.
+def _windows(codes: np.ndarray, size: int) -> np.ndarray:
+    """``codes`` as overlapping ``size``-byte items, one starting at each offset."""
+    return np.ndarray((codes.size - size + 1,), f"S{size}", buffer=codes, strides=(1,))
 
-    ``done`` is the number of lines the header took. Yields the mapped
-    columns' texts in ``fields`` order, the line each row ends on, and the
-    reason of each row too short for the mapped columns, by row (its missing
-    cells read ""). A chunk with no quote and no line longer than the csv
-    field limit is split directly. Any other chunk goes through csv.reader,
-    one row per line of the chunk; the reader reads on from the file while
-    a quoted field is open, so rows, line numbers and errors are those of
-    one csv.reader over the whole file.
+
+def _blank(codes: np.ndarray, at: np.ndarray, sizes: np.ndarray) -> None:
+    """Overwrite ``sizes[i]`` bytes of ``codes`` from ``at[i]`` with "\\n"."""
+    if sizes.size and (sizes == sizes[0]).all():  # one size, a timestamp's say: one step
+        _windows(codes, int(sizes[0]))[at] = b"\n" * int(sizes[0])
+        return
+    for size in np.unique(sizes).tolist():
+        _windows(codes, size)[at[sizes == size]] = b"\n" * size
+
+
+def _plain_rows(chunk: bytes, starts: np.ndarray, stops: np.ndarray, nexts: np.ndarray,
+                width: int, fields: list[int]) -> tuple[np.ndarray, ...]:
+    """The plain lines of a quote-free chunk, read straight from its bytes.
+
+    Line i of ``chunk`` runs from ``starts[i]`` to ``stops[i]``, where its
+    line end begins, and the next line starts at ``nexts[i]``; every line has
+    a line end. A line is plain when it has ``width`` cells and its timestamp
+    cell is in one of _iso_utc_us's forms. Its value cells come from one
+    orjson call on a copy of the chunk in brackets, where every other byte is
+    blanked to "\\n", which JSON reads as whitespace, and the byte after each
+    value cell is a comma; orjson rounds as float() does. A value cell that
+    is empty, holds a byte outside ``0-9eE.+-`` or is the integer "-0",
+    whose sign orjson drops, is blanked too and read by float(), which also
+    gives the reason; so is every cell of a chunk that orjson rejects ("+1",
+    ".5", "01", "1e400" ...). Returns the mask of plain lines, their
+    timestamp_us and lines x 3 demand/wind/solar values, and the reasons of
+    those that failed, by line.
+    """
+    n = stops.size
+    us, values, plain = np.zeros(n, np.int64), np.empty((n, 3)), np.zeros(n, bool)
+    data = np.frombuffer(chunk, np.uint8)
+    commas = np.flatnonzero(data == ord(","))
+    first = np.searchsorted(commas, starts)  # index of each line's first comma
+    lines = np.flatnonzero(np.searchsorted(commas, stops) - first == width - 1)
+
+    def cell(k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Where cell ``k`` of each line in ``lines`` starts and ends."""
+        lo = starts[lines] if k == 0 else commas[first[lines] + (k - 1)] + 1
+        hi = stops[lines] if k == width - 1 else commas[first[lines] + k]
+        return lo, hi
+
+    lo, hi = cell(fields[0])
+    ok = np.zeros(lines.size, bool)
+    for length in _ISO_FORMS:
+        group = np.flatnonzero(hi - lo == length)
+        if group.size:
+            stamps = _windows(data, length)[lo[group]].view(np.uint8).reshape(-1, length)
+            us[lines[group]], ok[group] = _iso_utc_us(stamps)
+    lines = lines[ok]
+    if not lines.size:
+        return plain, us, values, {}
+    plain[lines] = True
+
+    text = bytearray(b"[" + chunk + b"]")
+    codes = np.frombuffer(text, np.uint8)[1:]  # offsets as in the chunk
+    _blank(codes, starts[~plain], nexts[~plain] - starts[~plain])
+    picked = sorted(set(fields[1:]))  # the value columns in file order, each once
+    for k in range(width):
+        if k not in picked:  # the cell, with the comma after it, or before the last cell
+            lo, hi = cell(k)
+            _blank(codes, lo - (k == width - 1), hi - lo + 1)
+    codes[stops[lines]] = ord(",")
+    cells = [cell(k) for k in picked]
+    odd = np.zeros((lines.size, len(picked)), bool)
+    for i, (lo, hi) in enumerate(cells):
+        odd[:, i] = hi == lo
+        two = np.flatnonzero(hi - lo == 2)
+        odd[two[(data[lo[two]] == ord("-")) & (data[lo[two] + 1] == ord("0"))], i] = True
+    if text.translate(None, _JSON_BYTES) != b"[]":  # some value cells hold other bytes
+        at = np.flatnonzero(np.frombuffer(text.translate(_FOREIGN), bool)[1:-1])
+        row = np.searchsorted(starts[lines], at, "right") - 1
+        for i, (lo, hi) in enumerate(cells):
+            odd[row[(lo[row] <= at) & (at < hi[row])], i] = True
+    for i, (lo, hi) in enumerate(cells):  # each odd cell, with the byte after it
+        rows = np.flatnonzero(odd[:, i])
+        if rows.size:
+            _blank(codes, lo[rows], hi[rows] - lo[rows] + 1)
+    table = np.empty(odd.shape)
+    if not odd.all():
+        text[text.rfind(b",")] = ord("\n")  # no comma after the last value
+        try:
+            table[~odd] = orjson.loads(text)
+        except orjson.JSONDecodeError:
+            odd[:] = True
+    reasons = {}
+    for f in fields[1:]:  # in field order, so that a row's first failure names it
+        i = picked.index(f)
+        rows = np.flatnonzero(odd[:, i]).tolist()
+        if rows:
+            lo, hi = cells[i]
+            texts = [chunk[a:b].decode() for a, b in zip(lo[rows].tolist(), hi[rows].tolist())]
+            failed = {}
+            table[rows, i] = _floats(texts, failed)
+            for j, reason in failed.items():
+                reasons.setdefault(int(lines[rows[j]]), reason)
+    values[lines] = table[:, [picked.index(k) for k in fields[1:]]]
+    return plain, us, values, reasons
+
+
+def _byte_rows(chunk: bytes, starts: np.ndarray, stops: np.ndarray, nexts: np.ndarray,
+               width: int, fields: list[int], need: int):
+    """timestamp_us and rows x 3 values of a quote-free chunk's non-blank lines.
+
+    Plain lines are read from the bytes (_plain_rows). The others are split
+    on commas as text and read by _columns and _text_rows, which drop the
+    blank ones and give the reasons. Returns the two arrays, the mask of
+    lines that hold a row, and the reasons of rows that failed, by row.
+    """
+    if stops[-1] == len(chunk):  # the file's last line, with no line end
+        chunk += b"\n"
+        nexts = np.append(nexts[:-1], len(chunk))
+    plain, us, values, reasons = _plain_rows(chunk, starts, stops, nexts, width, fields)
+    keep = np.ones(stops.size, bool)
+    odd = np.flatnonzero(~plain)
+    if not odd.size:
+        return us, values, keep, reasons
+    rows = [chunk[a:b].decode().split(",") for a, b in zip(starts[odd].tolist(), stops[odd].tolist())]
+    columns, kept, failed = _columns(rows, width, fields, need)
+    at = odd[kept]
+    us[at], values[at] = _text_rows(columns, failed)
+    reasons.update((int(at[j]), reason) for j, reason in failed.items())
+    keep[odd[~kept]] = False
+    rank = np.cumsum(keep) - 1  # a kept line's row
+    reasons = {int(rank[j]): reason for j, reason in reasons.items()}
+    if not kept.all():
+        us, values = us[keep], values[keep]
+    return us, values, keep, reasons
+
+
+def _line_breaks(field: str) -> int:
+    return field.count("\n") + field.count("\r") - field.count("\r\n")
+
+
+def _line_ends(data: bytes, start: int, final: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Where each line of ``data[start:]`` ends: the offset of its line end's
+    first byte, and the offset after its line end.
+
+    A line ends in "\\n", "\\r\\n" or a lone "\\r", as csv.reader reads lines.
+    A last line with no line end counts only when the data is ``final``; so
+    does a "\\r" at the very end, which may begin a "\\r\\n".
+    """
+    codes = np.frombuffer(data, np.uint8, offset=start)
+    if data.find(b"\r", start) < 0:
+        stops = np.flatnonzero(codes == ord("\n"))
+        nexts = stops + 1
+    else:
+        ends = np.flatnonzero((codes == ord("\n")) | (codes == ord("\r")))
+        cr = codes[ends] == ord("\r")
+        pair = cr[:-1] & ~cr[1:] & (np.diff(ends) == 1)  # a "\r\n" starts here
+        stops = ends[np.concatenate(([True], ~pair))]
+        nexts = stops + 1 + np.append(pair, False)[np.concatenate(([True], ~pair))]
+        if not final and stops.size and stops[-1] == codes.size - 1 and cr[-1]:
+            stops, nexts = stops[:-1], nexts[:-1]
+    if final and (nexts[-1] if nexts.size else 0) < codes.size:
+        stops, nexts = np.append(stops, codes.size), np.append(nexts, codes.size)
+    return stops + start, nexts + start
+
+
+class _Lines:
+    """The lines of a binary file, read READ_BYTES at a time and cut where
+    csv.reader cuts them; a UTF-8 byte-order mark at its start is skipped."""
+
+    def __init__(self, fh):
+        self._fh = fh
+        self._data = fh.read(len(_BOM))  # bytes read and not yet taken
+        if self._data == _BOM:
+            self._data = b""
+        self._stops = self._nexts = np.zeros(0, np.int64)  # of the lines found in _data
+        self._eof = False
+
+    def _fill(self, n: int) -> None:
+        """Read until ``n`` lines are found, or to the end of the file."""
+        while self._nexts.size < n and not self._eof:
+            found = int(self._nexts[-1]) if self._nexts.size else 0
+            blocks, more = [self._data], n - self._nexts.size
+            while more > 0:
+                block = self._fh.read(READ_BYTES)
+                if not block:
+                    self._eof = True
+                    break
+                blocks.append(block)
+                codes = np.frombuffer(block, np.uint8)  # the scan below has the last word
+                more -= np.count_nonzero(codes == ord("\n")) or np.count_nonzero(codes == ord("\r"))
+            self._data = b"".join(blocks)
+            stops, nexts = _line_ends(self._data, found, self._eof)
+            self._stops = np.concatenate((self._stops, stops))
+            self._nexts = np.concatenate((self._nexts, nexts))
+
+    def take(self, n: int) -> tuple[bytes, np.ndarray, np.ndarray] | None:
+        """The next ``n`` lines, fewer at the end of the file, or None after
+        the last: their bytes, and in them each line's _line_ends offsets."""
+        self._fill(n)
+        if not self._nexts.size:
+            return None
+        stops, nexts = self._stops[:n], self._nexts[:n]
+        end = int(nexts[-1])
+        chunk, self._data = self._data[:end], self._data[end:]
+        self._stops, self._nexts = self._stops[n:] - end, self._nexts[n:] - end
+        return chunk, stops, nexts
+
+    def texts(self) -> Iterator[str]:
+        """The lines left, one at a time, as text with their line ends."""
+        while got := self.take(1):
+            yield got[0].decode()
+
+
+def _chunks(lines: _Lines, done: int, width: int, fields: list[int], path: Path):
+    """Non-blank rows after the header, CHUNK_ROWS lines at a time.
+
+    ``done`` is the number of lines the header took. Yields each chunk's
+    timestamp_us, its rows x 3 demand/wind/solar values, the line each row
+    ends on, and the reasons of the rows that failed to parse, by row. A
+    chunk with no quote and no line longer than the csv field limit is read
+    by _byte_rows. Any other chunk goes through csv.reader, one row per line
+    of the chunk; the reader reads on from the file while a quoted field is
+    open, so rows, line numbers and errors are those of one csv.reader over
+    the whole file.
     """
     need = max(fields) + 1
     limit = csv.field_size_limit()
-    while lines := list(islice(fh, CHUNK_ROWS)):
-        text = "".join(lines)
-        if '"' not in text and (len(text) <= limit or max(map(len, lines)) <= limit):
-            ends = np.arange(done + 1, done + len(lines) + 1)
-            done += len(lines)
-            columns, keep, short = _split_columns(lines, text, width, fields, need)
+    while got := lines.take(CHUNK_ROWS):
+        chunk, stops, nexts = got
+        if not chunk.isascii():
+            chunk.decode()  # text that is not UTF-8 raises here
+        starts = np.concatenate(([0], nexts[:-1]))
+        if b'"' not in chunk and (len(chunk) <= limit or (nexts - starts).max() <= limit):
+            numbers = np.arange(done + 1, done + stops.size + 1)
+            done += stops.size
+            us, values, keep, reasons = _byte_rows(chunk, starts, stops, nexts, width, fields, need)
         else:
-            reader = csv.reader(chain(lines, fh))
+            texts = [chunk[a:b].decode() for a, b in zip(starts.tolist(), nexts.tolist())]
+            reader = csv.reader(chain(texts, lines.texts()))
             try:
-                rows = list(islice(reader, len(lines)))
+                rows = list(islice(reader, len(texts)))
             except csv.Error as exc:
                 raise IngestError(f"{path} line {done + reader.line_num}: {exc}") from exc
             if reader.line_num == len(rows):
-                ends = np.arange(done + 1, done + len(rows) + 1)
+                numbers = np.arange(done + 1, done + len(rows) + 1)
             else:  # a row ends one line after the last, plus its fields' line breaks
-                ends = done + np.cumsum([1 + sum(map(_line_breaks, row)) for row in rows])
+                numbers = done + np.cumsum([1 + sum(map(_line_breaks, row)) for row in rows])
             done += reader.line_num
-            columns, keep, short = _csv_columns(rows, width, fields, need)
+            columns, keep, reasons = _columns(rows, width, fields, need)
+            us, values = _text_rows(columns, reasons)
         if keep.any():
-            too_few = {j: f"too few fields: {n}, the mapped columns need {need}"
-                       for j, n in short.items()}
-            yield columns, ends[keep], too_few
+            yield us, values, numbers[keep], reasons
 
 
 def _parse_chunk(
-    columns: list[list[str]], lines: np.ndarray, reasons: dict[int, str],
+    us: np.ndarray, values: np.ndarray, lines: np.ndarray, reasons: dict[int, str],
     errors: list[RowError],
 ) -> tuple[np.ndarray, ...]:
     """The accepted rows of one chunk as timestamp_us, demand, wind, solar columns.
 
-    ``reasons`` holds the rows already rejected as too short, by row. Each
-    rejected row appends one RowError, in line order. Its reason is the
-    first failure in the order: too few fields, the timestamp, demand, wind
-    and solar fields, non-finite value, demand sign, wind and solar sign.
+    ``reasons`` holds the rows that failed to parse, by row. Each rejected
+    row appends one RowError, in line order. Its reason is the first failure
+    in the order: too few fields, the timestamp, demand, wind and solar
+    fields, non-finite value, demand sign, wind and solar sign.
     """
-    stamps, *texts = columns
-    us = _timestamps_us(stamps, reasons)
-    demand, wind, solar = (_floats(col, reasons) for col in texts)
-
-    bad = np.zeros(len(stamps), dtype=bool)
+    demand, wind, solar = values.T
+    bad = np.zeros(us.size, dtype=bool)
     bad[list(reasons)] = True
     range_checks = (
-        (~(np.isfinite(demand) & np.isfinite(wind) & np.isfinite(solar)),
-         lambda j: "non-finite value"),
+        (~np.isfinite(values).all(axis=1), lambda j: "non-finite value"),
         (demand <= 0, lambda j: f"demand must be > 0, got {float(demand[j])}"),
         ((wind < 0) | (solar < 0), lambda j: "wind and solar must be >= 0"),
     )
@@ -466,15 +606,17 @@ def parse_csv(
     columns = dict(DEFAULT_COLUMNS, **(column_map or {}))
     path = Path(path)
     try:
-        fh = open(path, newline="", encoding="utf-8-sig")
+        fh = open(path, "rb")
     except OSError as exc:
         raise IngestError(f"cannot open input file: {exc}") from exc
 
-    parts = [(np.empty(0, np.int64), np.empty(0), np.empty(0), np.empty(0))]
+    out = [np.empty(0, np.int64), np.empty(0), np.empty(0), np.empty(0)]  # no view of these exists
+    n = 0
     errors: list[RowError] = []
     n_rows = 0
     with fh:
-        reader = csv.reader(fh)
+        lines = _Lines(fh)
+        reader = csv.reader(lines.texts())
         try:
             header = next(reader, None)
             if header is None:
@@ -484,9 +626,16 @@ def parse_csv(
                 raise IngestError(f"{path}: missing column(s) {missing}; file has {header}")
             position = {name: i for i, name in enumerate(header)}  # a repeated name: last one
             fields = [position[columns[k]] for k in ("timestamp", "demand", "wind", "solar")]
-            for texts, lines, reasons in _chunks(fh, reader.line_num, len(header), fields, path):
-                n_rows += len(lines)
-                parts.append(_parse_chunk(texts, lines, reasons, errors))
+            for chunk in _chunks(lines, reader.line_num, len(header), fields, path):
+                n_rows += chunk[2].size
+                part = _parse_chunk(*chunk, errors)
+                end = n + part[0].size
+                if end > out[0].size:  # grown in place, so no chunk's part outlives it
+                    for column in out:
+                        column.resize(max(2 * column.size, end), refcheck=False)
+                for column, values in zip(out, part):
+                    column[n:end] = values
+                n = end
         except UnicodeDecodeError as exc:
             bad = exc.object[exc.start : exc.end].hex(" ")
             raise IngestError(f"{path}: not UTF-8 text ({exc.reason}: byte {bad})") from exc
@@ -503,7 +652,9 @@ def parse_csv(
         raise IngestError(
             f"{path}: {len(errors)} of {n_rows} rows malformed (more than 1%)"
         )
-    return Records(*(np.concatenate(column) for column in zip(*parts)))
+    for column in out:
+        column.resize(n, refcheck=False)
+    return Records(*out)
 
 
 def canonicalize(records: Records, source: str = "<records>") -> GridSeries:

@@ -1,3 +1,4 @@
+import io
 import re
 import tracemalloc
 from datetime import datetime, timedelta, timezone
@@ -161,7 +162,9 @@ class TestParseCsv:
 
 # tracemalloc peak of one parse_csv of the synthetic year: csv.reader rows in
 # 8,192-row chunks peaked at 9.12 MB by this test's method, the split
-# tokenizer in 2,048-line chunks at 6.87 MB (Python 3.11, numpy 2.4)
+# tokenizer in 2,048-line chunks at 6.87 MB, and the byte reader, which grows
+# its four result columns in place instead of joining per-chunk parts, at
+# 5.64 MB (Python 3.11, numpy 2.4)
 PARSE_PEAK_GUARD_BYTES = 8.72e6
 
 
@@ -272,12 +275,35 @@ def float_reference(texts):
     return np.array(values).view(np.uint64), reasons
 
 
+def chunk_of(lines: list[str]) -> tuple:
+    """A chunk of these text lines, with the line ends _Lines finds in it."""
+    return ingest._Lines(io.BytesIO("".join(lines).encode())).take(len(lines))
+
+
+def byte_path_floats(texts):
+    """The wind values and reasons, by row, of a quote-free chunk whose rows
+    hold ``texts`` as their wind cells; one row per text that a cell can hold."""
+    chunk, stops, nexts = chunk_of([f"2017-01-16T00:00:00Z,1,{text},0\n" for text in texts])
+    starts = np.concatenate(([0], nexts[:-1]))
+    us, values, keep, reasons = ingest._byte_rows(chunk, starts, stops, nexts, 4, [0, 1, 2, 3], 4)
+    assert keep.all()
+    return values[:, 1], reasons
+
+
 def assert_floats_match_float(texts):
+    """_floats, and the rows of a chunk read from its bytes, give float()'s
+    values and reasons."""
     reasons = {}
     out = _floats(texts, reasons)
     expected, expected_reasons = float_reference(texts)
     assert reasons == expected_reasons
     assert out.view(np.uint64).tolist() == expected.tolist()
+    cells = [text for text in texts if not set(text) & set(',"\r\n')]
+    if cells:
+        out, reasons = byte_path_floats(cells)
+        expected, expected_reasons = float_reference(cells)
+        assert reasons == expected_reasons
+        assert out.view(np.uint64).tolist() == expected.tolist()
 
 
 # cells where orjson and float() could part: signed zeros, integers at and past
@@ -329,8 +355,15 @@ DIRTY_CELLS = ["", "n/a", "nan", "-0", " 900 ", "\uff11"]
     st.integers(-(2**70), 2**70).map(str),
     st.sampled_from(FLOAT_EDGES),
 ), min_size=1, max_size=40), dirty=st.lists(
-    st.tuples(st.integers(0, 40), st.sampled_from(DIRTY_CELLS)), max_size=4))
-def test_any_number_cells_match_float(texts, dirty):
+    st.tuples(st.integers(0, 40), st.sampled_from(DIRTY_CELLS)), max_size=4),
+    whole=st.sampled_from([None, "padded", "nan", "n/a"]))
+def test_any_number_cells_match_float(texts, dirty, whole):
+    """Number cells with a few odd ones among them; or a column whose every
+    cell is space-padded, or "nan", or "n/a"."""
+    if whole == "padded":
+        texts = [f" {text} " for text in texts]
+    elif whole:
+        texts = [whole] * len(texts)
     assert_floats_match_float(texts)
     for at, cell in dirty:
         texts.insert(at, cell)
@@ -339,9 +372,9 @@ def test_any_number_cells_match_float(texts, dirty):
 
 @pytest.mark.parametrize("cell", [" 900", "900 ", "nan", "-0", "\uff11", "n/a", ""])
 def test_column_of_odd_cells_is_read_in_one_float_call(cell):
-    """A column where every cell leaves orjson's path, padded or not a JSON
-    number, goes through float() as one call; only a cell float() rejects is
-    then read alone."""
+    """A chunk whose every value cell in one column leaves the byte path,
+    padded or not a JSON number, reads that column through float() as one
+    call; only a cell float() rejects is then read alone."""
     texts = [cell] * ingest.CHUNK_ROWS
     texts[7] = "48000.5"
     try:
@@ -354,7 +387,7 @@ def test_column_of_odd_cells_is_read_in_one_float_call(cell):
 
 
 def test_float_cells_match_repr_over_every_binade():
-    """Every finite binade read back from its repr, a chunk of cells at a time,
+    """Every finite binade read back from its repr, a chunk of rows at a time,
     bit for bit and without a call to float()."""
     rng = np.random.default_rng(20170116)
     # biased exponents 1009-1077 span the fixed-notation reprs; 0-2046 every finite binade
@@ -368,7 +401,8 @@ def test_float_cells_match_repr_over_every_binade():
     with mock.patch.object(ingest, "float", create=True, side_effect=AssertionError):
         for start in range(0, len(texts), ingest.CHUNK_ROWS):
             chunk = texts[start:start + ingest.CHUNK_ROWS]
-            out = _floats(chunk, {})
+            out, reasons = byte_path_floats(chunk)
+            assert not reasons
             assert out.view(np.uint64).tolist() == bits[start:start + len(chunk)].tolist()
 
 
@@ -397,25 +431,37 @@ STAMP_EDGES = [
 ]
 
 
+def iso_utc_us(texts):
+    """_iso_utc_us on each group of ASCII texts of one of its lengths."""
+    us, mask = np.zeros(len(texts), np.int64), np.zeros(len(texts), bool)
+    for length in ingest._ISO_FORMS:
+        rows = [j for j, text in enumerate(texts) if len(text) == length and text.isascii()]
+        if rows:
+            group = "".join(texts[j] for j in rows).encode()
+            us[rows], mask[rows] = _iso_utc_us(np.frombuffer(group, np.uint8).reshape(-1, length))
+    return us, mask
+
+
 def assert_stamps_match_parse_timestamp(texts):
-    """Every text in the fast form is in the mask, unless a text of its length is
-    not ASCII (that length is left to _parse_timestamp whole), and the mask's
-    instants and the slow path's are _parse_timestamp's."""
-    us, mask = _iso_utc_us(texts)
-    reasons = {}
-    slow = _timestamps_us(texts, reasons)
-    not_ascii = {len(text) for text in texts if not text.isascii()}
-    for j, text in enumerate(texts):
-        try:
-            expected = (_parse_timestamp(text) - ingest._EPOCH) // ingest._ONE_US
-        except (ValueError, OverflowError) as exc:
-            assert not mask[j], text
-            assert reasons[j] == f"unparseable field: {exc}"
-            continue
-        assert mask[j] == (bool(FAST_STAMP.fullmatch(text)) and len(text) not in not_ascii), text
-        assert slow[j] == expected and j not in reasons, text
-        if mask[j]:
-            assert us[j] == expected, text
+    """Exactly the texts in the fast form are in _iso_utc_us's mask, with
+    _parse_timestamp's instants; _timestamps_us gives those instants and
+    reasons, text by text and by byte matrix."""
+    us, mask = iso_utc_us(texts)
+    for few in (ingest._FEW_TEXTS, 0):
+        reasons = {}
+        with mock.patch.object(ingest, "_FEW_TEXTS", few):
+            slow = _timestamps_us(texts, reasons)
+        for j, text in enumerate(texts):
+            try:
+                expected = (_parse_timestamp(text) - ingest._EPOCH) // ingest._ONE_US
+            except (ValueError, OverflowError) as exc:
+                assert not mask[j], text
+                assert reasons[j] == f"unparseable field: {exc}"
+                continue
+            assert mask[j] == bool(FAST_STAMP.fullmatch(text)), text
+            assert slow[j] == expected and j not in reasons, text
+            if mask[j]:
+                assert us[j] == expected, text
 
 
 @st.composite

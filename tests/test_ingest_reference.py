@@ -222,6 +222,7 @@ def every_odd_case() -> str:
 
 
 CHUNK_SIZES = [1, 3, 16, ingest.CHUNK_ROWS, 8192]
+READ_SIZES = [1, 7, 64, ingest.READ_BYTES]  # bytes per file read
 
 
 @pytest.mark.parametrize("chunk_rows", CHUNK_SIZES)
@@ -229,10 +230,17 @@ def test_every_odd_case_matches_reference(chunk_rows):
     check_against_reference(every_odd_case(), chunk_rows)
 
 
+@pytest.mark.parametrize("read_bytes", READ_SIZES[:-1])
+@pytest.mark.parametrize("chunk_rows", [3, ingest.CHUNK_ROWS])
+def test_every_odd_case_at_small_reads(chunk_rows, read_bytes):
+    check_against_reference(every_odd_case(), chunk_rows, read_bytes)
+
+
 @settings(max_examples=80, deadline=None)
-@given(text=documents(), chunk_rows=st.sampled_from(CHUNK_SIZES))
-def test_matches_row_by_row_reference(text, chunk_rows):
-    check_against_reference(text, chunk_rows)
+@given(text=documents(), chunk_rows=st.sampled_from(CHUNK_SIZES),
+       read_bytes=st.sampled_from(READ_SIZES))
+def test_matches_row_by_row_reference(text, chunk_rows, read_bytes):
+    check_against_reference(text, chunk_rows, read_bytes)
 
 
 @pytest.mark.parametrize("chunk_rows", [16, 8192])
@@ -346,6 +354,50 @@ def test_rows_shorter_and_longer_than_the_header(chunk_rows):
     check_against_reference(document(odd, n=700), chunk_rows)
 
 
+def cut_at_a_read(text, read_bytes, test):
+    """Whether ``test(data, at)`` holds at some offset ``at`` of ``text``'s
+    UTF-8 bytes where one file read ends and the next begins: after the
+    three bytes read for a byte-order mark, then every ``read_bytes``."""
+    data = text.encode()
+    return any(test(data, at) for at in range(3, len(data), read_bytes))
+
+
+def with_errors(odd: dict[int, str], end="\n", **kw) -> str:
+    """A 300-line document with ``odd`` lines and two row errors late in it,
+    so that a line miscounted early shows in their line numbers."""
+    errors = {150: f"{stamp(3, 'Z')},48000{end}", 290: good_line(7, end=end).replace("900", "n/a")}
+    return document({**errors, **odd}, n=300, end=end, **kw)
+
+
+READ_EDGES = {
+    # a "\r\n" whose "\r" ends one read and whose "\n" starts the next
+    "crlf": (with_errors({}, end="\r\n"), lambda data, at: data[at - 1:at + 1] == b"\r\n"),
+    # only lone "\r" line ends, one at the end of a read
+    "cr": (with_errors({5: "\r", 6: " , \r"}, end="\r", last_end="\r").replace("\n", "\r"),
+           lambda data, at: data[at - 1:at] == b"\r"),
+    # a two- and a three-byte character cut between two reads
+    "utf-8": (with_errors({i: good_line(i, note="\u00e9t\u20ac") for i in range(0, 300, 3)}),
+              lambda data, at: 0x80 <= data[at] < 0xc0),
+    # a byte-order mark, then a read that ends inside the header
+    "bom": ("\ufeff" + with_errors({}), lambda data, at: at < data.index(b"\n")),
+    # a quoted field open across a read boundary, and across chunks
+    "quoted": (with_errors({i: good_line(i, note='"open\n,note"') for i in range(1, 300, 7)}),
+               lambda data, at: data.rfind(b'"', 0, at) > data.rfind(b"\n", 0, at)),
+}
+
+
+@pytest.mark.parametrize("read_bytes", READ_SIZES)
+@pytest.mark.parametrize("chunk_rows", [1, 4, 16])
+@pytest.mark.parametrize("edge", READ_EDGES)
+def test_read_boundary_edges(edge, chunk_rows, read_bytes):
+    """Records, row errors and line numbers stay the reference's, wherever
+    a file read ends."""
+    text, cut = READ_EDGES[edge]
+    if read_bytes < 64:
+        assert cut_at_a_read(text, read_bytes, cut)
+    check_against_reference(text, chunk_rows, read_bytes)
+
+
 def expected_csv_error(path):
     """The IngestError text of a csv.reader over the whole file, as parse_csv
     reported it before it split quote-free lines itself."""
@@ -397,14 +449,15 @@ def test_lines_over_a_lowered_csv_limit(tmp_path, chunk_rows, odd):
         csv.field_size_limit(limit)
 
 
-def check_against_reference(text, chunk_rows):
+def check_against_reference(text, chunk_rows, read_bytes=ingest.READ_BYTES):
     """Same row errors, records and GridSeries (or error) as the reference."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "export.csv"
         path.write_text(text, encoding="utf-8", newline="")
         expected_records, expected_errors, n_rows = reference_parse(path, COLUMNS)
         errors = []
-        with mock.patch.object(ingest, "CHUNK_ROWS", chunk_rows):
+        with mock.patch.object(ingest, "CHUNK_ROWS", chunk_rows), \
+                mock.patch.object(ingest, "READ_BYTES", read_bytes):
             if len(expected_errors) > 0.01 * n_rows:
                 with pytest.raises(IngestError, match="malformed"):
                     parse_csv(path, COLUMNS, errors)
