@@ -331,9 +331,9 @@ def _plain_rows(chunk: bytes, starts: np.ndarray, stops: np.ndarray, nexts: np.n
     line end begins, and the next line starts at ``nexts[i]``; every line has
     a line end. A line is plain when it has ``width`` cells and its timestamp
     cell is in one of _iso_utc_us's forms. Its value cells come from one
-    orjson call on a copy of the chunk in brackets, where every other byte is
-    blanked to "\\n", which JSON reads as whitespace, and the byte after each
-    value cell is a comma; orjson rounds as float() does. A value cell that
+    orjson call on a copy of the chunk in brackets, where all bytes but the
+    value cells are blanked to "\\n", which JSON reads as whitespace, and the
+    byte after each value cell is a comma; orjson rounds as float() does. A value cell that
     is empty, holds a byte outside ``0-9eE.+-`` or is the integer "-0",
     whose sign orjson drops, is blanked too and read by float(), which also
     gives the reason; so is every cell of a chunk that orjson rejects ("+1",
@@ -371,11 +371,12 @@ def _plain_rows(chunk: bytes, starts: np.ndarray, stops: np.ndarray, nexts: np.n
     _blank(codes, starts[~plain], nexts[~plain] - starts[~plain])
     picked = sorted(set(fields[1:]))  # the value columns in file order, each once
     for k in range(width):
-        if k not in picked:  # the cell, with the comma after it, or before the last cell
+        if k not in picked:  # the cell, and the comma or line end after it
             lo, hi = cell(k)
-            _blank(codes, lo - (k == width - 1), hi - lo + 1)
-    codes[stops[lines]] = ord(",")
+            _blank(codes, lo, hi - lo + 1)
     cells = [cell(k) for k in picked]
+    for lo, hi in cells:
+        codes[hi] = ord(",")  # after each value, whether a comma or a line end was there
     odd = np.zeros((lines.size, len(picked)), bool)
     for i, (lo, hi) in enumerate(cells):
         odd[:, i] = hi == lo

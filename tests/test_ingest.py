@@ -275,15 +275,11 @@ def float_reference(texts):
     return np.array(values).view(np.uint64), reasons
 
 
-def chunk_of(lines: list[str]) -> tuple:
-    """A chunk of these text lines, with the line ends _Lines finds in it."""
-    return ingest._Lines(io.BytesIO("".join(lines).encode())).take(len(lines))
-
-
 def byte_path_floats(texts):
     """The wind values and reasons, by row, of a quote-free chunk whose rows
     hold ``texts`` as their wind cells; one row per text that a cell can hold."""
-    chunk, stops, nexts = chunk_of([f"2017-01-16T00:00:00Z,1,{text},0\n" for text in texts])
+    lines = "".join(f"2017-01-16T00:00:00Z,1,{text},0\n" for text in texts)
+    chunk, stops, nexts = ingest._Lines(io.BytesIO(lines.encode())).take(len(texts))
     starts = np.concatenate(([0], nexts[:-1]))
     us, values, keep, reasons = ingest._byte_rows(chunk, starts, stops, nexts, 4, [0, 1, 2, 3], 4)
     assert keep.all()
@@ -384,6 +380,30 @@ def test_column_of_odd_cells_is_read_in_one_float_call(cell):
         return
     with mock.patch.object(ingest, "_float", side_effect=AssertionError):
         assert_floats_match_float(texts)
+
+
+@pytest.mark.parametrize("header", ["time,nd,w,pv,note", "note,pv,time,w,nd", "time,nd,w,pv"])
+def test_odd_cells_are_read_alone(header, tmp_path):
+    """Only the odd value cells go through float(): the others of their rows,
+    before an unmapped column or not, stay on the byte path."""
+    names = header.split(",")
+    cells = {"time": "2017-01-16T00:00:00Z", "nd": "48000", "w": "900", "pv": "0", "note": ""}
+    rows = [dict(cells, time=f"2017-01-16T{i // 12:02d}:{i % 12 * 5:02d}:00Z") for i in range(240)]
+    rows[7]["pv"], rows[9]["nd"], rows[9]["w"], rows[200]["w"] = " 1", "n/a", "", "-0"
+    path = tmp_path / "odd.csv"
+    path.write_text("".join(",".join(row[n] for n in [*names]) + "\r\n"
+                            for row in [dict(zip(names, names)), *rows]))
+    read = []
+    floats = ingest._floats
+    with mock.patch.object(ingest, "_floats", lambda texts, reasons: read.extend(texts)
+                           or floats(texts, reasons)):
+        errors = []
+        records = parse_csv(path, {"timestamp": "time", "demand": "nd", "wind": "w", "solar": "pv"},
+                            errors)
+    assert sorted(read) == sorted([" 1", "n/a", "", "-0"])
+    assert [(e.line, e.reason) for e in errors] == [
+        (11, "unparseable field: could not convert string to float: 'n/a'")]
+    assert records.solar_mw[7] == 1.0 and np.signbit(records.wind_mw[199])  # row 9 was dropped
 
 
 def test_float_cells_match_repr_over_every_binade():
