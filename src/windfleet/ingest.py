@@ -12,9 +12,11 @@ call per chunk reads their value cells that are plain JSON numbers, as
 float() does; their other value cells ("n/a", "nan", " 900 ", blanks ...)
 go through float(), which also gives the reasons. The other rows (blank,
 short or long lines, other timestamp forms) are split into text cells and
-go through float() and _parse_timestamp. A chunk with a quote goes through
-the csv module. Both give the cells, row errors and line numbers of one
-csv.reader over the whole file.
+go through float() and _parse_timestamp. A chunk whose quotes each wrap a
+whole cell on one line, with no comma in it, is read the same way once its
+quotes are taken out; any other chunk with a quote goes through the csv
+module. All give the cells, row errors and line numbers of one csv.reader
+over the whole file.
 """
 
 from __future__ import annotations
@@ -316,9 +318,6 @@ def _windows(codes: np.ndarray, size: int) -> np.ndarray:
 
 def _blank(codes: np.ndarray, at: np.ndarray, sizes: np.ndarray) -> None:
     """Overwrite ``sizes[i]`` bytes of ``codes`` from ``at[i]`` with "\\n"."""
-    if sizes.size and (sizes == sizes[0]).all():  # one size, a timestamp's say: one step
-        _windows(codes, int(sizes[0]))[at] = b"\n" * int(sizes[0])
-        return
     for size in np.unique(sizes).tolist():
         _windows(codes, size)[at[sizes == size]] = b"\n" * size
 
@@ -443,6 +442,28 @@ def _byte_rows(chunk: bytes, starts: np.ndarray, stops: np.ndarray, nexts: np.nd
     return us, values, keep, reasons
 
 
+def _unquoted(chunk: bytes, starts: np.ndarray, stops: np.ndarray, nexts: np.ndarray):
+    """``chunk`` with its quotes taken out, and its line offsets in that text,
+    when every quote opens or closes a whole cell on one line with no comma
+    or quote in it: then splitting on commas gives csv.reader's cells. Else
+    everything as given."""
+    data = np.frombuffer(chunk, np.uint8)
+    quotes = np.flatnonzero(data == ord('"'))
+    if quotes.size % 2:
+        return chunk, starts, stops, nexts
+    opens, closes = quotes[0::2], quotes[1::2]
+    line = np.searchsorted(stops, opens, "right")
+    commas = np.flatnonzero(data == ord(","))
+    whole = line == np.searchsorted(stops, closes, "right")
+    whole &= np.searchsorted(commas, opens) == np.searchsorted(commas, closes)
+    whole &= (starts[line] == opens) | (data[opens - 1] == ord(","))
+    whole &= (stops[line] == closes + 1) | (data[np.minimum(closes + 1, data.size - 1)] == ord(","))
+    if not whole.all():
+        return chunk, starts, stops, nexts
+    moved = [offsets - np.searchsorted(quotes, offsets) for offsets in (starts, stops, nexts)]
+    return chunk.replace(b'"', b""), *moved
+
+
 def _line_breaks(field: str) -> int:
     return field.count("\n") + field.count("\r") - field.count("\r\n")
 
@@ -526,11 +547,11 @@ def _chunks(lines: _Lines, done: int, width: int, fields: list[int], path: Path)
     ``done`` is the number of lines the header took. Yields each chunk's
     timestamp_us, its rows x 3 demand/wind/solar values, the line each row
     ends on, and the reasons of the rows that failed to parse, by row. A
-    chunk with no quote and no line longer than the csv field limit is read
-    by _byte_rows. Any other chunk goes through csv.reader, one row per line
-    of the chunk; the reader reads on from the file while a quoted field is
-    open, so rows, line numbers and errors are those of one csv.reader over
-    the whole file.
+    chunk with no line longer than the csv field limit, and no quote once
+    _unquoted is done with it, is read by _byte_rows. Any other chunk goes
+    through csv.reader, one row per line of the chunk; the reader reads on
+    from the file while a quoted field is open, so rows, line numbers and
+    errors are those of one csv.reader over the whole file.
     """
     need = max(fields) + 1
     limit = csv.field_size_limit()
@@ -539,7 +560,10 @@ def _chunks(lines: _Lines, done: int, width: int, fields: list[int], path: Path)
         if not chunk.isascii():
             chunk.decode()  # text that is not UTF-8 raises here
         starts = np.concatenate(([0], nexts[:-1]))
-        if b'"' not in chunk and (len(chunk) <= limit or (nexts - starts).max() <= limit):
+        short = len(chunk) <= limit or (nexts - starts).max() <= limit
+        if short and b'"' in chunk:
+            chunk, starts, stops, nexts = _unquoted(chunk, starts, stops, nexts)
+        if short and b'"' not in chunk:
             numbers = np.arange(done + 1, done + stops.size + 1)
             done += stops.size
             us, values, keep, reasons = _byte_rows(chunk, starts, stops, nexts, width, fields, need)

@@ -351,16 +351,14 @@ DIRTY_CELLS = ["", "n/a", "nan", "-0", " 900 ", "\uff11"]
     st.integers(-(2**70), 2**70).map(str),
     st.sampled_from(FLOAT_EDGES),
 ), min_size=1, max_size=40), dirty=st.lists(
-    st.tuples(st.integers(0, 40), st.sampled_from(DIRTY_CELLS)), max_size=4),
-    whole=st.sampled_from([None, "padded", "nan", "n/a"]))
-def test_any_number_cells_match_float(texts, dirty, whole):
-    """Number cells with a few odd ones among them; or a column whose every
-    cell is space-padded, or "nan", or "n/a"."""
-    if whole == "padded":
-        texts = [f" {text} " for text in texts]
-    elif whole:
-        texts = [whole] * len(texts)
+    st.tuples(st.integers(0, 40), st.sampled_from(DIRTY_CELLS)), max_size=4))
+def test_any_number_cells_match_float(texts, dirty):
+    """Number cells; the same column with every cell space-padded, or every
+    cell "nan" or "n/a"; and the numbers with a few odd cells among them."""
     assert_floats_match_float(texts)
+    assert_floats_match_float([f" {text} " for text in texts])
+    assert_floats_match_float(["nan"] * len(texts))
+    assert_floats_match_float(["n/a"] * len(texts))
     for at, cell in dirty:
         texts.insert(at, cell)
     assert_floats_match_float(texts)

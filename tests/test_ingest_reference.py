@@ -293,6 +293,35 @@ def test_quote_only_in_the_last_chunk(note, last_end):
     check_against_reference(document({198: good_line(198, note=note)}, last_end=last_end), 16)
 
 
+def quote_all(line: str) -> str:
+    """``line`` with each of its comma-separated cells in quotes."""
+    body = line.rstrip("\r\n")
+    return ",".join(f'"{cell}"' for cell in body.split(",")) + line[len(body):]
+
+
+# cells that take a chunk with quotes off the byte path, and cells that keep it there
+QUOTE_BREAKERS = ['"a""b"', '"a"b', 'a"b"', '"1,5"', '"two\nlines"', '"', '"open']
+QUOTE_KEEPERS = ['""', '" "', '"n/a"', '" 900 "', '"-0"', '"x"']
+
+
+@pytest.mark.parametrize("last_end", ["\n", ""])
+@pytest.mark.parametrize("cell", QUOTE_BREAKERS + QUOTE_KEEPERS)
+def test_quoted_cells_match_reference(cell, last_end):
+    """Every line quoted, cell by cell, with one odd cell as a value, as a
+    note, at a line's start and on the last line; a chunk whose quotes each
+    wrap a whole cell is read from its bytes, any other by csv.reader."""
+    odd = {i: quote_all(good_line(i)) for i in range(400)}
+    odd[21] = quote_all(good_line(21)).replace('"900"', cell)
+    odd[40] = quote_all(good_line(40)).rsplit(",", 1)[0] + f",{cell}\n"
+    odd[63] = cell + quote_all(good_line(63))[len(quote_all(stamp(63 % 31, "Z"))):]
+    odd[399] = quote_all(good_line(399)).replace('"0"', cell)
+    text = document(odd, n=400, last_end=last_end)
+    with mock.patch.object(ingest, "_byte_rows", wraps=ingest._byte_rows) as byte_rows:
+        check_against_reference(text, 16)
+    # 25 chunks of 16 lines; a breaker sends its chunks to csv.reader
+    assert (byte_rows.call_count == 25) == (cell in QUOTE_KEEPERS)
+
+
 @pytest.mark.parametrize("chunk_rows", [1, 3, 16])
 @pytest.mark.parametrize("header", [HEADER, "time,nd,w,pv"])
 def test_cr_only_and_mixed_line_ends(chunk_rows, header):
