@@ -61,6 +61,7 @@ from .report import (
     write_table2_csv,
 )
 from .scaling import (
+    MAX_CAPACITY_GWC,
     NormalizedYear,
     ScalingSpec,
     extrapolate_wind,
@@ -187,16 +188,20 @@ def _capacities(text: str, key: str) -> list[float]:
         capacities[0] <= 0 or any(b <= a for a, b in zip(capacities, capacities[1:]))
     ):
         raise ConfigError("capacities must be positive and strictly increasing")
+    if capacities and capacities[-1] > MAX_CAPACITY_GWC:
+        raise ConfigError(f"capacities must be <= {MAX_CAPACITY_GWC:,.0f} GWc")
     return capacities
 
 
 def _weeks(text: str, key: str) -> list[int]:
     weeks = _parse_float_list(text, key)
-    for w in weeks:
+    for n, w in enumerate(weeks):
         if w != int(w):
             raise ConfigError(f"week index {w:g} is not a whole number")
         if not 1 <= w <= 52:
             raise ConfigError(f"week index {w:g} out of range 1..52")
+        if w in weeks[:n]:
+            raise ConfigError(f"week index {w:g} given twice")
     return [int(w) for w in weeks]
 
 
@@ -213,6 +218,10 @@ def _parse_columns(text: str, key: str) -> dict[str, str]:
         if logical not in DEFAULT_COLUMNS:
             raise ConfigError(f"unknown logical column {logical!r}")
         mapping[logical] = actual
+    names = list(mapping.values())
+    for name in names:
+        if names.count(name) > 1:
+            raise ConfigError(f"column mapping names file column {name!r} more than once")
     return mapping
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from .bev import BevFleetSpec, weekly_levels
 from .dispatch import DispatchConfig, dispatch_week, headroom
 from .export import write_csv
-from .scaling import NormalizedYear, WindHistogram
+from .scaling import MAX_CAPACITY_GWC, NormalizedYear, WindHistogram
 
 DEFAULT_CAPACITY_GRID_GWC = (20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0)
 DEFAULT_BASE_GENERATION_GWE = 13.0
@@ -61,6 +61,8 @@ class CurveRequest:
             raise ValueError("capacities must be finite and positive")
         if any(b <= a for a, b in zip(caps, caps[1:])):
             raise ValueError("capacities must be strictly increasing")
+        if caps[-1] > MAX_CAPACITY_GWC:
+            raise ValueError(f"capacities must be <= {MAX_CAPACITY_GWC:,.0f} GWc")
         if (self.headroom_gwe is None) == (self.bev is None):
             raise ValueError("set exactly one of headroom_gwe or bev")
         if not (np.isfinite(self.solar_scale) and self.solar_scale >= 0):

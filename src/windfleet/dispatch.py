@@ -72,7 +72,6 @@ class DispatchResult:
     peak_gas_turbine_gwe: float
     mean_gas_turbine_gwe: float
     gt_energy_gwh: float
-    curtailed_energy_gwh: float
 
 
 def dispatch_week(
@@ -109,7 +108,6 @@ def dispatch_week(
         peak_gas_turbine_gwe=float(gas.max()),
         mean_gas_turbine_gwe=float(gas.mean()),
         gt_energy_gwh=float(gas.sum() * HOURS_PER_SAMPLE),
-        curtailed_energy_gwh=float(curtailed.sum() * HOURS_PER_SAMPLE),
     )
 
 

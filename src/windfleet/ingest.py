@@ -4,19 +4,23 @@ Input files are CSV with MW values; everything downstream works in GW.
 Repairs (gap interpolation, duplicate removal) are conservative and logged:
 long outages must fail loudly rather than silently fabricate wind lulls.
 
-The file is read as bytes, CHUNK_ROWS lines at a time, cut where csv.reader
-cuts lines. In a chunk without a quote, the plain rows are read straight
-from the bytes: rows with one cell per header column and a timestamp of 19,
-20 or 25 ASCII bytes in YYYY-MM-DD[T ]HH:MM:SS[Z|+00:00] form. One orjson
-call per chunk reads their value cells that are plain JSON numbers, as
-float() does; their other value cells ("n/a", "nan", " 900 ", blanks ...)
-go through float(), which also gives the reasons. The other rows (blank,
-short or long lines, other timestamp forms) are split into text cells and
-go through float() and _parse_timestamp. A chunk whose quotes each wrap a
+The file is read as bytes, READ_BYTES at a time; each read is scanned once
+for the line ends where csv.reader cuts lines, and the lines are parsed
+CHUNK_ROWS at a time. In a chunk without a quote, the plain rows are read
+straight from the bytes: rows with one cell per header column and a
+timestamp of 19, 20 or 25 ASCII bytes in YYYY-MM-DD[T ]HH:MM:SS[Z|+00:00]
+form, read one byte matrix per length (_iso_cells). One orjson call per
+chunk reads their value cells that are plain JSON numbers, as float() does;
+their other value cells ("n/a", "nan", " 900 ", blanks ...) go through
+float(), which also gives the reasons. A chunk whose quotes each wrap a
 whole cell on one line, with no comma in it, is read the same way once its
-quotes are taken out; any other chunk with a quote goes through the csv
-module. All give the cells, row errors and line numbers of one csv.reader
-over the whole file.
+quotes are taken out. The other lines of these chunks (blank, short or long
+lines, other timestamp forms) are split on commas, and any other chunk with
+a quote goes through the csv module. Both kinds of row then take one path:
+their values through float(), their timestamps through _parse_timestamp,
+after _iso_cells when a chunk has more than _FEW_TEXTS of them. All give
+the cells, row errors and line numbers of one csv.reader over the whole
+file.
 """
 
 from __future__ import annotations
@@ -236,22 +240,17 @@ def _iso_utc_us(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _timestamps_us(texts: Sequence[str], reasons: dict[int, str]) -> np.ndarray:
     """UTC microseconds per text; a text _parse_timestamp rejects gets a reason.
 
-    Among more than _FEW_TEXTS texts, the ASCII ones of 19, 20 and 25
-    characters are read as one byte matrix per length first, and only the
-    others go through _parse_timestamp.
+    Among more than _FEW_TEXTS texts, those in one of _iso_utc_us's forms are
+    read by _iso_cells first, and only the others go through _parse_timestamp.
     """
     n = len(texts)
     us = np.zeros(n, np.int64)
     slow = range(n)
     if n > _FEW_TEXTS:
-        lengths = np.fromiter(map(len, texts), np.int64, n)
-        fast = np.zeros(n, bool)
-        for length in _ISO_FORMS:
-            rows = lengths == length
-            group = "".join(compress(texts, rows.tolist()))
-            if group and group.isascii():  # full-width digits, say: _parse_timestamp decides
-                codes = np.frombuffer(group.encode("ascii"), np.uint8).reshape(-1, length)
-                us[rows], fast[rows] = _iso_utc_us(codes)
+        # one byte per character: "?" for any other than ASCII, which no form holds
+        data = np.frombuffer("".join(texts).encode("ascii", "replace"), np.uint8)
+        hi = np.cumsum(np.fromiter(map(len, texts), np.int64, n))
+        us, fast = _iso_cells(data, np.append(0, hi[:-1]), hi)
         slow = np.flatnonzero(~fast).tolist()
     for j in slow:
         try:
@@ -279,20 +278,6 @@ def _float(text: str, j: int, reasons: dict[int, str]) -> float:
         return np.nan
 
 
-def _text_rows(columns: list[list[str]], reasons: dict[int, str]) -> tuple[np.ndarray, ...]:
-    """timestamp_us and the rows x 3 demand/wind/solar values of text columns.
-
-    A cell that _parse_timestamp or float() rejects gives its row a reason,
-    unless the row has one already.
-    """
-    stamps, *texts = columns
-    us = _timestamps_us(stamps, reasons)
-    values = np.empty((len(stamps), 3))
-    for i, column in enumerate(texts):
-        values[:, i] = _floats(column, reasons)
-    return us, values
-
-
 def _columns(rows: list[list[str]], width: int, fields: list[int], need: int):
     """The ``fields`` columns of ``rows``, given as lists of cells.
 
@@ -314,6 +299,18 @@ def _columns(rows: list[list[str]], width: int, fields: list[int], need: int):
 def _windows(codes: np.ndarray, size: int) -> np.ndarray:
     """``codes`` as overlapping ``size``-byte items, one starting at each offset."""
     return np.ndarray((codes.size - size + 1,), f"S{size}", buffer=codes, strides=(1,))
+
+
+def _iso_cells(data: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_iso_utc_us of the cells ``data[lo[i]:hi[i]]``, one byte matrix per
+    length; a cell of another length is left out of the mask."""
+    us, good = np.zeros(lo.size, np.int64), np.zeros(lo.size, bool)
+    for length in _ISO_FORMS:
+        group = np.flatnonzero(hi - lo == length)
+        if group.size:
+            codes = _windows(data, length)[lo[group]].view(np.uint8).reshape(-1, length)
+            us[group], good[group] = _iso_utc_us(codes)
+    return us, good
 
 
 def _blank(codes: np.ndarray, at: np.ndarray, sizes: np.ndarray) -> None:
@@ -353,14 +350,9 @@ def _plain_rows(chunk: bytes, starts: np.ndarray, stops: np.ndarray, nexts: np.n
         hi = stops[lines] if k == width - 1 else commas[first[lines] + k]
         return lo, hi
 
-    lo, hi = cell(fields[0])
-    ok = np.zeros(lines.size, bool)
-    for length in _ISO_FORMS:
-        group = np.flatnonzero(hi - lo == length)
-        if group.size:
-            stamps = _windows(data, length)[lo[group]].view(np.uint8).reshape(-1, length)
-            us[lines[group]], ok[group] = _iso_utc_us(stamps)
+    stamps, ok = _iso_cells(data, *cell(fields[0]))
     lines = lines[ok]
+    us[lines] = stamps[ok]
     if not lines.size:
         return plain, us, values, {}
     plain[lines] = True
@@ -410,36 +402,6 @@ def _plain_rows(chunk: bytes, starts: np.ndarray, stops: np.ndarray, nexts: np.n
                 reasons.setdefault(int(lines[rows[j]]), reason)
     values[lines] = table[:, [picked.index(k) for k in fields[1:]]]
     return plain, us, values, reasons
-
-
-def _byte_rows(chunk: bytes, starts: np.ndarray, stops: np.ndarray, nexts: np.ndarray,
-               width: int, fields: list[int], need: int):
-    """timestamp_us and rows x 3 values of a quote-free chunk's non-blank lines.
-
-    Plain lines are read from the bytes (_plain_rows). The others are split
-    on commas as text and read by _columns and _text_rows, which drop the
-    blank ones and give the reasons. Returns the two arrays, the mask of
-    lines that hold a row, and the reasons of rows that failed, by row.
-    """
-    if stops[-1] == len(chunk):  # the file's last line, with no line end
-        chunk += b"\n"
-        nexts = np.append(nexts[:-1], len(chunk))
-    plain, us, values, reasons = _plain_rows(chunk, starts, stops, nexts, width, fields)
-    keep = np.ones(stops.size, bool)
-    odd = np.flatnonzero(~plain)
-    if not odd.size:
-        return us, values, keep, reasons
-    rows = [chunk[a:b].decode().split(",") for a, b in zip(starts[odd].tolist(), stops[odd].tolist())]
-    columns, kept, failed = _columns(rows, width, fields, need)
-    at = odd[kept]
-    us[at], values[at] = _text_rows(columns, failed)
-    reasons.update((int(at[j]), reason) for j, reason in failed.items())
-    keep[odd[~kept]] = False
-    rank = np.cumsum(keep) - 1  # a kept line's row
-    reasons = {int(rank[j]): reason for j, reason in reasons.items()}
-    if not kept.all():
-        us, values = us[keep], values[keep]
-    return us, values, keep, reasons
 
 
 def _unquoted(chunk: bytes, starts: np.ndarray, stops: np.ndarray, nexts: np.ndarray):
@@ -506,19 +468,13 @@ class _Lines:
         self._eof = False
 
     def _fill(self, n: int) -> None:
-        """Read until ``n`` lines are found, or to the end of the file."""
+        """Read until ``n`` lines are found, or to the end of the file; each
+        read is scanned from the end of the last line found."""
         while self._nexts.size < n and not self._eof:
             found = int(self._nexts[-1]) if self._nexts.size else 0
-            blocks, more = [self._data], n - self._nexts.size
-            while more > 0:
-                block = self._fh.read(READ_BYTES)
-                if not block:
-                    self._eof = True
-                    break
-                blocks.append(block)
-                codes = np.frombuffer(block, np.uint8)  # the scan below has the last word
-                more -= np.count_nonzero(codes == ord("\n")) or np.count_nonzero(codes == ord("\r"))
-            self._data = b"".join(blocks)
+            block = self._fh.read(READ_BYTES)
+            self._eof = not block
+            self._data += block
             stops, nexts = _line_ends(self._data, found, self._eof)
             self._stops = np.concatenate((self._stops, stops))
             self._nexts = np.concatenate((self._nexts, nexts))
@@ -548,10 +504,13 @@ def _chunks(lines: _Lines, done: int, width: int, fields: list[int], path: Path)
     timestamp_us, its rows x 3 demand/wind/solar values, the line each row
     ends on, and the reasons of the rows that failed to parse, by row. A
     chunk with no line longer than the csv field limit, and no quote once
-    _unquoted is done with it, is read by _byte_rows. Any other chunk goes
-    through csv.reader, one row per line of the chunk; the reader reads on
-    from the file while a quoted field is open, so rows, line numbers and
-    errors are those of one csv.reader over the whole file.
+    _unquoted is done with it, has its plain lines read by _plain_rows and
+    its other lines split on commas. Any other chunk goes through
+    csv.reader, one row per line of the chunk; the reader reads on from the
+    file while a quoted field is open, so rows, line numbers and errors are
+    those of one csv.reader over the whole file. The split or csv.reader
+    rows go through _columns, which drops the blank ones, and then
+    _parse_timestamp and float(), which give the reasons.
     """
     need = max(fields) + 1
     limit = csv.field_size_limit()
@@ -566,7 +525,13 @@ def _chunks(lines: _Lines, done: int, width: int, fields: list[int], path: Path)
         if short and b'"' not in chunk:
             numbers = np.arange(done + 1, done + stops.size + 1)
             done += stops.size
-            us, values, keep, reasons = _byte_rows(chunk, starts, stops, nexts, width, fields, need)
+            if stops[-1] == len(chunk):  # the file's last line, with no line end
+                chunk += b"\n"
+                nexts = np.append(nexts[:-1], len(chunk))
+            plain, us, values, reasons = _plain_rows(chunk, starts, stops, nexts, width, fields)
+            odd = np.flatnonzero(~plain)
+            cuts = zip(starts[odd].tolist(), stops[odd].tolist())
+            rows = [chunk[a:b].decode().split(",") for a, b in cuts]
         else:
             texts = [chunk[a:b].decode() for a, b in zip(starts.tolist(), nexts.tolist())]
             reader = csv.reader(chain(texts, lines.texts()))
@@ -579,10 +544,23 @@ def _chunks(lines: _Lines, done: int, width: int, fields: list[int], path: Path)
             else:  # a row ends one line after the last, plus its fields' line breaks
                 numbers = done + np.cumsum([1 + sum(map(_line_breaks, row)) for row in rows])
             done += reader.line_num
-            columns, keep, reasons = _columns(rows, width, fields, need)
-            us, values = _text_rows(columns, reasons)
-        if keep.any():
-            yield us, values, numbers[keep], reasons
+            odd = np.arange(len(rows))
+            us, values, reasons = np.zeros(odd.size, np.int64), np.empty((odd.size, 3)), {}
+        if rows:
+            columns, kept, failed = _columns(rows, width, fields, need)
+            at = odd[kept]
+            us[at] = _timestamps_us(columns[0], failed)
+            for i, column in enumerate(columns[1:]):
+                values[at, i] = _floats(column, failed)
+            reasons.update((int(at[j]), reason) for j, reason in failed.items())
+            if not kept.all():  # drop the blank rows; reasons go by the rows left
+                keep = np.ones(us.size, bool)
+                keep[odd[~kept]] = False
+                rank = np.cumsum(keep) - 1
+                reasons = {int(rank[j]): reason for j, reason in reasons.items()}
+                us, values, numbers = us[keep], values[keep], numbers[keep]
+        if us.size:
+            yield us, values, numbers, reasons
 
 
 def _parse_chunk(
@@ -649,7 +627,10 @@ def parse_csv(
             missing = [c for c in columns.values() if c not in header]
             if missing:
                 raise IngestError(f"{path}: missing column(s) {missing}; file has {header}")
-            position = {name: i for i, name in enumerate(header)}  # a repeated name: last one
+            repeated = [c for c in columns.values() if header.count(c) > 1]
+            if repeated:
+                raise IngestError(f"{path}: mapped column {repeated[0]!r} repeats in the header")
+            position = {name: i for i, name in enumerate(header)}
             fields = [position[columns[k]] for k in ("timestamp", "demand", "wind", "solar")]
             for chunk in _chunks(lines, reader.line_num, len(header), fields, path):
                 n_rows += chunk[2].size

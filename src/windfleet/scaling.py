@@ -23,6 +23,10 @@ from .ingest import (
 )
 
 DEFAULT_REFERENCE_CAPACITY_GWC = 20.0
+# The largest wind fleet (GWc) a run takes: far beyond any real fleet, and
+# small enough that the histogram has about 10^4 one-GW bins and every GW and
+# GWh value, and its sum over a year of samples, stays finite.
+MAX_CAPACITY_GWC = 1e4
 
 
 @dataclass(frozen=True)
@@ -42,6 +46,8 @@ class ScalingSpec:
             raise ValueError("scaling parameters must be finite")
         if self.reference_capacity_gwc <= 0:
             raise ValueError("reference_capacity must be > 0")
+        if self.reference_capacity_gwc > MAX_CAPACITY_GWC:
+            raise ValueError(f"reference_capacity must be <= {MAX_CAPACITY_GWC:,.0f} GWc")
         if not 0 < self.target_capacity_factor <= 1:
             raise ValueError("target_capacity_factor must be in (0, 1]")
         if self.solar_scale <= 0:

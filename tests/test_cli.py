@@ -14,7 +14,7 @@ import pytest
 from windfleet import BevFleetSpec, ScalingSpec, ScenarioConstants, cli, report
 from windfleet.bev import MAX_FLEET_FIGURE
 from windfleet.cli import load_config_file, main, ConfigError
-from windfleet.scaling import normalize
+from windfleet.scaling import MAX_CAPACITY_GWC, normalize
 from _helpers import make_year_series
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -40,6 +40,10 @@ BAD_VALUES = [
     ["bev", "--fleet-size", "-5"],
     ["table2", "--fleet-sizes", "15,-5"],
     ["curves", "--fleet-sizes", "-1"],
+    ["lull", "--weeks", "3,3"],
+    ["bev", "--weeks", "3, 5, 3"],
+    ["histogram", "--columns", "demand=wind"],
+    ["lull", "--columns", "timestamp=ts,demand=ts"],
 ]
 
 FLEET_READERS = ("curves", "bev", "lull", "table2")
@@ -851,6 +855,22 @@ FLEET_SIZE_FLAG = {"curves": "--fleet-sizes", "bev": "--fleet-size", "lull": "--
 FLEET_FIGURES = ("fleet_size_millions", "daily_energy_per_vehicle_kwh", "battery_per_vehicle_kwh")
 
 
+def assert_every_result_finite(stdout, out):
+    """No printed number is inf or NaN, and every number in the result CSVs is finite."""
+    assert not re.search(r"\b(inf|nan)\b", stdout, re.IGNORECASE)
+    results = list(out.glob("*.csv"))
+    assert results
+    for path in results:
+        with open(path, newline="") as fh:
+            for row in csv.reader(fh):
+                for cell in row:
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        continue
+                    assert math.isfinite(value), (path.name, row)
+
+
 class TestFleetBound:
     """Fleet size and per-vehicle kWh are bounded, so no result holds inf or NaN:
     at the bound every CSV cell and printed number is finite, above it the run
@@ -880,18 +900,7 @@ class TestFleetBound:
             assert not list(out.glob("*.csv"))
             return
         assert code == 0, output.err
-        assert not re.search(r"\b(inf|nan)\b", output.out, re.IGNORECASE)
-        results = list(out.glob("*.csv"))
-        assert results
-        for path in results:
-            with open(path, newline="") as fh:
-                for row in csv.reader(fh):
-                    for cell in row:
-                        try:
-                            value = float(cell)
-                        except ValueError:
-                            continue
-                        assert math.isfinite(value), (path.name, row)
+        assert_every_result_finite(output.out, out)
 
     @pytest.mark.parametrize("command,key", [
         (command, key) for key in FLEET_FIGURES for command in FLEET_READERS
@@ -921,6 +930,77 @@ class TestFleetBound:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and err.count("\n") == 1
         assert not out.exists()
+
+
+def capacity_argv(command, capacity, tmp_path):
+    """``command`` with ``capacity`` GWc as its reference fleet (histogram)
+    or as the largest of its capacities."""
+    if command == "histogram":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"reference_capacity_gwc = {capacity!r}\n")
+        return [command, "--config", str(cfg)]
+    return [command, "--capacities", f"20,{capacity!r}"]
+
+
+CAPACITY_READERS = ("histogram", "curves", "lull", "table2")
+
+
+class TestCapacityBound:
+    """Wind fleet capacities are bounded, as fleets are (TestFleetBound): at
+    the bound every CSV cell and printed number is finite, above it the run
+    exits 3 with one line before the input is read."""
+
+    @pytest.mark.parametrize("command", CAPACITY_READERS)
+    def test_at_the_bound_every_result_is_finite(self, command, hashed_series, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = [*capacity_argv(command, MAX_CAPACITY_GWC, tmp_path), "--input", "year.csv",
+                "--out-dir", str(out)]
+        capsys.readouterr()
+        assert cli.run(argv, series=hashed_series) == 0
+        assert_every_result_finite(capsys.readouterr().out, out)
+        if command == "histogram":  # one bin per GW of the reference fleet
+            bins = (out / "fig1_histogram.csv").read_text().count("\n") - 1
+            assert bins <= MAX_CAPACITY_GWC
+
+    @pytest.mark.parametrize("capacity", [math.nextafter(MAX_CAPACITY_GWC, math.inf), 1e300, 1e308])
+    @pytest.mark.parametrize("command", CAPACITY_READERS)
+    def test_above_the_bound_exits_3_before_the_input_is_read(
+        self, command, capacity, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        argv = [*capacity_argv(command, capacity, tmp_path),
+                "--input", str(tmp_path / "absent.csv"), "--out-dir", str(out)]
+        assert run(*argv) == 3  # a missing input would exit 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and err.count("\n") == 1
+        assert "must be <= 10,000 GWc" in err
+        assert not out.exists()
+
+
+class TestRepeats:
+    """A setting that names one thing twice is an error, not a silent choice."""
+
+    def test_column_map_naming_one_column_twice_exits_3(self, tmp_path, capsys):
+        argv = ["ingest", "--input", str(tmp_path / "absent.csv"), "--columns", "demand=wind"]
+        assert run(*argv) == 3  # before the input is read: a missing input would exit 2
+        err = capsys.readouterr().err
+        assert err == ("configuration error: column mapping names file column 'wind' "
+                       "more than once\n")
+
+    @pytest.mark.parametrize("command", ["ingest", "bev"])
+    def test_header_repeating_a_mapped_name_exits_2(self, command, synth_csv, tmp_path, capsys):
+        lines = synth_csv.read_text().splitlines(keepends=True)
+        path = tmp_path / "repeat.csv"
+        path.write_text("timestamp,demand,wind,solar,wind\n" + "".join(
+            line.rstrip("\n") + ",1\n" for line in lines[1:]))
+        out = tmp_path / "out"
+        argv = [command, "--input", str(path)]
+        if command == "bev":
+            argv += ["--out-dir", str(out)]
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"input error: {path}: mapped column 'wind' repeats in the header\n"
+        assert not list(out.glob("*"))
 
 
 def manifest_settings(out, command):

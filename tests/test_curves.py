@@ -19,7 +19,7 @@ from windfleet.curves import (
 )
 from windfleet.dispatch import DispatchConfig, dispatch_week
 from windfleet.report import ScenarioConstants
-from windfleet.scaling import WindHistogram, wind_histogram
+from windfleet.scaling import MAX_CAPACITY_GWC, WindHistogram, wind_histogram
 from _helpers import make_week, make_year, two_state_wind
 
 
@@ -103,6 +103,12 @@ class TestAnnualCurve:
             CurveRequest(year=synth_year)
         with pytest.raises(ValueError, match="exactly one"):
             CurveRequest(year=synth_year, headroom_gwe=20.0, bev=BevFleetSpec(35.0))
+
+    def test_capacities_bounded(self, synth_year):
+        CurveRequest(year=synth_year, headroom_gwe=20.0, capacities_gwc=(20.0, MAX_CAPACITY_GWC))
+        above = np.nextafter(MAX_CAPACITY_GWC, np.inf)
+        with pytest.raises(ValueError, match="capacities must be <= 10,000 GWc"):
+            CurveRequest(year=synth_year, headroom_gwe=20.0, capacities_gwc=(20.0, above))
 
     def test_solar_scale_relative_to_year(self, synth_year):
         # the year was normalized at solar_scale 1.0; requesting 1.0 again

@@ -281,8 +281,8 @@ def byte_path_floats(texts):
     lines = "".join(f"2017-01-16T00:00:00Z,1,{text},0\n" for text in texts)
     chunk, stops, nexts = ingest._Lines(io.BytesIO(lines.encode())).take(len(texts))
     starts = np.concatenate(([0], nexts[:-1]))
-    us, values, keep, reasons = ingest._byte_rows(chunk, starts, stops, nexts, 4, [0, 1, 2, 3], 4)
-    assert keep.all()
+    plain, us, values, reasons = ingest._plain_rows(chunk, starts, stops, nexts, 4, [0, 1, 2, 3])
+    assert plain.all()
     return values[:, 1], reasons
 
 

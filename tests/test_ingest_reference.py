@@ -1,9 +1,12 @@
 """The columnar parse_csv + canonicalize against a row-by-row reference.
 
 The reference is the row-at-a-time reader this package used before its
-ingest worked on columns (csv.DictReader, one RawRecord per row, a sorted
-list for canonicalize), with its two fixes: a row too short for the mapped
-columns is a row error, and a UTF-8 byte-order mark is skipped.
+ingest worked on columns (csv.DictReader, one record per row, a sorted list
+for canonicalize), with its three fixes: a row too short for the mapped
+columns is a row error, a UTF-8 byte-order mark is skipped, and a header
+that repeats a mapped name is fatal, where csv.DictReader would read the
+last column of that name. A record is a (UTC microseconds since the epoch,
+demand, wind, solar) tuple, compared with the columns of parse_csv's Records.
 """
 
 import csv
@@ -26,13 +29,14 @@ from windfleet.ingest import (
     MW_PER_GW,
     GridSeries,
     IngestError,
-    RawRecord,
     _parse_timestamp,
     canonicalize,
     parse_csv,
 )
 
 T0 = datetime(2017, 1, 16, tzinfo=timezone.utc)
+EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+ONE_US = timedelta(microseconds=1)
 COLUMNS = {"timestamp": "time", "demand": "nd", "wind": "w", "solar": "pv"}
 
 
@@ -42,6 +46,9 @@ def reference_parse(path, column_map):
     records, errors, n_rows = [], [], 0
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
+        repeated = [c for c in columns.values() if reader.fieldnames.count(c) > 1]
+        if repeated:
+            raise IngestError(f"{path}: mapped column {repeated[0]!r} repeats in the header")
         need = max(reader.fieldnames.index(c) for c in columns.values()) + 1
         for row in reader:
             if all(v is None or not str(v).strip() for v in row.values()):
@@ -69,44 +76,42 @@ def reference_parse(path, column_map):
             if wind < 0 or solar < 0:
                 errors.append((line, "wind and solar must be >= 0"))
                 continue
-            records.append(RawRecord(ts, demand, wind, solar))
+            records.append(((ts - EPOCH) // ONE_US, demand, wind, solar))
     return records, errors, n_rows
 
 
 def reference_canonicalize(records, source):
     if not records:
         raise IngestError("no records to canonicalize")
-    deduped, dropped, last_ts = [], 0, None
-    for rec in sorted(records, key=lambda r: r.timestamp):
-        if last_ts is not None and rec.timestamp == last_ts:
+    deduped, dropped, last_us = [], 0, None
+    for rec in sorted(records, key=lambda r: r[0]):
+        if last_us is not None and rec[0] == last_us:
             dropped += 1
             continue
         deduped.append(rec)
-        last_ts = rec.timestamp
-    t0 = deduped[0].timestamp
-    offsets = np.array([(r.timestamp - t0).total_seconds() for r in deduped])
-    misaligned = offsets % CADENCE_S != 0
+        last_us = rec[0]
+    t0 = deduped[0][0]
+    offsets = np.array([r[0] - t0 for r in deduped])
+    cadence_us = CADENCE_S * 1_000_000
+    misaligned = offsets % cadence_us != 0
     if np.any(misaligned):
-        bad = deduped[int(np.argmax(misaligned))]
-        raise IngestError(f"non-{CADENCE_S} s cadence at {bad.timestamp.isoformat()}")
-    idx = (offsets // CADENCE_S).astype(np.int64)
+        bad = EPOCH + ONE_US * deduped[int(np.argmax(misaligned))][0]
+        raise IngestError(f"non-{CADENCE_S} s cadence at {bad.isoformat()}")
+    idx = offsets // cadence_us
     gaps = np.diff(idx) - 1
     n_gaps = int(np.count_nonzero(gaps))
     if n_gaps:
         worst_at = int(np.argmax(gaps))
         worst = int(gaps[worst_at])
         if worst > MAX_GAP_SAMPLES:
-            gap_start = deduped[worst_at].timestamp + timedelta(seconds=CADENCE_S)
+            gap_start = EPOCH + ONE_US * (deduped[worst_at][0] + cadence_us)
             raise IngestError(
                 f"gap exceeds 1 hour: {worst} consecutive samples missing "
                 f"from {gap_start.isoformat()}"
             )
     n = int(idx[-1]) + 1
     full = np.arange(n)
-    columns = [
-        np.interp(full, idx, [getattr(r, name) for r in deduped]) / MW_PER_GW
-        for name in ("demand_mw", "wind_mw", "solar_mw")
-    ]
+    columns = [np.interp(full, idx, [r[k] for r in deduped]) / MW_PER_GW for k in (1, 2, 3)]
     provenance = [f"source: {source}"]
     if dropped:
         provenance.append(f"dropped {dropped} duplicate-timestamp rows (kept first)")
@@ -114,7 +119,7 @@ def reference_canonicalize(records, source):
         provenance.append(
             f"interpolated {n - len(deduped)} missing samples across {n_gaps} gaps"
         )
-    return GridSeries(t0, *columns, provenance=tuple(provenance))
+    return GridSeries(EPOCH + ONE_US * t0, *columns, provenance=tuple(provenance))
 
 
 def stamp(i, form):
@@ -316,10 +321,26 @@ def test_quoted_cells_match_reference(cell, last_end):
     odd[63] = cell + quote_all(good_line(63))[len(quote_all(stamp(63 % 31, "Z"))):]
     odd[399] = quote_all(good_line(399)).replace('"0"', cell)
     text = document(odd, n=400, last_end=last_end)
-    with mock.patch.object(ingest, "_byte_rows", wraps=ingest._byte_rows) as byte_rows:
+    with mock.patch.object(ingest, "_plain_rows", wraps=ingest._plain_rows) as plain_rows:
         check_against_reference(text, 16)
     # 25 chunks of 16 lines; a breaker sends its chunks to csv.reader
-    assert (byte_rows.call_count == 25) == (cell in QUOTE_KEEPERS)
+    assert (plain_rows.call_count == 25) == (cell in QUOTE_KEEPERS)
+
+
+@pytest.mark.parametrize("header", ["time,nd,w,pv,w", "pv,time,nd,w,pv", "time,nd,w,pv,note,note"])
+def test_repeated_header_names_match_reference(header, tmp_path):
+    """A header that repeats a mapped name is fatal, naming the column; a
+    repeated unmapped name is read."""
+    cells = {"time": stamp(0, "Z"), "nd": "48000", "w": "900", "pv": "0", "note": "x"}
+    text = header + "\n" + ",".join(cells[name] for name in header.split(",")) + "\n"
+    path = tmp_path / "export.csv"
+    path.write_text(text)
+    expected = outcome(reference_parse, path, COLUMNS)
+    if isinstance(expected, str):
+        assert expected.endswith("repeats in the header")
+        assert outcome(parse_csv, path, COLUMNS) == expected
+    else:
+        check_against_reference(text, 16)
 
 
 @pytest.mark.parametrize("chunk_rows", [1, 3, 16])
@@ -496,10 +517,11 @@ def check_against_reference(text, chunk_rows, read_bytes=ingest.READ_BYTES):
     assert [(e.line, e.reason) for e in errors] == expected_errors
     if records is None:
         return
-    assert list(records) == expected_records
-    for name in ("demand_mw", "wind_mw", "solar_mw"):  # bit for bit: -0.0 is not 0.0
-        expected_bits = np.array([getattr(r, name) for r in expected_records], dtype=float)
-        assert getattr(records, name).tobytes() == expected_bits.tobytes(), name
+    expected_columns = list(zip(*expected_records)) or [()] * 4
+    assert records.timestamp_us.tolist() == list(expected_columns[0])
+    for name, column in zip(("demand_mw", "wind_mw", "solar_mw"), expected_columns[1:]):
+        # bit for bit: -0.0 is not 0.0
+        assert getattr(records, name).tobytes() == np.array(column, float).tobytes(), name
     expected = outcome(reference_canonicalize, expected_records, "x")
     series = outcome(canonicalize, records, "x")
     if isinstance(expected, str):

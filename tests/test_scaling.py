@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from windfleet.ingest import CADENCE_S, SAMPLES_PER_WEEK, SAMPLES_PER_YEAR, IngestError
 from windfleet.scaling import (
+    MAX_CAPACITY_GWC,
     ScalingSpec,
     WindHistogram,
     extrapolate_wind,
@@ -50,6 +51,11 @@ class TestNormalize:
     def test_spec_rejects_non_finite(self, field, value):
         with pytest.raises(ValueError, match="finite"):
             ScalingSpec(**{field: value})
+
+    def test_reference_capacity_bounded(self):
+        ScalingSpec(reference_capacity_gwc=MAX_CAPACITY_GWC)
+        with pytest.raises(ValueError, match="reference_capacity must be <= 10,000 GWc"):
+            ScalingSpec(reference_capacity_gwc=np.nextafter(MAX_CAPACITY_GWC, np.inf))
 
     def test_zero_wind_fatal(self):
         series = make_year_series(wind=0.0)
