@@ -44,7 +44,7 @@ from .curves import (
     annual_curve,
     write_curves_csv,
 )
-from .dispatch import write_dispatch_csv
+from .dispatch import MAX_POWER_GWE, write_dispatch_csv
 from .ingest import (
     DEFAULT_COLUMNS, WEEKS_PER_YEAR, GridSeries, IngestError, canonicalize, cut_year, parse_csv,
     split_weeks,
@@ -193,6 +193,15 @@ def _capacities(text: str, key: str) -> list[float]:
     return capacities
 
 
+def _powers(values: list[float], key: str) -> list[float]:
+    """``values``, GWe each, bounded as DispatchConfig bounds base generation."""
+    if any(abs(v) > MAX_POWER_GWE for v in values):
+        raise ConfigError(
+            f"{key} must be between {-MAX_POWER_GWE:,.0f} and {MAX_POWER_GWE:,.0f} GWe"
+        )
+    return values
+
+
 def _weeks(text: str, key: str) -> list[int]:
     weeks = _parse_float_list(text, key)
     for n, w in enumerate(weeks):
@@ -231,7 +240,8 @@ _PARSERS = {
     "out_dir": lambda text, key: text,
     "columns": _parse_columns,
     "capacities_gwc": _capacities,
-    "headrooms_gwe": _parse_float_list,
+    "base_generation_gwe": lambda text, key: _powers([_finite(text, key)], key)[0],
+    "headrooms_gwe": lambda text, key: _powers(_parse_float_list(text, key), key),
     "fleet_sizes_millions": _parse_float_list,
     "weeks": _weeks,
 }
@@ -330,11 +340,12 @@ def _load_series(s: dict[str, object], series: GridSeries | None) -> GridSeries:
 
 
 def _out_dir(s: dict[str, object]) -> Path:
+    """The output directory, not yet made; anything but a directory where it
+    or a parent of it would be is a configuration error."""
     out = Path(s["out_dir"])
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
+    found = next((p for p in (out, *out.parents) if p.exists()), None)
+    if found is not None and not found.is_dir():
+        raise ConfigError(f"cannot create output directory {out}: {found} is not a directory")
     return out
 
 
@@ -514,9 +525,15 @@ def _settings(args: argparse.Namespace) -> dict[str, str]:
 
 def _execute(name: str, s: dict[str, object], series: GridSeries | None) -> None:
     """Load the input and run the command on it; every command but ingest
-    writes its artifacts and then its run manifest into the output directory."""
+    then makes the output directory and writes its artifacts and its run
+    manifest into it, so an input that fails leaves no directory behind."""
     out = None if name == "ingest" else _out_dir(s)
     series = _load_series(s, series)
+    if out is not None:
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
     COMMANDS[name].compute(s, series, out)
     if out is None:
         return

@@ -21,6 +21,10 @@ from .scaling import DEFAULT_REFERENCE_CAPACITY_GWC, NormalizedYear
 
 SAMPLES_PER_HOUR = 3600 // CADENCE_S  # 12
 HOURS_PER_SAMPLE = 1.0 / SAMPLES_PER_HOUR
+# The largest base generation or headroom (GWe, either sign) a run takes: as
+# with scaling.MAX_CAPACITY_GWC, far beyond any real grid, and small enough
+# that every GW and GWh value, and its sum over a year of samples, stays finite.
+MAX_POWER_GWE = 1e4
 
 
 @dataclass(frozen=True)
@@ -31,15 +35,19 @@ class DispatchConfig:
     span: a float for one week, or the 52 bev.weekly_levels for a year. None
     caps at real-time demand. base_generation may be negative:
     headroom-family sweeps set base = mean demand - headroom, which drops
-    below zero once the headroom parameter exceeds mean demand.
+    below zero once the headroom parameter exceeds mean demand. Either way
+    it lies within MAX_POWER_GWE of zero.
     """
 
     base_generation_gwe: float
     level_gwe: float | np.ndarray | None = None
 
     def __post_init__(self):
-        if not np.isfinite(self.base_generation_gwe):
-            raise ValueError("base_generation must be finite")
+        if not abs(self.base_generation_gwe) <= MAX_POWER_GWE:  # NaN fails too
+            raise ValueError(
+                f"base_generation must be between {-MAX_POWER_GWE:,.0f} and {MAX_POWER_GWE:,.0f}"
+                f" GWe, got {self.base_generation_gwe:g}"
+            )
         if self.level_gwe is not None:
             levels = np.asarray(self.level_gwe, dtype=float)
             if not np.all(np.isfinite(levels) & (levels > 0)):

@@ -14,11 +14,11 @@ chunk reads their value cells that are plain JSON numbers, as float() does;
 their other value cells ("n/a", "nan", " 900 ", blanks ...) go through
 float(), which also gives the reasons. A chunk whose quotes each wrap a
 whole cell on one line, with no comma in it, is read the same way once its
-quotes are taken out. The other lines of these chunks (blank, short or long
-lines, other timestamp forms) are split on commas, and any other chunk with
-a quote goes through the csv module. Both kinds of row then take one path:
-their values through float(), their timestamps through _parse_timestamp,
-after _iso_cells when a chunk has more than _FEW_TEXTS of them. All give
+quotes are taken out. Every other line (blank, short or long lines, other
+timestamp forms, and every line of any other chunk) goes through one
+csv.reader per chunk; its rows' values go through float(), their timestamps
+through _parse_timestamp, after _iso_cells when a chunk has more than
+_FEW_TEXTS of them. Blank rows are dropped with the rejected ones. All give
 the cells, row errors and line numbers of one csv.reader over the whole
 file.
 """
@@ -279,21 +279,21 @@ def _float(text: str, j: int, reasons: dict[int, str]) -> float:
 
 
 def _columns(rows: list[list[str]], width: int, fields: list[int], need: int):
-    """The ``fields`` columns of ``rows``, given as lists of cells.
+    """The ``fields`` columns of the non-blank ``rows``, given as lists of cells.
 
-    A row of at most ``width`` cells that are all whitespace is blank and
-    dropped. Returns the columns, the mask of rows kept and, by kept row, the
-    reason of each row with fewer than ``need`` cells; its missing cells read "".
+    A row of at most ``width`` cells that are all whitespace is blank. Returns
+    the columns, the mask of blank rows and, by non-blank row, the reason of
+    each row with fewer than ``need`` cells; its missing cells read "".
     """
     n = len(rows)
     lengths = np.fromiter(map(len, rows), np.int64, n)
-    keep = (lengths > width) | np.fromiter(map(bool, map(str.strip, map("".join, rows))), bool, n)
-    rows = list(compress(rows, keep))
+    blank = (lengths <= width) & ~np.fromiter(map(bool, map(str.strip, map("".join, rows))), bool, n)
+    rows = list(compress(rows, ~blank))
     reasons = {}
-    for j in np.flatnonzero(lengths[keep] < need).tolist():
+    for j in np.flatnonzero(lengths[~blank] < need).tolist():
         reasons[j] = f"too few fields: {len(rows[j])}, the mapped columns need {need}"
         rows[j] = rows[j] + [""] * (need - len(rows[j]))
-    return [list(map(itemgetter(i), rows)) for i in fields], keep, reasons
+    return [list(map(itemgetter(i), rows)) for i in fields], blank, reasons
 
 
 def _windows(codes: np.ndarray, size: int) -> np.ndarray:
@@ -498,18 +498,17 @@ class _Lines:
 
 
 def _chunks(lines: _Lines, done: int, width: int, fields: list[int], path: Path):
-    """Non-blank rows after the header, CHUNK_ROWS lines at a time.
+    """The rows after the header, CHUNK_ROWS lines at a time.
 
     ``done`` is the number of lines the header took. Yields each chunk's
     timestamp_us, its rows x 3 demand/wind/solar values, the line each row
-    ends on, and the reasons of the rows that failed to parse, by row. A
-    chunk with no line longer than the csv field limit, and no quote once
-    _unquoted is done with it, has its plain lines read by _plain_rows and
-    its other lines split on commas. Any other chunk goes through
-    csv.reader, one row per line of the chunk; the reader reads on from the
-    file while a quoted field is open, so rows, line numbers and errors are
-    those of one csv.reader over the whole file. The split or csv.reader
-    rows go through _columns, which drops the blank ones, and then
+    ends on, the reasons of the rows that failed to parse, by row, and the
+    mask of blank rows. A chunk with no line longer than the csv field
+    limit, and no quote once _unquoted is done with it, has its plain lines
+    read by _plain_rows. Every other line goes through the chunk's one
+    csv.reader, which reads on from the file while a quoted field is open, so
+    rows, line numbers and errors are those of one csv.reader over the whole
+    file. Its rows go through _columns, which finds the blank ones, and then
     _parse_timestamp and float(), which give the reasons.
     """
     need = max(fields) + 1
@@ -523,59 +522,52 @@ def _chunks(lines: _Lines, done: int, width: int, fields: list[int], path: Path)
         if short and b'"' in chunk:
             chunk, starts, stops, nexts = _unquoted(chunk, starts, stops, nexts)
         if short and b'"' not in chunk:
-            numbers = np.arange(done + 1, done + stops.size + 1)
-            done += stops.size
             if stops[-1] == len(chunk):  # the file's last line, with no line end
                 chunk += b"\n"
                 nexts = np.append(nexts[:-1], len(chunk))
             plain, us, values, reasons = _plain_rows(chunk, starts, stops, nexts, width, fields)
-            odd = np.flatnonzero(~plain)
-            cuts = zip(starts[odd].tolist(), stops[odd].tolist())
-            rows = [chunk[a:b].decode().split(",") for a, b in cuts]
         else:
-            texts = [chunk[a:b].decode() for a, b in zip(starts.tolist(), nexts.tolist())]
-            reader = csv.reader(chain(texts, lines.texts()))
-            try:
-                rows = list(islice(reader, len(texts)))
-            except csv.Error as exc:
-                raise IngestError(f"{path} line {done + reader.line_num}: {exc}") from exc
-            if reader.line_num == len(rows):
-                numbers = np.arange(done + 1, done + len(rows) + 1)
-            else:  # a row ends one line after the last, plus its fields' line breaks
-                numbers = done + np.cumsum([1 + sum(map(_line_breaks, row)) for row in rows])
-            done += reader.line_num
-            odd = np.arange(len(rows))
-            us, values, reasons = np.zeros(odd.size, np.int64), np.empty((odd.size, 3)), {}
-        if rows:
-            columns, kept, failed = _columns(rows, width, fields, need)
-            at = odd[kept]
-            us[at] = _timestamps_us(columns[0], failed)
-            for i, column in enumerate(columns[1:]):
-                values[at, i] = _floats(column, failed)
-            reasons.update((int(at[j]), reason) for j, reason in failed.items())
-            if not kept.all():  # drop the blank rows; reasons go by the rows left
-                keep = np.ones(us.size, bool)
-                keep[odd[~kept]] = False
-                rank = np.cumsum(keep) - 1
-                reasons = {int(rank[j]): reason for j, reason in reasons.items()}
-                us, values, numbers = us[keep], values[keep], numbers[keep]
-        if us.size:
-            yield us, values, numbers, reasons
+            plain, reasons = np.zeros(stops.size, bool), {}
+            us, values = np.zeros(stops.size, np.int64), np.empty((stops.size, 3))
+        odd = np.flatnonzero(~plain)
+        texts = [chunk[a:b].decode() for a, b in zip(starts[odd].tolist(), nexts[odd].tolist())]
+        reader = csv.reader(chain(texts, lines.texts()))
+        try:
+            rows = list(islice(reader, len(texts)))
+        except csv.Error as exc:
+            k = reader.line_num - 1  # the line it failed on: one of the texts, or one after them
+            line = done + 1 + (int(odd[k]) if k < odd.size else k)
+            raise IngestError(f"{path} line {line}: {exc}") from exc
+        numbers = np.arange(done + 1, done + stops.size + 1)
+        if reader.line_num > len(rows):  # a row ends one line after the last, plus its line breaks
+            numbers = done + np.cumsum([1 + sum(map(_line_breaks, row)) for row in rows])
+            us, values, odd = us[:len(rows)], values[:len(rows)], odd[:len(rows)]
+        done += stops.size + reader.line_num - len(texts)
+        columns, blank, failed = _columns(rows, width, fields, need)
+        at = odd[~blank]
+        us[at] = _timestamps_us(columns[0], failed)
+        for i, column in enumerate(columns[1:]):
+            values[at, i] = _floats(column, failed)
+        reasons.update((int(at[j]), reason) for j, reason in failed.items())
+        blanks = np.zeros(us.size, bool)
+        blanks[odd[blank]] = True
+        yield us, values, numbers, reasons, blanks
 
 
 def _parse_chunk(
     us: np.ndarray, values: np.ndarray, lines: np.ndarray, reasons: dict[int, str],
-    errors: list[RowError],
+    blank: np.ndarray, errors: list[RowError],
 ) -> tuple[np.ndarray, ...]:
     """The accepted rows of one chunk as timestamp_us, demand, wind, solar columns.
 
-    ``reasons`` holds the rows that failed to parse, by row. Each rejected
-    row appends one RowError, in line order. Its reason is the first failure
-    in the order: too few fields, the timestamp, demand, wind and solar
-    fields, non-finite value, demand sign, wind and solar sign.
+    Blank rows and rejected rows are dropped. ``reasons`` holds the rows that
+    failed to parse, by row. Each rejected row appends one RowError, in line
+    order; a blank row appends none. Its reason is the first failure in the
+    order: too few fields, the timestamp, demand, wind and solar fields,
+    non-finite value, demand sign, wind and solar sign.
     """
     demand, wind, solar = values.T
-    bad = np.zeros(us.size, dtype=bool)
+    bad = blank.copy()
     bad[list(reasons)] = True
     range_checks = (
         (~np.isfinite(values).all(axis=1), lambda j: "non-finite value"),
@@ -632,9 +624,9 @@ def parse_csv(
                 raise IngestError(f"{path}: mapped column {repeated[0]!r} repeats in the header")
             position = {name: i for i, name in enumerate(header)}
             fields = [position[columns[k]] for k in ("timestamp", "demand", "wind", "solar")]
-            for chunk in _chunks(lines, reader.line_num, len(header), fields, path):
-                n_rows += chunk[2].size
-                part = _parse_chunk(*chunk, errors)
+            for *chunk, blank in _chunks(lines, reader.line_num, len(header), fields, path):
+                n_rows += blank.size - np.count_nonzero(blank)
+                part = _parse_chunk(*chunk, blank, errors)
                 end = n + part[0].size
                 if end > out[0].size:  # grown in place, so no chunk's part outlives it
                     for column in out:

@@ -14,6 +14,7 @@ import pytest
 from windfleet import BevFleetSpec, ScalingSpec, ScenarioConstants, cli, report
 from windfleet.bev import MAX_FLEET_FIGURE
 from windfleet.cli import load_config_file, main, ConfigError
+from windfleet.dispatch import MAX_POWER_GWE
 from windfleet.scaling import MAX_CAPACITY_GWC, normalize
 from _helpers import make_year_series
 
@@ -34,6 +35,7 @@ BAD_VALUES = [
     ["lull", "--weeks", "nan"],
     ["curves", "--capacities", "20:80"],
     ["histogram", "--out-dir", "{file}"],
+    ["bev", "--out-dir", "{file}/sub"],
     ["curves", "--capacities", "40,20"],
     ["lull", "--capacities", "0,20"],
     ["table2", "--solar-scale", "-1"],
@@ -617,7 +619,7 @@ def test_in_memory_series_with_missing_input_writes_nothing(command, synth_serie
     err = capsys.readouterr().err
     assert err.startswith("input error: input file not found: ")
     assert err.count("\n") == 1
-    assert list(out.glob("*")) == []
+    assert not out.exists()
 
 
 # the flags each command takes; --help lists the same ones
@@ -977,6 +979,71 @@ class TestCapacityBound:
         assert not out.exists()
 
 
+# each command's power settings in GWe, by flag
+POWER_FLAGS = [("curves", "--headrooms"), ("curves", "--base-gen"), ("lull", "--base-gen"),
+               ("table2", "--base-gen")]
+
+
+class TestPowerBound:
+    """Base generation and headrooms are bounded, as wind fleets are
+    (TestCapacityBound): at plus and minus the bound every CSV cell and
+    printed number is finite, beyond it the run exits 3 with one line before
+    the input is read."""
+
+    # the runs that exit 1 at the bound, with one line and no result: base
+    # generation at the bound leaves Table 2 no wind to deliver, and a
+    # headroom at minus the bound puts its family's base generation, mean
+    # demand minus the headroom, past the bound
+    SIMULATION_ERRORS = {("table2", "--base-gen", 1): "target unreachable",
+                         ("curves", "--headrooms", -1): "base_generation must be between"}
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("command,flag", POWER_FLAGS)
+    def test_at_the_bound_every_result_is_finite(
+        self, command, flag, sign, hashed_series, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        argv = [command, f"{flag}={sign * MAX_POWER_GWE!r}", "--capacities", "20,80",
+                "--input", "year.csv", "--out-dir", str(out)]
+        capsys.readouterr()
+        code = cli.run(argv, series=hashed_series)
+        output = capsys.readouterr()
+        if (command, flag, sign) in self.SIMULATION_ERRORS:
+            assert code == 1
+            assert output.err.startswith("simulation error: ") and output.err.count("\n") == 1
+            assert self.SIMULATION_ERRORS[command, flag, sign] in output.err
+            assert not list(out.glob("*.csv"))
+            return
+        assert code == 0, output.err
+        assert_every_result_finite(output.out, out)
+
+    @pytest.mark.parametrize("value", [math.nextafter(MAX_POWER_GWE, math.inf), 1e308])
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("command,flag", POWER_FLAGS)
+    def test_beyond_the_bound_exits_3_before_the_input_is_read(
+        self, command, flag, sign, value, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        argv = [command, f"{flag}={sign * value!r}", "--input", str(tmp_path / "absent.csv"),
+                "--out-dir", str(out)]
+        assert run(*argv) == 3  # a missing input would exit 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and err.count("\n") == 1
+        assert "must be between -10,000 and 10,000 GWe" in err
+        assert not out.exists()
+
+    def test_config_file_value_is_bounded_too(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("base_generation_gwe = -1e308\nheadrooms_gwe = 20, 30\n")
+        out = tmp_path / "out"
+        argv = ["curves", "--config", str(cfg), "--input", str(tmp_path / "absent.csv"),
+                "--out-dir", str(out)]
+        assert run(*argv) == 3
+        assert capsys.readouterr().err == (
+            "configuration error: base_generation_gwe must be between -10,000 and 10,000 GWe\n")
+        assert not out.exists()
+
+
 class TestRepeats:
     """A setting that names one thing twice is an error, not a silent choice."""
 
@@ -1000,7 +1067,7 @@ class TestRepeats:
         assert run(*argv) == 2
         err = capsys.readouterr().err
         assert err == f"input error: {path}: mapped column 'wind' repeats in the header\n"
-        assert not list(out.glob("*"))
+        assert not out.exists()  # the output directory is made only once the input is read
 
 
 def manifest_settings(out, command):

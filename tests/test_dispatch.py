@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from windfleet.bev import BevFleetSpec, fleet_aggregates, weekly_levels
 from windfleet.dispatch import (
+    MAX_POWER_GWE,
     DispatchConfig,
     dispatch_week,
     write_dispatch_csv,
@@ -74,6 +75,16 @@ class TestDispatchWeek:
         levels[17] = level
         with pytest.raises(ValueError, match="level"):
             DispatchConfig(7.0, level_gwe=levels)  # one bad week in a year's levels
+
+    @pytest.mark.parametrize("base", [MAX_POWER_GWE, -MAX_POWER_GWE])
+    def test_base_generation_at_the_bound_gives_finite_results(self, base):
+        result = dispatch_week(make_week(), 20.0, DispatchConfig(base))
+        assert np.isfinite([result.gt_energy_gwh, result.peak_gas_turbine_gwe]).all()
+
+    @pytest.mark.parametrize("base", [np.nextafter(MAX_POWER_GWE, np.inf), -1e308, np.nan, np.inf])
+    def test_rejects_base_generation_beyond_the_bound(self, base):
+        with pytest.raises(ValueError, match="base_generation must be between -10,000 and 10,000"):
+            DispatchConfig(base)
 
     def test_rejects_nonpositive_capacity(self):
         with pytest.raises(ValueError):

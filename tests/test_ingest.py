@@ -115,6 +115,17 @@ class TestParseCsv:
         path = write(tmp_path, "timestamp,demand,wind,solar\n" + "\n".join(rows) + "\n")
         assert len(parse_csv(path)) == 198
 
+    @pytest.mark.parametrize("note", ["", ',"a,b"'], ids=["byte-path", "csv-reader"])
+    def test_blank_lines_are_not_rows_of_the_one_percent_rule(self, tmp_path, note):
+        rows = [f"{ts(i):%Y-%m-%dT%H:%M:%SZ},48000,900,0{note}" for i in range(200)]
+        for i in (50, 100, 150):
+            rows[i] = rows[i].replace("48000", "n/a")
+        lines = [line for row in rows for line in (row, "")]  # and 200 blank lines
+        header = "timestamp,demand,wind,solar" + (",note" if note else "")
+        path = write(tmp_path, header + "\n" + "\n".join(lines) + "\n")
+        with pytest.raises(IngestError, match=r"3 of 200 rows malformed \(more than 1%\)$"):
+            parse_csv(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(IngestError, match="cannot open"):
             parse_csv(tmp_path / "absent.csv")
