@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .ingest import CADENCE_S, SAMPLES_PER_WEEK, WeekSeries
-from .dispatch import HOURS_PER_SAMPLE
+from .dispatch import HOURS_PER_SAMPLE, MAX_POWER_GWE
 from .export import sample_times, write_csv
 from .scaling import NormalizedYear
 
@@ -26,6 +26,10 @@ SECONDS_PER_DAY = 86400
 # takes: far beyond any real fleet, and small enough that every GW and GWh
 # value, and its sum over a year of samples, stays finite.
 MAX_FLEET_FIGURE = 1e6
+# The most mean power (GW) a fleet may draw: half the dispatch level bound,
+# so a week's level, its mean demand plus this, stays within MAX_POWER_GWE
+# whenever its mean demand lies within the other half.
+MAX_FLEET_POWER_GW = MAX_POWER_GWE / 2
 
 
 @dataclass(frozen=True)
@@ -63,6 +67,9 @@ class BevFleetSpec:
         if max(figures) > MAX_FLEET_FIGURE:
             raise ValueError("fleet size (millions) and per-vehicle kWh figures "
                              f"must be <= {MAX_FLEET_FIGURE:,.0f}")
+        if fleet_aggregates(self).mean_power_gw > MAX_FLEET_POWER_GW:
+            raise ValueError("fleet mean power (fleet size x daily kWh / 24) "
+                             f"must be <= {MAX_FLEET_POWER_GW:,.0f} GW")
         if not 0 < self.night_fraction <= 1:
             raise ValueError("night_fraction must be in (0, 1]")
         if not 0 <= self.day_start_hour < self.day_end_hour <= 24:

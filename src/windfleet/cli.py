@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import logging
+import os
 import sys
 from dataclasses import dataclass, field, fields, replace
 from decimal import Decimal
@@ -526,25 +527,37 @@ def _settings(args: argparse.Namespace) -> dict[str, str]:
 def _execute(name: str, s: dict[str, object], series: GridSeries | None) -> None:
     """Load the input and run the command on it; every command but ingest
     then makes the output directory and writes its artifacts and its run
-    manifest into it, so an input that fails leaves no directory behind."""
+    manifest into it. An input that fails leaves no directory behind, and
+    a run that fails later removes each directory it made that is still empty."""
     out = None if name == "ingest" else _out_dir(s)
     series = _load_series(s, series)
-    if out is not None:
+    if out is None:
+        COMMANDS[name].compute(s, series, out)
+        return
+    made = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
+    try:
         try:
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
-    COMMANDS[name].compute(s, series, out)
-    if out is None:
-        return
-    write_run_manifest(
-        out / f"run_manifest_{name}.txt",
-        command=name,
-        input_path=s["input"],
-        config_items={k: _config_text(v) for k, v in s.items() if k not in ("input", "out_dir")},
-        version=__version__,
-        input_sha256=series.input_sha256,
-    )
+        COMMANDS[name].compute(s, series, out)
+        write_run_manifest(
+            out / f"run_manifest_{name}.txt",
+            command=name,
+            input_path=s["input"],
+            config_items={k: _config_text(v) for k, v in s.items() if k not in ("input", "out_dir")},
+            version=__version__,
+            input_sha256=series.input_sha256,
+        )
+    except BaseException:
+        for d in made:
+            if not os.path.isdir(d):  # the mkdir failed before it made this one
+                continue
+            try:
+                d.rmdir()
+            except OSError:  # not empty: it holds what the run wrote before it failed
+                break
+        raise
 
 
 def configure_logging() -> None:

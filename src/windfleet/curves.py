@@ -225,7 +225,8 @@ def _annual_root(req: CurveRequest, required_gwe: float) -> float:
     saturated samples, W sums wind_i over the rest.
     """
     year, cfg = _dispatch_inputs(req)
-    room = np.maximum(headroom(year, cfg), 0.0)
+    room = headroom(year, cfg)
+    np.maximum(room, 0.0, out=room)
     wind, n, buf = year.wind, year.wind.size, np.empty(year.wind.size)
     ref = year.reference_capacity_gwc
 

@@ -50,23 +50,28 @@ class DispatchConfig:
             )
         if self.level_gwe is not None:
             levels = np.asarray(self.level_gwe, dtype=float)
-            if not np.all(np.isfinite(levels) & (levels > 0)):
-                raise ValueError("level_gwe must be finite and > 0 when set, one per week")
+            if not np.all((levels > 0) & (levels <= MAX_POWER_GWE)):  # NaN fails too
+                raise ValueError(
+                    f"level_gwe must be > 0 and <= {MAX_POWER_GWE:,.0f} GWe when set, one per week"
+                )
 
 
 def headroom(span: WeekSeries | NormalizedYear, cfg: DispatchConfig) -> np.ndarray:
     """cap - base - solar at every sample of span: the room wind may fill.
 
     The cap is span.demand, or each week's level held over that week's
-    2016 samples.
+    2016 samples. The result is a new, writable array, built in place.
     """
-    cap = span.demand
-    if cfg.level_gwe is not None:
+    if cfg.level_gwe is None:
+        room = span.demand - cfg.base_generation_gwe
+    else:
         weeks = span.demand.size // SAMPLES_PER_WEEK
         if np.size(cfg.level_gwe) != weeks:
             raise ValueError(f"{np.size(cfg.level_gwe)} levels for a span of {weeks} weeks")
-        cap = np.repeat(cfg.level_gwe, SAMPLES_PER_WEEK)
-    return cap - cfg.base_generation_gwe - span.solar
+        room = np.repeat(np.asarray(cfg.level_gwe, dtype=float), SAMPLES_PER_WEEK)
+        room -= cfg.base_generation_gwe
+    room -= span.solar
+    return room
 
 
 @dataclass(frozen=True)
@@ -97,16 +102,22 @@ def dispatch_week(
         wind_used  = clamp(h, 0, wind_available)
         gas        = max(0, h - wind_used)
 
-    so curtailment and gas generation are mutually exclusive.
+    so curtailment and gas generation are mutually exclusive. The three
+    result arrays are the only ones made: the available wind becomes the
+    curtailed wind in place, and h becomes max(h, 0) and then the gas in
+    place, as max(h, 0) - wind_used. That is the same rule, bit for bit:
+    for h >= 0 both forms are h - wind_used, which is >= 0; for h < 0
+    wind_used is 0 and both give 0.
     """
     if wind_capacity_gwc <= 0:
         raise ValueError("wind_capacity must be > 0")
-    wind_available = span.wind * (wind_capacity_gwc / reference_capacity_gwc)
-
-    room = headroom(span, cfg)
-    wind_used = np.minimum(np.maximum(room, 0.0), wind_available)
-    gas = np.maximum(room - wind_used, 0.0)
-    curtailed = wind_available - wind_used
+    curtailed = np.multiply(span.wind, wind_capacity_gwc / reference_capacity_gwc)
+    gas = headroom(span, cfg)
+    np.maximum(gas, 0.0, out=gas)
+    wind_used = np.minimum(gas, curtailed)
+    gas -= wind_used
+    curtailed -= wind_used
+    gas_total = float(gas.sum())
 
     return DispatchResult(
         wind_used=wind_used,
@@ -114,8 +125,8 @@ def dispatch_week(
         gas_turbine=gas,
         mean_wind_used_gwe=float(wind_used.mean()),
         peak_gas_turbine_gwe=float(gas.max()),
-        mean_gas_turbine_gwe=float(gas.mean()),
-        gt_energy_gwh=float(gas.sum() * HOURS_PER_SAMPLE),
+        mean_gas_turbine_gwe=gas_total / gas.size,
+        gt_energy_gwh=gas_total * HOURS_PER_SAMPLE,
     )
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from windfleet import BevFleetSpec, ScalingSpec, ScenarioConstants, cli, report
-from windfleet.bev import MAX_FLEET_FIGURE
+from windfleet.bev import MAX_FLEET_FIGURE, MAX_FLEET_POWER_GW
 from windfleet.cli import load_config_file, main, ConfigError
 from windfleet.dispatch import MAX_POWER_GWE
 from windfleet.scaling import MAX_CAPACITY_GWC, normalize
@@ -874,9 +874,9 @@ def assert_every_result_finite(stdout, out):
 
 
 class TestFleetBound:
-    """Fleet size and per-vehicle kWh are bounded, so no result holds inf or NaN:
-    at the bound every CSV cell and printed number is finite, above it the run
-    exits 3 with one line and writes nothing."""
+    """Fleet size, per-vehicle kWh and the fleet's mean power are bounded, so
+    no result holds inf or NaN: at the bound every CSV cell and printed number
+    is finite, above it the run exits 3 with one line and writes nothing."""
 
     def fleet_run(self, command, series, tmp_path, capsys, **figures):
         cfg = tmp_path / "run.cfg"
@@ -892,14 +892,21 @@ class TestFleetBound:
         code = cli.run(argv, series=series)
         return code, capsys.readouterr(), out
 
+    # fleet size or daily kWh at its bound, the other putting the fleet's
+    # mean power at its bound
+    @pytest.mark.parametrize("at_bound", FLEET_FIGURES[:2])
     @pytest.mark.parametrize("command", FLEET_READERS)
-    def test_at_the_bound_every_result_is_finite(self, command, hashed_series, tmp_path, capsys):
-        bound = repr(MAX_FLEET_FIGURE)
-        code, output, out = self.fleet_run(
-            command, hashed_series, tmp_path, capsys, **dict.fromkeys(FLEET_FIGURES, bound))
-        if code == 1:  # table2: no wind fleet reaches the target
+    def test_at_the_bound_every_result_is_finite(
+        self, command, at_bound, hashed_series, tmp_path, capsys
+    ):
+        figures = dict.fromkeys(FLEET_FIGURES, repr(MAX_FLEET_FIGURE))
+        [other] = set(FLEET_FIGURES[:2]) - {at_bound}
+        figures[other] = repr(MAX_FLEET_POWER_GW * 24 / MAX_FLEET_FIGURE)
+        code, output, out = self.fleet_run(command, hashed_series, tmp_path, capsys, **figures)
+        if command == "table2":  # no wind fleet reaches the target
+            assert code == 1
             assert output.err.startswith("simulation error: ") and output.err.count("\n") == 1
-            assert not list(out.glob("*.csv"))
+            assert not out.exists()
             return
         assert code == 0, output.err
         assert_every_result_finite(output.out, out)
@@ -916,6 +923,24 @@ class TestFleetBound:
         assert code == 3
         assert output.err.startswith("configuration error: ") and output.err.count("\n") == 1
         assert "must be <= 1,000,000" in output.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("size", [
+        math.nextafter(MAX_FLEET_POWER_GW * 24 / BevFleetSpec.daily_energy_per_vehicle_kwh,
+                       math.inf),
+        1e5,
+    ])
+    @pytest.mark.parametrize("command", FLEET_READERS)
+    def test_above_the_power_bound_exits_3_before_the_input_is_read(
+        self, command, size, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        argv = [command, FLEET_SIZE_FLAG[command], repr(size),
+                "--input", str(tmp_path / "absent.csv"), "--out-dir", str(out)]
+        assert run(*argv) == 3  # a missing input would exit 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and err.count("\n") == 1
+        assert "must be <= 5,000 GW" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
@@ -1002,7 +1027,7 @@ class TestPowerBound:
     def test_at_the_bound_every_result_is_finite(
         self, command, flag, sign, hashed_series, tmp_path, capsys
     ):
-        out = tmp_path / "out"
+        out = tmp_path / "new" / "out"
         argv = [command, f"{flag}={sign * MAX_POWER_GWE!r}", "--capacities", "20,80",
                 "--input", "year.csv", "--out-dir", str(out)]
         capsys.readouterr()
@@ -1012,7 +1037,7 @@ class TestPowerBound:
             assert code == 1
             assert output.err.startswith("simulation error: ") and output.err.count("\n") == 1
             assert self.SIMULATION_ERRORS[command, flag, sign] in output.err
-            assert not list(out.glob("*.csv"))
+            assert list(tmp_path.iterdir()) == []  # the run removes the directories it made
             return
         assert code == 0, output.err
         assert_every_result_finite(output.out, out)
@@ -1042,6 +1067,33 @@ class TestPowerBound:
         assert capsys.readouterr().err == (
             "configuration error: base_generation_gwe must be between -10,000 and 10,000 GWe\n")
         assert not out.exists()
+
+
+class TestFailedRunDirectories:
+    """A run that fails after it made its output directory removes each
+    directory it made that is still empty, and none that was there before;
+    TestPowerBound's failing runs check the new directories."""
+
+    @pytest.mark.parametrize("argv", [["table2", "--base-gen", "1e4"],
+                                      ["curves", "--headrooms=-1e4"]])
+    def test_a_directory_that_was_there_stays(self, argv, hashed_series, tmp_path, capsys):
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        for out in (kept, kept / "new"):
+            code = cli.run([*argv, "--capacities", "20,80", "--input", "year.csv",
+                            "--out-dir", str(out)], series=hashed_series)
+            assert code == 1
+            assert capsys.readouterr().err.startswith("simulation error: ")
+        assert list(tmp_path.iterdir()) == [kept]
+        assert list(kept.iterdir()) == []
+
+    def test_a_failed_mkdir_leaves_no_parent_it_made(self, hashed_series, tmp_path, capsys):
+        out = tmp_path / "new" / ("x" * 300)  # longer than a file name may be
+        argv = ["curves", "--capacities", "20,80", "--input", "year.csv", "--out-dir", str(out)]
+        assert cli.run(argv, series=hashed_series) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: cannot create output directory ")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestRepeats:

@@ -1,4 +1,6 @@
 import csv
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,12 +10,15 @@ from hypothesis.extra.numpy import arrays
 
 from windfleet.bev import BevFleetSpec, fleet_aggregates, weekly_levels
 from windfleet.dispatch import (
+    HOURS_PER_SAMPLE,
     MAX_POWER_GWE,
     DispatchConfig,
     dispatch_week,
+    headroom,
     write_dispatch_csv,
 )
 from windfleet.ingest import SAMPLES_PER_WEEK
+from windfleet.scaling import DEFAULT_REFERENCE_CAPACITY_GWC
 from _helpers import make_week, make_year, two_state_wind
 
 
@@ -75,6 +80,25 @@ class TestDispatchWeek:
         levels[17] = level
         with pytest.raises(ValueError, match="level"):
             DispatchConfig(7.0, level_gwe=levels)  # one bad week in a year's levels
+
+    @pytest.mark.parametrize("level", [math.nextafter(MAX_POWER_GWE, math.inf), 1e308])
+    def test_rejects_level_beyond_the_bound(self, level):
+        with pytest.raises(ValueError, match="level_gwe must be > 0 and <= 10,000 GWe"):
+            DispatchConfig(7.0, level_gwe=level)
+        levels = np.full(52, 40.0)
+        levels[17] = level
+        with pytest.raises(ValueError, match="level_gwe must be > 0 and <= 10,000 GWe"):
+            DispatchConfig(7.0, level_gwe=levels)
+
+    def test_level_and_base_at_the_bounds_give_finite_results(self):
+        year = make_year(wind=6.0, solar=0.0, reference=20.0, cf=0.3)
+        cfg = DispatchConfig(-MAX_POWER_GWE, np.full(52, MAX_POWER_GWE))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = dispatch_week(year, 1.0, cfg)
+        scalars = [result.mean_wind_used_gwe, result.peak_gas_turbine_gwe,
+                   result.mean_gas_turbine_gwe, result.gt_energy_gwh]
+        assert np.isfinite(scalars).all() and result.peak_gas_turbine_gwe < 2 * MAX_POWER_GWE
 
     @pytest.mark.parametrize("base", [MAX_POWER_GWE, -MAX_POWER_GWE])
     def test_base_generation_at_the_bound_gives_finite_results(self, base):
@@ -153,6 +177,53 @@ class TestDispatchWeek:
         a = dispatch_week(week, 60.0, DispatchConfig(base, float(week.demand.mean())))
         b = dispatch_week(shifted, 60.0, DispatchConfig(base + shift, float(shifted.demand.mean())))
         assert b.mean_wind_used_gwe == pytest.approx(a.mean_wind_used_gwe, rel=1e-12)
+
+
+# a week's values: a short drawn pattern repeated over its 2016 samples
+def week_of(values):
+    return st.lists(values, min_size=1, max_size=48).map(
+        lambda v: np.resize(np.array(v, dtype=float), SAMPLES_PER_WEEK))
+
+
+class TestRuleOracle:
+    """dispatch_week, which works in place, gives the stacking rule written
+    out in full bit for bit, signed zeros included."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        demand=week_of(st.sampled_from([0.0, 1e-300]) | st.floats(0.0, 60.0)),
+        wind=week_of(st.sampled_from([0.0, -0.0]) | st.floats(0.0, 30.0)),
+        solar=week_of(st.sampled_from([0.0, -0.0]) | st.floats(0.0, 30.0)),
+        base=st.floats(-MAX_POWER_GWE, MAX_POWER_GWE) | st.floats(-10.0, 40.0)
+        | st.sampled_from([0.0, -0.0, MAX_POWER_GWE, -MAX_POWER_GWE]),
+        level=st.none() | st.floats(1e-3, 60.0) | st.floats(1e-3, MAX_POWER_GWE)
+        | st.just(MAX_POWER_GWE),
+        capacity=st.floats(1e-3, 200.0) | st.just(20.0),
+    )
+    def test_matches_the_rule_written_out(self, demand, wind, solar, base, level, capacity):
+        week = make_week(demand=demand, wind=wind, solar=solar)
+        cfg = DispatchConfig(base, level)
+        result = dispatch_week(week, capacity, cfg)
+
+        cap = demand if level is None else np.repeat(level, SAMPLES_PER_WEEK)
+        h = cap - base - solar
+        avail = wind * (capacity / DEFAULT_REFERENCE_CAPACITY_GWC)
+        used = np.minimum(np.maximum(h, 0.0), avail)
+        gas = np.maximum(h - used, 0.0)
+        for name, expected in [("wind_used", used), ("wind_curtailed", avail - used),
+                               ("gas_turbine", gas)]:
+            assert getattr(result, name).tobytes() == expected.tobytes(), name
+        assert result.mean_wind_used_gwe == float(used.mean())
+        assert result.peak_gas_turbine_gwe == float(gas.max())
+        assert result.mean_gas_turbine_gwe == float(gas.mean())
+        assert result.gt_energy_gwh == float(gas.sum() * HOURS_PER_SAMPLE)
+
+        room = headroom(week, cfg)
+        assert room.tobytes() == h.tobytes()
+        assert room.flags.writeable and room.flags.owndata
+        room[:] = np.nan  # a new array: the week's own arrays keep their values
+        assert week.demand.tobytes() == demand.tobytes()
+        assert week.solar.tobytes() == solar.tobytes()
 
 
 class TestYearDispatch:
