@@ -21,6 +21,7 @@ import argparse
 import functools
 import logging
 import os
+import re
 import sys
 from dataclasses import dataclass, field, fields, replace
 from decimal import Decimal
@@ -43,6 +44,7 @@ from .curves import (
     DEFAULT_CAPACITY_GRID_GWC,
     CurveRequest,
     annual_curve,
+    capacity_grid,
     write_curves_csv,
 )
 from .dispatch import MAX_POWER_GWE, write_dispatch_csv
@@ -62,7 +64,6 @@ from .report import (
     write_table2_csv,
 )
 from .scaling import (
-    MAX_CAPACITY_GWC,
     NormalizedYear,
     ScalingSpec,
     extrapolate_wind,
@@ -106,6 +107,9 @@ _DEFAULTS = {
 }
 
 
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
 class ConfigError(Exception):
     """Bad flag, bad config file, or inconsistent settings."""
 
@@ -116,7 +120,10 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def load_config_file(path: str | Path) -> dict[str, str]:
-    """Parse a plain key = value config file; unknown and repeated keys are fatal."""
+    """Parse a plain key = value config file; unknown and repeated keys are fatal.
+
+    ``#`` starts a comment at the start of a line or after whitespace, so a
+    value such as ``run#1.csv`` is read whole."""
     values: dict[str, str] = {}
     linenos: dict[str, int] = {}
     try:
@@ -124,7 +131,7 @@ def load_config_file(path: str | Path) -> dict[str, str]:
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.split(raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -183,15 +190,9 @@ def _decimals(text: str) -> int:
     return max(0, -Decimal(text.strip()).as_tuple().exponent)
 
 
-def _capacities(text: str, key: str) -> list[float]:
+def _capacities(text: str, key: str) -> tuple[float, ...]:
     capacities = _parse_float_list(text, key)
-    if capacities and (
-        capacities[0] <= 0 or any(b <= a for a, b in zip(capacities, capacities[1:]))
-    ):
-        raise ConfigError("capacities must be positive and strictly increasing")
-    if capacities and capacities[-1] > MAX_CAPACITY_GWC:
-        raise ConfigError(f"capacities must be <= {MAX_CAPACITY_GWC:,.0f} GWc")
-    return capacities
+    return _valid(capacity_grid, capacities) if capacities else ()  # _resolve names an empty list
 
 
 def _powers(values: list[float], key: str) -> list[float]:
@@ -446,7 +447,7 @@ def _table2(s: dict, series: GridSeries, out: Path) -> None:
         _year(s, series),
         s["fleet_sizes_millions"],
         _spec(ScenarioConstants, s),
-        capacities_gwc=tuple(s["capacities_gwc"]),
+        capacities_gwc=s["capacities_gwc"],
         base_generation_gwe=s["base_generation_gwe"],
         solar_scale=s["solar_scale"],
         fleet=_spec(BevFleetSpec, s, fleet_size_millions=0.0),  # each row sets its size

@@ -9,12 +9,11 @@ inverse get the year at the request's solar scale and its DispatchConfig
 from one helper. A cheap histogram-based approximation and a monotone
 piecewise-linear inversion of a sampled curve round out the module, with
 invert_annual_curve for fleet sizing: the exact inverse of a request's annual
-curve, solved on the one linear piece of it that holds the root.
+curve, found by Newton's method on its linear pieces.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -38,6 +37,19 @@ class TargetUnreachableError(ValueError):
     """Requested mean output exceeds what the curve saturates at."""
 
 
+def capacity_grid(values: Sequence[float]) -> tuple[float, ...]:
+    """``values`` as a capacity grid (GWc): nonempty, finite, > 0, strictly
+    increasing and <= MAX_CAPACITY_GWC, or ValueError."""
+    caps = tuple(float(c) for c in values)
+    if not caps or not all(np.isfinite(c) and c > 0 for c in caps):
+        raise ValueError("capacities must be finite and positive")
+    if any(b <= a for a, b in zip(caps, caps[1:])):
+        raise ValueError("capacities must be strictly increasing")
+    if caps[-1] > MAX_CAPACITY_GWC:
+        raise ValueError(f"capacities must be <= {MAX_CAPACITY_GWC:,.0f} GWc")
+    return caps
+
+
 @dataclass(frozen=True)
 class CurveRequest:
     """One curve to evaluate: a capacity grid plus exactly one family parameter.
@@ -55,14 +67,7 @@ class CurveRequest:
     solar_scale: float = ANNUAL_SOLAR_SCALE
 
     def __post_init__(self):
-        caps = tuple(float(c) for c in self.capacities_gwc)
-        object.__setattr__(self, "capacities_gwc", caps)
-        if not caps or not all(np.isfinite(c) and c > 0 for c in caps):
-            raise ValueError("capacities must be finite and positive")
-        if any(b <= a for a, b in zip(caps, caps[1:])):
-            raise ValueError("capacities must be strictly increasing")
-        if caps[-1] > MAX_CAPACITY_GWC:
-            raise ValueError(f"capacities must be <= {MAX_CAPACITY_GWC:,.0f} GWc")
+        object.__setattr__(self, "capacities_gwc", capacity_grid(self.capacities_gwc))
         if (self.headroom_gwe is None) == (self.bev is None):
             raise ValueError("set exactly one of headroom_gwe or bev")
         if not (np.isfinite(self.solar_scale) and self.solar_scale >= 0):
@@ -203,9 +208,9 @@ def invert_annual_curve(
     """Smallest fleet size whose annual curve reaches required_gwe, exactly.
 
     The exact root of the request's annual curve (see _annual_root), snapped
-    up to the resolution grid. The capacity grid only brackets the root and
-    bounds the answer: a target above the curve's value at the grid's top
-    raises TargetUnreachableError.
+    up to the resolution grid. Of the capacity grid only the top is read, and
+    it bounds the answer: a target above the curve's value there raises
+    TargetUnreachableError.
     """
     if required_gwe <= 0:
         return 0.0
@@ -217,48 +222,35 @@ def _annual_root(req: CurveRequest, required_gwe: float) -> float:
 
     Over the year's n samples the curve is f(c) = mean_i min(h_i, wind_i·c/ref)
     with h_i = max(dispatch.headroom_i, 0): the dispatch_week rule, concave
-    and piecewise linear with a breakpoint at each c_i = h_i·ref/wind_i. A
-    bisection over the capacity grid finds the least grid capacity where f
-    reaches the target; then only the breakpoints inside the segment below it
-    are sorted, and the linear piece that holds the root is solved. In units
-    of s = c/ref the sum over samples on a piece is H + s·W: H sums h_i over
-    saturated samples, W sums wind_i over the rest.
+    and piecewise linear with a breakpoint at each c_i = h_i·ref/wind_i. In
+    units of s = c/ref the sum over samples on a piece is H + s·W: H sums h_i
+    over saturated samples (h_i <= wind_i·s), W sums wind_i over the rest.
+    Newton's method from s = 0 steps to the s where that line meets the
+    target. f is concave, so each step lands at or below the root, and the
+    step taken on the root's own piece lands on the root. It stops there,
+    when no unsaturated wind is left (the target is within the plateau
+    slack), or when a step no longer moves s; a step never passes the grid's
+    top, which bounds the answer.
     """
     year, cfg = _dispatch_inputs(req)
     room = headroom(year, cfg)
     np.maximum(room, 0.0, out=room)
     wind, n, buf = year.wind, year.wind.size, np.empty(year.wind.size)
     ref = year.reference_capacity_gwc
-
-    def total(capacity: float) -> float:
-        return float(np.minimum(room, np.multiply(wind, capacity / ref, out=buf), out=buf).sum())
-
-    caps = req.capacities_gwc
-    plateau = total(caps[-1]) / n
+    top = req.capacities_gwc[-1] / ref
+    plateau = float(np.minimum(room, np.multiply(wind, top, out=buf), out=buf).sum()) / n
     if required_gwe > plateau + 1e-12:
         raise TargetUnreachableError(f"target unreachable; curve saturates at {plateau:.3f} GWe")
-    target = required_gwe * n
-    # f is nondecreasing, so the grid totals are sorted
-    i = bisect.bisect_left(caps, target, hi=len(caps) - 1, key=total)
-    lo, hi = (caps[i - 1] if i else 0.0), caps[i]
-
-    s_lo, s_hi = lo / ref, hi / ref
-    below_hi = room < np.multiply(wind, s_hi, out=buf)
-    saturated = room <= np.multiply(wind, s_lo, out=buf)
-    inner = below_hi & ~saturated
-    h, w = room[inner], wind[inner]
-    order = np.argsort(h / w)
-    h, w = h[order], w[order]
-    # piece j runs up to ends[j]; H[j] and W[j] hold once the first j
-    # breakpoints are passed
-    ends = np.append(h / w, s_hi)
-    H = room.sum(where=saturated) + np.concatenate([[0.0], np.cumsum(h)])
-    W = wind.sum(where=~saturated) - np.concatenate([[0.0], np.cumsum(w)])
-    reached = np.flatnonzero(H + ends * W >= target)
-    if reached.size == 0:  # the target is within rounding of the total at hi
-        return hi
-    j = reached[0]
-    return float((target - H[j]) / W[j]) * ref
+    target, s = required_gwe * n, 0.0
+    while True:
+        saturated = room <= np.multiply(wind, s, out=buf)
+        H, W = room.sum(where=saturated), wind.sum(where=~saturated)
+        if W == 0 or H + s * W >= target:
+            return s * ref
+        step = min(float((target - H) / W), top)
+        if step <= s:
+            return s * ref
+        s = step
 
 
 def _snap_up(capacity_gwc: float, resolution_gwc: float) -> float:

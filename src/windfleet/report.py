@@ -87,9 +87,9 @@ def build_table2(
     Each row's BEV fleet is ``fleet`` with that row's size. For each size,
     the BEV-adjusted annual curve is inverted exactly at (baseline wind
     output + fleet mean power) and the answer snapped up to the 0.1 GWc grid
-    (invert_annual_curve). capacities_gwc only brackets the root and bounds
-    the answer by its largest value: raises TargetUnreachableError when a
-    fleet is too large for it.
+    (invert_annual_curve). Only the largest of capacities_gwc is read, and
+    it bounds the answer: raises TargetUnreachableError when a fleet is too
+    large for it.
     """
     rows = []
     for size in fleet_sizes_millions:

@@ -516,6 +516,21 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="key = value"):
             load_config_file(cfg)
 
+    def test_manifest_of_an_input_named_with_a_hash_reruns(self, synth_csv, tmp_path):
+        # '#' starts a comment only at a line's start or after whitespace
+        data = tmp_path / "run#1.csv"
+        data.symlink_to(synth_csv)
+        first, again = tmp_path / "a", tmp_path / "b"
+        assert run("histogram", "--input", str(data), "--out-dir", str(first)) == 0
+        block = [l for l in (first / "run_manifest_histogram.txt").read_text().splitlines()
+                 if not l.startswith(RUN_LINES)]
+        assert f"input = {data}" in block
+        cfg = tmp_path / "manifest.cfg"
+        cfg.write_text("\n".join(block) + "\n")
+        assert run("histogram", "--config", str(cfg), "--out-dir", str(again)) == 0
+        name = "fig1_histogram.csv"
+        assert (again / name).read_bytes() == (first / name).read_bytes()
+
 
 def test_module_entrypoint_subprocess(synth_csv, tmp_path):
     result = run_subprocess("ingest", "--check", "--input", str(synth_csv))

@@ -18,6 +18,7 @@ from windfleet.curves import (
     write_curves_csv,
 )
 from windfleet.dispatch import DispatchConfig, dispatch_week
+from windfleet.ingest import SAMPLES_PER_WEEK
 from windfleet.report import ScenarioConstants
 from windfleet.scaling import MAX_CAPACITY_GWC, WindHistogram, wind_histogram
 from _helpers import make_week, make_year, two_state_wind
@@ -260,6 +261,8 @@ def table2_target(spec):
 
 
 EXACT_CASES = [(size, base) for size in (0.0, 15.0, 35.0) for base in (7.0, 13.0)]
+# headroom-20 targets, as a fraction of the curve's value at the grid's top
+TOP_FRACTIONS = {"headroom20": 0.63, "headroom20-near-top": 0.999999}
 
 
 def case_id(case):
@@ -269,11 +272,11 @@ def case_id(case):
 class TestInvertAnnualCurve:
     """The year's dispatch (annual_curve) is the oracle for the exact inverse."""
 
-    @pytest.fixture(scope="class", params=[*EXACT_CASES, "headroom20"], ids=case_id)
+    @pytest.fixture(scope="class", params=[*EXACT_CASES, *TOP_FRACTIONS], ids=case_id)
     def case(self, request, synth_year):
-        if request.param == "headroom20":
+        if request.param in TOP_FRACTIONS:
             req = CurveRequest(year=synth_year, headroom_gwe=20.0)
-            return req, 0.63 * curve_value(req, req.capacities_gwc[-1])
+            return req, TOP_FRACTIONS[request.param] * curve_value(req, req.capacities_gwc[-1])
         size, base = request.param
         spec = BevFleetSpec(size)
         req = CurveRequest(year=synth_year, bev=spec, base_generation_gwe=base)
@@ -308,6 +311,47 @@ class TestInvertAnnualCurve:
         assert invert_annual_curve(req, 8.0) == 26.7
         assert invert_annual_curve(req, 10.0) == 33.4
         assert invert_annual_curve(req, 6.0) == 20.0  # a root on the grid stays there
+
+    def test_every_sample_saturates_below_the_grid_top(self):
+        # h = 20 everywhere; wind 4 or 8 saturates at 100 and 50 GWc (ref 20),
+        # so the curve is flat at 20 from 100 GWc; a target within the 1e-12
+        # plateau slack stops where the last sample saturates, with no 0/0
+        # (the test configuration turns a RuntimeWarning into a failure)
+        year = make_year(demand=40.0, wind=two_state_wind(4.0, 8.0), solar=0.0)
+        req = CurveRequest(year=year, capacities_gwc=(20.0, 60.0, 120.0),
+                           headroom_gwe=20.0, solar_scale=0.0)
+        top = curve_value(req, 120.0)
+        assert top == 20.0
+        root = _annual_root(req, top + 5e-13)
+        assert root == pytest.approx(bisection_root(req, top), rel=0.0, abs=1e-9)
+        assert root == pytest.approx(100.0, rel=0.0, abs=1e-9)
+
+    def test_answer_never_passes_the_grid_top(self):
+        # one sample a week keeps 1e-3 GW of wind unsaturated far past the
+        # top, so the curve still rises there by about 5e-7 GWe per 20 GWc;
+        # a target 5e-13 above its value at the top stops at the top
+        wind = np.full(SAMPLES_PER_WEEK, (6.0 * SAMPLES_PER_WEEK - 1e-3) / (SAMPLES_PER_WEEK - 1))
+        wind[0] = 1e-3
+        year = make_year(demand=40.0, wind=wind, solar=0.0)
+        req = CurveRequest(year=year, capacities_gwc=(20.0, 100.0),
+                           headroom_gwe=20.0, solar_scale=0.0)
+        top = curve_value(req, 100.0)
+        assert _annual_root(req, top + 5e-13) == pytest.approx(100.0, rel=1e-15)
+        assert invert_annual_curve(req, top + 5e-13) == 100.0
+
+    def test_samples_without_room_or_without_wind(self):
+        # per four samples: h = 0 with wind, h = 10 with no wind, then
+        # h = 20 and 10 with wind 9 and 6, which saturate at 44.4 and 33.3 GWc
+        demand = np.tile([30.0, 40.0, 50.0, 40.0], SAMPLES_PER_WEEK // 4)
+        wind = np.tile([9.0, 0.0, 9.0, 6.0], SAMPLES_PER_WEEK // 4)
+        year = make_year(demand=demand, wind=wind, solar=0.0)
+        req = CurveRequest(year=year, headroom_gwe=10.0, solar_scale=0.0)
+        top = curve_value(req, req.capacities_gwc[-1])
+        assert top == pytest.approx(7.5, rel=1e-12)
+        for target in (0.3 * top, 0.6 * top, 0.9 * top, top):
+            assert _annual_root(req, target) == pytest.approx(
+                bisection_root(req, target), rel=0.0, abs=1e-9
+            )
 
     def test_zero_or_negative_target(self, synth_year):
         req = CurveRequest(year=synth_year, headroom_gwe=20.0)
