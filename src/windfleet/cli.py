@@ -127,7 +127,7 @@ def load_config_file(path: str | Path) -> dict[str, str]:
     values: dict[str, str] = {}
     linenos: dict[str, int] = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")  # a byte-order mark is skipped
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -343,7 +343,9 @@ def _load_series(s: dict[str, object], series: GridSeries | None) -> GridSeries:
 
 def _out_dir(s: dict[str, object]) -> Path:
     """The output directory, not yet made; anything but a directory where it
-    or a parent of it would be is a configuration error."""
+    or a parent of it would be is a configuration error, and so is none."""
+    if not s["out_dir"]:
+        raise ConfigError("no output directory given (use --out-dir or the config file)")
     out = Path(s["out_dir"])
     found = next((p for p in (out, *out.parents) if p.exists()), None)
     if found is not None and not found.is_dir():

@@ -6,21 +6,19 @@ long outages must fail loudly rather than silently fabricate wind lulls.
 
 The file is read as bytes, READ_BYTES at a time; each read is scanned once
 for the line ends where csv.reader cuts lines, and the lines are parsed
-CHUNK_ROWS at a time. In a chunk without a quote, the plain rows are read
-straight from the bytes: rows with one cell per header column and a
-timestamp of 19, 20 or 25 ASCII bytes in YYYY-MM-DD[T ]HH:MM:SS[Z|+00:00]
-form, read one byte matrix per length (_iso_cells). One orjson call per
-chunk reads their value cells that are plain JSON numbers, as float() does;
-their other value cells ("n/a", "nan", " 900 ", blanks ...) go through
-float(), which also gives the reasons. A chunk whose quotes each wrap a
-whole cell on one line, with no comma in it, is read the same way once its
-quotes are taken out. Every other line (blank, short or long lines, other
-timestamp forms, and every line of any other chunk) goes through one
-csv.reader per chunk; its rows' values go through float(), their timestamps
-through _parse_timestamp, after _iso_cells when a chunk has more than
-_FEW_TEXTS of them. Blank rows are dropped with the rejected ones. All give
-the cells, row errors and line numbers of one csv.reader over the whole
-file.
+CHUNK_ROWS at a time. Each line is read whole on one of two paths. A plain
+line of a chunk without a quote is read straight from the bytes: it has one
+cell per header column, a timestamp of 19, 20 or 25 ASCII bytes in
+YYYY-MM-DD[T ]HH:MM:SS[Z|+00:00] form, read one byte matrix per length
+(_iso_cells), and value cells that are nonempty JSON numbers, read by one
+orjson call per chunk as float() reads them. Every other line (blank, short
+or long lines, other timestamp forms, value cells such as "n/a", "nan" or
+" 900 ", every line of a chunk orjson rejects or that holds a quote) goes
+through one csv.reader per chunk; its rows' values go through float(), and
+their timestamps through _parse_timestamp, after _iso_cells when a chunk has
+more than _FEW_TEXTS of them. Blank rows are dropped with the rejected ones.
+Both give the cells, row errors and line numbers of one csv.reader over the
+whole file.
 """
 
 from __future__ import annotations
@@ -321,21 +319,20 @@ def _blank(codes: np.ndarray, at: np.ndarray, sizes: np.ndarray) -> None:
 
 def _plain_rows(chunk: bytes, starts: np.ndarray, stops: np.ndarray, nexts: np.ndarray,
                 width: int, fields: list[int]) -> tuple[np.ndarray, ...]:
-    """The plain lines of a quote-free chunk, read straight from its bytes.
+    """The plain lines of a quote-free chunk, read whole straight from its bytes.
 
     Line i of ``chunk`` runs from ``starts[i]`` to ``stops[i]``, where its
     line end begins, and the next line starts at ``nexts[i]``; every line has
-    a line end. A line is plain when it has ``width`` cells and its timestamp
-    cell is in one of _iso_utc_us's forms. Its value cells come from one
-    orjson call on a copy of the chunk in brackets, where all bytes but the
-    value cells are blanked to "\\n", which JSON reads as whitespace, and the
-    byte after each value cell is a comma; orjson rounds as float() does. A value cell that
-    is empty, holds a byte outside ``0-9eE.+-`` or is the integer "-0",
-    whose sign orjson drops, is blanked too and read by float(), which also
-    gives the reason; so is every cell of a chunk that orjson rejects ("+1",
-    ".5", "01", "1e400" ...). Returns the mask of plain lines, their
-    timestamp_us and lines x 3 demand/wind/solar values, and the reasons of
-    those that failed, by line.
+    a line end. A line is plain when it has ``width`` cells, its timestamp
+    cell is in one of _iso_utc_us's forms, and each value cell is a nonempty
+    JSON number other than the integer "-0", whose sign orjson drops: no
+    byte outside ``0-9eE.+-``. Their value cells come from one orjson call on
+    a copy of the chunk in brackets, where all bytes but the value cells are
+    blanked to "\\n", which JSON reads as whitespace, and the byte after each
+    value cell is a comma; orjson rounds as float() does. When orjson rejects
+    that text ("+1", ".5", "01", "1e400" ...), no line is plain. Returns the
+    mask of plain lines, their timestamp_us and lines x 3 demand/wind/solar
+    values.
     """
     n = stops.size
     us, values, plain = np.zeros(n, np.int64), np.empty((n, 3)), np.zeros(n, bool)
@@ -351,79 +348,41 @@ def _plain_rows(chunk: bytes, starts: np.ndarray, stops: np.ndarray, nexts: np.n
         return lo, hi
 
     stamps, ok = _iso_cells(data, *cell(fields[0]))
+    picked = sorted(set(fields[1:]))  # the value columns in file order, each once
+    for lo, hi in map(cell, picked):
+        ok &= hi > lo
+        two = np.flatnonzero(hi - lo == 2)
+        ok[two[(data[lo[two]] == ord("-")) & (data[lo[two] + 1] == ord("0"))]] = False
     lines = lines[ok]
     us[lines] = stamps[ok]
     if not lines.size:
-        return plain, us, values, {}
-    plain[lines] = True
+        return plain, us, values
 
     text = bytearray(b"[" + chunk + b"]")
     codes = np.frombuffer(text, np.uint8)[1:]  # offsets as in the chunk
+    plain[lines] = True
     _blank(codes, starts[~plain], nexts[~plain] - starts[~plain])
-    picked = sorted(set(fields[1:]))  # the value columns in file order, each once
     for k in range(width):
+        lo, hi = cell(k)
         if k not in picked:  # the cell, and the comma or line end after it
-            lo, hi = cell(k)
             _blank(codes, lo, hi - lo + 1)
-    cells = [cell(k) for k in picked]
-    for lo, hi in cells:
-        codes[hi] = ord(",")  # after each value, whether a comma or a line end was there
-    odd = np.zeros((lines.size, len(picked)), bool)
-    for i, (lo, hi) in enumerate(cells):
-        odd[:, i] = hi == lo
-        two = np.flatnonzero(hi - lo == 2)
-        odd[two[(data[lo[two]] == ord("-")) & (data[lo[two] + 1] == ord("0"))], i] = True
+        else:
+            codes[hi] = ord(",")  # after each value, whether a comma or a line end was there
     if text.translate(None, _JSON_BYTES) != b"[]":  # some value cells hold other bytes
         at = np.flatnonzero(np.frombuffer(text.translate(_FOREIGN), bool)[1:-1])
-        row = np.searchsorted(starts[lines], at, "right") - 1
-        for i, (lo, hi) in enumerate(cells):
-            odd[row[(lo[row] <= at) & (at < hi[row])], i] = True
-    for i, (lo, hi) in enumerate(cells):  # each odd cell, with the byte after it
-        rows = np.flatnonzero(odd[:, i])
-        if rows.size:
-            _blank(codes, lo[rows], hi[rows] - lo[rows] + 1)
-    table = np.empty(odd.shape)
-    if not odd.all():
-        text[text.rfind(b",")] = ord("\n")  # no comma after the last value
-        try:
-            table[~odd] = orjson.loads(text)
-        except orjson.JSONDecodeError:
-            odd[:] = True
-    reasons = {}
-    for f in fields[1:]:  # in field order, so that a row's first failure names it
-        i = picked.index(f)
-        rows = np.flatnonzero(odd[:, i]).tolist()
-        if rows:
-            lo, hi = cells[i]
-            texts = [chunk[a:b].decode() for a, b in zip(lo[rows].tolist(), hi[rows].tolist())]
-            failed = {}
-            table[rows, i] = _floats(texts, failed)
-            for j, reason in failed.items():
-                reasons.setdefault(int(lines[rows[j]]), reason)
+        odd = lines[np.unique(np.searchsorted(starts[lines], at, "right") - 1)]
+        _blank(codes, starts[odd], nexts[odd] - starts[odd])
+        plain[odd] = False
+        lines = np.flatnonzero(plain)
+        if not lines.size:
+            return plain, us, values
+    text[text.rfind(b",")] = ord("\n")  # no comma after the last value
+    try:
+        table = np.array(orjson.loads(text), np.float64).reshape(lines.size, len(picked))
+    except orjson.JSONDecodeError:
+        return np.zeros(n, bool), us, values
     values[lines] = table[:, [picked.index(k) for k in fields[1:]]]
-    return plain, us, values, reasons
-
-
-def _unquoted(chunk: bytes, starts: np.ndarray, stops: np.ndarray, nexts: np.ndarray):
-    """``chunk`` with its quotes taken out, and its line offsets in that text,
-    when every quote opens or closes a whole cell on one line with no comma
-    or quote in it: then splitting on commas gives csv.reader's cells. Else
-    everything as given."""
-    data = np.frombuffer(chunk, np.uint8)
-    quotes = np.flatnonzero(data == ord('"'))
-    if quotes.size % 2:
-        return chunk, starts, stops, nexts
-    opens, closes = quotes[0::2], quotes[1::2]
-    line = np.searchsorted(stops, opens, "right")
-    commas = np.flatnonzero(data == ord(","))
-    whole = line == np.searchsorted(stops, closes, "right")
-    whole &= np.searchsorted(commas, opens) == np.searchsorted(commas, closes)
-    whole &= (starts[line] == opens) | (data[opens - 1] == ord(","))
-    whole &= (stops[line] == closes + 1) | (data[np.minimum(closes + 1, data.size - 1)] == ord(","))
-    if not whole.all():
-        return chunk, starts, stops, nexts
-    moved = [offsets - np.searchsorted(quotes, offsets) for offsets in (starts, stops, nexts)]
-    return chunk.replace(b'"', b""), *moved
+    return plain, us, values
 
 
 def _line_breaks(field: str) -> int:
@@ -503,13 +462,13 @@ def _chunks(lines: _Lines, done: int, width: int, fields: list[int], path: Path)
     ``done`` is the number of lines the header took. Yields each chunk's
     timestamp_us, its rows x 3 demand/wind/solar values, the line each row
     ends on, the reasons of the rows that failed to parse, by row, and the
-    mask of blank rows. A chunk with no line longer than the csv field
-    limit, and no quote once _unquoted is done with it, has its plain lines
-    read by _plain_rows. Every other line goes through the chunk's one
-    csv.reader, which reads on from the file while a quoted field is open, so
-    rows, line numbers and errors are those of one csv.reader over the whole
-    file. Its rows go through _columns, which finds the blank ones, and then
-    _parse_timestamp and float(), which give the reasons.
+    mask of blank rows. Each line is read whole on one of two paths: by
+    _plain_rows, when the chunk holds no quote and no line longer than the
+    csv field limit, and the line is plain; else by the chunk's one
+    csv.reader, which reads on from the file while a quoted field is open,
+    so rows, line numbers and errors are those of one csv.reader over the
+    whole file. Its rows go through _columns, which finds the blank ones,
+    and then _timestamps_us and _floats, which give every reason.
     """
     need = max(fields) + 1
     limit = csv.field_size_limit()
@@ -518,16 +477,13 @@ def _chunks(lines: _Lines, done: int, width: int, fields: list[int], path: Path)
         if not chunk.isascii():
             chunk.decode()  # text that is not UTF-8 raises here
         starts = np.concatenate(([0], nexts[:-1]))
-        short = len(chunk) <= limit or (nexts - starts).max() <= limit
-        if short and b'"' in chunk:
-            chunk, starts, stops, nexts = _unquoted(chunk, starts, stops, nexts)
-        if short and b'"' not in chunk:
+        if b'"' not in chunk and (len(chunk) <= limit or (nexts - starts).max() <= limit):
             if stops[-1] == len(chunk):  # the file's last line, with no line end
                 chunk += b"\n"
                 nexts = np.append(nexts[:-1], len(chunk))
-            plain, us, values, reasons = _plain_rows(chunk, starts, stops, nexts, width, fields)
+            plain, us, values = _plain_rows(chunk, starts, stops, nexts, width, fields)
         else:
-            plain, reasons = np.zeros(stops.size, bool), {}
+            plain = np.zeros(stops.size, bool)
             us, values = np.zeros(stops.size, np.int64), np.empty((stops.size, 3))
         odd = np.flatnonzero(~plain)
         texts = [chunk[a:b].decode() for a, b in zip(starts[odd].tolist(), nexts[odd].tolist())]
@@ -548,7 +504,7 @@ def _chunks(lines: _Lines, done: int, width: int, fields: list[int], path: Path)
         us[at] = _timestamps_us(columns[0], failed)
         for i, column in enumerate(columns[1:]):
             values[at, i] = _floats(column, failed)
-        reasons.update((int(at[j]), reason) for j, reason in failed.items())
+        reasons = {int(at[j]): reason for j, reason in failed.items()}
         blanks = np.zeros(us.size, bool)
         blanks[odd[blank]] = True
         yield us, values, numbers, reasons, blanks

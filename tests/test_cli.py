@@ -121,6 +121,19 @@ class TestExitCodes:
         code = run("histogram", "--out-dir", str(tmp_path))
         assert code == 3
 
+    @pytest.mark.parametrize("command", [c for c in cli.COMMANDS if c != "ingest"])
+    @pytest.mark.parametrize("given", ["flag", "config"])
+    def test_empty_out_dir_is_config_error(self, command, given, tmp_path, monkeypatch, capsys):
+        """Before the input is read: an absent input would exit 2."""
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("out_dir =\n")
+        argv = ["--out-dir", ""] if given == "flag" else ["--config", str(cfg)]
+        assert run(command, "--input", str(tmp_path / "absent.csv"), *argv) == 3
+        err = capsys.readouterr().err
+        assert err == "configuration error: no output directory given (use --out-dir or the config file)\n"
+        assert list(tmp_path.iterdir()) == [cfg]
+
     def test_seedless_rejected(self, synth_csv, tmp_path):
         code = run("histogram", "--input", str(synth_csv), "--seedless")
         assert code == 3
@@ -509,6 +522,19 @@ class TestConfigFile:
             load_config_file(cfg)
         assert run("bev", "--input", str(synth_csv), "--config", str(cfg)) == 3
         assert capsys.readouterr().err.startswith("configuration error: ")
+
+    def test_byte_order_mark_is_skipped(self, hashed_series, tmp_path):
+        """A config file saved with a UTF-8 byte-order mark, as Notepad and
+        spreadsheets save it, reads like the same file without one."""
+        text = b"input = year.csv\nreference_capacity_gwc = 20\n"
+        for name, data in (("plain", text), ("bom", b"\xef\xbb\xbf" + text)):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_bytes(data)
+            argv = ["histogram", "--config", str(cfg), "--out-dir", str(tmp_path / name)]
+            assert cli.run(argv, series=hashed_series) == 0
+        plain = manifest_settings(tmp_path / "plain", "histogram")
+        assert plain == manifest_settings(tmp_path / "bom", "histogram")
+        assert plain["reference_capacity_gwc"] == "20.0"
 
     def test_bad_line_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -287,13 +287,13 @@ def float_reference(texts):
 
 
 def byte_path_floats(texts):
-    """The wind values and reasons, by row, of a quote-free chunk whose rows
-    hold ``texts`` as their wind cells; one row per text that a cell can hold."""
+    """The wind values and reasons, by row, of one chunk whose rows hold
+    ``texts`` as their wind cells, as _chunks reads them before the range
+    checks; one row per text that a cell can hold."""
     lines = "".join(f"2017-01-16T00:00:00Z,1,{text},0\n" for text in texts)
-    chunk, stops, nexts = ingest._Lines(io.BytesIO(lines.encode())).take(len(texts))
-    starts = np.concatenate(([0], nexts[:-1]))
-    plain, us, values, reasons = ingest._plain_rows(chunk, starts, stops, nexts, 4, [0, 1, 2, 3])
-    assert plain.all()
+    chunks = ingest._chunks(ingest._Lines(io.BytesIO(lines.encode())), 0, 4, [0, 1, 2, 3], "chunk")
+    us, values, numbers, reasons, blank = next(chunks)
+    assert numbers.tolist() == list(range(1, len(texts) + 1)) and not blank.any()
     return values[:, 1], reasons
 
 
@@ -392,9 +392,9 @@ def test_column_of_odd_cells_is_read_in_one_float_call(cell):
 
 
 @pytest.mark.parametrize("header", ["time,nd,w,pv,note", "note,pv,time,w,nd", "time,nd,w,pv"])
-def test_odd_cells_are_read_alone(header, tmp_path):
-    """Only the odd value cells go through float(): the others of their rows,
-    before an unmapped column or not, stay on the byte path."""
+def test_lines_with_odd_cells_are_read_whole(header, tmp_path):
+    """A line with an odd value cell is read whole by csv.reader: all of its
+    value cells go through float(), and no cell of another line does."""
     names = header.split(",")
     cells = {"time": "2017-01-16T00:00:00Z", "nd": "48000", "w": "900", "pv": "0", "note": ""}
     rows = [dict(cells, time=f"2017-01-16T{i // 12:02d}:{i % 12 * 5:02d}:00Z") for i in range(240)]
@@ -404,12 +404,13 @@ def test_odd_cells_are_read_alone(header, tmp_path):
                             for row in [dict(zip(names, names)), *rows]))
     read = []
     floats = ingest._floats
-    with mock.patch.object(ingest, "_floats", lambda texts, reasons: read.extend(texts)
+    with mock.patch.object(ingest, "_floats", lambda texts, reasons: read.append(texts)
                            or floats(texts, reasons)):
         errors = []
         records = parse_csv(path, {"timestamp": "time", "demand": "nd", "wind": "w", "solar": "pv"},
                             errors)
-    assert sorted(read) == sorted([" 1", "n/a", "", "-0"])
+    # demand, wind and solar of rows 7, 9 and 200, column by column
+    assert read == [["48000", "n/a", "48000"], ["900", "", "-0"], [" 1", "0", "0"]]
     assert [(e.line, e.reason) for e in errors] == [
         (11, "unparseable field: could not convert string to float: 'n/a'")]
     assert records.solar_mw[7] == 1.0 and np.signbit(records.wind_mw[199])  # row 9 was dropped

@@ -5,10 +5,14 @@ WIND_ON_GW in whole-day blocks, with d_w windy days in week w. normalize's k
 is then cf·ref / (WIND_ON_GW·mean_w p_w), with p_w = d_w / 7. A family's room
 h_w = cap_w - base is one number per week, so the annual curve is
 f(c) = mean_w p_w·min(h_w, k·WIND_ON_GW·c/ref).
+
+The same year, written again with rows to repair, must give the same
+result files byte for byte.
 """
 
 import csv
 import math
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
@@ -16,7 +20,9 @@ import pytest
 from windfleet import ScalingSpec, ScenarioConstants, cli
 from windfleet.bev import BevFleetSpec, fleet_aggregates
 from windfleet.curves import DEFAULT_BASE_GENERATION_GWE
-from windfleet.ingest import SAMPLES_PER_WEEK, WEEKS_PER_YEAR
+from windfleet.ingest import (
+    SAMPLES_PER_WEEK, SAMPLES_PER_YEAR, WEEKS_PER_YEAR, canonicalize, parse_csv,
+)
 from windfleet.scaling import normalize
 from windfleet.synth import write_series_csv
 from _helpers import make_year_series
@@ -30,6 +36,20 @@ CURVE_FLEETS_M = (5.0, 25.0)
 # Table 2's roots for these fleets lie on the pieces where 0, 1, 2 and 3 of
 # the four week types are saturated
 FLEETS_M = (5.0, 12.5, 20.0, 25.0)
+FLAGS = {
+    "curves": ["--headrooms", ",".join(map(str, HEADROOMS_GWE)),
+               "--fleet-sizes", ",".join(map(str, CURVE_FLEETS_M))],
+    "table2": ["--fleet-sizes", ",".join(map(str, FLEETS_M))],
+}
+RESULTS = ("fig7_families.csv", "fig12_families.csv", "table2.csv")
+# the repaired year: a duplicate with other values after each of these
+# samples, a malformed line after each of these, a gap on a calm day of week
+# 1 (demand and wind constant around it), and week 21 with every cell quoted
+DUPLICATED = range(7, SAMPLES_PER_YEAR, 4000)
+MALFORMED_AFTER = range(500, SAMPLES_PER_YEAR, 1000)
+GAP = range(1000, 1012)
+QUOTED = range(20 * SAMPLES_PER_WEEK, 21 * SAMPLES_PER_WEEK)
+TRAILING_SAMPLES = 288  # one day
 
 SPEC = ScalingSpec()
 WINDY_FRACTION = [d / 7 for d in WEEK_WINDY_DAYS]
@@ -75,9 +95,51 @@ def root(target_gwe, rooms):
     raise AssertionError("target above the curve's plateau")
 
 
+def malformed(k, stamp, demand, wind, solar):
+    """The ``k``-th kind of malformed line, as cells."""
+    kinds = ([stamp, "n/a", wind, solar], [stamp, demand, "", solar], [stamp, demand, wind, ""],
+             [stamp, "nan", wind, solar], [stamp, demand])
+    return kinds[k % len(kinds)]
+
+
+def repaired_year_csv(clean, path):
+    """``clean``'s year again, with its first 52 weeks as they were once
+    repaired: duplicates, a gap, malformed and quoted lines, a trailing day."""
+    header, *lines = clean.read_text().splitlines(keepends=True)
+    out = [header]
+    for i, line in enumerate(lines):
+        if i in GAP:
+            continue
+        cells = line.rstrip("\r\n").split(",")
+        rows = [cells]
+        if i in DUPLICATED:
+            rows.append([cells[0], "99999.0", "1.5", "2.5"])
+        if i in MALFORMED_AFTER:
+            rows.append(malformed(i // 1000, *cells))
+        quote = '"{}"'.format if i in QUOTED else str
+        out += [",".join(map(quote, row)) + "\r\n" for row in rows]
+    last = datetime.fromisoformat(lines[-1].split(",")[0].replace("Z", "+00:00"))
+    out += [f"{last + timedelta(minutes=5 * n):%Y-%m-%dT%H:%M:%SZ},30000.0,0.0,0.0\r\n"
+            for n in range(1, TRAILING_SAMPLES + 1)]
+    path.write_text("".join(out), newline="")
+    return path
+
+
+def run_commands(path, out):
+    """curves and table2 on the year at ``path``, with results in ``out``."""
+    for command, flags in FLAGS.items():
+        assert cli.run([command, "--input", str(path), "--out-dir", str(out), *flags]) == 0
+    return out
+
+
 @pytest.fixture(scope="module")
 def oracle_csv(tmp_path_factory):
     return oracle_year_csv(tmp_path_factory.mktemp("oracle") / "oracle_year.csv")
+
+
+@pytest.fixture(scope="module")
+def oracle_out(oracle_csv, tmp_path_factory):
+    return run_commands(oracle_csv, tmp_path_factory.mktemp("oracle_out"))
 
 
 def read_rows(path):
@@ -92,25 +154,18 @@ def test_normalize_k(oracle_csv):
     np.testing.assert_allclose(year.wind, K * series.wind_metered, rtol=1e-12, atol=0.0)
 
 
-def test_curve_points(oracle_csv, tmp_path):
-    argv = ["curves", "--input", str(oracle_csv), "--out-dir", str(tmp_path),
-            "--headrooms", ",".join(map(str, HEADROOMS_GWE)),
-            "--fleet-sizes", ",".join(map(str, CURVE_FLEETS_M))]
-    assert cli.run(argv) == 0
+def test_curve_points(oracle_out):
     rooms = {f"headroom={h:g}": headroom_rooms(h) for h in HEADROOMS_GWE}
     rooms.update({f"bev={m:g}M": bev_rooms(m) for m in CURVE_FLEETS_M})
-    rows = read_rows(tmp_path / "fig7_families.csv") + read_rows(tmp_path / "fig12_families.csv")
+    rows = read_rows(oracle_out / "fig7_families.csv") + read_rows(oracle_out / "fig12_families.csv")
     assert {row["family_label"] for row in rows} == set(rooms)
     for row in rows:
         expected = curve(float(row["capacity_gwc"]), rooms[row["family_label"]])
         assert float(row["mean_wind_gwe"]) == pytest.approx(expected, rel=1e-9, abs=0.0)
 
 
-def test_table2_roots(oracle_csv, tmp_path):
-    argv = ["table2", "--input", str(oracle_csv), "--out-dir", str(tmp_path),
-            "--fleet-sizes", ",".join(map(str, FLEETS_M))]
-    assert cli.run(argv) == 0
-    rows = read_rows(tmp_path / "table2.csv")
+def test_table2_roots(oracle_out):
+    rows = read_rows(oracle_out / "table2.csv")
     assert [float(row["fleet_size_millions"]) for row in rows] == list(FLEETS_M)
     for row, size in zip(rows, FLEETS_M):
         power = fleet_aggregates(BevFleetSpec(size)).mean_power_gw
@@ -119,3 +174,20 @@ def test_table2_roots(oracle_csv, tmp_path):
         # cannot move the snapped answer
         assert abs(tenths - round(tenths)) >= 1e-5
         assert float(row["required_wind_gwc"]) == math.ceil(tenths) / 10
+
+
+def test_repaired_year_gives_the_same_results(oracle_csv, oracle_out, tmp_path):
+    """Both readers, the repairs and the cut, from a CSV file: the quoted week
+    goes through csv.reader, the rest through the byte path."""
+    repaired = repaired_year_csv(oracle_csv, tmp_path / "repaired.csv")
+    errors = []
+    series = canonicalize(parse_csv(repaired, row_errors=errors))
+    assert len(errors) == len(MALFORMED_AFTER)
+    assert series.provenance[1:] == (
+        f"dropped {len(DUPLICATED)} duplicate-timestamp rows (kept first)",
+        f"interpolated {len(GAP)} missing samples across 1 gaps",
+    )
+    assert series.n_samples == SAMPLES_PER_YEAR + TRAILING_SAMPLES
+    out = run_commands(repaired, tmp_path / "out")
+    for name in RESULTS:
+        assert (out / name).read_bytes() == (oracle_out / name).read_bytes()
