@@ -128,7 +128,7 @@ def load_config_file(path: str | Path) -> dict[str, str]:
     linenos: dict[str, int] = {}
     try:
         text = Path(path).read_text(encoding="utf-8-sig")  # a byte-order mark is skipped
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _COMMENT.split(raw, maxsplit=1)[0].strip()

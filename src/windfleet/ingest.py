@@ -6,19 +6,20 @@ long outages must fail loudly rather than silently fabricate wind lulls.
 
 The file is read as bytes, READ_BYTES at a time; each read is scanned once
 for the line ends where csv.reader cuts lines, and the lines are parsed
-CHUNK_ROWS at a time. Each line is read whole on one of two paths. A plain
-line of a chunk without a quote is read straight from the bytes: it has one
-cell per header column, a timestamp of 19, 20 or 25 ASCII bytes in
-YYYY-MM-DD[T ]HH:MM:SS[Z|+00:00] form, read one byte matrix per length
-(_iso_cells), and value cells that are nonempty JSON numbers, read by one
-orjson call per chunk as float() reads them. Every other line (blank, short
-or long lines, other timestamp forms, value cells such as "n/a", "nan" or
-" 900 ", every line of a chunk orjson rejects or that holds a quote) goes
-through one csv.reader per chunk; its rows' values go through float(), and
-their timestamps through _parse_timestamp, after _iso_cells when a chunk has
-more than _FEW_TEXTS of them. Blank rows are dropped with the rejected ones.
-Both give the cells, row errors and line numbers of one csv.reader over the
-whole file.
+CHUNK_ROWS at a time. Each line is one record, read whole on one of two
+paths. A plain line is read straight from the bytes: it holds no quote, is
+no longer than the csv field limit, has one cell per header column, a
+timestamp of 19, 20 or 25 ASCII bytes in YYYY-MM-DD[T ]HH:MM:SS[Z|+00:00]
+form, read one byte matrix per length (_iso_cells), and value cells that
+are nonempty JSON numbers, read by one orjson call per chunk as float()
+reads them. Every other line (blank, short or long lines, other timestamp
+forms, value cells such as "n/a", "nan" or " 900 ", every line of a chunk
+orjson rejects) goes through csv.reader, a line with a quote through one of
+its own: a line that leaves a quoted field open at its end is a row error,
+"quote not closed on its line" (fatal in the header). Their values go
+through float(), and their timestamps through _parse_timestamp, after
+_iso_cells when a chunk has more than _FEW_TEXTS of them. Blank rows are
+dropped with the rejected ones.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import csv
 import logging
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
-from itertools import chain, compress, islice
+from itertools import compress
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -319,20 +320,20 @@ def _blank(codes: np.ndarray, at: np.ndarray, sizes: np.ndarray) -> None:
 
 def _plain_rows(chunk: bytes, starts: np.ndarray, stops: np.ndarray, nexts: np.ndarray,
                 width: int, fields: list[int]) -> tuple[np.ndarray, ...]:
-    """The plain lines of a quote-free chunk, read whole straight from its bytes.
+    """The plain lines of a chunk, read whole straight from its bytes.
 
     Line i of ``chunk`` runs from ``starts[i]`` to ``stops[i]``, where its
     line end begins, and the next line starts at ``nexts[i]``; every line has
-    a line end. A line is plain when it has ``width`` cells, its timestamp
-    cell is in one of _iso_utc_us's forms, and each value cell is a nonempty
-    JSON number other than the integer "-0", whose sign orjson drops: no
-    byte outside ``0-9eE.+-``. Their value cells come from one orjson call on
-    a copy of the chunk in brackets, where all bytes but the value cells are
-    blanked to "\\n", which JSON reads as whitespace, and the byte after each
-    value cell is a comma; orjson rounds as float() does. When orjson rejects
-    that text ("+1", ".5", "01", "1e400" ...), no line is plain. Returns the
-    mask of plain lines, their timestamp_us and lines x 3 demand/wind/solar
-    values.
+    a line end. A line is plain when it holds no quote, is no longer than the
+    csv field limit, has ``width`` cells, its timestamp cell is in one of
+    _iso_utc_us's forms, and each value cell is a nonempty JSON number
+    other than the integer "-0", whose sign orjson drops: no byte outside
+    ``0-9eE.+-``. Their value cells come from one orjson call on a copy of
+    the chunk in brackets, where all bytes but the value cells are blanked to
+    "\\n", which JSON reads as whitespace, and the byte after each value cell
+    is a comma; orjson rounds as float() does. When orjson rejects that text
+    ("+1", ".5", "01", "1e400" ...), no line is plain. Returns the mask of
+    plain lines, their timestamp_us and lines x 3 demand/wind/solar values.
     """
     n = stops.size
     us, values, plain = np.zeros(n, np.int64), np.empty((n, 3)), np.zeros(n, bool)
@@ -340,6 +341,12 @@ def _plain_rows(chunk: bytes, starts: np.ndarray, stops: np.ndarray, nexts: np.n
     commas = np.flatnonzero(data == ord(","))
     first = np.searchsorted(commas, starts)  # index of each line's first comma
     lines = np.flatnonzero(np.searchsorted(commas, stops) - first == width - 1)
+    if b'"' in chunk:  # a line with a quote is not plain
+        quoted = np.searchsorted(nexts, np.flatnonzero(data == ord('"')), "right")
+        lines = lines[~np.isin(lines, quoted)]
+    limit = csv.field_size_limit()
+    if len(chunk) > limit:  # nor is a line longer than the csv field limit
+        lines = lines[nexts[lines] - starts[lines] <= limit]
 
     def cell(k: int) -> tuple[np.ndarray, np.ndarray]:
         """Where cell ``k`` of each line in ``lines`` starts and ends."""
@@ -385,17 +392,13 @@ def _plain_rows(chunk: bytes, starts: np.ndarray, stops: np.ndarray, nexts: np.n
     return plain, us, values
 
 
-def _line_breaks(field: str) -> int:
-    return field.count("\n") + field.count("\r") - field.count("\r\n")
-
-
 def _line_ends(data: bytes, start: int, final: bool) -> tuple[np.ndarray, np.ndarray]:
     """Where each line of ``data[start:]`` ends: the offset of its line end's
     first byte, and the offset after its line end.
 
     A line ends in "\\n", "\\r\\n" or a lone "\\r", as csv.reader reads lines.
-    A last line with no line end counts only when the data is ``final``; so
-    does a "\\r" at the very end, which may begin a "\\r\\n".
+    A "\\r" at the very end, which may begin a "\\r\\n", counts only when
+    the data is ``final``.
     """
     codes = np.frombuffer(data, np.uint8, offset=start)
     if data.find(b"\r", start) < 0:
@@ -409,14 +412,13 @@ def _line_ends(data: bytes, start: int, final: bool) -> tuple[np.ndarray, np.nda
         nexts = stops + 1 + np.append(pair, False)[np.concatenate(([True], ~pair))]
         if not final and stops.size and stops[-1] == codes.size - 1 and cr[-1]:
             stops, nexts = stops[:-1], nexts[:-1]
-    if final and (nexts[-1] if nexts.size else 0) < codes.size:
-        stops, nexts = np.append(stops, codes.size), np.append(nexts, codes.size)
     return stops + start, nexts + start
 
 
 class _Lines:
     """The lines of a binary file, read READ_BYTES at a time and cut where
-    csv.reader cuts them; a UTF-8 byte-order mark at its start is skipped."""
+    csv.reader cuts them; a UTF-8 byte-order mark at its start is skipped,
+    and a last line with no line end gets a "\\n"."""
 
     def __init__(self, fh):
         self._fh = fh
@@ -433,6 +435,8 @@ class _Lines:
             found = int(self._nexts[-1]) if self._nexts.size else 0
             block = self._fh.read(READ_BYTES)
             self._eof = not block
+            if self._eof and self._data[-1:] not in (b"", b"\n", b"\r"):
+                block = b"\n"
             self._data += block
             stops, nexts = _line_ends(self._data, found, self._eof)
             self._stops = np.concatenate((self._stops, stops))
@@ -450,63 +454,57 @@ class _Lines:
         self._stops, self._nexts = self._stops[n:] - end, self._nexts[n:] - end
         return chunk, stops, nexts
 
-    def texts(self) -> Iterator[str]:
-        """The lines left, one at a time, as text with their line ends."""
-        while got := self.take(1):
-            yield got[0].decode()
+
+def _line_row(text: str) -> list[str] | None:
+    """csv.reader's row of one line, or None when the line leaves a quoted
+    field open at its end: that field then holds the line end."""
+    row = next(csv.reader((text,)))
+    return None if row and row[-1].endswith(("\n", "\r")) else row
 
 
-def _chunks(lines: _Lines, done: int, width: int, fields: list[int], path: Path):
-    """The rows after the header, CHUNK_ROWS lines at a time.
+def _chunks(lines: _Lines, width: int, fields: list[int], path: Path):
+    """The rows after the header, CHUNK_ROWS lines at a time, one row a line.
 
-    ``done`` is the number of lines the header took. Yields each chunk's
-    timestamp_us, its rows x 3 demand/wind/solar values, the line each row
-    ends on, the reasons of the rows that failed to parse, by row, and the
-    mask of blank rows. Each line is read whole on one of two paths: by
-    _plain_rows, when the chunk holds no quote and no line longer than the
-    csv field limit, and the line is plain; else by the chunk's one
-    csv.reader, which reads on from the file while a quoted field is open,
-    so rows, line numbers and errors are those of one csv.reader over the
-    whole file. Its rows go through _columns, which finds the blank ones,
-    and then _timestamps_us and _floats, which give every reason.
+    Yields each chunk's timestamp_us, its rows x 3 demand/wind/solar values,
+    the line number of each row, the reasons of the rows that failed to
+    parse, by row, and the mask of blank rows. A line _plain_rows does not
+    take goes through csv.reader: the chunk's one reader, or _line_row's for
+    a line with a quote. Those rows go through _columns, which finds the
+    blank ones, and then _timestamps_us and _floats, which give every other
+    reason.
     """
     need = max(fields) + 1
-    limit = csv.field_size_limit()
+    done = 1  # the header's line
     while got := lines.take(CHUNK_ROWS):
         chunk, stops, nexts = got
         if not chunk.isascii():
             chunk.decode()  # text that is not UTF-8 raises here
         starts = np.concatenate(([0], nexts[:-1]))
-        if b'"' not in chunk and (len(chunk) <= limit or (nexts - starts).max() <= limit):
-            if stops[-1] == len(chunk):  # the file's last line, with no line end
-                chunk += b"\n"
-                nexts = np.append(nexts[:-1], len(chunk))
-            plain, us, values = _plain_rows(chunk, starts, stops, nexts, width, fields)
-        else:
-            plain = np.zeros(stops.size, bool)
-            us, values = np.zeros(stops.size, np.int64), np.empty((stops.size, 3))
+        plain, us, values = _plain_rows(chunk, starts, stops, nexts, width, fields)
         odd = np.flatnonzero(~plain)
         texts = [chunk[a:b].decode() for a, b in zip(starts[odd].tolist(), nexts[odd].tolist())]
-        reader = csv.reader(chain(texts, lines.texts()))
+        reader = csv.reader(text for text in texts if '"' not in text)  # a row a line: no quote
+        rows, unclosed = [], []
         try:
-            rows = list(islice(reader, len(texts)))
+            for text in texts:
+                row = _line_row(text) if '"' in text else next(reader)
+                if row is None:
+                    unclosed.append(int(odd[len(rows)]))
+                rows.append(row or [])
         except csv.Error as exc:
-            k = reader.line_num - 1  # the line it failed on: one of the texts, or one after them
-            line = done + 1 + (int(odd[k]) if k < odd.size else k)
-            raise IngestError(f"{path} line {line}: {exc}") from exc
+            raise IngestError(f"{path} line {done + 1 + int(odd[len(rows)])}: {exc}") from exc
         numbers = np.arange(done + 1, done + stops.size + 1)
-        if reader.line_num > len(rows):  # a row ends one line after the last, plus its line breaks
-            numbers = done + np.cumsum([1 + sum(map(_line_breaks, row)) for row in rows])
-            us, values, odd = us[:len(rows)], values[:len(rows)], odd[:len(rows)]
-        done += stops.size + reader.line_num - len(texts)
+        done += stops.size
         columns, blank, failed = _columns(rows, width, fields, need)
         at = odd[~blank]
         us[at] = _timestamps_us(columns[0], failed)
         for i, column in enumerate(columns[1:]):
             values[at, i] = _floats(column, failed)
         reasons = {int(at[j]): reason for j, reason in failed.items()}
+        reasons.update(dict.fromkeys(unclosed, "quote not closed on its line"))
         blanks = np.zeros(us.size, bool)
         blanks[odd[blank]] = True
+        blanks[unclosed] = False  # a row error, even where its cells are blank
         yield us, values, numbers, reasons, blanks
 
 
@@ -567,11 +565,16 @@ def parse_csv(
     n_rows = 0
     with fh:
         lines = _Lines(fh)
-        reader = csv.reader(lines.texts())
         try:
-            header = next(reader, None)
-            if header is None:
+            got = lines.take(1)
+            if got is None:
                 raise IngestError(f"{path}: empty file, no header row")
+            try:
+                header = _line_row(got[0].decode())
+            except csv.Error as exc:
+                raise IngestError(f"{path} line 1: {exc}") from exc
+            if header is None:
+                raise IngestError(f"{path} line 1: quote not closed on its line")
             missing = [c for c in columns.values() if c not in header]
             if missing:
                 raise IngestError(f"{path}: missing column(s) {missing}; file has {header}")
@@ -580,7 +583,7 @@ def parse_csv(
                 raise IngestError(f"{path}: mapped column {repeated[0]!r} repeats in the header")
             position = {name: i for i, name in enumerate(header)}
             fields = [position[columns[k]] for k in ("timestamp", "demand", "wind", "solar")]
-            for *chunk, blank in _chunks(lines, reader.line_num, len(header), fields, path):
+            for *chunk, blank in _chunks(lines, len(header), fields, path):
                 n_rows += blank.size - np.count_nonzero(blank)
                 part = _parse_chunk(*chunk, blank, errors)
                 end = n + part[0].size
@@ -593,8 +596,6 @@ def parse_csv(
         except UnicodeDecodeError as exc:
             bad = exc.object[exc.start : exc.end].hex(" ")
             raise IngestError(f"{path}: not UTF-8 text ({exc.reason}: byte {bad})") from exc
-        except csv.Error as exc:
-            raise IngestError(f"{path} line {reader.line_num}: {exc}") from exc
 
     if row_errors is not None:
         row_errors.extend(errors)

@@ -19,7 +19,8 @@ import numpy as np
 
 from .export import write_csv
 from .ingest import (
-    SAMPLES_PER_YEAR, WEEKS_PER_YEAR, GridSeries, WeekSeries, _freeze, cut_year, split_weeks,
+    SAMPLES_PER_YEAR, WEEKS_PER_YEAR, GridSeries, IngestError, WeekSeries, _freeze, cut_year,
+    split_weeks,
 )
 
 DEFAULT_REFERENCE_CAPACITY_GWC = 20.0
@@ -139,7 +140,7 @@ def normalize(series: GridSeries, spec: ScalingSpec) -> NormalizedYear:
     weekly = series.wind_metered.reshape(WEEKS_PER_YEAR, -1).mean(axis=1)
     mean = float(weekly.mean())
     if mean <= 0:
-        raise ValueError("annual mean of metered wind is zero; cannot normalize")
+        raise IngestError("annual mean of metered wind is zero; cannot normalize")
     k = spec.target_capacity_factor * spec.reference_capacity_gwc / mean
 
     return NormalizedYear(

@@ -356,14 +356,21 @@ class TestBevCommand:
         assert all(0.0 <= v <= 1050.0 for v in soc)
 
 
-    def test_year_without_wind(self, tmp_path):
-        """bev reads demand alone: a year whose metered wind is all zero, which
-        no command that reads wind can normalize, still gets its schedule."""
+    def test_year_without_wind(self, tmp_path, capsys):
+        """bev reads demand alone: a year whose metered wind is all zero still
+        gets its schedule. No command that reads wind can normalize it: the
+        input is at fault, so each exits 2 with one line and writes nothing."""
         series = dataclasses.replace(make_year_series(wind=0.0), input_sha256="0" * 64)
         out = tmp_path / "out"
         assert cli.run(["bev", "--input", "y.csv", "--out-dir", str(out)], series=series) == 0
         assert (out / "fig9_schedule.csv").exists()
-        assert cli.run(["lull", "--input", "y.csv", "--out-dir", str(out)], series=series) == 1
+        capsys.readouterr()
+        for command in ("histogram", "curves", "table2", "lull"):
+            argv = [command, "--input", "y.csv", "--out-dir", str(tmp_path / command)]
+            assert cli.run(argv, series=series) == 2
+            assert capsys.readouterr().err == (
+                "input error: annual mean of metered wind is zero; cannot normalize\n")
+            assert not (tmp_path / command).exists()
 
 
 class TestColumnRemap:
@@ -535,6 +542,16 @@ class TestConfigFile:
         plain = manifest_settings(tmp_path / "plain", "histogram")
         assert plain == manifest_settings(tmp_path / "bom", "histogram")
         assert plain["reference_capacity_gwc"] == "20.0"
+
+    def test_config_file_not_utf8_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"out_dir = o\xff\n")
+        assert run("histogram", "--config", str(cfg)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: cannot read config file: 'utf-8' codec ")
+        assert err.count("\n") == 1
+        with pytest.raises(ConfigError, match="byte 0xff"):
+            load_config_file(cfg)
 
     def test_bad_line_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"

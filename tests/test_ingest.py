@@ -291,9 +291,9 @@ def byte_path_floats(texts):
     ``texts`` as their wind cells, as _chunks reads them before the range
     checks; one row per text that a cell can hold."""
     lines = "".join(f"2017-01-16T00:00:00Z,1,{text},0\n" for text in texts)
-    chunks = ingest._chunks(ingest._Lines(io.BytesIO(lines.encode())), 0, 4, [0, 1, 2, 3], "chunk")
+    chunks = ingest._chunks(ingest._Lines(io.BytesIO(lines.encode())), 4, [0, 1, 2, 3], "chunk")
     us, values, numbers, reasons, blank = next(chunks)
-    assert numbers.tolist() == list(range(1, len(texts) + 1)) and not blank.any()
+    assert numbers.tolist() == list(range(2, len(texts) + 2)) and not blank.any()  # after line 1
     return values[:, 1], reasons
 
 

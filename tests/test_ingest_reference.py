@@ -2,11 +2,14 @@
 
 The reference is the row-at-a-time reader this package used before its
 ingest worked on columns (csv.DictReader, one record per row, a sorted list
-for canonicalize), with its three fixes: a row too short for the mapped
-columns is a row error, a UTF-8 byte-order mark is skipped, and a header
-that repeats a mapped name is fatal, where csv.DictReader would read the
-last column of that name. A record is a (UTC microseconds since the epoch,
-demand, wind, solar) tuple, compared with the columns of parse_csv's Records.
+for canonicalize), with its four fixes: a row too short for the mapped
+columns is a row error, a UTF-8 byte-order mark is skipped, a header that
+repeats a mapped name is fatal, where csv.DictReader would read the last
+column of that name, and each physical line is one record, where
+csv.DictReader would read on while a quoted field spans lines: a line that
+leaves a quoted field open at its end is a row error (fatal in the header).
+A record is a (UTC microseconds since the epoch, demand, wind, solar)
+tuple, compared with the columns of parse_csv's Records.
 """
 
 import csv
@@ -21,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from windfleet import ingest
+from windfleet import cli, ingest
 from windfleet.ingest import (
     CADENCE_S,
     DEFAULT_COLUMNS,
@@ -40,21 +43,41 @@ ONE_US = timedelta(microseconds=1)
 COLUMNS = {"timestamp": "time", "demand": "nd", "wind": "w", "solar": "pv"}
 
 
+UNCLOSED = "quote not closed on its line"
+
+
+def read_alone(line, fieldnames=None):
+    """csv.DictReader's row of one physical line (csv.reader's, without
+    ``fieldnames``), None for a blank line, and whether a quoted field is
+    still open at the line's end: then the reader reads on into the "\\n"
+    given after it."""
+    reader = (csv.reader if fieldnames is None else csv.DictReader)([line, "\n"], fieldnames)
+    row = next(reader, None)
+    return row, reader.line_num > 1 and row is not None
+
+
 def reference_parse(path, column_map):
-    """(records, [(line, reason)], rows counted), one row at a time."""
+    """(records, [(line, reason)], rows counted), one line at a time."""
     columns = dict(DEFAULT_COLUMNS, **column_map)
     records, errors, n_rows = [], [], 0
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.DictReader(fh)
-        repeated = [c for c in columns.values() if reader.fieldnames.count(c) > 1]
+        lines = enumerate(fh, start=1)  # newline="": cut at "\n", "\r\n" or "\r", as csv is
+        fieldnames, unclosed = read_alone(next(lines)[1])
+        if unclosed:
+            raise IngestError(f"{path} line 1: {UNCLOSED}")
+        repeated = [c for c in columns.values() if fieldnames.count(c) > 1]
         if repeated:
             raise IngestError(f"{path}: mapped column {repeated[0]!r} repeats in the header")
-        need = max(reader.fieldnames.index(c) for c in columns.values()) + 1
-        for row in reader:
-            if all(v is None or not str(v).strip() for v in row.values()):
+        need = max(fieldnames.index(c) for c in columns.values()) + 1
+        for line, text in lines:
+            row, unclosed = read_alone(text, fieldnames)
+            if unclosed:
+                n_rows += 1
+                errors.append((line, UNCLOSED))
+                continue
+            if row is None or all(v is None or not str(v).strip() for v in row.values()):
                 continue
             n_rows += 1
-            line = reader.line_num
             if any(row[c] is None for c in columns.values()):
                 n_fields = sum(v is not None for v in row.values())
                 errors.append((line, f"too few fields: {n_fields}, the mapped columns need {need}"))
@@ -151,7 +174,7 @@ BAD_STAMPS = [
     "2017-01-16T00:00:00+0000", "2017-1-16T00:00:00Z", "2017-01-16T00:00:00Zjunk",
 ]
 NOTES = ["", "plain", "a,b", 'say "hi"']
-BROKEN_NOTES = ["two\nlines", "cr\r\nlf", "cr\ronly"]  # quoted or not, line numbers move
+BROKEN_NOTES = ["two\nlines", "cr\r\nlf", "cr\ronly"]  # quoted or not, two lines, two rows
 
 
 @st.composite
@@ -208,8 +231,9 @@ def outcome(fn, *args):
 
 
 def every_odd_case() -> str:
-    """Each bad stamp, bad value and odd line once, after a line-breaking
-    note, among enough good rows that the 1% rule lets them all through."""
+    """Each bad stamp, bad value and odd line once, among enough good rows
+    that the 1% rule lets them all through; the first ones each after a
+    line-breaking note, whose lines are read as two rows."""
     header = ["note", "w", "time", "nd", "pv"]
     good = lambda i, **kw: [kw.get(name, v) for name, v in zip(header, (
         "", "900", stamp(i % 31, "Z"), "48000", "0"))]
@@ -218,7 +242,8 @@ def every_odd_case() -> str:
     odd += [good(7, **{col: text}) for col in ("nd", "w", "pv") for text in BAD_VALUES]
     rows = []
     for i, row in enumerate(odd):
-        rows.append(good(i, note=BROKEN_NOTES[i % len(BROKEN_NOTES)]))
+        if i < len(BROKEN_NOTES):
+            rows.append(good(i, note=BROKEN_NOTES[i]))
         rows += [good(i + k) for k in range(100)]
         rows.append(row)
     out = io.StringIO()
@@ -283,13 +308,16 @@ def document(odd: dict[int, str], n=200, last_end="\n", end="\n", header=HEADER)
 @pytest.mark.parametrize("chunk_rows", [3, 4, 16])
 @pytest.mark.parametrize("at", [-1, 0, 1])  # the quoted note starts on this line of a chunk
 def test_quoted_note_straddles_a_chunk_boundary(chunk_rows, at):
-    """The chunk with the quote reads on into the next chunk's lines; the
-    quote-free chunks after it keep their line numbers."""
+    """The line whose quote stays open is a row error, and the line after
+    it, in the next chunk or not, is read fresh; the chunks after them keep
+    their line numbers."""
     first = 2 * chunk_rows + at
     odd = {first: good_line(first, note='"two\nlines"'),
            first + 2 * chunk_rows: f"{stamp(3, 'Z')},48000\n",  # row errors name their lines
            first + 3 * chunk_rows: f"{stamp(4, 'Z')},48000,n/a,0,\n"}
-    check_against_reference(document(odd, n=300), chunk_rows)
+    errors = check_against_reference(document(odd, n=500), chunk_rows)
+    assert errors[:2] == [(first + 2, UNCLOSED),
+                          (first + 3, "too few fields: 1, the mapped columns need 4")]
 
 
 @pytest.mark.parametrize("last_end", ["\n", ""])
@@ -313,17 +341,24 @@ QUOTED_CELLS = ['"a""b"', '"a"b', 'a"b"', '"1,5"', '"two\nlines"', '"', '"open',
 @pytest.mark.parametrize("cell", QUOTED_CELLS)
 def test_quoted_cells_match_reference(cell, last_end):
     """Every line quoted, cell by cell, with one odd cell as a value, as a
-    note, at a line's start and on the last line; every chunk holds a quote,
-    so csv.reader reads them all."""
+    note, at a line's start and on the last line; every line holds a quote,
+    so csv.reader reads them all and no line is read plain."""
     odd = {i: quote_all(good_line(i)) for i in range(400)}
     odd[21] = quote_all(good_line(21)).replace('"900"', cell)
     odd[40] = quote_all(good_line(40)).rsplit(",", 1)[0] + f",{cell}\n"
     odd[63] = cell + quote_all(good_line(63))[len(quote_all(stamp(63 % 31, "Z"))):]
     odd[399] = quote_all(good_line(399)).replace('"0"', cell)
     text = document(odd, n=400, last_end=last_end)
-    with mock.patch.object(ingest, "_plain_rows", wraps=ingest._plain_rows) as plain_rows:
+    masks, read_plain = [], ingest._plain_rows
+
+    def plain_rows(*args):
+        out = read_plain(*args)
+        masks.append(out[0])
+        return out
+
+    with mock.patch.object(ingest, "_plain_rows", plain_rows):
         check_against_reference(text, 16)
-    assert plain_rows.call_count == 0
+    assert masks and not any(mask.any() for mask in masks)
 
 
 @pytest.mark.parametrize("header", ["time,nd,w,pv,w", "pv,time,nd,w,pv", "time,nd,w,pv,note,note"])
@@ -429,8 +464,10 @@ READ_EDGES = {
               lambda data, at: 0x80 <= data[at] < 0xc0),
     # a byte-order mark, then a read that ends inside the header
     "bom": ("\ufeff" + with_errors({}), lambda data, at: at < data.index(b"\n")),
-    # a quoted field open across a read boundary, and across chunks
-    "quoted": (with_errors({i: good_line(i, note='"open\n,note"') for i in range(1, 300, 7)}),
+    # a quoted field open across a read boundary, closed on its line, and
+    # one left open at its line's end
+    "quoted": (with_errors({**{i: good_line(i, note='"open,note"') for i in range(1, 300, 7)},
+                            100: good_line(100, note='"open,note')}),
                lambda data, at: data.rfind(b'"', 0, at) > data.rfind(b"\n", 0, at)),
 }
 
@@ -448,15 +485,14 @@ def test_read_boundary_edges(edge, chunk_rows, read_bytes):
 
 
 def expected_csv_error(path):
-    """The IngestError text of a csv.reader over the whole file, as parse_csv
-    reported it before it split quote-free lines itself."""
+    """The IngestError text of the first csv.Error of csv.reader reading
+    each line of the file alone."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            for _ in reader:
-                pass
-        except csv.Error as exc:
-            return f"{path} line {reader.line_num}: {exc}"
+        for line, text in enumerate(fh, start=1):
+            try:
+                read_alone(text)
+            except csv.Error as exc:
+                return f"{path} line {line}: {exc}"
     return None
 
 
@@ -499,7 +535,8 @@ def test_lines_over_a_lowered_csv_limit(tmp_path, chunk_rows, odd):
 
 
 def check_against_reference(text, chunk_rows, read_bytes=ingest.READ_BYTES):
-    """Same row errors, records and GridSeries (or error) as the reference."""
+    """Same row errors, records and GridSeries (or error) as the reference;
+    returns the row errors as (line, reason) pairs."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "export.csv"
         path.write_text(text, encoding="utf-8", newline="")
@@ -515,7 +552,7 @@ def check_against_reference(text, chunk_rows, read_bytes=ingest.READ_BYTES):
                 records = parse_csv(path, COLUMNS, errors)
     assert [(e.line, e.reason) for e in errors] == expected_errors
     if records is None:
-        return
+        return expected_errors
     expected_columns = list(zip(*expected_records)) or [()] * 4
     assert records.timestamp_us.tolist() == list(expected_columns[0])
     for name, column in zip(("demand_mw", "wind_mw", "solar_mw"), expected_columns[1:]):
@@ -527,6 +564,7 @@ def check_against_reference(text, chunk_rows, read_bytes=ingest.READ_BYTES):
         assert series == expected
     else:
         assert_same_series(series, expected)
+    return expected_errors
 
 
 def test_synthetic_year_matches_reference(synth_csv):
@@ -537,3 +575,37 @@ def test_synthetic_year_matches_reference(synth_csv):
     assert_same_series(
         canonicalize(records, source="year"), reference_canonicalize(expected_records, "year")
     )
+
+
+def test_stray_quote_pair_costs_only_its_two_lines(synth_csv, tmp_path):
+    """A quote opened in line 1000 and one at the end of line 1006 do not
+    join the lines between them into one record: those two lines are the
+    only row errors, and every other line is read."""
+    lines = synth_csv.read_text().splitlines(keepends=True)
+    lines[999] = lines[999].replace(",", ',"', 1)  # opens a quoted demand cell
+    lines[1005] = lines[1005].replace("\n", '"\n')
+    path = tmp_path / "stray.csv"
+    path.write_text("".join(lines))
+    errors = []
+    records = parse_csv(path, {}, errors)
+    assert [e.line for e in errors] == [1000, 1006] and errors[0].reason == UNCLOSED
+    assert errors[1].reason.startswith("unparseable field: could not convert string to float")
+    assert len(records) == len(lines) - 3
+    series = canonicalize(records, "stray")
+    assert series.provenance[1:] == ("interpolated 2 missing samples across 2 gaps",)
+
+
+ROWS = "".join(f"{stamp(i, 'Z')},48000,900,0\n" for i in range(3))
+
+
+@pytest.mark.parametrize("text", [
+    '"timestamp,demand,wind,solar\n' + ROWS, 'timestamp,demand,wind,"solar\r\n' + ROWS,
+    'timestamp,demand,wind,solar,"note\r' + ROWS,
+    '"timestamp,demand,wind,solar',  # the file's one line, with no line end
+])
+def test_header_with_an_unclosed_quote_is_fatal(text, tmp_path, capsys):
+    path = tmp_path / "export.csv"
+    path.write_text(text, newline="")
+    assert cli.run(["ingest", "--check", "--input", str(path)]) == 2
+    assert capsys.readouterr().err == f"input error: {path} line 1: {UNCLOSED}\n"
+    assert outcome(reference_parse, path, {}) == f"{path} line 1: {UNCLOSED}"

@@ -52,3 +52,29 @@ def test_every_exported_name_resolves_once():
     assert len(windfleet.__all__) == len(set(windfleet.__all__))
     missing = [name for name in windfleet.__all__ if not hasattr(windfleet, name)]
     assert missing == []
+
+
+# the package's public names: a change to this set is a change to its API
+EXPORTED = {
+    "__version__",
+    "GridSeries", "IngestError", "RawRecord", "Records", "WeekSeries", "canonicalize", "cut_year",
+    "parse_csv",
+    "NormalizedYear", "ScalingSpec", "WindHistogram", "extrapolate_wind", "normalize",
+    "wind_histogram",
+    "DispatchConfig", "DispatchResult", "dispatch_week",
+    "CharacteristicCurve", "CurveRequest", "TargetUnreachableError", "annual_curve",
+    "curve_from_histogram", "invert_annual_curve", "invert_curve",
+    "BevFleetSpec", "ChargeSchedule", "FleetAggregates", "SocTrajectory", "consumption_profile",
+    "fleet_aggregates", "leveling_schedule", "soc_trajectory", "weekly_levels",
+    "FleetSizingRow", "LullReport", "ScenarioConstants", "build_table2", "lull_report",
+    "synthetic_year",
+}
+
+
+def test_exported_names_are_the_public_api():
+    import windfleet
+
+    assert set(windfleet.__all__) == EXPORTED
+    namespace = {}
+    exec("from windfleet import *", namespace)
+    assert set(namespace) - {"__builtins__"} == EXPORTED

@@ -59,7 +59,7 @@ class TestNormalize:
 
     def test_zero_wind_fatal(self):
         series = make_year_series(wind=0.0)
-        with pytest.raises(ValueError, match="zero"):
+        with pytest.raises(IngestError, match="zero"):
             normalize(series, ScalingSpec())
 
     def test_annual_mean_hits_target(self, synth_year):
