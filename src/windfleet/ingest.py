@@ -14,9 +14,9 @@ form, read one byte matrix per length (_iso_cells), and value cells that
 are nonempty JSON numbers, read by one orjson call per chunk as float()
 reads them. Every other line (blank, short or long lines, other timestamp
 forms, value cells such as "n/a", "nan" or " 900 ", every line of a chunk
-orjson rejects) goes through csv.reader, a line with a quote through one of
-its own: a line that leaves a quoted field open at its end is a row error,
-"quote not closed on its line" (fatal in the header). Their values go
+orjson rejects) goes alone through a csv.reader of its own: a line that
+leaves a quoted field open at its end is a row error, "quote not closed on
+its line" (fatal in the header). Their values go
 through float(), and their timestamps through _parse_timestamp, after
 _iso_cells when a chunk has more than _FEW_TEXTS of them. Blank rows are
 dropped with the rejected ones.
@@ -468,10 +468,9 @@ def _chunks(lines: _Lines, width: int, fields: list[int], path: Path):
     Yields each chunk's timestamp_us, its rows x 3 demand/wind/solar values,
     the line number of each row, the reasons of the rows that failed to
     parse, by row, and the mask of blank rows. A line _plain_rows does not
-    take goes through csv.reader: the chunk's one reader, or _line_row's for
-    a line with a quote. Those rows go through _columns, which finds the
-    blank ones, and then _timestamps_us and _floats, which give every other
-    reason.
+    take goes alone through _line_row's csv.reader. Those rows go through
+    _columns, which finds the blank ones, and then _timestamps_us and
+    _floats, which give every other reason.
     """
     need = max(fields) + 1
     done = 1  # the header's line
@@ -483,11 +482,10 @@ def _chunks(lines: _Lines, width: int, fields: list[int], path: Path):
         plain, us, values = _plain_rows(chunk, starts, stops, nexts, width, fields)
         odd = np.flatnonzero(~plain)
         texts = [chunk[a:b].decode() for a, b in zip(starts[odd].tolist(), nexts[odd].tolist())]
-        reader = csv.reader(text for text in texts if '"' not in text)  # a row a line: no quote
         rows, unclosed = [], []
         try:
             for text in texts:
-                row = _line_row(text) if '"' in text else next(reader)
+                row = _line_row(text)
                 if row is None:
                     unclosed.append(int(odd[len(rows)]))
                 rows.append(row or [])

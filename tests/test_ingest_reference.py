@@ -231,9 +231,9 @@ def outcome(fn, *args):
 
 
 def every_odd_case() -> str:
-    """Each bad stamp, bad value and odd line once, among enough good rows
-    that the 1% rule lets them all through; the first ones each after a
-    line-breaking note, whose lines are read as two rows."""
+    """Each bad stamp, bad value and odd line once, after a line-breaking
+    note, among enough good rows that the 1% rule lets them all through; a
+    note's two lines are read as two rows, a row error and a record."""
     header = ["note", "w", "time", "nd", "pv"]
     good = lambda i, **kw: [kw.get(name, v) for name, v in zip(header, (
         "", "900", stamp(i % 31, "Z"), "48000", "0"))]
@@ -242,9 +242,8 @@ def every_odd_case() -> str:
     odd += [good(7, **{col: text}) for col in ("nd", "w", "pv") for text in BAD_VALUES]
     rows = []
     for i, row in enumerate(odd):
-        if i < len(BROKEN_NOTES):
-            rows.append(good(i, note=BROKEN_NOTES[i]))
-        rows += [good(i + k) for k in range(100)]
+        rows.append(good(i, note=BROKEN_NOTES[i % len(BROKEN_NOTES)]))
+        rows += [good(i + k) for k in range(200)]
         rows.append(row)
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerows([header, *rows])
