@@ -77,6 +77,10 @@ DEFAULT_FLEET_SIZE_M = 35.0
 DEFAULT_FLEET_SIZES_M = (15.0, 20.0, 25.0, 30.0, 35.0)
 DEFAULT_CURVE_FAMILY_FLEETS_M = (0.0, 15.0, 20.0, 25.0, 30.0, 35.0)
 MAX_RANGE_VALUES = 10_000  # most values one start:stop:step range may give
+# the mean demand (GW) a command's input may have: the model's defaults mean
+# nothing below 1 GW, and above 5,000 GW a fleet's mean power no longer keeps a
+# week's level within dispatch.MAX_POWER_GWE; a file in kW or GW falls outside
+MEAN_DEMAND_GW = (1.0, 5000.0)
 
 _SPECS = (ScalingSpec, BevFleetSpec, ScenarioConstants)
 _PATH_KEYS = ("input", "out_dir", "columns")  # read by every command
@@ -325,17 +329,29 @@ def _existing(input_path: str | Path) -> str | Path:
     return input_path
 
 
+def _in_mw(series: GridSeries) -> GridSeries:
+    """``series``, when its mean demand is one a grid read from MW values has."""
+    mean = float(series.demand.mean())
+    if not MEAN_DEMAND_GW[0] <= mean <= MEAN_DEMAND_GW[1]:
+        raise IngestError(f"mean demand is {mean:.6g} GW, outside {MEAN_DEMAND_GW[0]:g}-"
+                          f"{MEAN_DEMAND_GW[1]:,.0f} GW: input values must be in MW")
+    return series
+
+
 def load_series(input_path: str | Path, columns: dict[str, str] | None = None) -> GridSeries:
-    """Parse and canonicalize one input file; the series carries the file's SHA-256."""
+    """Parse and canonicalize one input file; the series carries the file's
+    SHA-256. A mean demand outside MEAN_DEMAND_GW is an input error."""
     series = canonicalize(parse_csv(_existing(input_path), columns), source=str(input_path))
-    return replace(series, input_sha256=sha256_of(input_path))
+    return replace(_in_mw(series), input_sha256=sha256_of(input_path))
 
 
 def _load_series(s: dict[str, object], series: GridSeries | None) -> GridSeries:
     """``series``, or else the series read from the input; either carries the
-    input's SHA-256 before anything is written."""
+    input's SHA-256 before anything is written, and has a mean demand within
+    MEAN_DEMAND_GW."""
     if series is None:
         return load_series(s["input"], s["columns"])
+    _in_mw(series)
     if series.input_sha256 is None:
         return replace(series, input_sha256=sha256_of(_existing(s["input"])))
     return series

@@ -5,18 +5,18 @@ Repairs (gap interpolation, duplicate removal) are conservative and logged:
 long outages must fail loudly rather than silently fabricate wind lulls.
 
 The file is read as bytes, READ_BYTES at a time; each read is scanned once
-for the line ends where csv.reader cuts lines, and the lines are parsed
-CHUNK_ROWS at a time. Each line is one record, read whole on one of two
-paths. A plain line is read straight from the bytes: it holds no quote, is
-no longer than the csv field limit, has one cell per header column, a
+for the line ends where csv.reader cuts lines, and its whole lines are
+parsed together as one chunk. Each line is one record, read whole on one of
+two paths. A plain line is read straight from the bytes: it holds no quote,
+is no longer than the csv field limit, has one cell per header column, a
 timestamp of 19, 20 or 25 ASCII bytes in YYYY-MM-DD[T ]HH:MM:SS[Z|+00:00]
-form, read one byte matrix per length (_iso_cells), and value cells that
-are nonempty JSON numbers, read by one orjson call per chunk as float()
-reads them. Every other line (blank, short or long lines, other timestamp
-forms, value cells such as "n/a", "nan" or " 900 ", every line of a chunk
-orjson rejects) goes alone through a csv.reader of its own: a line that
-leaves a quoted field open at its end is a row error, "quote not closed on
-its line" (fatal in the header). Their values go
+form, read one byte matrix per length (_iso_cells), and value cells that are
+nonempty JSON numbers, read as float() reads them by one orjson call per
+chunk, or a few more around a cell orjson rejects. Every other line (blank,
+short or long lines, other timestamp forms, value cells such as "n/a",
+"nan", " 900 " or one orjson rejects) goes alone through a csv.reader of its
+own: a line that leaves a quoted field open at its end is a row error,
+"quote not closed on its line" (fatal in the header). Their values go
 through float(), and their timestamps through _parse_timestamp, after
 _iso_cells when a chunk has more than _FEW_TEXTS of them. Blank rows are
 dropped with the rejected ones.
@@ -28,10 +28,10 @@ import csv
 import logging
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
-from itertools import compress
+from itertools import chain, compress
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 import orjson
@@ -44,10 +44,10 @@ WEEKS_PER_YEAR = 52
 SAMPLES_PER_YEAR = WEEKS_PER_YEAR * SAMPLES_PER_WEEK
 MAX_GAP_SAMPLES = 12  # one hour of consecutive missing samples
 MW_PER_GW = 1000.0
-# file lines parsed together: 4,096 parse a year about 10% faster, and 8,192
-# raise the parse's peak traced memory by 0.8 MB
-CHUNK_ROWS = 2048
-READ_BYTES = 1 << 16  # bytes per file read; a chunk's lines may take several reads
+# bytes per file read; each read's whole lines are parsed together, about 3,800
+# lines of the synthetic year. 512 KiB parse a year slightly faster, and raise
+# the parse's traced peak from 7.2 to 10.3 MB (Python 3.11, numpy 2.4)
+READ_BYTES = 1 << 18
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _ONE_US = timedelta(microseconds=1)
@@ -76,12 +76,7 @@ _JSON_BYTES = b"0123456789eE.+-,\n"
 # bytes.translate table: 1 for a byte that text may not hold, else 0
 _FOREIGN = bytes(b not in _JSON_BYTES for b in range(256))
 
-DEFAULT_COLUMNS = {
-    "timestamp": "timestamp",
-    "demand": "demand",
-    "wind": "wind",
-    "solar": "solar",
-}
+DEFAULT_COLUMNS = {name: name for name in ("timestamp", "demand", "wind", "solar")}
 
 
 class IngestError(Exception):
@@ -129,9 +124,8 @@ class GridSeries:
     input_sha256: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "demand", _freeze(self.demand))
-        object.__setattr__(self, "wind_metered", _freeze(self.wind_metered))
-        object.__setattr__(self, "solar", _freeze(self.solar))
+        for name in ("demand", "wind_metered", "solar"):
+            object.__setattr__(self, name, _freeze(getattr(self, name)))
         n = self.demand.size
         if n == 0 or self.wind_metered.size != n or self.solar.size != n:
             raise IngestError("series arrays must be non-empty and equal length")
@@ -165,9 +159,8 @@ class WeekSeries:
     solar: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "demand", _freeze(self.demand))
-        object.__setattr__(self, "wind", _freeze(self.wind))
-        object.__setattr__(self, "solar", _freeze(self.solar))
+        for name in ("demand", "wind", "solar"):
+            object.__setattr__(self, name, _freeze(getattr(self, name)))
         if not (self.demand.size == self.wind.size == self.solar.size == SAMPLES_PER_WEEK):
             raise IngestError(
                 f"a week holds exactly {SAMPLES_PER_WEEK} samples, got {self.demand.size}"
@@ -328,12 +321,15 @@ def _plain_rows(chunk: bytes, starts: np.ndarray, stops: np.ndarray, nexts: np.n
     csv field limit, has ``width`` cells, its timestamp cell is in one of
     _iso_utc_us's forms, and each value cell is a nonempty JSON number
     other than the integer "-0", whose sign orjson drops: no byte outside
-    ``0-9eE.+-``. Their value cells come from one orjson call on a copy of
-    the chunk in brackets, where all bytes but the value cells are blanked to
-    "\\n", which JSON reads as whitespace, and the byte after each value cell
-    is a comma; orjson rounds as float() does. When orjson rejects that text
-    ("+1", ".5", "01", "1e400" ...), no line is plain. Returns the mask of
-    plain lines, their timestamp_us and lines x 3 demand/wind/solar values.
+    ``0-9eE.+-``, and orjson takes them all. orjson reads them from a copy of
+    the chunk where all bytes but the value cells are blanked to "\\n", which
+    JSON reads as whitespace, and the byte after each value cell is a comma;
+    it rounds as float() does. One call reads every line, unless orjson
+    rejects a cell ("+1", ".5", "01", "1e400" ...): that line is then not
+    plain, the lines before it are read again, and calls go on after it;
+    after two rejected lines in a row, no later line of the chunk is plain.
+    Returns the mask of plain lines, their timestamp_us and lines x 3
+    demand/wind/solar values.
     """
     n = stops.size
     us, values, plain = np.zeros(n, np.int64), np.empty((n, 3)), np.zeros(n, bool)
@@ -365,7 +361,7 @@ def _plain_rows(chunk: bytes, starts: np.ndarray, stops: np.ndarray, nexts: np.n
     if not lines.size:
         return plain, us, values
 
-    text = bytearray(b"[" + chunk + b"]")
+    text = bytearray(b"[" + chunk)
     codes = np.frombuffer(text, np.uint8)[1:]  # offsets as in the chunk
     plain[lines] = True
     _blank(codes, starts[~plain], nexts[~plain] - starts[~plain])
@@ -375,84 +371,89 @@ def _plain_rows(chunk: bytes, starts: np.ndarray, stops: np.ndarray, nexts: np.n
             _blank(codes, lo, hi - lo + 1)
         else:
             codes[hi] = ord(",")  # after each value, whether a comma or a line end was there
-    if text.translate(None, _JSON_BYTES) != b"[]":  # some value cells hold other bytes
-        at = np.flatnonzero(np.frombuffer(text.translate(_FOREIGN), bool)[1:-1])
+    foreign = text.translate(_FOREIGN)
+    if foreign.find(1, 1) >= 0:  # some value cells hold other bytes
+        at = np.flatnonzero(np.frombuffer(foreign, bool)[1:])
         odd = lines[np.unique(np.searchsorted(starts[lines], at, "right") - 1)]
         _blank(codes, starts[odd], nexts[odd] - starts[odd])
         plain[odd] = False
         lines = np.flatnonzero(plain)
-        if not lines.size:
-            return plain, us, values
-    text[text.rfind(b",")] = ord("\n")  # no comma after the last value
-    try:
-        table = np.array(orjson.loads(text), np.float64).reshape(lines.size, len(picked))
-    except orjson.JSONDecodeError:
-        return np.zeros(n, bool), us, values
+    firsts = starts[lines]
+
+    def load(i: int, j: int) -> list[float]:
+        """One orjson call on the value cells of lines[i:j], in brackets."""
+        part = text[firsts[i] : nexts[lines[j - 1]] + 1]  # from the byte before lines[i]
+        part[0] = ord("[")
+        part[part.rfind(b",")] = ord("]")
+        return orjson.loads(part)
+
+    table, rejected = [], False
+    i, j = 0, lines.size  # the next call reads the value cells of lines[i:j]
+    while i < j:
+        try:
+            table += load(i, j)
+            read, rejected, i = j - i, False, j
+        except orjson.JSONDecodeError as exc:
+            k = int(np.searchsorted(firsts, firsts[i] - 1 + exc.pos, "right")) - 1
+            if rejected and k == i:  # two rejected lines in a row: csv.reader reads the rest
+                plain[lines[k:]] = False
+                break
+            plain[lines[k]] = False  # the line of the rejected cell
+            table += load(i, k) if k > i else []  # the lines before it, once more
+            read, rejected, i = k - i, True, k + 1
+        # then twice as many lines as this call read, and one more: however many
+        # cells orjson rejects, the bytes it reads stay linear in the chunk's
+        j = min(lines.size, i + 2 * read + 1)
+    lines = np.flatnonzero(plain)
+    table = np.fromiter(table, np.float64, len(table)).reshape(lines.size, len(picked))
     values[lines] = table[:, [picked.index(k) for k in fields[1:]]]
     return plain, us, values
 
 
-def _line_ends(data: bytes, start: int, final: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Where each line of ``data[start:]`` ends: the offset of its line end's
-    first byte, and the offset after its line end.
-
-    A line ends in "\\n", "\\r\\n" or a lone "\\r", as csv.reader reads lines.
-    A "\\r" at the very end, which may begin a "\\r\\n", counts only when
-    the data is ``final``.
-    """
-    codes = np.frombuffer(data, np.uint8, offset=start)
-    if data.find(b"\r", start) < 0:
-        stops = np.flatnonzero(codes == ord("\n"))
-        nexts = stops + 1
+def _line_ends(data: bytes, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where each line of ``data[start:stop]`` ends: the offset of its line
+    end's first byte, and the offset after its line end. A line ends in
+    "\\n", "\\r\\n" or a lone "\\r", as csv.reader reads lines."""
+    codes = np.frombuffer(data, np.uint8, stop - start, start)
+    stops = np.flatnonzero(codes == ord("\n"))
+    crs = np.count_nonzero(codes == ord("\r")) if data.find(b"\r", start, stop) >= 0 else 0
+    if not crs or crs == stops.size and stops[0] and (codes[stops - 1] == ord("\r")).all():
+        stops, nexts = stops - (crs > 0), stops + 1  # every line end is "\n", or every one "\r\n"
     else:
         ends = np.flatnonzero((codes == ord("\n")) | (codes == ord("\r")))
         cr = codes[ends] == ord("\r")
         pair = cr[:-1] & ~cr[1:] & (np.diff(ends) == 1)  # a "\r\n" starts here
         stops = ends[np.concatenate(([True], ~pair))]
         nexts = stops + 1 + np.append(pair, False)[np.concatenate(([True], ~pair))]
-        if not final and stops.size and stops[-1] == codes.size - 1 and cr[-1]:
-            stops, nexts = stops[:-1], nexts[:-1]
     return stops + start, nexts + start
 
 
-class _Lines:
-    """The lines of a binary file, read READ_BYTES at a time and cut where
-    csv.reader cuts them; a UTF-8 byte-order mark at its start is skipped,
-    and a last line with no line end gets a "\\n"."""
+def _reads(fh) -> Iterator[tuple[bytes, np.ndarray, np.ndarray]]:
+    """The whole lines of each READ_BYTES read of a binary file, one chunk a
+    read: their bytes, and in them each line's _line_ends offsets.
 
-    def __init__(self, fh):
-        self._fh = fh
-        self._data = fh.read(len(_BOM))  # bytes read and not yet taken
-        if self._data == _BOM:
-            self._data = b""
-        self._stops = self._nexts = np.zeros(0, np.int64)  # of the lines found in _data
-        self._eof = False
-
-    def _fill(self, n: int) -> None:
-        """Read until ``n`` lines are found, or to the end of the file; each
-        read is scanned from the end of the last line found."""
-        while self._nexts.size < n and not self._eof:
-            found = int(self._nexts[-1]) if self._nexts.size else 0
-            block = self._fh.read(READ_BYTES)
-            self._eof = not block
-            if self._eof and self._data[-1:] not in (b"", b"\n", b"\r"):
-                block = b"\n"
-            self._data += block
-            stops, nexts = _line_ends(self._data, found, self._eof)
-            self._stops = np.concatenate((self._stops, stops))
-            self._nexts = np.concatenate((self._nexts, nexts))
-
-    def take(self, n: int) -> tuple[bytes, np.ndarray, np.ndarray] | None:
-        """The next ``n`` lines, fewer at the end of the file, or None after
-        the last: their bytes, and in them each line's _line_ends offsets."""
-        self._fill(n)
-        if not self._nexts.size:
-            return None
-        stops, nexts = self._stops[:n], self._nexts[:n]
-        end = int(nexts[-1])
-        chunk, self._data = self._data[:end], self._data[end:]
-        self._stops, self._nexts = self._stops[n:] - end, self._nexts[n:] - end
-        return chunk, stops, nexts
+    Lines are cut where csv.reader cuts them. The partial line a read ends in,
+    and a "\\r" at its end that may begin a "\\r\\n", wait for the next read,
+    so each byte is scanned for line ends once; a read that ends no line gives
+    no chunk. A UTF-8 byte-order mark at the file's start is skipped, and a
+    last line with no line end gets a "\\n"."""
+    data = fh.read(len(_BOM)).removeprefix(_BOM)  # bytes read and not yet handed out
+    scanned = 0  # data before this offset holds no line end
+    while True:
+        block = fh.read(READ_BYTES)
+        final = not block
+        if final and data[-1:] not in (b"", b"\n", b"\r"):
+            block = b"\n"
+        data += block
+        whole = len(data) - (not final and data.endswith(b"\r"))  # a last "\r" may begin a "\r\n"
+        stops, nexts = _line_ends(data, scanned, whole)
+        if nexts.size:
+            end = int(nexts[-1])
+            yield data[:end], stops, nexts
+            data, whole = data[end:], whole - end
+        if final:
+            return
+        scanned = whole
 
 
 def _line_row(text: str) -> list[str] | None:
@@ -462,8 +463,8 @@ def _line_row(text: str) -> list[str] | None:
     return None if row and row[-1].endswith(("\n", "\r")) else row
 
 
-def _chunks(lines: _Lines, width: int, fields: list[int], path: Path):
-    """The rows after the header, CHUNK_ROWS lines at a time, one row a line.
+def _chunks(reads: Iterable[tuple], width: int, fields: list[int], path: Path):
+    """The rows after the header, a chunk of _reads at a time, one row a line.
 
     Yields each chunk's timestamp_us, its rows x 3 demand/wind/solar values,
     the line number of each row, the reasons of the rows that failed to
@@ -474,8 +475,7 @@ def _chunks(lines: _Lines, width: int, fields: list[int], path: Path):
     """
     need = max(fields) + 1
     done = 1  # the header's line
-    while got := lines.take(CHUNK_ROWS):
-        chunk, stops, nexts = got
+    for chunk, stops, nexts in reads:
         if not chunk.isascii():
             chunk.decode()  # text that is not UTF-8 raises here
         starts = np.concatenate(([0], nexts[:-1]))
@@ -543,12 +543,12 @@ def parse_csv(
     """Read raw records from a CSV file with a header row.
 
     ``column_map`` remaps the logical names timestamp/demand/wind/solar to the
-    file's column names. The file is read in chunks of CHUNK_ROWS lines, each
-    turned into columns. Malformed rows are skipped, logged, and appended to
-    ``row_errors`` when a list is supplied; more than 1% malformed rows is
-    fatal. A missing mapped column, text that is not UTF-8 and a field the
-    csv module rejects (over its 131,072-character limit) are always fatal.
-    A UTF-8 byte-order mark before the header is ignored.
+    file's column names. The file is read READ_BYTES at a time, and each
+    read's whole lines are turned into columns together. Malformed rows are
+    skipped, logged, and appended to ``row_errors`` when a list is supplied;
+    more than 1% malformed rows is fatal. A missing mapped column, text that
+    is not UTF-8 and a field the csv module rejects (over its 131,072-character
+    limit) are always fatal; a UTF-8 byte-order mark before the header is skipped.
     """
     columns = dict(DEFAULT_COLUMNS, **(column_map or {}))
     path = Path(path)
@@ -558,17 +558,17 @@ def parse_csv(
         raise IngestError(f"cannot open input file: {exc}") from exc
 
     out = [np.empty(0, np.int64), np.empty(0), np.empty(0), np.empty(0)]  # no view of these exists
-    n = 0
+    n = n_rows = 0
     errors: list[RowError] = []
-    n_rows = 0
     with fh:
-        lines = _Lines(fh)
+        reads = _reads(fh)
         try:
-            got = lines.take(1)
-            if got is None:
+            chunk, stops, nexts = next(reads, (b"", None, None))
+            if not chunk:
                 raise IngestError(f"{path}: empty file, no header row")
+            head = int(nexts[0])  # the header is the file's first line
             try:
-                header = _line_row(got[0].decode())
+                header = _line_row(chunk[:head].decode())
             except csv.Error as exc:
                 raise IngestError(f"{path} line 1: {exc}") from exc
             if header is None:
@@ -581,9 +581,11 @@ def parse_csv(
                 raise IngestError(f"{path}: mapped column {repeated[0]!r} repeats in the header")
             position = {name: i for i, name in enumerate(header)}
             fields = [position[columns[k]] for k in ("timestamp", "demand", "wind", "solar")]
-            for *chunk, blank in _chunks(lines, len(header), fields, path):
+            if stops.size > 1:  # the first read's lines after the header
+                reads = chain([(chunk[head:], stops[1:] - head, nexts[1:] - head)], reads)
+            for *rows, blank in _chunks(reads, len(header), fields, path):
                 n_rows += blank.size - np.count_nonzero(blank)
-                part = _parse_chunk(*chunk, blank, errors)
+                part = _parse_chunk(*rows, blank, errors)
                 end = n + part[0].size
                 if end > out[0].size:  # grown in place, so no chunk's part outlives it
                     for column in out:
@@ -602,9 +604,7 @@ def parse_csv(
     if len(errors) > 20:
         log.warning("%s: %d further row errors suppressed", path.name, len(errors) - 20)
     if n_rows and len(errors) > 0.01 * n_rows:
-        raise IngestError(
-            f"{path}: {len(errors)} of {n_rows} rows malformed (more than 1%)"
-        )
+        raise IngestError(f"{path}: {len(errors)} of {n_rows} rows malformed (more than 1%)")
     for column in out:
         column.resize(n, refcheck=False)
     return Records(*out)
@@ -622,8 +622,7 @@ def canonicalize(records: Records, source: str = "<records>") -> GridSeries:
         raise IngestError("no records to canonicalize")
     order = np.argsort(records.timestamp_us, kind="stable")
     stamps = records.timestamp_us[order]
-    first = np.ones(stamps.size, dtype=bool)
-    first[1:] = stamps[1:] != stamps[:-1]
+    first = np.concatenate(([True], stamps[1:] != stamps[:-1]))
     dropped = stamps.size - int(np.count_nonzero(first))
     kept = order[first]
     stamps = stamps[first]
@@ -637,38 +636,38 @@ def canonicalize(records: Records, source: str = "<records>") -> GridSeries:
 
     gaps = np.diff(idx) - 1
     n_gaps = int(np.count_nonzero(gaps))
-    if n_gaps:
-        worst_at = int(np.argmax(gaps))
-        worst = int(gaps[worst_at])
-        if worst > MAX_GAP_SAMPLES:
-            gap_start = _utc(stamps[worst_at] + _CADENCE_US)
-            raise IngestError(
-                f"gap exceeds 1 hour: {worst} consecutive samples missing "
-                f"from {gap_start.isoformat()}"
-            )
+    worst_at = int(np.argmax(gaps)) if n_gaps else 0
+    if n_gaps and gaps[worst_at] > MAX_GAP_SAMPLES:
+        gap_start = _utc(stamps[worst_at] + _CADENCE_US)
+        raise IngestError(f"gap exceeds 1 hour: {int(gaps[worst_at])} consecutive samples "
+                          f"missing from {gap_start.isoformat()}")
 
     n = int(idx[-1]) + 1
-    full = np.arange(n)
-    demand = np.interp(full, idx, records.demand_mw[kept]) / MW_PER_GW
-    wind = np.interp(full, idx, records.wind_mw[kept]) / MW_PER_GW
-    solar = np.interp(full, idx, records.solar_mw[kept]) / MW_PER_GW
-    interpolated = n - stamps.size
+    missing = np.flatnonzero(np.bincount(idx, minlength=n) == 0)
+
+    def gw(mw: np.ndarray) -> np.ndarray:
+        """The kept values at their samples, linear between them at the missing
+        ones (np.interp over every sample, bit for bit), in GW and read-only."""
+        out = np.empty(n)
+        out[idx] = kept_mw = mw[kept]
+        out[missing] = np.interp(missing, idx, kept_mw)
+        out /= MW_PER_GW
+        out.setflags(write=False)
+        return out
 
     provenance = [f"source: {source}"]
     if dropped:
         provenance.append(f"dropped {dropped} duplicate-timestamp rows (kept first)")
-    if interpolated:
-        provenance.append(
-            f"interpolated {interpolated} missing samples across {n_gaps} gaps"
-        )
+    if missing.size:
+        provenance.append(f"interpolated {missing.size} missing samples across {n_gaps} gaps")
     for note in provenance[1:]:
         log.info("%s: %s", source, note)
 
     return GridSeries(
         start_time=_utc(stamps[0]),
-        demand=demand,
-        wind_metered=wind,
-        solar=solar,
+        demand=gw(records.demand_mw),
+        wind_metered=gw(records.wind_mw),
+        solar=gw(records.solar_mw),
         provenance=tuple(provenance),
     )
 

@@ -16,6 +16,7 @@ from windfleet.bev import MAX_FLEET_FIGURE, MAX_FLEET_POWER_GW
 from windfleet.cli import load_config_file, main, ConfigError
 from windfleet.dispatch import MAX_POWER_GWE
 from windfleet.scaling import MAX_CAPACITY_GWC, normalize
+from windfleet.synth import write_series_csv
 from _helpers import make_year_series
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -678,6 +679,35 @@ def test_in_memory_series_with_missing_input_writes_nothing(command, synth_serie
     assert err.startswith("input error: input file not found: ")
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.fixture(scope="module", params=[1e-3, 1e3], ids=["in-GW", "in-kW"])
+def year_not_in_mw(request, synth_series, tmp_path_factory):
+    """The synthetic year's CSV with every value times 1/1000 or 1000."""
+    scale = request.param
+    path = tmp_path_factory.mktemp("units") / "year.csv"
+    write_series_csv(dataclasses.replace(
+        synth_series, demand=synth_series.demand * scale,
+        wind_metered=synth_series.wind_metered * scale, solar=synth_series.solar * scale), path)
+    return path
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_input_not_in_mw_is_an_input_error(command, year_not_in_mw, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.run([command, "--input", str(year_not_in_mw), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"input error: mean demand is (0\.033|33000) GW, outside 1-5,000 GW: "
+                        r"input values must be in MW\n", err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("demand, code", [(0.999, 2), (1.0, 0), (5000.0, 0), (5000.5, 2)])
+def test_mean_demand_bounds_of_an_in_memory_series(demand, code, synth_csv, tmp_path, capsys):
+    series = make_year_series(demand=demand, wind=4.0, solar=0.0)
+    argv = ["ingest", "--input", str(synth_csv)]
+    assert cli.run(argv, series=series) == code
+    assert ("must be in MW" in capsys.readouterr().err) == bool(code)
 
 
 # the flags each command takes; --help lists the same ones

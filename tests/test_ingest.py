@@ -175,7 +175,8 @@ class TestParseCsv:
 # 8,192-row chunks peaked at 9.12 MB by this test's method, the split
 # tokenizer in 2,048-line chunks at 6.87 MB, and the byte reader, which grows
 # its four result columns in place instead of joining per-chunk parts, at
-# 5.64 MB (Python 3.11, numpy 2.4)
+# 5.48 MB in 2,048-line chunks and 7.18 MB in chunks of one 256 KiB read
+# (10.27 MB at 512 KiB; Python 3.11, numpy 2.4)
 PARSE_PEAK_GUARD_BYTES = 8.72e6
 
 
@@ -274,6 +275,57 @@ class TestCsvRoundTrip:
         np.testing.assert_allclose(series.solar, synth_series.solar, rtol=1e-12, atol=1e-15)
 
 
+# texts cut into lines across reads of each size: every line end, a "\r\n"
+# and a lone "\r" at a read's end, blank lines, a byte-order mark, characters
+# of two and three bytes, a line longer than several reads, no last line end
+READ_TEXTS = {
+    "lf": "a,b\n1,2\n3,4\n",
+    "crlf": "a,b\r\n1,2\r\n3,4\r\n",
+    "cr": "a,b\r1,2\r3,4\r",
+    "mixed": "a,b\r\n1,2\r3,4\n\r\n\r\r\n\n5,6",
+    "bom": "\ufeffa,b\n1,2\n",
+    "utf-8": "\u00e9,\u20ac\n\u20ac\u20ac,\u00e9\r\n",
+    "long": "a,b\n" + "x" * 300 + "\r\n1,2\r",
+    "one line": "a,b",
+    "empty": "",
+}
+
+
+@pytest.mark.parametrize("read_bytes", [1, 2, 7, 64, ingest.READ_BYTES])
+@pytest.mark.parametrize("name", READ_TEXTS)
+def test_reads_cut_lines_where_csv_does(name, read_bytes):
+    """Each chunk of _reads is whole lines, cut at "\\n", "\\r\\n" or a lone
+    "\\r" as a text file opened with newline="" cuts them; together they are
+    the file less its byte-order mark, with a "\\n" after a last line that
+    has no line end. No chunk is empty."""
+    text = READ_TEXTS[name]
+    expected = io.StringIO(text.removeprefix("\ufeff"), newline="").readlines()
+    if expected and not expected[-1].endswith(("\n", "\r")):
+        expected[-1] += "\n"
+    lines = []
+    with mock.patch.object(ingest, "READ_BYTES", read_bytes):
+        for chunk, stops, nexts in ingest._reads(io.BytesIO(text.encode())):
+            assert stops.size and nexts[-1] == len(chunk)
+            starts = [0, *nexts[:-1].tolist()]
+            for a, stop, b in zip(starts, stops.tolist(), nexts.tolist()):
+                assert chunk[stop:b] in (b"\n", b"\r\n", b"\r")
+                lines.append(chunk[a:b].decode())
+    assert lines == expected
+
+
+@pytest.mark.parametrize("text", [*READ_TEXTS.values(),
+                                  "\nx\r\ny\r", "\r\n\r\r\n\n", "x\ry\nz\r\n"])
+def test_line_ends_cut_where_csv_does(text):
+    """_line_ends of a whole text, every line end of it "\\n", every one
+    "\\r\\n" or some of each, against a text file opened with newline=""."""
+    data = text.encode()
+    stops, nexts = ingest._line_ends(data, 0, len(data))
+    expected = [line for line in io.StringIO(text, newline="") if line.endswith(("\n", "\r"))]
+    starts = [0, *nexts[:-1].tolist()]
+    assert [data[a:b].decode() for a, b in zip(starts, nexts.tolist())] == expected
+    assert all(data[a:b] in (b"\n", b"\r\n", b"\r") for a, b in zip(stops.tolist(), nexts.tolist()))
+
+
 def float_reference(texts):
     """float() of each text as float64 bits (NaN where it fails), and its reasons."""
     values, reasons = [], {}
@@ -291,7 +343,7 @@ def byte_path_floats(texts):
     ``texts`` as their wind cells, as _chunks reads them before the range
     checks; one row per text that a cell can hold."""
     lines = "".join(f"2017-01-16T00:00:00Z,1,{text},0\n" for text in texts)
-    chunks = ingest._chunks(ingest._Lines(io.BytesIO(lines.encode())), 4, [0, 1, 2, 3], "chunk")
+    chunks = ingest._chunks(ingest._reads(io.BytesIO(lines.encode())), 4, [0, 1, 2, 3], "chunk")
     us, values, numbers, reasons, blank = next(chunks)
     assert numbers.tolist() == list(range(2, len(texts) + 2)) and not blank.any()  # after line 1
     return values[:, 1], reasons
@@ -380,7 +432,7 @@ def test_column_of_odd_cells_is_read_in_one_float_call(cell):
     """A chunk whose every value cell in one column leaves the byte path,
     padded or not a JSON number, reads that column through float() as one
     call; only a cell float() rejects is then read alone."""
-    texts = [cell] * ingest.CHUNK_ROWS
+    texts = [cell] * 2048
     texts[7] = "48000.5"
     try:
         float(cell)
@@ -429,8 +481,8 @@ def test_float_cells_match_repr_over_every_binade():
     bits = (signs << np.uint64(63)) | (exponents.astype(np.uint64) << np.uint64(52)) | mantissas
     texts = list(map(float.__repr__, bits.view(np.float64).tolist()))
     with mock.patch.object(ingest, "float", create=True, side_effect=AssertionError):
-        for start in range(0, len(texts), ingest.CHUNK_ROWS):
-            chunk = texts[start:start + ingest.CHUNK_ROWS]
+        for start in range(0, len(texts), 2048):
+            chunk = texts[start:start + 2048]
             out, reasons = byte_path_floats(chunk)
             assert not reasons
             assert out.view(np.uint64).tolist() == bits[start:start + len(chunk)].tolist()

@@ -250,41 +250,56 @@ def every_odd_case() -> str:
     return out.getvalue()
 
 
-CHUNK_SIZES = [1, 3, 16, ingest.CHUNK_ROWS, 8192]
-READ_SIZES = [1, 7, 64, ingest.READ_BYTES]  # bytes per file read
+# bytes per file read: a chunk is one read's whole lines, and a read of 1
+# byte ends at every offset
+READ_SIZES = [1, 7, 64, ingest.READ_BYTES]
 
 
-@pytest.mark.parametrize("chunk_rows", CHUNK_SIZES)
-def test_every_odd_case_matches_reference(chunk_rows):
-    check_against_reference(every_odd_case(), chunk_rows)
-
-
-@pytest.mark.parametrize("read_bytes", READ_SIZES[:-1])
-@pytest.mark.parametrize("chunk_rows", [3, ingest.CHUNK_ROWS])
-def test_every_odd_case_at_small_reads(chunk_rows, read_bytes):
-    check_against_reference(every_odd_case(), chunk_rows, read_bytes)
+@pytest.mark.parametrize("read_bytes", READ_SIZES)
+def test_every_odd_case_matches_reference(read_bytes):
+    check_against_reference(every_odd_case(), read_bytes)
 
 
 @settings(max_examples=80, deadline=None)
-@given(text=documents(), chunk_rows=st.sampled_from(CHUNK_SIZES),
-       read_bytes=st.sampled_from(READ_SIZES))
-def test_matches_row_by_row_reference(text, chunk_rows, read_bytes):
-    check_against_reference(text, chunk_rows, read_bytes)
+@given(text=documents(), read_bytes=st.sampled_from(READ_SIZES))
+def test_matches_row_by_row_reference(text, read_bytes):
+    check_against_reference(text, read_bytes)
 
 
-@pytest.mark.parametrize("chunk_rows", [16, 8192])
-def test_bad_cells_at_chunk_and_column_edges(chunk_rows):
-    """Bad value cells on the first and last cell of a chunk and of a column."""
-    n = 2 * chunk_rows + 3
-    edges = [0, 1, chunk_rows - 1, chunk_rows, chunk_rows + 1, 2 * chunk_rows - 1,
-             2 * chunk_rows, n - 1]
-    rows = [[stamp(i, "Z"), "48000", "900", "0"] for i in range(n)]
+def chunk_sizes(text, read_bytes=ingest.READ_BYTES):
+    """How many lines, the header's among them, each chunk of ``text`` holds."""
+    with mock.patch.object(ingest, "READ_BYTES", read_bytes):
+        return [stops.size for _, stops, _ in ingest._reads(io.BytesIO(text.encode()))]
+
+
+def edge_rows(text, read_bytes):
+    """The rows, counted from 0 after the header, that are first or last in
+    the file or in their chunk, and the first row of the second chunk."""
+    ends = np.cumsum(chunk_sizes(text, read_bytes)).tolist()  # the line after each chunk
+    lines = {1, *ends[:-1], *(end - 1 for end in ends)} - {0}  # the header is line 0
+    return sorted(line - 1 for line in lines), ends[0] - 1
+
+
+@pytest.mark.parametrize("read_bytes", [640, ingest.READ_BYTES])
+def test_bad_cells_at_chunk_and_column_edges(read_bytes):
+    """Bad value cells on the first and last line of a chunk and of a column.
+    Every value cell is 5 characters wide, good or bad, so the bad cells move
+    no line end."""
+    cells = ["48000", "900.0", "0.000"]
+    rows = [[stamp(i, "Z"), *cells] for i in range(2 * read_bytes // 39 + 3)]  # 39-byte lines
+
+    def text():
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows([list(COLUMNS.values()), *rows])
+        return out.getvalue()
+
+    edges, second = edge_rows(text(), read_bytes)
+    assert len(edges) >= 6 and edges[-1] == len(rows) - 1
     for k, i in enumerate(edges):
-        rows[i][1 + k % 3] = ["n/a", "", "x"][k % 3]
-    rows[chunk_rows][1:] = ["", "n/a", "x"]  # the first failing column names the row
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerows([list(COLUMNS.values()), *rows])
-    check_against_reference(out.getvalue(), chunk_rows)
+        rows[i][1 + k % 3] = ["n/a  ", "     ", "x0000"][k % 3]
+    rows[second][1:] = ["     ", "n/a  ", "x0000"]  # the first failing column names the row
+    assert edge_rows(text(), read_bytes) == (edges, second)
+    check_against_reference(text(), read_bytes)
 
 
 HEADER = "time,nd,w,pv,note"
@@ -304,17 +319,20 @@ def document(odd: dict[int, str], n=200, last_end="\n", end="\n", header=HEADER)
     return header + "\n" + "".join(lines)
 
 
-@pytest.mark.parametrize("chunk_rows", [3, 4, 16])
-@pytest.mark.parametrize("at", [-1, 0, 1])  # the quoted note starts on this line of a chunk
-def test_quoted_note_straddles_a_chunk_boundary(chunk_rows, at):
+@pytest.mark.parametrize("at", [-1, 0, 1])  # a read ends this many bytes after the note's break
+def test_quoted_note_straddles_a_chunk_boundary(at):
     """The line whose quote stays open is a row error, and the line after
     it, in the next chunk or not, is read fresh; the chunks after them keep
     their line numbers."""
-    first = 2 * chunk_rows + at
+    first = 40
     odd = {first: good_line(first, note='"two\nlines"'),
-           first + 2 * chunk_rows: f"{stamp(3, 'Z')},48000\n",  # row errors name their lines
-           first + 3 * chunk_rows: f"{stamp(4, 'Z')},48000,n/a,0,\n"}
-    errors = check_against_reference(document(odd, n=500), chunk_rows)
+           first + 30: f"{stamp(3, 'Z')},48000\n",  # row errors name their lines
+           first + 45: f"{stamp(4, 'Z')},48000,n/a,0,\n"}
+    text = document(odd, n=500)
+    cut = text.index('"two\n') + len('"two\n') + at
+    read_bytes = cut - 3  # the first read after the three bytes of the byte-order mark check
+    assert chunk_sizes(text, read_bytes)[0] == first + 1 + (at >= 0)  # the header and 40 lines
+    errors = check_against_reference(text, read_bytes)
     assert errors[:2] == [(first + 2, UNCLOSED),
                           (first + 3, "too few fields: 1, the mapped columns need 4")]
 
@@ -322,7 +340,11 @@ def test_quoted_note_straddles_a_chunk_boundary(chunk_rows, at):
 @pytest.mark.parametrize("last_end", ["\n", ""])
 @pytest.mark.parametrize("note", ['say "hi"', '"a,b"', '"open\nnote"'])
 def test_quote_only_in_the_last_chunk(note, last_end):
-    check_against_reference(document({198: good_line(198, note=note)}, last_end=last_end), 16)
+    text = document({198: good_line(198, note=note)}, last_end=last_end)
+    read_bytes = len(text) - 300  # the first chunk holds all but the last few lines
+    first = chunk_sizes(text, read_bytes)[0]
+    assert first > 190 and '"' not in "".join(text.splitlines(True)[:first])
+    check_against_reference(text, read_bytes)
 
 
 def quote_all(line: str) -> str:
@@ -356,7 +378,7 @@ def test_quoted_cells_match_reference(cell, last_end):
         return out
 
     with mock.patch.object(ingest, "_plain_rows", plain_rows):
-        check_against_reference(text, 16)
+        check_against_reference(text, 1024)
     assert masks and not any(mask.any() for mask in masks)
 
 
@@ -373,12 +395,12 @@ def test_repeated_header_names_match_reference(header, tmp_path):
         assert expected.endswith("repeats in the header")
         assert outcome(parse_csv, path, COLUMNS) == expected
     else:
-        check_against_reference(text, 16)
+        check_against_reference(text)
 
 
-@pytest.mark.parametrize("chunk_rows", [1, 3, 16])
+@pytest.mark.parametrize("read_bytes", [7, 64, ingest.READ_BYTES])
 @pytest.mark.parametrize("header", [HEADER, "time,nd,w,pv"])
-def test_cr_only_and_mixed_line_ends(chunk_rows, header):
+def test_cr_only_and_mixed_line_ends(read_bytes, header):
     """No line end stays in a cell: the last column's bad texts keep their reasons."""
     ends = ["\r", "\n", "\r\n"]
     note = "" if header == HEADER else None
@@ -390,8 +412,8 @@ def test_cr_only_and_mixed_line_ends(chunk_rows, header):
         42: f"{stamp(5, 'Z')},48000,900,x\r\n",
         43: f"{stamp(6, 'Z')},48000,900,\r",
     })
-    check_against_reference(document(mixed, n=500, header=header), chunk_rows)
-    check_against_reference(document({5: "\r", 6: " , \r"}, end="\r", header=header), chunk_rows)
+    check_against_reference(document(mixed, n=500, header=header), read_bytes)
+    check_against_reference(document({5: "\r", 6: " , \r"}, end="\r", header=header), read_bytes)
 
 
 BLANK_LINES = ["\n", " \n", "\t\n", ",,,,\n", " , ,, ,\n", ",\n", "\x1c\n", "\u3000,\n"]
@@ -400,15 +422,15 @@ BLANK_LINES = ["\n", " \n", "\t\n", ",,,,\n", " , ,, ,\n", ",\n", "\x1c\n", "\u3
 @pytest.mark.parametrize("blank", BLANK_LINES)
 @pytest.mark.parametrize("last_end", ["\n", ""])
 def test_blank_lines_at_chunk_edges_and_end_of_file(blank, last_end):
-    """Blank, whitespace-only and comma-only lines first and last in a chunk of
-    4 lines, and as the file's last line, with and without a line end."""
+    """Blank, whitespace-only and comma-only lines at the edges of chunks of a
+    few lines, and as the file's last line, with and without a line end."""
     odd = {i: blank for i in (0, 3, 4, 7, 12, 13, 14, 15, 197, 199)}
-    check_against_reference(document(odd, last_end=last_end), 4)
+    check_against_reference(document(odd, last_end=last_end), 64)
 
 
-@pytest.mark.parametrize("chunk_rows", [1, 4, 16])
+@pytest.mark.parametrize("read_bytes", [7, 64, ingest.READ_BYTES])
 @pytest.mark.parametrize("last_end", ["\n", ""])
-def test_lines_starting_with_a_control_or_non_ascii_byte(chunk_rows, last_end):
+def test_lines_starting_with_a_control_or_non_ascii_byte(read_bytes, last_end):
     """Lines whose first byte is a control or non-ASCII byte, blank or not."""
     odd = {
         3: "\x01" + good_line(3),            # its timestamp is unparseable
@@ -418,13 +440,13 @@ def test_lines_starting_with_a_control_or_non_ascii_byte(chunk_rows, last_end):
         11: "\u00a0,,,,\n", 12: "\x1f,,,,\n",  # blank
         13: "\x7f,48000,900,0,\n",
     }
-    check_against_reference(document(odd, n=700, last_end=last_end), chunk_rows)
+    check_against_reference(document(odd, n=700, last_end=last_end), read_bytes)
     check_against_reference(document({699: "\u3000" + good_line(699)}, n=700, last_end=last_end),
-                            chunk_rows)
+                            read_bytes)
 
 
-@pytest.mark.parametrize("chunk_rows", [3, 16, ingest.CHUNK_ROWS])
-def test_rows_shorter_and_longer_than_the_header(chunk_rows):
+@pytest.mark.parametrize("read_bytes", [64, 512, ingest.READ_BYTES])
+def test_rows_shorter_and_longer_than_the_header(read_bytes):
     full = good_line(9).rstrip("\n")
     odd = {
         3: full.rsplit(",", 1)[0] + "\n",      # no note: the mapped columns are all there
@@ -434,7 +456,7 @@ def test_rows_shorter_and_longer_than_the_header(chunk_rows):
         7: full + ",,,,,,\n",
         8: ",,,,,,,,\n",                       # comma-only, longer than the header: a row error
     }
-    check_against_reference(document(odd, n=700), chunk_rows)
+    check_against_reference(document(odd, n=700), read_bytes)
 
 
 def cut_at_a_read(text, read_bytes, test):
@@ -472,15 +494,14 @@ READ_EDGES = {
 
 
 @pytest.mark.parametrize("read_bytes", READ_SIZES)
-@pytest.mark.parametrize("chunk_rows", [1, 4, 16])
 @pytest.mark.parametrize("edge", READ_EDGES)
-def test_read_boundary_edges(edge, chunk_rows, read_bytes):
+def test_read_boundary_edges(edge, read_bytes):
     """Records, row errors and line numbers stay the reference's, wherever
     a file read ends."""
     text, cut = READ_EDGES[edge]
     if read_bytes < 64:
         assert cut_at_a_read(text, read_bytes, cut)
-    check_against_reference(text, chunk_rows, read_bytes)
+    check_against_reference(text, read_bytes)
 
 
 def expected_csv_error(path):
@@ -495,26 +516,26 @@ def expected_csv_error(path):
     return None
 
 
-@pytest.mark.parametrize("chunk_rows", [1, 3, ingest.CHUNK_ROWS])
-def test_field_over_the_csv_limit_same_error_and_line(tmp_path, chunk_rows):
+@pytest.mark.parametrize("read_bytes", [1024, ingest.READ_BYTES])
+def test_field_over_the_csv_limit_same_error_and_line(tmp_path, read_bytes):
     path = tmp_path / "long.csv"
     path.write_text(document({5: good_line(5, note="x" * 140_000)}), encoding="utf-8")
     expected = expected_csv_error(path)
     assert expected == f"{path} line 7: field larger than field limit (131072)"
-    with mock.patch.object(ingest, "CHUNK_ROWS", chunk_rows):
+    with mock.patch.object(ingest, "READ_BYTES", read_bytes):
         with pytest.raises(IngestError) as raised:
             parse_csv(path, COLUMNS)
     assert str(raised.value) == expected
 
 
-@pytest.mark.parametrize("chunk_rows", [1, 3, 16])
+@pytest.mark.parametrize("read_bytes", [64, ingest.READ_BYTES])
 @pytest.mark.parametrize("odd", [
     {5: good_line(5, note="x" * 60)},                       # one field over the limit
     {5: good_line(5, note="x" * 30 + ",y" + "y" * 30)},     # a long line of short fields
     {5: good_line(5, note="x" * 60), 9: good_line(9, note='"q"')},
     {9: good_line(9, note='"q\n' + "x" * 60 + '"')},         # a quoted field over the limit
 ])
-def test_lines_over_a_lowered_csv_limit(tmp_path, chunk_rows, odd):
+def test_lines_over_a_lowered_csv_limit(tmp_path, read_bytes, odd):
     """Lines longer than the field limit go through the csv module: a field
     over it is the same fatal error, on the same line; short fields pass."""
     path = tmp_path / "long.csv"
@@ -523,9 +544,9 @@ def test_lines_over_a_lowered_csv_limit(tmp_path, chunk_rows, odd):
     try:
         expected = expected_csv_error(path)
         if expected is None:
-            check_against_reference(document(odd), chunk_rows)
+            check_against_reference(document(odd), read_bytes)
         else:
-            with mock.patch.object(ingest, "CHUNK_ROWS", chunk_rows):
+            with mock.patch.object(ingest, "READ_BYTES", read_bytes):
                 with pytest.raises(IngestError) as raised:
                     parse_csv(path, COLUMNS)
             assert str(raised.value) == expected
@@ -533,7 +554,7 @@ def test_lines_over_a_lowered_csv_limit(tmp_path, chunk_rows, odd):
         csv.field_size_limit(limit)
 
 
-def check_against_reference(text, chunk_rows, read_bytes=ingest.READ_BYTES):
+def check_against_reference(text, read_bytes=ingest.READ_BYTES):
     """Same row errors, records and GridSeries (or error) as the reference;
     returns the row errors as (line, reason) pairs."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -541,8 +562,7 @@ def check_against_reference(text, chunk_rows, read_bytes=ingest.READ_BYTES):
         path.write_text(text, encoding="utf-8", newline="")
         expected_records, expected_errors, n_rows = reference_parse(path, COLUMNS)
         errors = []
-        with mock.patch.object(ingest, "CHUNK_ROWS", chunk_rows), \
-                mock.patch.object(ingest, "READ_BYTES", read_bytes):
+        with mock.patch.object(ingest, "READ_BYTES", read_bytes):
             if len(expected_errors) > 0.01 * n_rows:
                 with pytest.raises(IngestError, match="malformed"):
                     parse_csv(path, COLUMNS, errors)
@@ -574,6 +594,78 @@ def test_synthetic_year_matches_reference(synth_csv):
     assert_same_series(
         canonicalize(records, source="year"), reference_canonicalize(expected_records, "year")
     )
+
+
+# solar cells float() reads and orjson rejects
+REJECTED = ["00", "01", "+1", ".5", "5.", "+0", "1.e3", "+.5", "000"]
+
+
+def with_solar(line, text):
+    """A line of the synthetic year with ``text`` as its solar cell."""
+    return line.rsplit(",", 1)[0] + f",{text}\n"
+
+
+def test_only_the_lines_of_rejected_cells_reach_csv_reader(synth_csv, tmp_path):
+    """One cell orjson rejects, every 1,000 lines, sends its line alone off
+    the byte path: csv.reader sees the header and exactly those lines."""
+    lines = synth_csv.read_text().splitlines(keepends=True)
+    odd = [*REJECTED, "1e400", "-01"]  # the last two are row errors: inf, and below 0
+    bad = {i: with_solar(lines[i], odd[k % len(odd)])
+           for k, i in enumerate(range(7, len(lines), 1000))}
+    path = tmp_path / "rejected.csv"
+    path.write_text("".join(bad.get(i, line) for i, line in enumerate(lines)))
+    seen, line_row, errors = [], ingest._line_row, []
+    with mock.patch.object(ingest, "_line_row", lambda text: seen.append(text) or line_row(text)):
+        records = parse_csv(path, {}, errors)
+    assert seen == [lines[0], *bad.values()]
+    assert [(e.line, e.reason) for e in errors] == [
+        (i + 1, "non-finite value" if text.endswith(",1e400\n") else "wind and solar must be >= 0")
+        for i, text in bad.items() if text.endswith(("1e400\n", "-01\n"))]
+    assert len(records) == len(lines) - 1 - len(errors)
+    solar = dict(zip(records.timestamp_us.tolist(), records.solar_mw.tolist()))
+    for text in bad.values():
+        cells = text.rstrip("\n").split(",")
+        if cells[-1] in REJECTED:
+            assert solar[(_parse_timestamp(cells[0]) - EPOCH) // ONE_US] == float(cells[-1])
+
+
+def test_rejected_cell_on_every_line_matches_reference(synth_csv):
+    lines = synth_csv.read_text().splitlines(keepends=True)
+    check_against_reference(",".join(COLUMNS.values()) + "\n" + "".join(
+        with_solar(line, REJECTED[i % len(REJECTED)]) for i, line in enumerate(lines[1:])))
+
+
+@pytest.mark.parametrize("read_bytes", [4096, ingest.READ_BYTES])
+def test_runs_of_rejected_cells_match_reference(read_bytes):
+    """Rejected cells alone, in pairs and runs, on every other line and on
+    the first and last lines, in chunks of about 120 lines and in one."""
+    at = [0, 1, 50, 51, 200, 201, 202, 203, 400, *range(600, 700, 2), *range(900, 960), 2998, 2999]
+    odd = {i: good_line(i).replace(",0,", f",{REJECTED[i % len(REJECTED)]},") for i in at}
+    check_against_reference(document(odd, n=3000), read_bytes)
+
+
+def test_two_rejected_lines_in_a_row_send_the_rest_of_their_chunk_to_csv_reader():
+    """An isolated rejected cell costs only its line, but after two rejected
+    lines in a row every later line of the chunk goes through csv.reader."""
+    odd = {i: good_line(i).replace(",0,", ",00,") for i in (5, 40, 41, 90)}
+    text = document(odd, n=300)
+    lines = text.splitlines(keepends=True)
+    seen, line_row = [], ingest._line_row
+    with mock.patch.object(ingest, "_line_row", lambda text: seen.append(text) or line_row(text)):
+        check_against_reference(text)
+    assert seen == [lines[0], lines[6], *lines[41:]]
+
+
+def test_lines_longer_than_a_read():
+    """A header of 2,000 long column names, and a row of 70,000 short cells,
+    each longer than one file read."""
+    header = HEADER + "".join(f",extra{k:04}" + "x" * 130 for k in range(2_000))
+    assert len(header) > ingest.READ_BYTES
+    long_row = good_line(7, note="x").rstrip("\n") + ",y1234" * 70_000 + "\n"
+    assert len(long_row) > ingest.READ_BYTES
+    text = document({7: long_row, 8: good_line(8, note='"a,b"')}, n=300, header=header)
+    errors = check_against_reference(text)
+    assert not errors
 
 
 def test_stray_quote_pair_costs_only_its_two_lines(synth_csv, tmp_path):

@@ -1,10 +1,13 @@
-"""A year whose annual curves and Table 2 are closed form, run from its CSV file.
+"""A year whose results are closed form, run from its CSV file.
 
 Demand is constant within each week and solar is 0. Metered wind is 0 or
 WIND_ON_GW in whole-day blocks, with d_w windy days in week w. normalize's k
 is then cf·ref / (WIND_ON_GW·mean_w p_w), with p_w = d_w / 7. A family's room
 h_w = cap_w - base is one number per week, so the annual curve is
-f(c) = mean_w p_w·min(h_w, k·WIND_ON_GW·c/ref).
+f(c) = mean_w p_w·min(h_w, k·WIND_ON_GW·c/ref). Under V2G leveling a week's
+level is its demand plus the fleet's mean power P, so the fleet charges at P
+at every sample, the gas turbines run at level - base on every windless
+sample, and the stored energy comes back to its start at the week's end.
 
 The same year, written again with rows to repair, must give the same
 result files byte for byte.
@@ -19,7 +22,9 @@ import pytest
 
 from windfleet import ScalingSpec, ScenarioConstants, cli
 from windfleet.bev import BevFleetSpec, fleet_aggregates
-from windfleet.curves import DEFAULT_BASE_GENERATION_GWE
+from windfleet.cli import DEFAULT_FLEET_SIZE_M
+from windfleet.curves import DEFAULT_BASE_GENERATION_GWE, DEFAULT_CAPACITY_GRID_GWC
+from windfleet.report import DEFAULT_LULL_BASE_GENERATION_GWE
 from windfleet.ingest import (
     SAMPLES_PER_WEEK, SAMPLES_PER_YEAR, WEEKS_PER_YEAR, canonicalize, parse_csv,
 )
@@ -36,12 +41,25 @@ CURVE_FLEETS_M = (5.0, 25.0)
 # Table 2's roots for these fleets lie on the pieces where 0, 1, 2 and 3 of
 # the four week types are saturated
 FLEETS_M = (5.0, 12.5, 20.0, 25.0)
+# one week of each type, and the repaired year's quoted week
+WEEKS = (1, 2, 3, 4, 21)
 FLAGS = {
     "curves": ["--headrooms", ",".join(map(str, HEADROOMS_GWE)),
                "--fleet-sizes", ",".join(map(str, CURVE_FLEETS_M))],
     "table2": ["--fleet-sizes", ",".join(map(str, FLEETS_M))],
+    "lull": ["--weeks", ",".join(map(str, WEEKS))],
+    "bev": ["--weeks", ",".join(map(str, WEEKS))],
 }
-RESULTS = ("fig7_families.csv", "fig12_families.csv", "table2.csv")
+
+
+def week_file(prefix, week):
+    """The name of a lull or bev result file of ``week``."""
+    return f"{prefix}.csv" if week == WEEKS[0] else f"{prefix}_w{week}.csv"
+
+
+RESULTS = ("fig7_families.csv", "fig12_families.csv", "table2.csv",
+           *(week_file(prefix, wk) for prefix in ("lull_report", "fig15_gt", "fig9_schedule")
+             for wk in WEEKS))
 # the repaired year: a duplicate with other values after each of these
 # samples, a malformed line after each of these, a gap on a calm day of week
 # 1 (demand and wind constant around it), and week 21 with every cell quoted
@@ -57,6 +75,7 @@ K = SPEC.target_capacity_factor * SPEC.reference_capacity_gwc / (
     WIND_ON_GW * float(np.mean(WINDY_FRACTION))
 )
 SLOPE = K * WIND_ON_GW / SPEC.reference_capacity_gwc  # GWe per GWc on a windy sample
+FLEET_POWER_GW = fleet_aggregates(BevFleetSpec(DEFAULT_FLEET_SIZE_M)).mean_power_gw
 
 
 def oracle_year_csv(path):
@@ -126,9 +145,11 @@ def repaired_year_csv(clean, path):
 
 
 def run_commands(path, out):
-    """curves and table2 on the year at ``path``, with results in ``out``."""
+    """Each command of FLAGS on the year at ``path``, read once, with results in ``out``."""
+    series = cli.load_series(path)
     for command, flags in FLAGS.items():
-        assert cli.run([command, "--input", str(path), "--out-dir", str(out), *flags]) == 0
+        argv = [command, "--input", str(path), "--out-dir", str(out), *flags]
+        assert cli.run(argv, series=series) == 0
     return out
 
 
@@ -140,6 +161,22 @@ def oracle_csv(tmp_path_factory):
 @pytest.fixture(scope="module")
 def oracle_out(oracle_csv, tmp_path_factory):
     return run_commands(oracle_csv, tmp_path_factory.mktemp("oracle_out"))
+
+
+@pytest.fixture(scope="module")
+def repaired_csv(oracle_csv, tmp_path_factory):
+    return repaired_year_csv(oracle_csv, tmp_path_factory.mktemp("repaired") / "repaired.csv")
+
+
+@pytest.fixture(scope="module")
+def repaired_out(repaired_csv, tmp_path_factory):
+    return run_commands(repaired_csv, tmp_path_factory.mktemp("repaired_out"))
+
+
+@pytest.fixture(params=["oracle_out", "repaired_out"])
+def any_out(request):
+    """The results of the oracle year's file, and of its repaired file."""
+    return request.getfixturevalue(request.param)
 
 
 def read_rows(path):
@@ -176,18 +213,64 @@ def test_table2_roots(oracle_out):
         assert float(row["required_wind_gwc"]) == math.ceil(tenths) / 10
 
 
-def test_repaired_year_gives_the_same_results(oracle_csv, oracle_out, tmp_path):
+def test_repaired_year_gives_the_same_results(repaired_csv, oracle_out, repaired_out):
     """Both readers, the repairs and the cut, from a CSV file: the quoted week
     goes through csv.reader, the rest through the byte path."""
-    repaired = repaired_year_csv(oracle_csv, tmp_path / "repaired.csv")
     errors = []
-    series = canonicalize(parse_csv(repaired, row_errors=errors))
+    series = canonicalize(parse_csv(repaired_csv, row_errors=errors))
     assert len(errors) == len(MALFORMED_AFTER)
     assert series.provenance[1:] == (
         f"dropped {len(DUPLICATED)} duplicate-timestamp rows (kept first)",
         f"interpolated {len(GAP)} missing samples across 1 gaps",
     )
     assert series.n_samples == SAMPLES_PER_YEAR + TRAILING_SAMPLES
-    out = run_commands(repaired, tmp_path / "out")
     for name in RESULTS:
-        assert (out / name).read_bytes() == (oracle_out / name).read_bytes()
+        assert (repaired_out / name).read_bytes() == (oracle_out / name).read_bytes()
+
+
+def week_type(week):
+    """The demand (GW) and the windy samples of ``week``, counted from 1."""
+    kind = (week - 1) % len(WEEK_DEMAND_GW)
+    day = np.arange(SAMPLES_PER_WEEK) * 7 // SAMPLES_PER_WEEK
+    return WEEK_DEMAND_GW[kind], day < WEEK_WINDY_DAYS[kind]
+
+
+def columns(path, *names):
+    rows = read_rows(path)
+    return [np.array([float(row[name]) for row in rows]) for name in names]
+
+
+def test_lull_gas_turbines(any_out):
+    """Peak GT is level - base, the GT of every windless sample; GT energy
+    is mean GT x 168 h; and mean GT is the windless and windy samples' GT."""
+    base, largest = DEFAULT_LULL_BASE_GENERATION_GWE, max(DEFAULT_CAPACITY_GRID_GWC)
+    for week in WEEKS:
+        demand, windy = week_type(week)
+        report = read_rows(any_out / week_file("lull_report", week))[0]
+        level, peak, mean, energy = (float(report[name]) for name in (
+            "level_gwe", "peak_gt_gwe", "mean_gt_gwe", "gt_energy_gwh"))
+        room = demand + FLEET_POWER_GW - base
+        assert level == pytest.approx(demand + FLEET_POWER_GW, rel=1e-9, abs=0.0)
+        assert peak == pytest.approx(room, rel=1e-9, abs=0.0)
+        [gas] = columns(any_out / week_file("fig15_gt", week), "gas_turbine_gw")
+        np.testing.assert_allclose(gas[~windy], room, rtol=1e-9, atol=0.0)
+        assert energy == pytest.approx(mean * 168.0, rel=1e-9, abs=0.0)
+        windy_gas = max(room - SLOPE * largest, 0.0)
+        expected = room + np.mean(windy) * (windy_gas - room)
+        assert mean == pytest.approx(expected, rel=1e-9, abs=0.0)
+
+
+def test_bev_stored_energy_telescopes(any_out):
+    """The fleet charges at its mean power at every sample, and each step of
+    stored energy is that less consumption over 5 minutes, so the week ends
+    with the energy it began with."""
+    spec = BevFleetSpec(DEFAULT_FLEET_SIZE_M)
+    start = spec.initial_soc_fraction * fleet_aggregates(spec).storage_capacity_gwh
+    for week in WEEKS:
+        charge, consumption, soc = columns(any_out / week_file("fig9_schedule", week),
+                                           "charge_gw", "consumption_gw", "soc_gwh")
+        np.testing.assert_allclose(charge, FLEET_POWER_GW, rtol=1e-9, atol=0.0)
+        steps = (charge - consumption) / 12.0
+        np.testing.assert_allclose(soc, start + np.concatenate(([0.0], np.cumsum(steps[:-1]))),
+                                   rtol=1e-9, atol=0.0)
+        assert soc[-1] + steps[-1] == pytest.approx(start, rel=1e-9, abs=0.0)
