@@ -14,11 +14,10 @@ form, read one byte matrix per length (_iso_cells), and value cells that are
 nonempty JSON numbers, read as float() reads them by one orjson call per
 chunk, or a few more around a cell orjson rejects. Every other line (blank,
 short or long lines, other timestamp forms, value cells such as "n/a",
-"nan", " 900 " or one orjson rejects) goes alone through a csv.reader of its
-own: a line that leaves a quoted field open at its end is a row error,
-"quote not closed on its line" (fatal in the header). Their values go
-through float(), and their timestamps through _parse_timestamp, after
-_iso_cells when a chunk has more than _FEW_TEXTS of them. Blank rows are
+"nan", " 900 " or one orjson rejects) is read alone by _odd_row: a csv.reader
+of its own, then _parse_timestamp for its timestamp and float() for its
+values. A line that leaves a quoted field open at its end is a row error,
+"quote not closed on its line" (fatal in the header). Blank rows are
 dropped with the rejected ones.
 """
 
@@ -28,10 +27,9 @@ import csv
 import logging
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
-from itertools import chain, compress
-from operator import itemgetter
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 import orjson
@@ -68,7 +66,6 @@ def _iso_form(suffix: bytes) -> tuple[np.ndarray, np.ndarray]:
 
 
 _ISO_FORMS = {19 + len(s): _iso_form(s) for s in (b"", b"Z", b"+00:00")}  # by text length
-_FEW_TEXTS = 64  # up to this many timestamp texts, _parse_timestamp one by one is faster
 _BOM = b"\xef\xbb\xbf"  # UTF-8 byte-order mark
 # what the JSON text of plain value cells may hold inside its brackets; no
 # space, so "-0" is the one integer zero with a sign
@@ -227,65 +224,6 @@ def _iso_utc_us(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     good &= dates.astype("datetime64[M]") == months  # day exists in its month
     seconds = ((dates.astype(np.int64) * 24 + hour) * 60 + minute) * 60 + second
     return np.where(good, seconds * 1_000_000, 0), good
-
-
-def _timestamps_us(texts: Sequence[str], reasons: dict[int, str]) -> np.ndarray:
-    """UTC microseconds per text; a text _parse_timestamp rejects gets a reason.
-
-    Among more than _FEW_TEXTS texts, those in one of _iso_utc_us's forms are
-    read by _iso_cells first, and only the others go through _parse_timestamp.
-    """
-    n = len(texts)
-    us = np.zeros(n, np.int64)
-    slow = range(n)
-    if n > _FEW_TEXTS:
-        # one byte per character: "?" for any other than ASCII, which no form holds
-        data = np.frombuffer("".join(texts).encode("ascii", "replace"), np.uint8)
-        hi = np.cumsum(np.fromiter(map(len, texts), np.int64, n))
-        us, fast = _iso_cells(data, np.append(0, hi[:-1]), hi)
-        slow = np.flatnonzero(~fast).tolist()
-    for j in slow:
-        try:
-            us[j] = (_parse_timestamp(texts[j]) - _EPOCH) // _ONE_US
-        except (ValueError, OverflowError) as exc:
-            reasons.setdefault(j, f"unparseable field: {exc}")
-    return us
-
-
-def _floats(texts: Sequence[str], reasons: dict[int, str]) -> np.ndarray:
-    """float() of each text, in one call for the column; text by text when
-    one fails, where a text float() rejects gets NaN and a reason by row."""
-    try:
-        return np.fromiter(map(float, texts), np.float64, len(texts))
-    except ValueError:
-        return np.array([_float(text, j, reasons) for j, text in enumerate(texts)], np.float64)
-
-
-def _float(text: str, j: int, reasons: dict[int, str]) -> float:
-    """float(text), or NaN with a reason for row ``j``."""
-    try:
-        return float(text)
-    except ValueError as exc:
-        reasons.setdefault(j, f"unparseable field: {exc}")
-        return np.nan
-
-
-def _columns(rows: list[list[str]], width: int, fields: list[int], need: int):
-    """The ``fields`` columns of the non-blank ``rows``, given as lists of cells.
-
-    A row of at most ``width`` cells that are all whitespace is blank. Returns
-    the columns, the mask of blank rows and, by non-blank row, the reason of
-    each row with fewer than ``need`` cells; its missing cells read "".
-    """
-    n = len(rows)
-    lengths = np.fromiter(map(len, rows), np.int64, n)
-    blank = (lengths <= width) & ~np.fromiter(map(bool, map(str.strip, map("".join, rows))), bool, n)
-    rows = list(compress(rows, ~blank))
-    reasons = {}
-    for j in np.flatnonzero(lengths[~blank] < need).tolist():
-        reasons[j] = f"too few fields: {len(rows[j])}, the mapped columns need {need}"
-        rows[j] = rows[j] + [""] * (need - len(rows[j]))
-    return [list(map(itemgetter(i), rows)) for i in fields], blank, reasons
 
 
 def _windows(codes: np.ndarray, size: int) -> np.ndarray:
@@ -463,15 +401,38 @@ def _line_row(text: str) -> list[str] | None:
     return None if row and row[-1].endswith(("\n", "\r")) else row
 
 
+def _odd_row(text: str, width: int, fields: list[int], need: int) -> tuple | None:
+    """One line off the byte path, read alone: None for a blank line, else its
+    timestamp_us, its demand, wind and solar values and the reason it failed
+    to parse, or None.
+
+    A line of at most ``width`` cells that are all whitespace is blank. The
+    reason is the first failure in the order: quote not closed on its line,
+    fewer than ``need`` cells, the timestamp, demand, wind and solar fields.
+    """
+    row = _line_row(text)
+    if row is None:
+        reason = "quote not closed on its line"  # a row error, even where its cells are blank
+    elif len(row) <= width and not "".join(row).strip():
+        return None
+    elif len(row) < need:
+        reason = f"too few fields: {len(row)}, the mapped columns need {need}"
+    else:
+        try:
+            us = (_parse_timestamp(row[fields[0]]) - _EPOCH) // _ONE_US
+            return us, [float(row[k]) for k in fields[1:]], None
+        except (ValueError, OverflowError) as exc:
+            reason = f"unparseable field: {exc}"
+    return 0, [np.nan] * 3, reason
+
+
 def _chunks(reads: Iterable[tuple], width: int, fields: list[int], path: Path):
     """The rows after the header, a chunk of _reads at a time, one row a line.
 
     Yields each chunk's timestamp_us, its rows x 3 demand/wind/solar values,
     the line number of each row, the reasons of the rows that failed to
     parse, by row, and the mask of blank rows. A line _plain_rows does not
-    take goes alone through _line_row's csv.reader. Those rows go through
-    _columns, which finds the blank ones, and then _timestamps_us and
-    _floats, which give every other reason.
+    take is read alone by _odd_row.
     """
     need = max(fields) + 1
     done = 1  # the header's line
@@ -480,30 +441,22 @@ def _chunks(reads: Iterable[tuple], width: int, fields: list[int], path: Path):
             chunk.decode()  # text that is not UTF-8 raises here
         starts = np.concatenate(([0], nexts[:-1]))
         plain, us, values = _plain_rows(chunk, starts, stops, nexts, width, fields)
-        odd = np.flatnonzero(~plain)
-        texts = [chunk[a:b].decode() for a, b in zip(starts[odd].tolist(), nexts[odd].tolist())]
-        rows, unclosed = [], []
-        try:
-            for text in texts:
-                row = _line_row(text)
-                if row is None:
-                    unclosed.append(int(odd[len(rows)]))
-                rows.append(row or [])
-        except csv.Error as exc:
-            raise IngestError(f"{path} line {done + 1 + int(odd[len(rows)])}: {exc}") from exc
+        blank, reasons = np.zeros(us.size, bool), {}
+        odd = np.flatnonzero(~plain).tolist()
+        for i, a, b in zip(odd, starts[odd].tolist(), nexts[odd].tolist()):
+            try:
+                row = _odd_row(chunk[a:b].decode(), width, fields, need)
+            except csv.Error as exc:
+                raise IngestError(f"{path} line {done + 1 + i}: {exc}") from exc
+            if row is None:
+                blank[i] = True
+                continue
+            us[i], values[i], reason = row
+            if reason:
+                reasons[i] = reason
         numbers = np.arange(done + 1, done + stops.size + 1)
         done += stops.size
-        columns, blank, failed = _columns(rows, width, fields, need)
-        at = odd[~blank]
-        us[at] = _timestamps_us(columns[0], failed)
-        for i, column in enumerate(columns[1:]):
-            values[at, i] = _floats(column, failed)
-        reasons = {int(at[j]): reason for j, reason in failed.items()}
-        reasons.update(dict.fromkeys(unclosed, "quote not closed on its line"))
-        blanks = np.zeros(us.size, bool)
-        blanks[odd[blank]] = True
-        blanks[unclosed] = False  # a row error, even where its cells are blank
-        yield us, values, numbers, reasons, blanks
+        yield us, values, numbers, reasons, blank
 
 
 def _parse_chunk(
@@ -515,8 +468,8 @@ def _parse_chunk(
     Blank rows and rejected rows are dropped. ``reasons`` holds the rows that
     failed to parse, by row. Each rejected row appends one RowError, in line
     order; a blank row appends none. Its reason is the first failure in the
-    order: too few fields, the timestamp, demand, wind and solar fields,
-    non-finite value, demand sign, wind and solar sign.
+    order: _odd_row's reason, non-finite value, demand sign, wind and solar
+    sign.
     """
     demand, wind, solar = values.T
     bad = blank.copy()

@@ -16,10 +16,8 @@ from windfleet.ingest import (
     SAMPLES_PER_YEAR,
     IngestError,
     Records,
-    _floats,
     _iso_utc_us,
     _parse_timestamp,
-    _timestamps_us,
     canonicalize,
     parse_csv,
 )
@@ -338,25 +336,43 @@ def float_reference(texts):
     return np.array(values).view(np.uint64), reasons
 
 
+def read_chunk(lines):
+    """The timestamp_us, rows x 3 values and reasons, by row, of one chunk of
+    ``lines`` after a header, as _chunks reads them before the range checks."""
+    data = io.BytesIO("".join(lines).encode())
+    chunks = ingest._chunks(ingest._reads(data), 4, [0, 1, 2, 3], "chunk")
+    us, values, numbers, reasons, blank = next(chunks)
+    assert numbers.tolist() == list(range(2, len(lines) + 2)) and not blank.any()  # after line 1
+    return us, values, reasons
+
+
 def byte_path_floats(texts):
     """The wind values and reasons, by row, of one chunk whose rows hold
-    ``texts`` as their wind cells, as _chunks reads them before the range
-    checks; one row per text that a cell can hold."""
-    lines = "".join(f"2017-01-16T00:00:00Z,1,{text},0\n" for text in texts)
-    chunks = ingest._chunks(ingest._reads(io.BytesIO(lines.encode())), 4, [0, 1, 2, 3], "chunk")
-    us, values, numbers, reasons, blank = next(chunks)
-    assert numbers.tolist() == list(range(2, len(texts) + 2)) and not blank.any()  # after line 1
+    ``texts`` as their wind cells; one row per text that a cell can hold."""
+    us, values, reasons = read_chunk([f"2017-01-16T00:00:00Z,1,{text},0\n" for text in texts])
     return values[:, 1], reasons
 
 
+def odd_rows(lines):
+    """_odd_row of each line, as lists: timestamp_us, values and reasons by line."""
+    rows = [ingest._odd_row(line, 4, [0, 1, 2, 3], 4) for line in lines]
+    reasons = {j: reason for j, (_, _, reason) in enumerate(rows) if reason}
+    return [us for us, _, _ in rows], [values for _, values, _ in rows], reasons
+
+
+def quoted(text):
+    """``text`` as one quoted csv cell, its quotes doubled."""
+    return '"' + text.replace('"', '""') + '"'
+
+
 def assert_floats_match_float(texts):
-    """_floats, and the rows of a chunk read from its bytes, give float()'s
-    values and reasons."""
-    reasons = {}
-    out = _floats(texts, reasons)
+    """A line read alone by _odd_row, with the text as its quoted wind cell,
+    and the rows of a chunk read from its bytes, give float()'s values and
+    reasons."""
     expected, expected_reasons = float_reference(texts)
+    _, values, reasons = odd_rows([f"2017-01-16T00:00:00Z,1,{quoted(text)},0\n" for text in texts])
     assert reasons == expected_reasons
-    assert out.view(np.uint64).tolist() == expected.tolist()
+    assert np.array([wind for _, wind, _ in values]).view(np.uint64).tolist() == expected.tolist()
     cells = [text for text in texts if not set(text) & set(',"\r\n')]
     if cells:
         out, reasons = byte_path_floats(cells)
@@ -379,7 +395,7 @@ FLOAT_EDGES = [
     "2.2250738585072011e-308", "2.2250738585072012e-308", "4.9406564584124654e-324",
     "2.4703282292062327e-324", "2.4703282292062328e-324",
     "1e400", "-1e400", "1" * 5000, "0." + "0" * 5000 + "1",
-    " 900 ", "\t900", "900\t", " -0", "-0 ", "\t-0",
+    " 900 ", " 900", "900 ", "\t900", "900\t", " -0", "-0 ", "\t-0",
     "+1", ".5", "5.", "01", "-01", "1_000", "1e5", "1E5", "1e+5",
     "nan", "NaN", "inf", "-inf", "Infinity", "true", "null", '"1.5"', "[1]", "", " ", "-", "1e",
     "1,5", "1,2,3", "1.2.3", "1e5.5", "--1", "\uff11", "\u0661.5",  # float() reads any digit
@@ -427,26 +443,10 @@ def test_any_number_cells_match_float(texts, dirty):
     assert_floats_match_float(texts)
 
 
-@pytest.mark.parametrize("cell", [" 900", "900 ", "nan", "-0", "\uff11", "n/a", ""])
-def test_column_of_odd_cells_is_read_in_one_float_call(cell):
-    """A chunk whose every value cell in one column leaves the byte path,
-    padded or not a JSON number, reads that column through float() as one
-    call; only a cell float() rejects is then read alone."""
-    texts = [cell] * 2048
-    texts[7] = "48000.5"
-    try:
-        float(cell)
-    except ValueError:
-        assert_floats_match_float(texts)
-        return
-    with mock.patch.object(ingest, "_float", side_effect=AssertionError):
-        assert_floats_match_float(texts)
-
-
 @pytest.mark.parametrize("header", ["time,nd,w,pv,note", "note,pv,time,w,nd", "time,nd,w,pv"])
 def test_lines_with_odd_cells_are_read_whole(header, tmp_path):
-    """A line with an odd value cell is read whole by csv.reader: all of its
-    value cells go through float(), and no cell of another line does."""
+    """A line with an odd value cell is read whole by _odd_row, and no other
+    line is."""
     names = header.split(",")
     cells = {"time": "2017-01-16T00:00:00Z", "nd": "48000", "w": "900", "pv": "0", "note": ""}
     rows = [dict(cells, time=f"2017-01-16T{i // 12:02d}:{i % 12 * 5:02d}:00Z") for i in range(240)]
@@ -455,14 +455,19 @@ def test_lines_with_odd_cells_are_read_whole(header, tmp_path):
     path.write_text("".join(",".join(row[n] for n in [*names]) + "\r\n"
                             for row in [dict(zip(names, names)), *rows]))
     read = []
-    floats = ingest._floats
-    with mock.patch.object(ingest, "_floats", lambda texts, reasons: read.append(texts)
-                           or floats(texts, reasons)):
+    odd_row = ingest._odd_row
+
+    def spy(text, width, fields, need):
+        read.append([ingest._line_row(text)[k] for k in fields[1:]])
+        return odd_row(text, width, fields, need)
+
+    with mock.patch.object(ingest, "_odd_row", spy):
         errors = []
         records = parse_csv(path, {"timestamp": "time", "demand": "nd", "wind": "w", "solar": "pv"},
                             errors)
     # demand, wind and solar of rows 7, 9 and 200, column by column
-    assert read == [["48000", "n/a", "48000"], ["900", "", "-0"], [" 1", "0", "0"]]
+    assert [list(column) for column in zip(*read)] == [
+        ["48000", "n/a", "48000"], ["900", "", "-0"], [" 1", "0", "0"]]
     assert [(e.line, e.reason) for e in errors] == [
         (11, "unparseable field: could not convert string to float: 'n/a'")]
     assert records.solar_mw[7] == 1.0 and np.signbit(records.wind_mw[199])  # row 9 was dropped
@@ -524,26 +529,35 @@ def iso_utc_us(texts):
     return us, mask
 
 
+def stamp_reference(texts):
+    """_parse_timestamp of each text as UTC microseconds (0 where it fails),
+    and its reasons."""
+    us, reasons = [], {}
+    for j, text in enumerate(texts):
+        try:
+            us.append((_parse_timestamp(text) - ingest._EPOCH) // ingest._ONE_US)
+        except (ValueError, OverflowError) as exc:
+            us.append(0)
+            reasons[j] = f"unparseable field: {exc}"
+    return us, reasons
+
+
 def assert_stamps_match_parse_timestamp(texts):
-    """Exactly the texts in the fast form are in _iso_utc_us's mask, with
-    _parse_timestamp's instants; _timestamps_us gives those instants and
-    reasons, text by text and by byte matrix."""
+    """Exactly the texts in the fast form that _parse_timestamp reads are in
+    _iso_utc_us's mask, with its instants. A line read alone by _odd_row, with
+    the text as its quoted timestamp cell, and the rows of a chunk read from
+    its bytes, give _parse_timestamp's instants and reasons."""
+    expected, expected_reasons = stamp_reference(texts)
     us, mask = iso_utc_us(texts)
-    for few in (ingest._FEW_TEXTS, 0):
-        reasons = {}
-        with mock.patch.object(ingest, "_FEW_TEXTS", few):
-            slow = _timestamps_us(texts, reasons)
-        for j, text in enumerate(texts):
-            try:
-                expected = (_parse_timestamp(text) - ingest._EPOCH) // ingest._ONE_US
-            except (ValueError, OverflowError) as exc:
-                assert not mask[j], text
-                assert reasons[j] == f"unparseable field: {exc}"
-                continue
-            assert mask[j] == bool(FAST_STAMP.fullmatch(text)), text
-            assert slow[j] == expected and j not in reasons, text
-            if mask[j]:
-                assert us[j] == expected, text
+    for j, text in enumerate(texts):
+        assert mask[j] == (j not in expected_reasons and bool(FAST_STAMP.fullmatch(text))), text
+        assert us[j] == expected[j] or not mask[j], text
+    us, _, reasons = odd_rows([f"{quoted(text)},1,900,0\n" for text in texts])
+    assert (us, reasons) == (expected, expected_reasons)
+    cells = [text for text in texts if not set(text) & set(',"\r\n')]
+    if cells:
+        us, _, reasons = read_chunk([f"{text},1,900,0\n" for text in cells])
+        assert (us.tolist(), reasons) == stamp_reference(cells)
 
 
 @st.composite
