@@ -6,9 +6,11 @@ Usage:
 
 Runs, in order: ingest --check, histogram, curves, bev (week 17),
 lull (week 3, base 7 GWe), table2. The input is parsed once and every step
-works on that one series. Stops at the first nonzero exit code; an --out-dir
-that cannot be created exits 3 with one line, as the CLI does.
-Without --input, generates the synthetic year into the output directory first.
+works on that one series. Stops at the first nonzero exit code. The input is
+read before --out-dir is made, so an input error (exit 2) leaves no output
+directory behind; an --out-dir that cannot be created exits 3 with one line,
+as the CLI does. Without --input, makes the output directory and generates
+the synthetic year into it first.
 """
 
 import argparse
@@ -35,6 +37,17 @@ def steps(input_path, out_dir) -> list[list[str]]:
     ]
 
 
+def make_out_dir(out_dir: Path) -> bool:
+    """Make ``out_dir``, or say in one line on stderr why it cannot be made."""
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"configuration error: cannot create output directory {out_dir}: {exc}",
+              file=sys.stderr)
+        return False
+    return True
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--input", help="5-minute records CSV; synthetic year if omitted")
@@ -42,16 +55,12 @@ def main() -> int:
     args = parser.parse_args()
 
     out_dir = Path(args.out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"configuration error: cannot create output directory {out_dir}: {exc}",
-              file=sys.stderr)
-        return 3
     input_path = args.input
     if input_path is None:
+        if not make_out_dir(out_dir):
+            return 3
         input_path = out_dir / "synthetic_year.csv"
-        if not Path(input_path).exists():
+        if not input_path.exists():
             write_series_csv(synthetic_year(), input_path)
             print(f"generated {input_path}")
 
@@ -61,6 +70,8 @@ def main() -> int:
     except IngestError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    if not make_out_dir(out_dir):
+        return 3
     for step in steps(input_path, out_dir):
         print(f"\n=== windfleet {' '.join(step)}")
         code = run(step, series=series)

@@ -17,8 +17,9 @@ short or long lines, other timestamp forms, value cells such as "n/a",
 "nan", " 900 " or one orjson rejects) is read alone by _odd_row: a csv.reader
 of its own, then _parse_timestamp for its timestamp and float() for its
 values. A line that leaves a quoted field open at its end is a row error,
-"quote not closed on its line" (fatal in the header). Blank rows are
-dropped with the rejected ones.
+"quote not closed on its line" (fatal in the header). _chunks then decides
+each row in one place: a blank row is dropped, and a rejected row is dropped
+and appends its RowError.
 """
 
 from __future__ import annotations
@@ -426,13 +427,16 @@ def _odd_row(text: str, width: int, fields: list[int], need: int) -> tuple | Non
     return 0, [np.nan] * 3, reason
 
 
-def _chunks(reads: Iterable[tuple], width: int, fields: list[int], path: Path):
-    """The rows after the header, a chunk of _reads at a time, one row a line.
+def _chunks(reads: Iterable[tuple], width: int, fields: list[int], path: Path,
+            errors: list[RowError]) -> Iterator[tuple[np.ndarray, ...]]:
+    """The kept rows after the header, a chunk of _reads at a time, one row a line.
 
-    Yields each chunk's timestamp_us, its rows x 3 demand/wind/solar values,
-    the line number of each row, the reasons of the rows that failed to
-    parse, by row, and the mask of blank rows. A line _plain_rows does not
-    take is read alone by _odd_row.
+    _chunks decides each row: a line _plain_rows does not take is read alone
+    by _odd_row, a blank row is dropped, and a rejected row is dropped and
+    appends its RowError to ``errors``, in line order. Its reason is the first
+    failure in the order: _odd_row's reason, non-finite value, demand sign,
+    wind and solar sign. Yields each chunk's kept rows as timestamp_us,
+    demand, wind and solar columns.
     """
     need = max(fields) + 1
     done = 1  # the header's line
@@ -441,51 +445,33 @@ def _chunks(reads: Iterable[tuple], width: int, fields: list[int], path: Path):
             chunk.decode()  # text that is not UTF-8 raises here
         starts = np.concatenate(([0], nexts[:-1]))
         plain, us, values = _plain_rows(chunk, starts, stops, nexts, width, fields)
-        blank, reasons = np.zeros(us.size, bool), {}
+        bad, reasons = np.zeros(us.size, bool), {}
         odd = np.flatnonzero(~plain).tolist()
         for i, a, b in zip(odd, starts[odd].tolist(), nexts[odd].tolist()):
             try:
                 row = _odd_row(chunk[a:b].decode(), width, fields, need)
             except csv.Error as exc:
                 raise IngestError(f"{path} line {done + 1 + i}: {exc}") from exc
-            if row is None:
-                blank[i] = True
+            if row is None:  # a blank row
+                bad[i] = True
                 continue
             us[i], values[i], reason = row
             if reason:
-                reasons[i] = reason
-        numbers = np.arange(done + 1, done + stops.size + 1)
+                reasons[i], bad[i] = reason, True
+        demand, wind, solar = values.T
+        range_checks = (
+            (~np.isfinite(values).all(axis=1), lambda j: "non-finite value"),
+            (demand <= 0, lambda j: f"demand must be > 0, got {float(demand[j])}"),
+            ((wind < 0) | (solar < 0), lambda j: "wind and solar must be >= 0"),
+        )
+        for failed, reason in range_checks:
+            for j in np.flatnonzero(failed & ~bad).tolist():
+                reasons[j] = reason(j)
+            bad |= failed
+        errors.extend(RowError(done + 1 + j, reasons[j]) for j in sorted(reasons))
         done += stops.size
-        yield us, values, numbers, reasons, blank
-
-
-def _parse_chunk(
-    us: np.ndarray, values: np.ndarray, lines: np.ndarray, reasons: dict[int, str],
-    blank: np.ndarray, errors: list[RowError],
-) -> tuple[np.ndarray, ...]:
-    """The accepted rows of one chunk as timestamp_us, demand, wind, solar columns.
-
-    Blank rows and rejected rows are dropped. ``reasons`` holds the rows that
-    failed to parse, by row. Each rejected row appends one RowError, in line
-    order; a blank row appends none. Its reason is the first failure in the
-    order: _odd_row's reason, non-finite value, demand sign, wind and solar
-    sign.
-    """
-    demand, wind, solar = values.T
-    bad = blank.copy()
-    bad[list(reasons)] = True
-    range_checks = (
-        (~np.isfinite(values).all(axis=1), lambda j: "non-finite value"),
-        (demand <= 0, lambda j: f"demand must be > 0, got {float(demand[j])}"),
-        ((wind < 0) | (solar < 0), lambda j: "wind and solar must be >= 0"),
-    )
-    for failed, reason in range_checks:
-        for j in np.flatnonzero(failed & ~bad).tolist():
-            reasons[j] = reason(j)
-        bad |= failed
-    errors.extend(RowError(int(lines[j]), reasons[j]) for j in sorted(reasons))
-    keep = ~bad
-    return us[keep], demand[keep], wind[keep], solar[keep]
+        keep = ~bad
+        yield us[keep], demand[keep], wind[keep], solar[keep]
 
 
 def parse_csv(
@@ -511,7 +497,7 @@ def parse_csv(
         raise IngestError(f"cannot open input file: {exc}") from exc
 
     out = [np.empty(0, np.int64), np.empty(0), np.empty(0), np.empty(0)]  # no view of these exists
-    n = n_rows = 0
+    n = 0
     errors: list[RowError] = []
     with fh:
         reads = _reads(fh)
@@ -536,9 +522,7 @@ def parse_csv(
             fields = [position[columns[k]] for k in ("timestamp", "demand", "wind", "solar")]
             if stops.size > 1:  # the first read's lines after the header
                 reads = chain([(chunk[head:], stops[1:] - head, nexts[1:] - head)], reads)
-            for *rows, blank in _chunks(reads, len(header), fields, path):
-                n_rows += blank.size - np.count_nonzero(blank)
-                part = _parse_chunk(*rows, blank, errors)
+            for part in _chunks(reads, len(header), fields, path, errors):
                 end = n + part[0].size
                 if end > out[0].size:  # grown in place, so no chunk's part outlives it
                     for column in out:
@@ -556,8 +540,9 @@ def parse_csv(
         log.warning("%s line %d: %s", path.name, err.line, err.reason)
     if len(errors) > 20:
         log.warning("%s: %d further row errors suppressed", path.name, len(errors) - 20)
-    if n_rows and len(errors) > 0.01 * n_rows:
-        raise IngestError(f"{path}: {len(errors)} of {n_rows} rows malformed (more than 1%)")
+    rows = n + len(errors)  # every row that is not blank is kept or rejected
+    if len(errors) > 0.01 * rows:
+        raise IngestError(f"{path}: {len(errors)} of {rows} rows malformed (more than 1%)")
     for column in out:
         column.resize(n, refcheck=False)
     return Records(*out)

@@ -24,6 +24,7 @@ from .curves import (
     DEFAULT_BASE_GENERATION_GWE,
     DEFAULT_CAPACITY_GRID_GWC,
     CurveRequest,
+    capacity_grid,
     invert_annual_curve,
 )
 from .dispatch import DispatchConfig, DispatchResult, dispatch_week
@@ -129,21 +130,20 @@ def lull_report(
 ) -> LullReport:
     """Leveled dispatch of one week at each capacity; GT stats at the largest.
 
-    The level is the weekly mean demand plus the fleet's mean power. GT energy
-    always equals mean GT x 168 h; any externally quoted deficit that breaks
-    that identity is not reproducible from the dispatch itself.
+    ``capacities_gwc`` is a capacity grid (curves.capacity_grid), or
+    ValueError; its last capacity is the largest. The level is the weekly
+    mean demand plus the fleet's mean power. GT energy always equals mean
+    GT x 168 h; any externally quoted deficit that breaks that identity is
+    not reproducible from the dispatch itself.
     """
     level = float(weekly_levels(week.demand, spec)[0])
     cfg = DispatchConfig(base_generation_gwe, level)
+    caps = capacity_grid(capacities_gwc)
     wind_means = {}
-    largest = max(capacities_gwc)
-    summary = None
-    for cap in capacities_gwc:
-        result = dispatch_week(week, cap, cfg, reference_capacity_gwc)
-        wind_means[float(cap)] = result.mean_wind_used_gwe
-        if cap == largest:
-            summary = result
-    min_wind = float(week.wind.min() * largest / reference_capacity_gwc)
+    for cap in caps:  # the summary is the last dispatch, at the largest capacity
+        summary = dispatch_week(week, cap, cfg, reference_capacity_gwc)
+        wind_means[cap] = summary.mean_wind_used_gwe
+    min_wind = float(week.wind.min() * caps[-1] / reference_capacity_gwc)
     return LullReport(
         week_index=week.index,
         level_gwe=level,
@@ -197,12 +197,12 @@ def write_lull_csv(report: LullReport, path: str | Path) -> None:
         "gt_energy_gwh",
         "min_wind_gwe",
     ]
-    caps = sorted(report.wind_means_gwe)
+    means = report.wind_means_gwe  # in the increasing order of its capacity grid
     write_csv(
         path,
         header,
         [[getattr(report, name)] for name in header],
-        more=[(["capacity_gwc", "mean_wind_gwe"], [caps, [report.wind_means_gwe[c] for c in caps]])],
+        more=[(["capacity_gwc", "mean_wind_gwe"], [list(means), list(means.values())])],
     )
 
 

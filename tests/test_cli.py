@@ -609,6 +609,25 @@ class TestScripts:
         assert_one_line_config_error(result)
         assert str(tmp_path / "out") in result.stderr
 
+    def test_reproduce_all_input_error_leaves_no_out_dir(self, tmp_path):
+        data = tmp_path / "short.csv"
+        data.write_text("timestamp,demand,wind,solar\n2017-01-16T00:00:00Z,1,0,0\n")
+        result = run_script(REPRODUCE_ALL, "--input", str(data), "--out-dir", str(tmp_path / "out"),
+                            cwd=tmp_path)
+        assert result.returncode == 2
+        assert result.stderr.splitlines() == [
+            "input error: mean demand is 0.001 GW, outside 1-5,000 GW: input values must be in MW"]
+        assert not (tmp_path / "out").exists()
+
+    def test_reproduce_all_input_and_out_dir_that_is_a_file_exits_3(self, tmp_path):
+        data = tmp_path / "short.csv"
+        data.write_text("timestamp,demand,wind,solar\n2017-01-16T00:00:00Z,48000,900,0\n")
+        (tmp_path / "out").write_text("")
+        result = run_script(REPRODUCE_ALL, "--input", str(data), "--out-dir", str(tmp_path / "out"),
+                            cwd=tmp_path)
+        assert_one_line_config_error(result)
+        assert str(tmp_path / "out") in result.stderr
+
 
 class TestReproduceAll:
     def test_parses_once_and_matches_separate_commands(self, synth_csv, tmp_path, monkeypatch):

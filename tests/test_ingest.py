@@ -113,11 +113,12 @@ class TestParseCsv:
         path = write(tmp_path, "timestamp,demand,wind,solar\n" + "\n".join(rows) + "\n")
         assert len(parse_csv(path)) == 198
 
+    @pytest.mark.parametrize("bad", ["n/a", "-48000"], ids=["unparseable", "range-rejected"])
     @pytest.mark.parametrize("note", ["", ',"a,b"'], ids=["byte-path", "csv-reader"])
-    def test_blank_lines_are_not_rows_of_the_one_percent_rule(self, tmp_path, note):
+    def test_blank_lines_are_not_rows_of_the_one_percent_rule(self, tmp_path, note, bad):
         rows = [f"{ts(i):%Y-%m-%dT%H:%M:%SZ},48000,900,0{note}" for i in range(200)]
         for i in (50, 100, 150):
-            rows[i] = rows[i].replace("48000", "n/a")
+            rows[i] = rows[i].replace("48000", bad)
         lines = [line for row in rows for line in (row, "")]  # and 200 blank lines
         header = "timestamp,demand,wind,solar" + (",note" if note else "")
         path = write(tmp_path, header + "\n" + "\n".join(lines) + "\n")
@@ -338,11 +339,19 @@ def float_reference(texts):
 
 def read_chunk(lines):
     """The timestamp_us, rows x 3 values and reasons, by row, of one chunk of
-    ``lines`` after a header, as _chunks reads them before the range checks."""
-    data = io.BytesIO("".join(lines).encode())
-    chunks = ingest._chunks(ingest._reads(data), 4, [0, 1, 2, 3], "chunk")
-    us, values, numbers, reasons, blank = next(chunks)
-    assert numbers.tolist() == list(range(2, len(lines) + 2)) and not blank.any()  # after line 1
+    ``lines``, none of them blank, as _chunks reads them before the range
+    checks: _plain_rows, then _odd_row on each line it leaves."""
+    chunk = "".join(lines).encode()
+    stops, nexts = ingest._line_ends(chunk, 0, len(chunk))
+    assert stops.size == len(lines)
+    starts = np.concatenate(([0], nexts[:-1]))
+    plain, us, values = ingest._plain_rows(chunk, starts, stops, nexts, 4, [0, 1, 2, 3])
+    reasons = {}
+    for i in np.flatnonzero(~plain).tolist():
+        line = chunk[starts[i] : nexts[i]].decode()
+        us[i], values[i], reason = ingest._odd_row(line, 4, [0, 1, 2, 3], 4)
+        if reason:
+            reasons[i] = reason
     return us, values, reasons
 
 

@@ -88,6 +88,13 @@ class TestLullReport:
         assert report.peak_gt_gwe >= report.mean_gt_gwe >= 0.0
         assert set(report.wind_means_gwe) == {20.0, 40.0, 80.0}
 
+    @pytest.mark.parametrize("capacities", [[80.0, 20.0], [20.0, 20.0, 80.0]],
+                             ids=["decreasing", "repeated"])
+    def test_capacities_must_be_a_capacity_grid(self, capacities):
+        week = make_week(demand=41.1, wind=0.0, solar=0.0)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            lull_report(week, BevFleetSpec(0.0), 7.0, capacities)
+
     def test_summary_recomputed_from_exported_csv(self, tmp_path, synth_year):
         # independent single-pass oracle over the dispatch export
         week = synth_year.weeks[42]
