@@ -23,6 +23,7 @@ import numpy as np
 from .bev import BevFleetSpec, weekly_levels
 from .dispatch import DispatchConfig, dispatch_week, headroom
 from .export import write_csv
+from .ingest import _freeze
 from .scaling import MAX_CAPACITY_GWC, NormalizedYear, WindHistogram
 
 DEFAULT_CAPACITY_GRID_GWC = (20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0)
@@ -89,12 +90,9 @@ class CharacteristicCurve:
     label: str = ""
 
     def __post_init__(self):
-        caps = np.array(self.capacities_gwc, dtype=float)
-        vals = np.array(self.mean_wind_gwe, dtype=float)
-        caps.setflags(write=False)
-        vals.setflags(write=False)
-        object.__setattr__(self, "capacities_gwc", caps)
-        object.__setattr__(self, "mean_wind_gwe", vals)
+        for name in ("capacities_gwc", "mean_wind_gwe"):
+            object.__setattr__(self, name, _freeze(getattr(self, name)))
+        caps, vals = self.capacities_gwc, self.mean_wind_gwe
         if caps.size == 0 or caps.size != vals.size:
             raise ValueError("curve needs equal-length capacity and value arrays")
         if not (np.all(np.isfinite(caps)) and np.all(np.isfinite(vals))):

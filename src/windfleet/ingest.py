@@ -101,9 +101,13 @@ def _freeze(array: np.ndarray) -> np.ndarray:
     """``array`` as read-only float64: itself if it already is one, else a copy."""
     if isinstance(array, np.ndarray) and array.dtype == np.float64 and not array.flags.writeable:
         return array
-    out = np.array(array, dtype=float)
-    out.setflags(write=False)
-    return out
+    return _frozen(np.array(array, dtype=float))
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """``array``, which its caller has just made, made read-only in place."""
+    array.setflags(write=False)
+    return array
 
 
 @dataclass(frozen=True)
@@ -559,39 +563,46 @@ def canonicalize(records: Records, source: str = "<records>") -> GridSeries:
     if not len(records):
         raise IngestError("no records to canonicalize")
     order = np.argsort(records.timestamp_us, kind="stable")
-    stamps = records.timestamp_us[order]
-    first = np.concatenate(([True], stamps[1:] != stamps[:-1]))
-    dropped = stamps.size - int(np.count_nonzero(first))
-    kept = order[first]
-    stamps = stamps[first]
+    idx = records.timestamp_us[order]  # the sorted stamps, then their sample indices
+    first = np.concatenate(([True], idx[1:] != idx[:-1]))
+    dropped = idx.size - int(np.count_nonzero(first))
+    if dropped:
+        order, idx = order[first], idx[first]
+    start = int(idx[0])
 
-    offsets = stamps - stamps[0]
-    misaligned = offsets % _CADENCE_US != 0
+    idx -= start
+    misaligned = idx % _CADENCE_US != 0
     if np.any(misaligned):
-        bad = _utc(stamps[np.argmax(misaligned)])
+        bad = _utc(start + idx[np.argmax(misaligned)])
         raise IngestError(f"non-{CADENCE_S} s cadence at {bad.isoformat()}")
-    idx = offsets // _CADENCE_US
+    idx //= _CADENCE_US
 
     gaps = np.diff(idx) - 1
     n_gaps = int(np.count_nonzero(gaps))
     worst_at = int(np.argmax(gaps)) if n_gaps else 0
     if n_gaps and gaps[worst_at] > MAX_GAP_SAMPLES:
-        gap_start = _utc(stamps[worst_at] + _CADENCE_US)
+        gap_start = _utc(start + (int(idx[worst_at]) + 1) * _CADENCE_US)
         raise IngestError(f"gap exceeds 1 hour: {int(gaps[worst_at])} consecutive samples "
                           f"missing from {gap_start.isoformat()}")
+    gaps = np.flatnonzero(gaps)  # now the kept sample before each gap
+    around = np.union1d(gaps, gaps + 1)  # and the one after: all np.interp reads
 
     n = int(idx[-1]) + 1
-    missing = np.flatnonzero(np.bincount(idx, minlength=n) == 0)
+    present = np.zeros(n, bool)
+    present[idx] = True
+    missing = np.flatnonzero(np.logical_not(present, out=present))
 
     def gw(mw: np.ndarray) -> np.ndarray:
         """The kept values at their samples, linear between them at the missing
-        ones (np.interp over every sample, bit for bit), in GW and read-only."""
-        out = np.empty(n)
-        out[idx] = kept_mw = mw[kept]
-        out[missing] = np.interp(missing, idx, kept_mw)
+        ones (np.interp over every sample, bit for bit), in GW and read-only.
+        With no sample missing, the gathered values are the output."""
+        out = kept = mw[order]
+        if missing.size:
+            out = np.empty(n)
+            out[idx] = kept
+            out[missing] = np.interp(missing, idx[around], kept[around])
         out /= MW_PER_GW
-        out.setflags(write=False)
-        return out
+        return _frozen(out)
 
     provenance = [f"source: {source}"]
     if dropped:
@@ -602,7 +613,7 @@ def canonicalize(records: Records, source: str = "<records>") -> GridSeries:
         log.info("%s: %s", source, note)
 
     return GridSeries(
-        start_time=_utc(stamps[0]),
+        start_time=_utc(start),
         demand=gw(records.demand_mw),
         wind_metered=gw(records.wind_mw),
         solar=gw(records.solar_mw),

@@ -110,18 +110,14 @@ class WindHistogram:
     capacity_gwc: float | None = None
 
     def __post_init__(self):
-        lower = np.array(self.bin_lower_gwe, dtype=float)
-        pct = np.array(self.percent, dtype=float)
-        lower.setflags(write=False)
-        pct.setflags(write=False)
-        object.__setattr__(self, "bin_lower_gwe", lower)
-        object.__setattr__(self, "percent", pct)
+        for name in ("bin_lower_gwe", "percent"):
+            object.__setattr__(self, name, _freeze(getattr(self, name)))
         if self.bin_width_gwe <= 0:
             raise ValueError("bin_width must be > 0")
-        if np.any(pct < 0):
+        if np.any(self.percent < 0):
             raise ValueError("percentages must be >= 0")
-        if abs(pct.sum() - 100.0) > 1e-6:
-            raise ValueError(f"percentages sum to {pct.sum()}, expected 100")
+        if abs(self.percent.sum() - 100.0) > 1e-6:
+            raise ValueError(f"percentages sum to {self.percent.sum()}, expected 100")
 
     @property
     def bin_centers_gwe(self) -> np.ndarray:
@@ -143,6 +139,8 @@ def normalize(series: GridSeries, spec: ScalingSpec) -> NormalizedYear:
         raise IngestError("annual mean of metered wind is zero; cannot normalize")
     k = spec.target_capacity_factor * spec.reference_capacity_gwc / mean
 
+    # NormalizedYear copies wind and solar; the freed originals are heap that dispatch_week
+    # reuses: frozen here instead, a CSV run's curves took twice as long (README, Memory)
     return NormalizedYear(
         start_time=series.start_time,
         demand=series.demand,

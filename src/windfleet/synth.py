@@ -16,9 +16,21 @@ from pathlib import Path
 import numpy as np
 
 from .export import sample_times, write_csv
-from .ingest import SAMPLES_PER_YEAR, GridSeries
+from .ingest import SAMPLES_PER_YEAR, GridSeries, _frozen
 
 SYNTH_START = datetime(2017, 1, 1, tzinfo=timezone.utc)
+
+
+def _wave(work: np.ndarray, x: np.ndarray, fn, amp: float, period: float, offset: float = 0.0,
+          phase: float = 0.0) -> np.ndarray:
+    """``amp * fn(2 * np.pi * (x - offset) / period + phase)`` in that order, into ``work``."""
+    np.subtract(x, offset, out=work)
+    work *= 2 * np.pi
+    work /= period
+    work += phase
+    fn(work, out=work)
+    work *= amp
+    return work
 
 
 def synthetic_year(
@@ -27,40 +39,51 @@ def synthetic_year(
     wind_peak_gw: float = 11.0,
     start_time: datetime = SYNTH_START,
 ) -> GridSeries:
-    """Build a synthetic GridSeries (values in GW, wind as metered)."""
-    i = np.arange(n_samples)
-    hours = i / 12.0
-    hod = hours % 24.0
-    days = hours / 24.0
+    """Build a synthetic GridSeries (values in GW, wind as metered), term by term."""
+    # one scratch block, which glibc maps; freeing it lifts its trim threshold (README, Memory)
+    hours, hod, work = np.empty((3, n_samples))
+    np.divide(np.arange(n_samples), 12.0, out=hours)
 
-    demand = (
-        mean_demand_gw
-        + 4.2 * np.cos(2 * np.pi * days / 364.0)
-        + 4.0 * np.cos(2 * np.pi * (hod - 18.0) / 24.0)
-        + 1.2 * np.sin(2 * np.pi * days / 7.0 + 0.5)
-    )
-
-    gust = (
-        np.sin(2 * np.pi * hours / 89.0 + 0.7)
-        + 0.75 * np.sin(2 * np.pi * hours / 37.3 + 2.1)
-        + 0.50 * np.sin(2 * np.pi * hours / 13.9 + 4.2)
-        + 0.35 * np.sin(2 * np.pi * hours / 201.0 + 1.0)
-    ) / 2.6
+    wind = np.zeros(n_samples)  # the gust, in [-1, 1]
+    for amp, period, phase in ((1.0, 89.0, 0.7), (0.75, 37.3, 2.1), (0.50, 13.9, 4.2),
+                               (0.35, 201.0, 1.0)):
+        wind += _wave(work, hours, np.sin, amp, period, phase=phase)
+    wind /= 2.6
     # skewed half-raised shape: ~30% capacity factor, occasional near-zero spells
-    wind = wind_peak_gw * np.maximum(0.5 + 0.5 * gust, 0.0) ** 1.7
-    # stationary-high-pressure event: a ~10-day deep lull centered on week 3
-    wind *= 1.0 - 0.8 * np.exp(-0.5 * ((days - 17.5) / 4.0) ** 2)
+    wind *= 0.5
+    wind += 0.5
+    np.maximum(wind, 0.0, out=wind)
+    wind **= 1.7
+    wind *= wind_peak_gw
 
-    seasonal_amp = 3.2 + 2.6 * np.cos(2 * np.pi * (days - 182.0) / 364.0)
-    daylight = np.maximum(np.sin(np.pi * (hod - 7.0) / 11.0), 0.0)
+    np.remainder(hours, 24.0, out=hod)
+    days = np.divide(hours, 24.0, out=hours)  # hours are done with
+    # stationary-high-pressure event: a ~10-day deep lull centered on week 3
+    np.subtract(days, 17.5, out=work)
+    work /= 4.0
+    np.square(work, out=work)
+    work *= -0.5
+    np.exp(work, out=work)
+    work *= 0.8
+    wind *= np.subtract(1.0, work, out=work)
+
+    demand = np.full(n_samples, mean_demand_gw)
+    demand += _wave(work, days, np.cos, 4.2, 364.0)
+    demand += _wave(work, hod, np.cos, 4.0, 24.0, offset=18.0)
+    demand += _wave(work, days, np.sin, 1.2, 7.0, phase=0.5)
+
+    solar = np.full(n_samples, 3.2)  # seasonal amplitude times daylight^1.4
+    solar += _wave(work, days, np.cos, 2.6, 364.0, offset=182.0)
+    # daylight: the positive half of a 22-hour wave from 07:00 (2π·y/22 is π·y/11 exactly)
+    daylight = np.maximum(_wave(work, hod, np.sin, 1.0, 22.0, offset=7.0), 0.0, out=work)
     daylight[(hod < 7.0) | (hod > 18.0)] = 0.0
-    solar = seasonal_amp * daylight**1.4
+    solar *= np.power(daylight, 1.4, out=daylight)
 
     return GridSeries(
         start_time=start_time,
-        demand=demand,
-        wind_metered=wind,
-        solar=solar,
+        demand=_frozen(demand),
+        wind_metered=_frozen(wind),
+        solar=_frozen(solar),
         provenance=("source: synthetic (closed-form, deterministic)",),
     )
 

@@ -1,7 +1,8 @@
-"""Shared constructors for synthetic weeks, years and record lists."""
+"""Shared constructors for synthetic weeks, years and record lists, and a memory probe."""
 
 from __future__ import annotations
 
+import tracemalloc
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -79,3 +80,15 @@ def series_to_records(series: GridSeries) -> Records:
         series.wind_metered * 1000.0,
         series.solar * 1000.0,
     )
+
+
+def traced_peak(call) -> int:
+    """The tracemalloc peak, in bytes, of one ``call()`` after one untraced
+    warm-up call, so first-call caches stay out of the measurement."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

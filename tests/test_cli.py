@@ -4,6 +4,7 @@ import hashlib
 import importlib.util
 import logging
 import math
+import os
 import re
 import subprocess
 import sys
@@ -79,13 +80,20 @@ def run(*argv):
     return main(list(argv))
 
 
+def fresh_env(**extra):
+    """A fresh interpreter's environment: PATH, ``extra``, and PYTHONDONTWRITEBYTECODE
+    when this run has it, so a run that writes no bytecode cache leaves none in src/."""
+    keep = {k: os.environ[k] for k in ("PYTHONDONTWRITEBYTECODE",) if k in os.environ}
+    return {"PATH": "/usr/bin:/bin:/usr/local/bin", **keep, **extra}
+
+
 def run_subprocess(*argv):
     """``python -m windfleet.cli`` in a fresh interpreter, with its output as text."""
     return subprocess.run(
         [sys.executable, "-m", "windfleet.cli", *argv],
         capture_output=True,
         text=True,
-        env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin:/usr/local/bin"},
+        env=fresh_env(PYTHONPATH=str(SRC)),
     )
 
 
@@ -93,7 +101,7 @@ def run_script(script, *argv, cwd):
     """One of scripts/ in a fresh interpreter, run from ``cwd``, with its output as text."""
     return subprocess.run(
         [sys.executable, str(script), *argv], capture_output=True, text=True, cwd=cwd,
-        env={"PATH": "/usr/bin:/bin:/usr/local/bin"},
+        env=fresh_env(),
     )
 
 
