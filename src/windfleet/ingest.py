@@ -5,25 +5,26 @@ Repairs (gap interpolation, duplicate removal) are conservative and logged:
 long outages must fail loudly rather than silently fabricate wind lulls.
 
 The file is read as bytes, READ_BYTES at a time; each read is scanned once
-for the line ends where csv.reader cuts lines, and its whole lines are
-parsed together as one chunk. Each line is one record, read whole on one of
-two paths. A plain line is read straight from the bytes: it holds no quote,
-is no longer than the csv field limit, has one cell per header column, a
-timestamp of 19, 20 or 25 ASCII bytes in YYYY-MM-DD[T ]HH:MM:SS[Z|+00:00]
-form, read one byte matrix per length (_iso_cells), and value cells that are
-nonempty JSON numbers, read as float() reads them by one orjson call per
-chunk, or a few more around a cell orjson rejects. Every other line (blank,
-short or long lines, other timestamp forms, value cells such as "n/a",
-"nan", " 900 " or one orjson rejects) is read alone by _odd_row: a csv.reader
-of its own, then _parse_timestamp for its timestamp and float() for its
-values. A line that leaves a quoted field open at its end is a row error,
-"quote not closed on its line" (fatal in the header). _chunks then decides
-each row in one place: a blank row is dropped, and a rejected row is dropped
-and appends its RowError.
+for the line ends where csv.reader cuts lines, and its whole lines are parsed
+together as one chunk. Each line is one record, read whole on one of two
+paths. A plain line is read straight from the bytes: it holds no quote, is no
+longer than the csv field limit, has one cell per header column, a timestamp
+of 19, 20 or 25 ASCII bytes in YYYY-MM-DD[T ]HH:MM:SS[Z|+00:00] form, read
+one byte matrix per length (_iso_cells), and value cells that are JSON
+numbers (_number_breaks), read as float() reads them by one orjson call per
+chunk, or two if a cell is not; one out of float's range sends its chunk to
+_odd_row. Every other line (blank, short or long lines, other timestamps, or
+value cells such as "n/a", " 900 ", "+1" or "00") is read alone by _odd_row:
+a csv.reader of its own, then _parse_timestamp for its timestamp and float()
+for its values. A line that leaves a quoted field open at its end is a row
+error, "quote not closed on its line" (fatal in the header). _chunks then
+decides each row in one place: a blank row is dropped, and a rejected row is
+dropped and appends its RowError.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import logging
 from dataclasses import dataclass, replace
@@ -68,11 +69,12 @@ def _iso_form(suffix: bytes) -> tuple[np.ndarray, np.ndarray]:
 
 _ISO_FORMS = {19 + len(s): _iso_form(s) for s in (b"", b"Z", b"+00:00")}  # by text length
 _BOM = b"\xef\xbb\xbf"  # UTF-8 byte-order mark
-# what the JSON text of plain value cells may hold inside its brackets; no
-# space, so "-0" is the one integer zero with a sign
-_JSON_BYTES = b"0123456789eE.+-,\n"
-# bytes.translate table: 1 for a byte that text may not hold, else 0
-_FOREIGN = bytes(b not in _JSON_BYTES for b in range(256))
+# bytes.translate table: 1 for a byte the JSON text of plain value cells may not hold
+_FOREIGN = bytes(b not in b"0123456789eE.+-,\n" for b in range(256))
+_PAIRS = np.zeros(1 << 16, bool)  # [a << 8 | b]: a number may hold b after a, one in ".eE+-"
+for _a, _b in [(b"[,\neE", b"-"), (b"eE", b"+"), (b"0123456789", b".eE"),
+               (b".eE+-", b"0123456789")]:
+    _PAIRS[[a << 8 | b for a in _a for b in _b]] = True
 
 DEFAULT_COLUMNS = {name: name for name in ("timestamp", "demand", "wind", "solar")}
 
@@ -196,6 +198,12 @@ class Records:
     wind_mw: np.ndarray
     solar_mw: np.ndarray
 
+    def __post_init__(self):
+        sizes = {name: np.size(getattr(self, name)) for name in self.__dataclass_fields__}
+        if len(set(sizes.values())) > 1:
+            raise IngestError("record columns differ in length: "
+                              + ", ".join(f"{name} {size}" for name, size in sizes.items()))
+
     def __len__(self) -> int:
         return self.timestamp_us.size
 
@@ -254,6 +262,28 @@ def _blank(codes: np.ndarray, at: np.ndarray, sizes: np.ndarray) -> None:
         _windows(codes, size)[at[sizes == size]] = b"\n" * size
 
 
+def _number_breaks(text: bytearray, heads: np.ndarray) -> np.ndarray:
+    """The mask of lines with a cell that breaks the JSON number grammar
+    -?(0|[1-9][0-9]*)(\\.[0-9]+)?([eE][+-]?[0-9]+)?. ``text`` is "[", cells
+    among "\\n" bytes, each with a comma after it, then "0]"; cell k of line i
+    starts at offset ``heads[i, k]`` of ``text[1:]``.
+    """
+    data = np.frombuffer(text, np.uint8)
+    codes = data[1:-2]  # offsets as in heads; data[i + 1] is codes[i]
+    stops = np.flatnonzero((codes - ord("0") > 9) & (codes != ord("\n")))  # marks and commas
+    at = np.flatnonzero(codes[stops] != ord(","))
+    marks, cell = stops[at], at - np.arange(at.size)  # each mark's cell: the commas before it
+    before, cur, after = (data[marks + k].astype(np.intp) for k in range(3))
+    bad = ~(_PAIRS[before << 8 | cur] & _PAIRS[cur << 8 | after])  # "+1", ".5", "1e", " 1"
+    first = heads + (codes[heads] == ord("-"))  # where each integer part begins
+    cells = (codes[first] == ord("0")) & (data[first + 2] - ord("0") <= 9)  # "00", "-01"
+    cells.flat[cell[bad]] = True
+    point = (cur != ord("+")) & (cur != ord("-"))
+    cell, dot = cell[point], cur[point] == ord(".")  # at most one ".", then at most one "e"
+    cells.flat[cell[1:][(cell[1:] == cell[:-1]) & (~dot[:-1] | dot[1:])]] = True  # "1e5.5"
+    return cells.any(axis=1)
+
+
 def _plain_rows(chunk: bytes, starts: np.ndarray, stops: np.ndarray, nexts: np.ndarray,
                 width: int, fields: list[int]) -> tuple[np.ndarray, ...]:
     """The plain lines of a chunk, read whole straight from its bytes.
@@ -263,15 +293,14 @@ def _plain_rows(chunk: bytes, starts: np.ndarray, stops: np.ndarray, nexts: np.n
     a line end. A line is plain when it holds no quote, is no longer than the
     csv field limit, has ``width`` cells, its timestamp cell is in one of
     _iso_utc_us's forms, and each value cell is a nonempty JSON number
-    other than the integer "-0", whose sign orjson drops: no byte outside
-    ``0-9eE.+-``, and orjson takes them all. orjson reads them from a copy of
-    the chunk where all bytes but the value cells are blanked to "\\n", which
-    JSON reads as whitespace, and the byte after each value cell is a comma;
-    it rounds as float() does. One call reads every line, unless orjson
-    rejects a cell ("+1", ".5", "01", "1e400" ...): that line is then not
-    plain, the lines before it are read again, and calls go on after it;
-    after two rejected lines in a row, no later line of the chunk is plain.
-    Returns the mask of plain lines, their timestamp_us and lines x 3
+    other than the integer "-0", whose sign orjson drops. orjson reads them
+    from a copy of the chunk where all bytes but the value cells are blanked
+    to "\\n", which JSON reads as whitespace, and the byte after each value
+    cell is a comma; it rounds as float() does. One call reads them all,
+    unless a cell holds a byte outside ``0-9eE.+-`` or orjson rejects one:
+    then the lines _number_breaks marks are not plain, and a second call
+    reads the rest, or no line if it rejects a number float() reads as
+    +-inf. Returns the mask of plain lines, their timestamp_us and lines x 3
     demand/wind/solar values.
     """
     n = stops.size
@@ -304,8 +333,8 @@ def _plain_rows(chunk: bytes, starts: np.ndarray, stops: np.ndarray, nexts: np.n
     if not lines.size:
         return plain, us, values
 
-    text = bytearray(b"[" + chunk)
-    codes = np.frombuffer(text, np.uint8)[1:]  # offsets as in the chunk
+    text = bytearray(b"[" + chunk + b"0]")  # the 0 follows the last value's comma
+    codes = np.frombuffer(text, np.uint8)[1:-2]  # offsets as in the chunk
     plain[lines] = True
     _blank(codes, starts[~plain], nexts[~plain] - starts[~plain])
     for k in range(width):
@@ -314,41 +343,18 @@ def _plain_rows(chunk: bytes, starts: np.ndarray, stops: np.ndarray, nexts: np.n
             _blank(codes, lo, hi - lo + 1)
         else:
             codes[hi] = ord(",")  # after each value, whether a comma or a line end was there
-    foreign = text.translate(_FOREIGN)
-    if foreign.find(1, 1) >= 0:  # some value cells hold other bytes
-        at = np.flatnonzero(np.frombuffer(foreign, bool)[1:])
-        odd = lines[np.unique(np.searchsorted(starts[lines], at, "right") - 1)]
-        _blank(codes, starts[odd], nexts[odd] - starts[odd])
-        plain[odd] = False
-        lines = np.flatnonzero(plain)
-    firsts = starts[lines]
-
-    def load(i: int, j: int) -> list[float]:
-        """One orjson call on the value cells of lines[i:j], in brackets."""
-        part = text[firsts[i] : nexts[lines[j - 1]] + 1]  # from the byte before lines[i]
-        part[0] = ord("[")
-        part[part.rfind(b",")] = ord("]")
-        return orjson.loads(part)
-
-    table, rejected = [], False
-    i, j = 0, lines.size  # the next call reads the value cells of lines[i:j]
-    while i < j:
-        try:
-            table += load(i, j)
-            read, rejected, i = j - i, False, j
-        except orjson.JSONDecodeError as exc:
-            k = int(np.searchsorted(firsts, firsts[i] - 1 + exc.pos, "right")) - 1
-            if rejected and k == i:  # two rejected lines in a row: csv.reader reads the rest
-                plain[lines[k:]] = False
-                break
-            plain[lines[k]] = False  # the line of the rejected cell
-            table += load(i, k) if k > i else []  # the lines before it, once more
-            read, rejected, i = k - i, True, k + 1
-        # then twice as many lines as this call read, and one more: however many
-        # cells orjson rejects, the bytes it reads stay linear in the chunk's
-        j = min(lines.size, i + 2 * read + 1)
-    lines = np.flatnonzero(plain)
-    table = np.fromiter(table, np.float64, len(table)).reshape(lines.size, len(picked))
+    # JSON reads some cells of other bytes too (" 1", "[1]", "true")
+    for check in (text.translate(_FOREIGN).find(1, 1, -2) >= 0, True):
+        if check:  # lines with a value cell that breaks the number grammar are not plain
+            plain[lines[_number_breaks(text, np.transpose([cell(k)[0] for k in picked]))]] = False
+            _blank(codes, starts[~plain], nexts[~plain] - starts[~plain])
+            lines = np.flatnonzero(plain)
+        with contextlib.suppress(orjson.JSONDecodeError):  # a cell is no number, or out of range
+            table = orjson.loads(text)
+            break
+    else:  # orjson rejects a number float() reads as +-inf: no line is plain
+        return np.zeros(n, bool), us, values
+    table = np.fromiter(table, np.float64, lines.size * len(picked)).reshape(-1, len(picked))
     values[lines] = table[:, [picked.index(k) for k in fields[1:]]]
     return plain, us, values
 
@@ -377,9 +383,10 @@ def _reads(fh) -> Iterator[tuple[bytes, np.ndarray, np.ndarray]]:
 
     Lines are cut where csv.reader cuts them. The partial line a read ends in,
     and a "\\r" at its end that may begin a "\\r\\n", wait for the next read,
-    so each byte is scanned for line ends once; a read that ends no line gives
-    no chunk. A UTF-8 byte-order mark at the file's start is skipped, and a
-    last line with no line end gets a "\\n"."""
+    so each byte is scanned for line ends once, and by _line_ends only in a
+    read that holds one; a read that ends no line gives no chunk. A UTF-8
+    byte-order mark at the file's start is skipped, and a last line with no
+    line end gets a "\\n"."""
     data = fh.read(len(_BOM)).removeprefix(_BOM)  # bytes read and not yet handed out
     scanned = 0  # data before this offset holds no line end
     while True:
@@ -389,8 +396,8 @@ def _reads(fh) -> Iterator[tuple[bytes, np.ndarray, np.ndarray]]:
             block = b"\n"
         data += block
         whole = len(data) - (not final and data.endswith(b"\r"))  # a last "\r" may begin a "\r\n"
-        stops, nexts = _line_ends(data, scanned, whole)
-        if nexts.size:
+        if data.find(b"\n", scanned, whole) >= 0 or data.find(b"\r", scanned, whole) >= 0:
+            stops, nexts = _line_ends(data, scanned, whole)
             end = int(nexts[-1])
             yield data[:end], stops, nexts
             data, whole = data[end:], whole - end

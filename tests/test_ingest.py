@@ -1,9 +1,12 @@
 import io
+import itertools
+import math
 import re
 from datetime import datetime, timedelta, timezone
 from unittest import mock
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -268,6 +271,16 @@ class TestCanonicalize:
         with pytest.raises(IngestError, match="no records"):
             canonicalize(as_records())
 
+    @pytest.mark.parametrize("sizes", [(3, 4, 5, 3), (4, 3, 3, 3)])
+    def test_columns_of_other_lengths_fatal(self, sizes):
+        """Longer value columns are not cut to the timestamps', and a shorter
+        one is not an IndexError: Records names the four lengths."""
+        full = as_records(*(rec(i) for i in range(5)))
+        columns = (full.timestamp_us, full.demand_mw, full.wind_mw, full.solar_mw)
+        names = "timestamp_us {}, demand_mw {}, wind_mw {}, solar_mw {}".format(*sizes)
+        with pytest.raises(IngestError, match=f"record columns differ in length: {names}$"):
+            canonicalize(Records(*(column[:size] for column, size in zip(columns, sizes))))
+
     def test_timestamps_reconstruct(self):
         series = canonicalize(as_records(rec(2), rec(0), rec(1)))
         assert series.start_time == ts(0)
@@ -466,6 +479,44 @@ def test_every_float_edge_in_one_column():
 JSON_NUMBERS = st.from_regex(
     r"-?(0|[1-9][0-9]{0,24})(\.[0-9]{1,25})?([eE][+-]?[0-9]{1,3})?", fullmatch=True
 )
+
+NUMBER = re.compile(r"-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?")
+# every cell of 1 to 5 bytes over "019.e+-", 19,607 of them
+SHORT_CELLS = ["".join(t) for n in range(1, 6) for t in itertools.product("019.e+-", repeat=n)]
+
+
+def assert_one_number_grammar(cells):
+    """_number_breaks marks exactly the cells that re.fullmatch of the
+    grammar refuses, laid out three to a line; and orjson rejects exactly
+    those cells and the numbers float() reads as +-inf.
+
+    Parsing does not rest on orjson's half: a cell orjson newly rejects only
+    sends its chunk to _odd_row, and one it newly accepts must still read as
+    float() does (test_any_number_cells_match_float). The check is here so
+    that a run against the newest orjson shows such a drift.
+    """
+    texts = [cell.encode() + (b",\n" if k % 3 == 2 else b",") for k, cell in enumerate(cells)]
+    heads = np.cumsum([0] + [len(text) for text in texts[:-1]])
+    broken = ingest._number_breaks(bytearray(b"[" + b"".join(texts) + b"0]"), heads[:, None])
+    refused = [not NUMBER.fullmatch(cell) for cell in cells]
+    assert broken.tolist() == refused
+    for cell, off in zip(cells, refused):
+        try:
+            orjson.loads(f"[{cell}]")
+            rejected = False
+        except orjson.JSONDecodeError:
+            rejected = True
+        assert rejected == (off or math.isinf(float(cell))), cell
+
+
+def test_one_number_grammar_over_short_cells():
+    assert_one_number_grammar(SHORT_CELLS)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cells=st.lists(JSON_NUMBERS, min_size=1, max_size=20))
+def test_one_number_grammar_over_json_numbers(cells):
+    assert_one_number_grammar(cells)
 
 
 # cells that keep a column of plain numbers off orjson's path one cell at a time

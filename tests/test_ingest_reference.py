@@ -20,6 +20,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -606,10 +607,11 @@ def with_solar(line, text):
 
 
 def test_only_the_lines_of_rejected_cells_reach_csv_reader(synth_csv, tmp_path):
-    """One cell orjson rejects, every 1,000 lines, sends its line alone off
-    the byte path: csv.reader sees the header and exactly those lines."""
+    """One cell that breaks the number grammar, every 1,000 lines, sends its
+    line alone off the byte path: csv.reader sees the header and exactly
+    those lines."""
     lines = synth_csv.read_text().splitlines(keepends=True)
-    odd = [*REJECTED, "1e400", "-01"]  # the last two are row errors: inf, and below 0
+    odd = [*REJECTED, "-01"]  # the last is a row error: below 0
     bad = {i: with_solar(lines[i], odd[k % len(odd)])
            for k, i in enumerate(range(7, len(lines), 1000))}
     path = tmp_path / "rejected.csv"
@@ -619,8 +621,7 @@ def test_only_the_lines_of_rejected_cells_reach_csv_reader(synth_csv, tmp_path):
         records = parse_csv(path, {}, errors)
     assert seen == [lines[0], *bad.values()]
     assert [(e.line, e.reason) for e in errors] == [
-        (i + 1, "non-finite value" if text.endswith(",1e400\n") else "wind and solar must be >= 0")
-        for i, text in bad.items() if text.endswith(("1e400\n", "-01\n"))]
+        (i + 1, "wind and solar must be >= 0") for i, text in bad.items() if text.endswith("-01\n")]
     assert len(records) == len(lines) - 1 - len(errors)
     solar = dict(zip(records.timestamp_us.tolist(), records.solar_mw.tolist()))
     for text in bad.values():
@@ -644,16 +645,32 @@ def test_runs_of_rejected_cells_match_reference(read_bytes):
     check_against_reference(document(odd, n=3000), read_bytes)
 
 
-def test_two_rejected_lines_in_a_row_send_the_rest_of_their_chunk_to_csv_reader():
-    """An isolated rejected cell costs only its line, but after two rejected
-    lines in a row every later line of the chunk goes through csv.reader."""
-    odd = {i: good_line(i).replace(",0,", ",00,") for i in (5, 40, 41, 90)}
-    text = document(odd, n=300)
+def test_zeros_on_every_third_line_cost_two_orjson_calls_a_chunk():
+    """A "00" cell on every third line: each chunk makes at most two orjson
+    calls, and csv.reader sees the header and the "00" lines only."""
+    odd = {i: good_line(i).replace(",0,", ",00,") for i in range(0, 3000, 3)}
+    text = document(odd, n=3000)
     lines = text.splitlines(keepends=True)
-    seen, line_row = [], ingest._line_row
-    with mock.patch.object(ingest, "_line_row", lambda text: seen.append(text) or line_row(text)):
-        check_against_reference(text)
-    assert seen == [lines[0], lines[6], *lines[41:]]
+    seen, line_row, loads = [], ingest._line_row, mock.Mock(wraps=orjson.loads)
+    with mock.patch.object(ingest, "_line_row", lambda text: seen.append(text) or line_row(text)), \
+            mock.patch.object(orjson, "loads", loads):
+        check_against_reference(text, 4096)
+    assert seen == [lines[0], *(lines[1 + i] for i in odd)]
+    assert 0 < loads.call_count <= 2 * len(chunk_sizes(text, 4096))
+
+
+def test_out_of_range_number_sends_its_chunk_to_csv_reader():
+    """A "1e400" cell, a number float() reads as inf, sends every line of its
+    chunk to _odd_row, and no line of another chunk; its line is a row error."""
+    text = document({150: good_line(150).replace(",0,", ",1e400,")}, n=300)
+    lines = text.splitlines(keepends=True)
+    ends = np.cumsum(chunk_sizes(text, 640)).tolist()  # the line after each chunk
+    k = next(k for k, end in enumerate(ends) if end > 151)  # the chunk of line 151
+    seen, odd_row = [], ingest._odd_row
+    with mock.patch.object(ingest, "_odd_row", lambda text, *a: seen.append(text) or odd_row(text, *a)):
+        errors = check_against_reference(text, 640)
+    assert 0 < k < len(ends) - 1 and seen == lines[ends[k - 1] : ends[k]]
+    assert errors == [(152, "non-finite value")]
 
 
 def test_lines_longer_than_a_read():
