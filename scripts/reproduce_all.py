@@ -5,8 +5,8 @@ Usage:
     python scripts/reproduce_all.py --input data/gridwatch_2017.csv --out-dir out
 
 Runs, in order: ingest --check, histogram, curves, bev (week 17),
-lull (week 3, base 7 GWe), table2. The input is parsed once and every step
-works on that one series. Stops at the first nonzero exit code. The input is
+lull (week 3, base 7 GWe), table2. The input is opened and parsed once, and
+every step works on that one series and its digest. Stops at the first nonzero exit code. The input is
 read before --out-dir is made, so an input error (exit 2) leaves no output
 directory behind; an --out-dir that cannot be created exits 3 with one line,
 as the CLI does. Without --input, makes the output directory and generates

@@ -339,10 +339,10 @@ def _in_mw(series: GridSeries) -> GridSeries:
 
 
 def load_series(input_path: str | Path, columns: dict[str, str] | None = None) -> GridSeries:
-    """Parse and canonicalize one input file; the series carries the file's
-    SHA-256. A mean demand outside MEAN_DEMAND_GW is an input error."""
-    series = canonicalize(parse_csv(_existing(input_path), columns), source=str(input_path))
-    return replace(_in_mw(series), input_sha256=sha256_of(input_path))
+    """Parse and canonicalize one input file, read once; the series carries
+    the SHA-256 of the bytes parsed. A mean demand outside MEAN_DEMAND_GW is
+    an input error."""
+    return _in_mw(canonicalize(parse_csv(_existing(input_path), columns), source=str(input_path)))
 
 
 def _load_series(s: dict[str, object], series: GridSeries | None) -> GridSeries:

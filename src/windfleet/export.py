@@ -14,6 +14,8 @@ one empty cell is written ``""``).
 Rows are built as bytes, CHUNK_ROWS at a time: each run of adjacent float
 columns is one orjson call over its rows, split into row texts, and each
 timestamp column one byte matrix; one join makes the chunk's text.
+write_blocks writes columns that their caller makes one block at a time,
+such as a year scaled to MW, through the same formatting.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import re
 from datetime import datetime, timezone
 from itertools import groupby
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 import orjson
@@ -137,6 +139,21 @@ def write_csv(
                 raise ValueError("header and columns must match in count and length")
             if n:
                 fh.write(b"\r\n")
-            _write_rows(fh, [[_quoted(str(name)).encode()] for name in head])
-            for lo in range(0, rows, CHUNK_ROWS):
-                _write_rows(fh, _segments([a[lo : lo + CHUNK_ROWS] for a in arrays]))
+            _write_table(fh, head, ([a[lo : lo + CHUNK_ROWS] for a in arrays]
+                                    for lo in range(0, rows, CHUNK_ROWS)))
+
+
+def write_blocks(path: str | Path, header: Sequence[str],
+                 blocks: Iterable[Sequence[np.ndarray]]) -> None:
+    """Write header and then the rows of each block of columns, as write_csv
+    writes them, for columns that are made one block at a time. Each block
+    holds one nonempty array per header name, all of one length."""
+    with open(path, "wb") as fh:
+        _write_table(fh, header, blocks)
+
+
+def _write_table(fh, header: Sequence[str], blocks: Iterable[Sequence[np.ndarray]]) -> None:
+    """The header row, then each block's rows, formatted one block at a time."""
+    _write_rows(fh, [[_quoted(str(name)).encode()] for name in header])
+    for block in blocks:
+        _write_rows(fh, _segments(block))

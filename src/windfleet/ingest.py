@@ -11,10 +11,10 @@ paths. A plain line is read straight from the bytes: it holds no quote, is no
 longer than the csv field limit, has one cell per header column, a timestamp
 of 19, 20 or 25 ASCII bytes in YYYY-MM-DD[T ]HH:MM:SS[Z|+00:00] form, read
 one byte matrix per length (_iso_cells), and value cells that are JSON
-numbers (_number_breaks), read as float() reads them by one orjson call per
-chunk, or two if a cell is not; one out of float's range sends its chunk to
-_odd_row. Every other line (blank, short or long lines, other timestamps, or
-value cells such as "n/a", " 900 ", "+1" or "00") is read alone by _odd_row:
+numbers (_number_breaks) that cannot be past float's range, read as float()
+reads them by one orjson call per chunk, or two if a cell is not. Every other
+line (blank, short or long lines, other timestamps, or value cells such as
+"n/a", " 900 ", "+1", "00" or "1e400") is read alone by _odd_row:
 a csv.reader of its own, then _parse_timestamp for its timestamp and float()
 for its values. A line that leaves a quoted field open at its end is a row
 error, "quote not closed on its line" (fatal in the header). _chunks then
@@ -26,7 +26,9 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import hashlib
 import logging
+import os
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
 from itertools import chain
@@ -116,8 +118,8 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 class GridSeries:
     """Contiguous 300 s samples of demand, metered wind and solar, in GW.
 
-    ``input_sha256`` is the SHA-256 of the file the series was read from,
-    when the reader recorded it.
+    ``input_sha256`` is the SHA-256 of the bytes the series was parsed
+    from, taken as parse_csv read them, when the reader recorded it.
     """
 
     start_time: datetime
@@ -186,20 +188,26 @@ def _utc(us: int) -> datetime:
     return _EPOCH + timedelta(microseconds=int(us))
 
 
+_COLUMNS = ("timestamp_us", "demand_mw", "wind_mw", "solar_mw")  # of Records
+
+
 @dataclass(frozen=True)
 class Records:
     """Parsed rows as columns: UTC microseconds since the epoch, and MW values.
 
     ``len()`` counts the rows; iterating yields one RawRecord per row.
+    ``input_sha256`` is the SHA-256 of the bytes they were parsed from, when
+    they were parsed from a file.
     """
 
     timestamp_us: np.ndarray
     demand_mw: np.ndarray
     wind_mw: np.ndarray
     solar_mw: np.ndarray
+    input_sha256: str | None = None
 
     def __post_init__(self):
-        sizes = {name: np.size(getattr(self, name)) for name in self.__dataclass_fields__}
+        sizes = {name: np.size(getattr(self, name)) for name in _COLUMNS}
         if len(set(sizes.values())) > 1:
             raise IngestError("record columns differ in length: "
                               + ", ".join(f"{name} {size}" for name, size in sizes.items()))
@@ -208,8 +216,7 @@ class Records:
         return self.timestamp_us.size
 
     def __iter__(self) -> Iterator[RawRecord]:
-        columns = (self.timestamp_us, self.demand_mw, self.wind_mw, self.solar_mw)
-        for us, demand, wind, solar in zip(*(c.tolist() for c in columns)):
+        for us, demand, wind, solar in zip(*(getattr(self, c).tolist() for c in _COLUMNS)):
             yield RawRecord(_utc(us), demand, wind, solar)
 
 
@@ -264,9 +271,12 @@ def _blank(codes: np.ndarray, at: np.ndarray, sizes: np.ndarray) -> None:
 
 def _number_breaks(text: bytearray, heads: np.ndarray) -> np.ndarray:
     """The mask of lines with a cell that breaks the JSON number grammar
-    -?(0|[1-9][0-9]*)(\\.[0-9]+)?([eE][+-]?[0-9]+)?. ``text`` is "[", cells
-    among "\\n" bytes, each with a comma after it, then "0]"; cell k of line i
-    starts at offset ``heads[i, k]`` of ``text[1:]``.
+    -?(0|[1-9][0-9]*)(\\.[0-9]+)?([eE][+-]?[0-9]+)?, or may be past float's
+    range: it is over 308 bytes long after its sign, or its integer digits
+    plus its exponent exceed 308, or its exponent has more than three
+    digits. ``text`` is "[", cells among "\\n" bytes, each with a comma after
+    it, then "0]"; cell k of line i starts at offset ``heads[i, k]`` of
+    ``text[1:]``.
     """
     data = np.frombuffer(text, np.uint8)
     codes = data[1:-2]  # offsets as in heads; data[i + 1] is codes[i]
@@ -281,6 +291,22 @@ def _number_breaks(text: bytearray, heads: np.ndarray) -> np.ndarray:
     point = (cur != ord("+")) & (cur != ord("-"))
     cell, dot = cell[point], cur[point] == ord(".")  # at most one ".", then at most one "e"
     cells.flat[cell[1:][(cell[1:] == cell[:-1]) & (~dot[:-1] | dot[1:])]] = True  # "1e5.5"
+    spans = np.diff(heads[:, 0], append=codes.size)  # each line from its first value cell on
+    if b"e" not in text and b"E" not in text and spans.max() <= 308:
+        return cells.any(axis=1)  # no exponent, and no line with room for 309 digits
+    ends = stops[codes[stops] == ord(",")]  # cell k ends at ends[k]
+    cells |= (ends - first.ravel() > 308).reshape(cells.shape)  # room for 309 integer digits
+    ex = np.flatnonzero(~dot)  # each exponent's "e" (or a foreign byte)
+    marks, e, prev = marks[point], cell[ex], np.maximum(ex - 1, 0)
+    dot_first = (ex > 0) & (cell[prev] == e)  # the integer part ends at that "." or at the "e"
+    scale = np.where(dot_first, marks[prev], marks[ex]) - first.flat[e]  # its integer digits
+    sign = codes[marks[ex] + 1]
+    size = ends[e] - marks[ex] - 1 - ((sign == ord("+")) | (sign == ord("-")))  # exponent digits
+    last = ends[e] - 1
+    power = sum(np.where(size > j, codes[last - j].astype(np.intp) - ord("0"), 0) * 10**j
+                for j in range(3))
+    scale += np.where(size > 3, 999, np.where(sign == ord("-"), -power, power))
+    cells.flat[e[scale > 308]] = True  # "1e400", "1e0001"
     return cells.any(axis=1)
 
 
@@ -298,10 +324,10 @@ def _plain_rows(chunk: bytes, starts: np.ndarray, stops: np.ndarray, nexts: np.n
     to "\\n", which JSON reads as whitespace, and the byte after each value
     cell is a comma; it rounds as float() does. One call reads them all,
     unless a cell holds a byte outside ``0-9eE.+-`` or orjson rejects one:
-    then the lines _number_breaks marks are not plain, and a second call
-    reads the rest, or no line if it rejects a number float() reads as
-    +-inf. Returns the mask of plain lines, their timestamp_us and lines x 3
-    demand/wind/solar values.
+    then the lines _number_breaks marks, cells that break the grammar or may
+    be past float's range, are not plain, and a second call reads the rest,
+    or no line if it still rejects one. Returns the mask of plain lines,
+    their timestamp_us and lines x 3 demand/wind/solar values.
     """
     n = stops.size
     us, values, plain = np.zeros(n, np.int64), np.empty((n, 3)), np.zeros(n, bool)
@@ -352,7 +378,7 @@ def _plain_rows(chunk: bytes, starts: np.ndarray, stops: np.ndarray, nexts: np.n
         with contextlib.suppress(orjson.JSONDecodeError):  # a cell is no number, or out of range
             table = orjson.loads(text)
             break
-    else:  # orjson rejects a number float() reads as +-inf: no line is plain
+    else:  # orjson rejects a cell _number_breaks passes: no line is plain
         return np.zeros(n, bool), us, values
     table = np.fromiter(table, np.float64, lines.size * len(picked)).reshape(-1, len(picked))
     values[lines] = table[:, [picked.index(k) for k in fields[1:]]]
@@ -377,20 +403,24 @@ def _line_ends(data: bytes, start: int, stop: int) -> tuple[np.ndarray, np.ndarr
     return stops + start, nexts + start
 
 
-def _reads(fh) -> Iterator[tuple[bytes, np.ndarray, np.ndarray]]:
+def _reads(fh, digest) -> Iterator[tuple[bytes, np.ndarray, np.ndarray]]:
     """The whole lines of each READ_BYTES read of a binary file, one chunk a
-    read: their bytes, and in them each line's _line_ends offsets.
+    read: their bytes, and in them each line's _line_ends offsets. Each read
+    updates the hashlib object ``digest`` as it is read.
 
     Lines are cut where csv.reader cuts them. The partial line a read ends in,
     and a "\\r" at its end that may begin a "\\r\\n", wait for the next read,
     so each byte is scanned for line ends once, and by _line_ends only in a
     read that holds one; a read that ends no line gives no chunk. A UTF-8
     byte-order mark at the file's start is skipped, and a last line with no
-    line end gets a "\\n"."""
-    data = fh.read(len(_BOM)).removeprefix(_BOM)  # bytes read and not yet handed out
+    line end gets a "\\n", which is not hashed."""
+    data = fh.read(len(_BOM))  # bytes read and not yet handed out
+    digest.update(data)
+    data = data.removeprefix(_BOM)
     scanned = 0  # data before this offset holds no line end
     while True:
         block = fh.read(READ_BYTES)
+        digest.update(block)
         final = not block
         if final and data[-1:] not in (b"", b"\n", b"\r"):
             block = b"\n"
@@ -493,10 +523,13 @@ def parse_csv(
     """Read raw records from a CSV file with a header row.
 
     ``column_map`` remaps the logical names timestamp/demand/wind/solar to the
-    file's column names. The file is read READ_BYTES at a time, and each
-    read's whole lines are turned into columns together. Malformed rows are
-    skipped, logged, and appended to ``row_errors`` when a list is supplied;
-    more than 1% malformed rows is fatal. A missing mapped column, text that
+    file's column names. The file is read once, READ_BYTES at a time: each
+    read is hashed into the records' ``input_sha256``, and its whole lines are
+    turned into columns together. The columns are sized once, from the file's
+    byte count and the first read's bytes per line after the header, grown by
+    an eighth only where later lines are shorter, and trimmed to the rows
+    kept. Malformed rows are skipped, logged, and appended to ``row_errors``
+    when a list is supplied; more than 1% malformed rows is fatal. A missing mapped column, text that
     is not UTF-8 and a field the csv module rejects (over its 131,072-character
     limit) are always fatal; a UTF-8 byte-order mark before the header is skipped.
     """
@@ -507,11 +540,12 @@ def parse_csv(
     except OSError as exc:
         raise IngestError(f"cannot open input file: {exc}") from exc
 
-    out = [np.empty(0, np.int64), np.empty(0), np.empty(0), np.empty(0)]  # no view of these exists
-    n = 0
+    digest = hashlib.sha256()
+    n = capacity = 0
     errors: list[RowError] = []
     with fh:
-        reads = _reads(fh)
+        size = os.fstat(fh.fileno()).st_size  # 0 for a pipe: the columns then grow
+        reads = _reads(fh, digest)
         try:
             chunk, stops, nexts = next(reads, (b"", None, None))
             if not chunk:
@@ -531,13 +565,15 @@ def parse_csv(
                 raise IngestError(f"{path}: mapped column {repeated[0]!r} repeats in the header")
             position = {name: i for i, name in enumerate(header)}
             fields = [position[columns[k]] for k in ("timestamp", "demand", "wind", "solar")]
-            if stops.size > 1:  # the first read's lines after the header
+            if stops.size > 1:  # the first read's lines after the header size the columns
                 reads = chain([(chunk[head:], stops[1:] - head, nexts[1:] - head)], reads)
+                capacity = -(-max(size - head, 0) * (stops.size - 1) // (len(chunk) - head))
+            out = [np.empty(capacity, np.int64)] + [np.empty(capacity) for _ in range(3)]
             for part in _chunks(reads, len(header), fields, path, errors):
                 end = n + part[0].size
-                if end > out[0].size:  # grown in place, so no chunk's part outlives it
+                if end > out[0].size:  # later lines are shorter: grown in place by an eighth
                     for column in out:
-                        column.resize(max(2 * column.size, end), refcheck=False)
+                        column.resize(end + end // 8, refcheck=False)
                 for column, values in zip(out, part):
                     column[n:end] = values
                 n = end
@@ -556,28 +592,55 @@ def parse_csv(
         raise IngestError(f"{path}: {len(errors)} of {rows} rows malformed (more than 1%)")
     for column in out:
         column.resize(n, refcheck=False)
-    return Records(*out)
+    return Records(*out, input_sha256=digest.hexdigest())
+
+
+def _refuse_local_clock(records: Records, order: np.ndarray, stamps: np.ndarray,
+                        first: np.ndarray) -> None:
+    """Raise when one clock hour, 12 consecutive samples, repeats with other
+    values, as a daylight-saving fall-back writes it in local clock time.
+    ``stamps`` are the records' stamps in ``order``, and ``first`` marks the
+    first row of each."""
+    again = np.flatnonzero(~first)  # where each repeated row is in ``order``
+    rows, firsts = order[again], order[np.searchsorted(stamps, stamps[again])]  # and its first
+    changed = np.zeros(again.size, bool)
+    for name in _COLUMNS[1:]:
+        changed |= getattr(records, name)[rows] != getattr(records, name)[firsts]
+    repeated = np.unique(stamps[again[changed]])
+    steps = np.concatenate(([0], np.cumsum(np.diff(repeated) == _CADENCE_US)))
+    hour = 3600 // CADENCE_S
+    runs = np.flatnonzero(steps[hour - 1:] - steps[:1 - hour] == hour - 1)
+    if runs.size:
+        raise IngestError(f"the hour from {_utc(repeated[runs[0]]).isoformat()} repeats with "
+                          "other values: the file looks like local clock time, not UTC")
 
 
 def canonicalize(records: Records, source: str = "<records>") -> GridSeries:
     """Sort, de-duplicate, gap-fill and convert raw records to a GridSeries.
 
-    Duplicated timestamps keep the first occurrence. Gaps of up to one hour
-    (12 samples) are filled by linear interpolation; anything longer is fatal,
-    as is any timestamp off the 300 s grid. All repairs are recorded in the
-    provenance and logged.
+    Records in strictly increasing time order, as every clean export is, are
+    taken in their order with no sort. Duplicated timestamps keep the first
+    occurrence, unless a clock hour repeats with other values, which is fatal
+    (the file looks like local clock time). Gaps of up to one hour (12
+    samples) are filled by linear interpolation; anything longer is fatal, as
+    is any timestamp off the 300 s grid. All repairs are recorded in the
+    provenance and logged. The series carries the records' ``input_sha256``.
     """
     if not len(records):
         raise IngestError("no records to canonicalize")
-    order = np.argsort(records.timestamp_us, kind="stable")
-    idx = records.timestamp_us[order]  # the sorted stamps, then their sample indices
-    first = np.concatenate(([True], idx[1:] != idx[:-1]))
-    dropped = idx.size - int(np.count_nonzero(first))
-    if dropped:
-        order, idx = order[first], idx[first]
-    start = int(idx[0])
+    stamps, order, dropped = records.timestamp_us, None, 0
+    if not (stamps[1:] > stamps[:-1]).all():  # out of order or repeated: sort, keep the firsts
+        order = np.argsort(stamps, kind="stable")
+        stamps = stamps[order]
+        first = np.concatenate(([True], stamps[1:] != stamps[:-1]))
+        dropped = stamps.size - int(np.count_nonzero(first))
+        if dropped:
+            _refuse_local_clock(records, order, stamps, first)
+            order, stamps = order[first], stamps[first]
+    start = int(stamps[0])
 
-    idx -= start
+    # the offsets, then the sample indices; the caller's stamps are never written
+    idx = np.subtract(stamps, start, out=None if order is None else stamps)
     misaligned = idx % _CADENCE_US != 0
     if np.any(misaligned):
         bad = _utc(start + idx[np.argmax(misaligned)])
@@ -602,12 +665,14 @@ def canonicalize(records: Records, source: str = "<records>") -> GridSeries:
     def gw(mw: np.ndarray) -> np.ndarray:
         """The kept values at their samples, linear between them at the missing
         ones (np.interp over every sample, bit for bit), in GW and read-only.
-        With no sample missing, the gathered values are the output."""
-        out = kept = mw[order]
-        if missing.size:
-            out = np.empty(n)
-            out[idx] = kept
-            out[missing] = np.interp(missing, idx[around], kept[around])
+        With no sample missing, the gathered values, or a new array of the
+        caller's, are the output."""
+        kept = mw if order is None else mw[order]
+        if not missing.size:
+            return _frozen(np.divide(kept, MW_PER_GW, out=None if order is None else kept))
+        out = np.empty(n)
+        out[idx] = kept
+        out[missing] = np.interp(missing, idx[around], kept[around])
         out /= MW_PER_GW
         return _frozen(out)
 
@@ -625,6 +690,7 @@ def canonicalize(records: Records, source: str = "<records>") -> GridSeries:
         wind_metered=gw(records.wind_mw),
         solar=gw(records.solar_mw),
         provenance=tuple(provenance),
+        input_sha256=records.input_sha256,
     )
 
 

@@ -10,13 +10,13 @@ into mid-January (week 3), the canonical stress week.
 
 from __future__ import annotations
 
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
 
-from .export import sample_times, write_csv
-from .ingest import SAMPLES_PER_YEAR, GridSeries, _frozen
+from .export import CHUNK_ROWS, sample_times, write_blocks
+from .ingest import CADENCE_S, SAMPLES_PER_YEAR, GridSeries, _frozen
 
 SYNTH_START = datetime(2017, 1, 1, tzinfo=timezone.utc)
 
@@ -89,14 +89,12 @@ def synthetic_year(
 
 
 def write_series_csv(series: GridSeries, path: str | Path) -> None:
-    """Write a GridSeries back out as a raw-format CSV (MW, default columns)."""
-    write_csv(
-        path,
-        ["timestamp", "demand", "wind", "solar"],
-        [
-            sample_times(series.start_time, series.n_samples),
-            series.demand * 1000.0,
-            series.wind_metered * 1000.0,
-            series.solar * 1000.0,
-        ],
-    )
+    """Write a GridSeries back out as a raw-format CSV (MW, default columns),
+    scaled and formatted one CHUNK_ROWS block at a time."""
+    n, step = series.n_samples, timedelta(seconds=CADENCE_S)
+    write_blocks(path, ["timestamp", "demand", "wind", "solar"], (
+        [sample_times(series.start_time + lo * step, min(CHUNK_ROWS, n - lo)),
+         *(column[lo : lo + CHUNK_ROWS] * 1000.0
+           for column in (series.demand, series.wind_metered, series.solar))]
+        for lo in range(0, n, CHUNK_ROWS)
+    ))

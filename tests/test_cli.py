@@ -1,7 +1,10 @@
+import builtins
+import contextlib
 import csv
 import dataclasses
 import hashlib
 import importlib.util
+import io
 import logging
 import math
 import os
@@ -9,16 +12,19 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 
 from windfleet import BevFleetSpec, ScalingSpec, ScenarioConstants, cli, report
 from windfleet.bev import MAX_FLEET_FIGURE, MAX_FLEET_POWER_GW
 from windfleet.cli import load_config_file, main, ConfigError
 from windfleet.dispatch import MAX_POWER_GWE
+from windfleet.export import sample_times, write_csv
 from windfleet.scaling import MAX_CAPACITY_GWC, normalize
 from windfleet.synth import write_series_csv
-from _helpers import make_year_series
+from _helpers import make_year_series, traced_peak
 
 ROOT = Path(__file__).resolve().parent.parent
 REPRODUCE_ALL = ROOT / "scripts" / "reproduce_all.py"
@@ -673,20 +679,71 @@ class TestReproduceAll:
             strip = lambda p: [l for l in p.read_text().splitlines() if not l.startswith("created_utc")]
             assert strip(path) == strip(separate / path.name)
 
-    def test_hashes_the_input_once(self, synth_csv, tmp_path, monkeypatch):
+    def test_opens_the_input_once(self, synth_csv, tmp_path, monkeypatch):
+        """One read of the input gives the series and the digest every
+        manifest records."""
         spec = importlib.util.spec_from_file_location("reproduce_all", REPRODUCE_ALL)
         script = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(script)
-        hashed = []
-        sha256_of = report.sha256_of
-        spy = lambda path: hashed.append(path) or sha256_of(path)
-        monkeypatch.setattr(cli, "sha256_of", spy)
-        monkeypatch.setattr(report, "sha256_of", spy)
         monkeypatch.setattr(
             sys, "argv", ["reproduce_all.py", "--input", str(synth_csv), "--out-dir", str(tmp_path)]
         )
-        assert script.main() == 0
-        assert hashed == [str(synth_csv)]
+        with opens_of(synth_csv) as opened:
+            assert script.main() == 0
+        assert opened == ["rb"]
+        digest = hashlib.sha256(synth_csv.read_bytes()).hexdigest()
+        for path in tmp_path.glob("run_manifest_*.txt"):
+            assert f"input_sha256 = {digest}\n" in path.read_text(), path.name
+
+
+@contextlib.contextmanager
+def opens_of(path):
+    """The mode of each open() of ``path``, by builtins.open or io.open, while
+    the block runs."""
+    opened, target, real = [], Path(path).resolve(), io.open
+
+    def spy(file, mode="r", *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and Path(file).resolve() == target:
+            opened.append(mode)
+        return real(file, mode, *args, **kwargs)
+
+    with mock.patch.object(builtins, "open", spy), mock.patch.object(io, "open", spy):
+        yield opened
+
+
+# tracemalloc peak of one load_series of the synthetic year, by the parse
+# guard's method: 7.97 MB while the file was read a second time for its
+# digest and canonicalize sorted the in-order stamps, 7.03 MB with the digest
+# taken by the one parse and no sort; the margin is 8% so that the parent's
+# peak fails it (Python 3.11, numpy 2.4)
+LOAD_SERIES_PEAK_GUARD_BYTES = 7.6e6
+
+
+def test_load_series_opens_its_input_once_within_its_memory_guard(synth_csv):
+    with opens_of(synth_csv) as opened:
+        series = cli.load_series(synth_csv)
+    assert opened == ["rb"]
+    assert series.input_sha256 == hashlib.sha256(synth_csv.read_bytes()).hexdigest()
+    peak = traced_peak(lambda: cli.load_series(synth_csv))
+    assert peak <= LOAD_SERIES_PEAK_GUARD_BYTES, f"load_series peak {peak / 1e6:.2f} MB"
+
+
+def test_local_clock_export_is_an_input_error(synth_series, tmp_path):
+    """The synthetic year as naive Europe/London wall time: the October hour
+    is written twice, so the run exits 2 with one line and writes nothing."""
+    times = sample_times(synth_series.start_time, synth_series.n_samples)
+    summer = (times >= np.datetime64("2017-03-26T01:00")) & (times < np.datetime64("2017-10-29T01:00"))
+    path = tmp_path / "london.csv"
+    write_csv(path, ["timestamp", "demand", "wind", "solar"],
+              [times + summer * np.timedelta64(1, "h"), *(1000.0 * getattr(synth_series, name)
+               for name in ("demand", "wind_metered", "solar"))])
+    path.write_bytes(path.read_bytes().replace(b"Z,", b","))
+    result = run_subprocess("histogram", "--input", str(path), "--out-dir", str(tmp_path / "out"))
+    assert result.returncode == 2
+    assert result.stderr.splitlines() == [
+        "input error: the hour from 2017-10-29T01:00:00+00:00 repeats with other values: "
+        "the file looks like local clock time, not UTC"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_in_memory_series_without_digest_hashes_the_input(synth_series, synth_csv, tmp_path):

@@ -1,7 +1,10 @@
+import hashlib
 import io
 import itertools
 import math
+import os
 import re
+import threading
 from datetime import datetime, timedelta, timezone
 from unittest import mock
 
@@ -24,7 +27,15 @@ from windfleet.ingest import (
     parse_csv,
 )
 from _helpers import EPOCH, series_to_records, traced_peak
-from test_ingest_reference import assert_same_series, reference_canonicalize
+from test_ingest_reference import (
+    COLUMNS,
+    HEADER,
+    assert_same_series,
+    check_against_reference,
+    document,
+    good_line,
+    reference_canonicalize,
+)
 
 T0 = datetime(2017, 1, 16, tzinfo=timezone.utc)
 
@@ -173,12 +184,69 @@ class TestParseCsv:
             parse_csv(path)
 
 
+def test_later_lines_shorter_than_the_first_read_match_reference():
+    """The columns are sized from the first read's bytes per line; lines
+    after it that are a tenth as long grow them, and every row is read."""
+    long_lines = {i: good_line(i, note="x" * 400) for i in range(700)}  # more than one read
+    text = document(long_lines, n=6000)
+    assert len(text[: text.index(good_line(700))]) > ingest.READ_BYTES
+    check_against_reference(text)
+    check_against_reference(text, 4096)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_a_pipe_whose_size_reads_0_is_read_whole(tmp_path):
+    """A header longer than its lines, through a named pipe: the columns,
+    sized from a size of 0, grow to every row."""
+    text = document({}, n=3000, header=HEADER + ",x" * 100)
+    path = tmp_path / "pipe.csv"
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_text, args=(text,))
+    writer.start()
+    try:
+        records = parse_csv(path, COLUMNS)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert len(records) == 3000
+    assert records.input_sha256 == hashlib.sha256(text.encode()).hexdigest()
+
+
+ROWS = [f"{ts(i).isoformat()},48000,900,{i % 7}\n" for i in range(9000)]
+HEAD = "timestamp,demand,wind,solar\n" + "".join(ROWS[:20])
+# files whose digest is that of their bytes: a byte-order mark, "\r\n" line
+# ends, no last line end, more than one read, and a read that ends on a "\r",
+# with the "\n" of its "\r\n" in the next read or no next read at all
+HASHED_FILES = {
+    "bom": ("\ufeff" + HEAD, None),
+    "crlf": (HEAD.replace("\n", "\r\n"), None),
+    "no last line end": (HEAD.rstrip("\n"), None),
+    "over a read": ("timestamp,demand,wind,solar\n" + "".join(ROWS), None),
+    "read ends in a \\r\\n": (HEAD.replace("\n", "\r\n"),
+                              len("timestamp,demand,wind,solar\r") - len(ingest._BOM)),
+    "last read ends on a \\r": (HEAD.replace("\n", "\r"), None),
+}
+
+
+@pytest.mark.parametrize("name", HASHED_FILES)
+def test_input_sha256_is_the_digest_of_the_files_bytes(name, tmp_path):
+    text, read_bytes = HASHED_FILES[name]
+    path = tmp_path / "in.csv"
+    path.write_bytes(text.encode())
+    with mock.patch.object(ingest, "READ_BYTES", read_bytes or ingest.READ_BYTES):
+        records = parse_csv(path)
+    assert len(records) == text.count("48000")
+    assert records.input_sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert canonicalize(records).input_sha256 == records.input_sha256
+
+
 # tracemalloc peak of one parse_csv of the synthetic year: csv.reader rows in
 # 8,192-row chunks peaked at 9.12 MB by this test's method, the split
 # tokenizer in 2,048-line chunks at 6.87 MB, and the byte reader, which grows
 # its four result columns in place instead of joining per-chunk parts, at
 # 5.48 MB in 2,048-line chunks and 7.18 MB in chunks of one 256 KiB read
-# (10.27 MB at 512 KiB; Python 3.11, numpy 2.4)
+# (10.27 MB at 512 KiB; Python 3.11, numpy 2.4); with the columns sized once
+# from the file's size instead of doubled from the first read's rows, 6.64 MB
 PARSE_PEAK_GUARD_BYTES = 8.72e6
 
 
@@ -194,9 +262,10 @@ def test_parse_peak_memory_within_guard(synth_csv):
 # gathered column per output were separate arrays. With the stamps turned into
 # sample indices in place and a present mask, the clean year, whose gathered
 # columns are the outputs, peaks at 4.62 MB, and the dirty one, whose gathered
-# columns are spread over the samples one at a time, at 5.36 MB (Python 3.11,
-# numpy 2.4)
-CANONICALIZE_PEAK_GUARD_BYTES = {"clean": 5.54e6, "dirty": 6.43e6}
+# columns are spread over the samples one at a time, at 5.36 MB. Records in
+# order, as the clean year's are, take no sort order and no gather, and the
+# clean year then peaks at 3.67 MB (Python 3.11, numpy 2.4)
+CANONICALIZE_PEAK_GUARD_BYTES = {"clean": 4.40e6, "dirty": 6.43e6}
 
 
 @pytest.fixture(scope="module")
@@ -234,6 +303,29 @@ def test_repaired_year_matches_reference(year_records):
     assert_same_series(canonicalize(records, "year"), reference_canonicalize(rows, "year"))
 
 
+@pytest.mark.parametrize("gaps", [False, True])
+def test_in_order_records_take_no_sort_and_match_a_shuffled_copy(year_records, gaps):
+    """Records in order, the clean year and the year with gaps, canonicalize
+    with no sort order to the bits of a shuffled copy, and the caller's
+    records are not written."""
+    columns = (year_records.timestamp_us, year_records.demand_mw, year_records.wind_mw,
+               year_records.solar_mw)
+    rows = np.flatnonzero(np.arange(len(year_records)) % 997 >= (5 if gaps else 0))
+    records = Records(*(column[rows] for column in columns))
+    before = [column.copy() for column in columns]
+    shuffled = np.random.default_rng(2).permutation(rows.size)
+    with mock.patch.object(ingest.np, "argsort", wraps=np.argsort) as argsort:
+        series = canonicalize(records)
+        assert argsort.call_count == 0
+        assert_same_series(series, canonicalize(Records(*(c[rows][shuffled] for c in columns))))
+        assert argsort.call_count == 1
+    assert len(series.provenance) == 1 + gaps
+    for column, copy in zip(columns, before):
+        assert column.tobytes() == copy.tobytes()
+    for name, mw in zip(("demand", "wind_metered", "solar"), columns[1:]):
+        assert not np.shares_memory(getattr(series, name), mw)
+
+
 class TestCanonicalize:
     def test_single_gap_interpolated_midpoint(self):
         series = canonicalize(as_records(rec(0, demand=48000.0), rec(2, demand=50000.0)))
@@ -252,6 +344,27 @@ class TestCanonicalize:
     def test_duplicates_keep_first(self):
         series = canonicalize(as_records(rec(0, demand=48000.0), rec(0, demand=1000.0), rec(1)))
         assert series.demand[0] == pytest.approx(48.0)
+
+    def test_a_clock_hour_repeated_with_other_values_fatal(self):
+        """12 consecutive samples, each repeated with other values, are the
+        hour a daylight-saving fall-back writes twice in local clock time."""
+        rows = [rec(i) for i in range(30)] + [rec(i, demand=47000.0) for i in range(10, 22)]
+        message = ("the hour from 2017-01-16T00:50:00+00:00 repeats with other values: "
+                   "the file looks like local clock time, not UTC")
+        with pytest.raises(IngestError, match=f"^{re.escape(message)}$"):
+            canonicalize(as_records(*rows))
+
+    @pytest.mark.parametrize("again", [
+        [(i, 47000.0) for i in range(10, 21)],  # eleven samples
+        [(i, 48000.0) for i in range(10, 22)],  # an hour with the same values: an overlap
+        [(i, 47000.0 if i != 15 else 48000.0) for i in range(10, 22)],
+        [(i, 47000.0) for i in range(0, 24, 2)],  # scattered
+    ], ids=["eleven", "same values", "one the same", "scattered"])
+    def test_repeats_that_are_no_clock_hour_repaired(self, again):
+        rows = [rec(i) for i in range(30)] + [rec(i, demand=demand) for i, demand in again]
+        series = canonicalize(as_records(*rows))
+        assert series.n_samples == 30 and series.demand[again[0][0]] == 48.0
+        assert f"dropped {len(again)} duplicate-timestamp rows (kept first)" in series.provenance
 
     def test_mw_to_gw(self):
         series = canonicalize(as_records(rec(0, demand=48000.0), rec(1, demand=48000.0)))
@@ -349,20 +462,22 @@ def test_reads_cut_lines_where_csv_does(name, read_bytes):
     """Each chunk of _reads is whole lines, cut at "\\n", "\\r\\n" or a lone
     "\\r" as a text file opened with newline="" cuts them; together they are
     the file less its byte-order mark, with a "\\n" after a last line that
-    has no line end. No chunk is empty."""
+    has no line end. No chunk is empty. The digest the reads update is the
+    file's, byte-order mark included and the added "\\n" not."""
     text = READ_TEXTS[name]
     expected = io.StringIO(text.removeprefix("\ufeff"), newline="").readlines()
     if expected and not expected[-1].endswith(("\n", "\r")):
         expected[-1] += "\n"
-    lines = []
+    lines, digest = [], hashlib.sha256()
     with mock.patch.object(ingest, "READ_BYTES", read_bytes):
-        for chunk, stops, nexts in ingest._reads(io.BytesIO(text.encode())):
+        for chunk, stops, nexts in ingest._reads(io.BytesIO(text.encode()), digest):
             assert stops.size and nexts[-1] == len(chunk)
             starts = [0, *nexts[:-1].tolist()]
             for a, stop, b in zip(starts, stops.tolist(), nexts.tolist()):
                 assert chunk[stop:b] in (b"\n", b"\r\n", b"\r")
                 lines.append(chunk[a:b].decode())
     assert lines == expected
+    assert digest.hexdigest() == hashlib.sha256(text.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("text", [*READ_TEXTS.values(),
@@ -485,10 +600,21 @@ NUMBER = re.compile(r"-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?")
 SHORT_CELLS = ["".join(t) for n in range(1, 6) for t in itertools.product("019.e+-", repeat=n)]
 
 
+def past_range(cell: str) -> bool:
+    """A grammar number _number_breaks keeps off orjson's path: over 308
+    bytes after its sign, or its integer digits plus its exponent exceed
+    308, or its exponent has over three digits."""
+    mantissa, _, exponent = cell.lstrip("-").lower().partition("e")
+    digits = len(mantissa.split(".")[0])
+    return (len(cell.lstrip("-")) > 308 or len(exponent.lstrip("+-")) > 3
+            or digits + int(exponent or 0) > 308)
+
+
 def assert_one_number_grammar(cells):
     """_number_breaks marks exactly the cells that re.fullmatch of the
-    grammar refuses, laid out three to a line; and orjson rejects exactly
-    those cells and the numbers float() reads as +-inf.
+    grammar refuses and the numbers past_range keeps off orjson's path, laid
+    out three to a line; orjson rejects exactly the refused cells and the
+    numbers float() reads as +-inf, and each of those is past_range.
 
     Parsing does not rest on orjson's half: a cell orjson newly rejects only
     sends its chunk to _odd_row, and one it newly accepts must still read as
@@ -499,7 +625,7 @@ def assert_one_number_grammar(cells):
     heads = np.cumsum([0] + [len(text) for text in texts[:-1]])
     broken = ingest._number_breaks(bytearray(b"[" + b"".join(texts) + b"0]"), heads[:, None])
     refused = [not NUMBER.fullmatch(cell) for cell in cells]
-    assert broken.tolist() == refused
+    assert broken.tolist() == [off or past_range(cell) for cell, off in zip(cells, refused)]
     for cell, off in zip(cells, refused):
         try:
             orjson.loads(f"[{cell}]")
@@ -507,6 +633,7 @@ def assert_one_number_grammar(cells):
         except orjson.JSONDecodeError:
             rejected = True
         assert rejected == (off or math.isinf(float(cell))), cell
+        assert off or not math.isinf(float(cell)) or past_range(cell), cell
 
 
 def test_one_number_grammar_over_short_cells():

@@ -8,11 +8,13 @@ repeats a mapped name is fatal, where csv.DictReader would read the last
 column of that name, and each physical line is one record, where
 csv.DictReader would read on while a quoted field spans lines: a line that
 leaves a quoted field open at its end is a row error (fatal in the header).
-A record is a (UTC microseconds since the epoch, demand, wind, solar)
+Its canonicalize also refuses a clock hour repeated with other values, the
+mark of a local-clock export. A record is a (UTC microseconds since the epoch, demand, wind, solar)
 tuple, compared with the columns of parse_csv's Records.
 """
 
 import csv
+import hashlib
 import io
 import tempfile
 from datetime import datetime, timedelta, timezone
@@ -107,16 +109,21 @@ def reference_parse(path, column_map):
 def reference_canonicalize(records, source):
     if not records:
         raise IngestError("no records to canonicalize")
-    deduped, dropped, last_us = [], 0, None
+    deduped, dropped, changed = [], 0, set()
+    cadence_us = CADENCE_S * 1_000_000
     for rec in sorted(records, key=lambda r: r[0]):
-        if last_us is not None and rec[0] == last_us:
+        if deduped and rec[0] == deduped[-1][0]:
             dropped += 1
+            if rec[1:] != deduped[-1][1:]:
+                changed.add(rec[0])
             continue
         deduped.append(rec)
-        last_us = rec[0]
+    for us in sorted(changed):  # one clock hour, each sample repeated with other values
+        if all(us + k * cadence_us in changed for k in range(3600 // CADENCE_S)):
+            raise IngestError(f"the hour from {(EPOCH + ONE_US * us).isoformat()} repeats with "
+                              "other values: the file looks like local clock time, not UTC")
     t0 = deduped[0][0]
     offsets = np.array([r[0] - t0 for r in deduped])
-    cadence_us = CADENCE_S * 1_000_000
     misaligned = offsets % cadence_us != 0
     if np.any(misaligned):
         bad = EPOCH + ONE_US * deduped[int(np.argmax(misaligned))][0]
@@ -270,7 +277,8 @@ def test_matches_row_by_row_reference(text, read_bytes):
 def chunk_sizes(text, read_bytes=ingest.READ_BYTES):
     """How many lines, the header's among them, each chunk of ``text`` holds."""
     with mock.patch.object(ingest, "READ_BYTES", read_bytes):
-        return [stops.size for _, stops, _ in ingest._reads(io.BytesIO(text.encode()))]
+        reads = ingest._reads(io.BytesIO(text.encode()), hashlib.sha256())
+        return [stops.size for _, stops, _ in reads]
 
 
 def edge_rows(text, read_bytes):
@@ -659,17 +667,19 @@ def test_zeros_on_every_third_line_cost_two_orjson_calls_a_chunk():
     assert 0 < loads.call_count <= 2 * len(chunk_sizes(text, 4096))
 
 
-def test_out_of_range_number_sends_its_chunk_to_csv_reader():
-    """A "1e400" cell, a number float() reads as inf, sends every line of its
-    chunk to _odd_row, and no line of another chunk; its line is a row error."""
-    text = document({150: good_line(150).replace(",0,", ",1e400,")}, n=300)
+@pytest.mark.parametrize("cell", ["1e400", "-1e400", "1" * 400, "1.7976931348623159e308"])
+def test_out_of_range_number_sends_only_its_line_to_csv_reader(cell):
+    """A number float() reads as +-inf, which orjson rejects, sends only its
+    own line to _odd_row, at two orjson calls for its chunk; its line is a
+    row error."""
+    text = document({150: good_line(150).replace(",0,", f",{cell},")}, n=300)
     lines = text.splitlines(keepends=True)
-    ends = np.cumsum(chunk_sizes(text, 640)).tolist()  # the line after each chunk
-    k = next(k for k, end in enumerate(ends) if end > 151)  # the chunk of line 151
-    seen, odd_row = [], ingest._odd_row
-    with mock.patch.object(ingest, "_odd_row", lambda text, *a: seen.append(text) or odd_row(text, *a)):
+    seen, odd_row, loads = [], ingest._odd_row, mock.Mock(wraps=orjson.loads)
+    with mock.patch.object(ingest, "_odd_row", lambda text, *a: seen.append(text) or odd_row(text, *a)), \
+            mock.patch.object(orjson, "loads", loads):
         errors = check_against_reference(text, 640)
-    assert 0 < k < len(ends) - 1 and seen == lines[ends[k - 1] : ends[k]]
+    assert seen == [lines[151]]
+    assert loads.call_count == len(chunk_sizes(text, 640)) + 1
     assert errors == [(152, "non-finite value")]
 
 

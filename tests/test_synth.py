@@ -1,11 +1,11 @@
-"""The synthetic year's bits at several lengths, and its memory."""
+"""The synthetic year's bits at several lengths, and its memory and that of its writer."""
 
 import hashlib
 
 import pytest
 
 from windfleet.ingest import SAMPLES_PER_WEEK, SAMPLES_PER_YEAR
-from windfleet.synth import synthetic_year
+from windfleet.synth import synthetic_year, write_series_csv
 from _helpers import traced_peak
 
 # sha256 of the bytes of the demand, wind and solar arrays. The golden CSV
@@ -34,6 +34,11 @@ DIGESTS = {
 # with each series built in its own buffer through one scratch block of the
 # hours (then days), the hour of day and a work row (Python 3.11, numpy 2.4)
 SYNTHETIC_YEAR_PEAK_GUARD_BYTES = 6.42e6
+# tracemalloc peak of one write_series_csv of the synthetic year, by the same
+# method and margin: 6.69 MB while the whole year was scaled to MW before it
+# was formatted, 3.60 MB scaled and formatted one export.CHUNK_ROWS block at a
+# time (Python 3.11, numpy 2.4)
+WRITE_SERIES_PEAK_GUARD_BYTES = 4.32e6
 
 
 @pytest.mark.parametrize("n_samples", sorted(DIGESTS))
@@ -46,3 +51,9 @@ def test_bits_pinned(n_samples):
 def test_peak_memory_within_guard():
     peak = traced_peak(synthetic_year)
     assert peak <= SYNTHETIC_YEAR_PEAK_GUARD_BYTES, f"synthetic_year peak {peak / 1e6:.2f} MB"
+
+
+def test_write_series_peak_memory_within_guard(synth_series, tmp_path):
+    path = tmp_path / "year.csv"
+    peak = traced_peak(lambda: write_series_csv(synth_series, path))
+    assert peak <= WRITE_SERIES_PEAK_GUARD_BYTES, f"write_series_csv peak {peak / 1e6:.2f} MB"
