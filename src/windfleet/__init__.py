@@ -39,10 +39,8 @@ from .curves import (
 from .bev import (
     BevFleetSpec,
     ChargeSchedule,
-    FleetAggregates,
     SocTrajectory,
     consumption_profile,
-    fleet_aggregates,
     leveling_schedule,
     soc_trajectory,
     weekly_levels,

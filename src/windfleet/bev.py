@@ -14,14 +14,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .ingest import CADENCE_S, SAMPLES_PER_WEEK, WeekSeries
+from .ingest import CADENCE_S, SAMPLES_PER_WEEK, SECONDS_PER_DAY, WeekSeries
 from .dispatch import HOURS_PER_SAMPLE, MAX_POWER_GWE
 from .export import sample_times, write_csv
 from .scaling import NormalizedYear
 
 log = logging.getLogger(__name__)
 
-SECONDS_PER_DAY = 86400
 # The largest fleet size (millions) and per-vehicle kWh figure a BevFleetSpec
 # takes: far beyond any real fleet, and small enough that every GW and GWh
 # value, and its sum over a year of samples, stays finite.
@@ -67,7 +66,7 @@ class BevFleetSpec:
         if max(figures) > MAX_FLEET_FIGURE:
             raise ValueError("fleet size (millions) and per-vehicle kWh figures "
                              f"must be <= {MAX_FLEET_FIGURE:,.0f}")
-        if fleet_aggregates(self).mean_power_gw > MAX_FLEET_POWER_GW:
+        if self.mean_power_gw > MAX_FLEET_POWER_GW:
             raise ValueError("fleet mean power (fleet size x daily kWh / 24) "
                              f"must be <= {MAX_FLEET_POWER_GW:,.0f} GW")
         if not 0 < self.night_fraction <= 1:
@@ -81,11 +80,16 @@ class BevFleetSpec:
         if not 0 < self.round_trip_efficiency <= 1:
             raise ValueError("round_trip_efficiency must be in (0, 1]")
 
+    # millions of vehicles x kWh scales to GWh exactly (1e6 kWh = 1 GWh)
+    @property
+    def mean_power_gw(self) -> float:
+        """Mean fleet power draw (GW): the fleet's daily energy over 24 h."""
+        return self.fleet_size_millions * self.daily_energy_per_vehicle_kwh / 24.0
 
-@dataclass(frozen=True)
-class FleetAggregates:
-    mean_power_gw: float
-    storage_capacity_gwh: float
+    @property
+    def storage_capacity_gwh(self) -> float:
+        """Total battery capacity (GWh)."""
+        return self.fleet_size_millions * self.battery_per_vehicle_kwh
 
 
 @dataclass(frozen=True)
@@ -113,23 +117,13 @@ class SocTrajectory:
     storage_capacity_gwh: float
 
 
-def fleet_aggregates(spec: BevFleetSpec) -> FleetAggregates:
-    """Mean fleet power draw (GW) and total battery capacity (GWh)."""
-    # millions of vehicles x kWh scales to GWh exactly (1e6 kWh = 1 GWh)
-    daily_energy_gwh = spec.fleet_size_millions * spec.daily_energy_per_vehicle_kwh
-    return FleetAggregates(
-        mean_power_gw=daily_energy_gwh / 24.0,
-        storage_capacity_gwh=spec.fleet_size_millions * spec.battery_per_vehicle_kwh,
-    )
-
-
 def weekly_levels(demand: np.ndarray, spec: BevFleetSpec) -> np.ndarray:
     """The V2G leveled cap of each week of demand: its mean plus the fleet's mean power (GW).
 
     demand holds whole weeks of 2016 samples, one week or a year of them.
     """
     weekly_mean = demand.reshape(-1, SAMPLES_PER_WEEK).mean(axis=1)
-    return weekly_mean + fleet_aggregates(spec).mean_power_gw
+    return weekly_mean + spec.mean_power_gw
 
 
 def consumption_profile(spec: BevFleetSpec, week: WeekSeries | NormalizedYear) -> np.ndarray:
@@ -139,10 +133,9 @@ def consumption_profile(spec: BevFleetSpec, week: WeekSeries | NormalizedYear) -
     P_d = 24 * mean / (day_hours + night_hours * night_fraction). With the
     default 15 h day at night_fraction 0.2 that is mean / 0.7.
     """
-    agg = fleet_aggregates(spec)
     day_hours = spec.day_end_hour - spec.day_start_hour
     night_hours = 24.0 - day_hours
-    p_day = 24.0 * agg.mean_power_gw / (day_hours + night_hours * spec.night_fraction)
+    p_day = 24.0 * spec.mean_power_gw / (day_hours + night_hours * spec.night_fraction)
 
     start = week.start_time
     start_sec = start.hour * 3600 + start.minute * 60 + start.second
@@ -199,8 +192,7 @@ def soc_trajectory(
     charge = schedule.charge_gw
     if charge.shape != np.shape(consumption):
         raise ValueError("schedule and consumption must cover the same week")
-    agg = fleet_aggregates(spec)
-    capacity = agg.storage_capacity_gwh
+    capacity = spec.storage_capacity_gwh
 
     stored_flow = np.where(
         charge > 0, charge * spec.round_trip_efficiency, charge

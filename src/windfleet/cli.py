@@ -49,8 +49,8 @@ from .curves import (
 )
 from .dispatch import MAX_POWER_GWE, write_dispatch_csv
 from .ingest import (
-    DEFAULT_COLUMNS, WEEKS_PER_YEAR, GridSeries, IngestError, canonicalize, cut_year, parse_csv,
-    split_weeks,
+    DEFAULT_COLUMNS, SAMPLES_PER_WEEK, WEEKS_PER_YEAR, GridSeries, IngestError, canonicalize,
+    cut_year, parse_csv, split_weeks,
 )
 from .report import (
     DEFAULT_LULL_BASE_GENERATION_GWE,
@@ -132,7 +132,7 @@ def load_config_file(path: str | Path) -> dict[str, str]:
     linenos: dict[str, int] = {}
     try:
         text = Path(path).read_text(encoding="utf-8-sig")  # a byte-order mark is skipped
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL byte in the path
         raise ConfigError(f"cannot read config file: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _COMMENT.split(raw, maxsplit=1)[0].strip()
@@ -362,6 +362,8 @@ def _out_dir(s: dict[str, object]) -> Path:
     or a parent of it would be is a configuration error, and so is none."""
     if not s["out_dir"]:
         raise ConfigError("no output directory given (use --out-dir or the config file)")
+    if "\0" in s["out_dir"]:  # no file system takes one; mkdir would raise ValueError
+        raise ConfigError(f"output directory {s['out_dir']!r} holds a NUL byte")
     out = Path(s["out_dir"])
     found = next((p for p in (out, *out.parents) if p.exists()), None)
     if found is not None and not found.is_dir():
@@ -377,7 +379,7 @@ def _year(s: dict, series: GridSeries) -> NormalizedYear:
 def _ingest(s: dict, series: GridSeries, out: None) -> None:
     cut_year(series)  # under 52 weeks is an input error; a remainder is logged
     print(f"input: {s['input']}")
-    print(f"samples: {series.n_samples} ({series.n_samples / 2016:.2f} weeks of data)")
+    print(f"samples: {series.n_samples} ({series.n_samples / SAMPLES_PER_WEEK:.2f} weeks of data)")
     print(f"weeks usable: {WEEKS_PER_YEAR}")
     for note in series.provenance:
         print(f"provenance: {note}")

@@ -29,7 +29,7 @@ from .scaling import MAX_CAPACITY_GWC, NormalizedYear, WindHistogram
 DEFAULT_CAPACITY_GRID_GWC = (20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0)
 DEFAULT_BASE_GENERATION_GWE = 13.0
 ANNUAL_SOLAR_SCALE = 2.0  # annual curves double the recorded solar
-INVERSION_RESOLUTION_GWC = 0.1
+INVERSION_RESOLUTION_GWC = 0.1  # inverted wind fleet sizes snap up to Table 2's grid
 
 _SLOPE_TOL = 1e-7
 
@@ -112,12 +112,6 @@ class CharacteristicCurve:
         if np.any(np.diff(slopes) > slope_tol):
             raise ValueError("curve must be concave (nonincreasing marginal gain)")
 
-    def value_at(self, capacity_gwc: float) -> float:
-        """Piecewise-linear interpolation, anchored through the origin."""
-        caps = np.concatenate([[0.0], self.capacities_gwc])
-        vals = np.concatenate([[0.0], self.mean_wind_gwe])
-        return float(np.interp(capacity_gwc, caps, vals))
-
 
 def _dispatch_inputs(req: CurveRequest) -> tuple[NormalizedYear, DispatchConfig]:
     """The request's year at its solar scale, and its dispatch: a headroom
@@ -166,18 +160,14 @@ def curve_from_histogram(
     return float(np.sum(hist.percent / 100.0 * np.minimum(scaled, headroom_gwe)))
 
 
-def invert_curve(
-    curve: CharacteristicCurve,
-    required_gwe: float,
-    resolution_gwc: float = INVERSION_RESOLUTION_GWC,
-) -> float:
+def invert_curve(curve: CharacteristicCurve, required_gwe: float) -> float:
     """Smallest fleet size whose curve value reaches required_gwe.
 
     The root is solved exactly on the first linear piece of the
     interpolation (anchored through the origin) that reaches the target,
-    then snapped up to the resolution grid so the returned capacity is
-    guaranteed sufficient. A target within 1e-12 above the plateau returns
-    the last capacity.
+    then snapped up (_snap_up) so the returned capacity is guaranteed
+    sufficient. A target within 1e-12 above the plateau returns the last
+    capacity.
     """
     caps, vals = curve.capacities_gwc, curve.mean_wind_gwe
     plateau = float(vals[-1])
@@ -191,28 +181,24 @@ def invert_curve(
     # a scan, not searchsorted: plateau values may dip within the curve's tolerance
     reached = np.flatnonzero(vals >= required_gwe)
     if reached.size == 0:
-        return _snap_up(float(caps[-1]), resolution_gwc)
+        return _snap_up(float(caps[-1]))
     i = reached[0]
     c0, v0 = (caps[i - 1], vals[i - 1]) if i else (0.0, 0.0)
     root = c0 + (required_gwe - v0) * (caps[i] - c0) / (vals[i] - v0)
-    return _snap_up(float(root), resolution_gwc)
+    return _snap_up(float(root))
 
 
-def invert_annual_curve(
-    req: CurveRequest,
-    required_gwe: float,
-    resolution_gwc: float = INVERSION_RESOLUTION_GWC,
-) -> float:
+def invert_annual_curve(req: CurveRequest, required_gwe: float) -> float:
     """Smallest fleet size whose annual curve reaches required_gwe, exactly.
 
     The exact root of the request's annual curve (see _annual_root), snapped
-    up to the resolution grid. Of the capacity grid only the top is read, and
-    it bounds the answer: a target above the curve's value there raises
+    up (_snap_up). Of the capacity grid only the top is read, and it bounds
+    the answer: a target above the curve's value there raises
     TargetUnreachableError.
     """
     if required_gwe <= 0:
         return 0.0
-    return _snap_up(_annual_root(req, required_gwe), resolution_gwc)
+    return _snap_up(_annual_root(req, required_gwe))
 
 
 def _annual_root(req: CurveRequest, required_gwe: float) -> float:
@@ -251,14 +237,12 @@ def _annual_root(req: CurveRequest, required_gwe: float) -> float:
         s = step
 
 
-def _snap_up(capacity_gwc: float, resolution_gwc: float) -> float:
-    """The least multiple k·resolution at or above capacity (1e-9 GWc slack).
-
-    Returned as the double nearest k·resolution, so a 0.1 GWc step reads
-    42.9, not 42.900000000000006.
+def _snap_up(capacity_gwc: float) -> float:
+    """The least multiple k·INVERSION_RESOLUTION_GWC at or above capacity
+    (1e-9 GWc slack), as the double nearest it: 42.9, not 42.900000000000006.
     """
-    k = np.ceil((capacity_gwc - 1e-9) / resolution_gwc)
-    return round(float(k) * resolution_gwc, 12)
+    k = np.ceil((capacity_gwc - 1e-9) / INVERSION_RESOLUTION_GWC)
+    return round(float(k) * INVERSION_RESOLUTION_GWC, 12)
 
 
 def write_curves_csv(curves: Sequence[CharacteristicCurve], path: str | Path) -> None:

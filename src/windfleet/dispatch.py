@@ -16,10 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from .export import sample_times, write_csv
-from .ingest import CADENCE_S, SAMPLES_PER_WEEK, WeekSeries
+from .ingest import SAMPLES_PER_HOUR, SAMPLES_PER_WEEK, WeekSeries
 from .scaling import DEFAULT_REFERENCE_CAPACITY_GWC, NormalizedYear
 
-SAMPLES_PER_HOUR = 3600 // CADENCE_S  # 12
 HOURS_PER_SAMPLE = 1.0 / SAMPLES_PER_HOUR
 # The largest base generation or headroom (GWe, either sign) a run takes: as
 # with scaling.MAX_CAPACITY_GWC, far beyond any real grid, and small enough

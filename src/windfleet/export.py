@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 import numpy as np
 import orjson
 
-from .ingest import CADENCE_S
+from .ingest import CADENCE_S, SECONDS_PER_DAY
 
 # Rows formatted per write; bounds the bytes alive at once, so a year-long
 # export does not raise peak memory.
@@ -37,7 +37,6 @@ CHUNK_ROWS = 8192
 
 _NEEDS_QUOTES = re.compile('[,"\r\n]')
 _TWO_DIGITS = np.array([list(f"{i:02d}".encode()) for i in range(100)], np.uint8)  # "00"-"99"
-_SECONDS_PER_DAY = 86400
 
 
 def sample_times(start_time: datetime, n: int) -> np.ndarray:
@@ -79,7 +78,7 @@ def _stamps(times: np.ndarray) -> list[bytes]:
     seconds = times.astype("datetime64[s]").astype(np.int64)
     nat = np.isnat(times)
     seconds[nat] = 0
-    days, of_day = np.divmod(seconds, _SECONDS_PER_DAY)
+    days, of_day = np.divmod(seconds, SECONDS_PER_DAY)
     unique_days, day = np.unique(days, return_inverse=True)
     dates = "".join(np.datetime_as_string(unique_days.astype("datetime64[D]")).tolist()).encode()
     if len(dates) != 10 * unique_days.size:  # a year past 9999

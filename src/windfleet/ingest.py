@@ -41,6 +41,8 @@ import orjson
 log = logging.getLogger(__name__)
 
 CADENCE_S = 300
+SECONDS_PER_DAY = 86400
+SAMPLES_PER_HOUR = 3600 // CADENCE_S  # 12
 SAMPLES_PER_WEEK = 2016  # 7 days at 5-minute cadence
 WEEKS_PER_YEAR = 52
 SAMPLES_PER_YEAR = WEEKS_PER_YEAR * SAMPLES_PER_WEEK
@@ -608,7 +610,7 @@ def _refuse_local_clock(records: Records, order: np.ndarray, stamps: np.ndarray,
         changed |= getattr(records, name)[rows] != getattr(records, name)[firsts]
     repeated = np.unique(stamps[again[changed]])
     steps = np.concatenate(([0], np.cumsum(np.diff(repeated) == _CADENCE_US)))
-    hour = 3600 // CADENCE_S
+    hour = SAMPLES_PER_HOUR
     runs = np.flatnonzero(steps[hour - 1:] - steps[:1 - hour] == hour - 1)
     if runs.size:
         raise IngestError(f"the hour from {_utc(repeated[runs[0]]).isoformat()} repeats with "

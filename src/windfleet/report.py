@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bev import BevFleetSpec, fleet_aggregates, weekly_levels
+from .bev import BevFleetSpec, weekly_levels
 from .curves import (
     ANNUAL_SOLAR_SCALE,
     DEFAULT_BASE_GENERATION_GWE,
@@ -95,7 +95,6 @@ def build_table2(
     rows = []
     for size in fleet_sizes_millions:
         spec = replace(fleet, fleet_size_millions=size)
-        agg = fleet_aggregates(spec)
         req = CurveRequest(
             year=year,
             capacities_gwc=capacities_gwc or DEFAULT_CAPACITY_GRID_GWC,
@@ -103,17 +102,17 @@ def build_table2(
             base_generation_gwe=base_generation_gwe,
             solar_scale=solar_scale,
         )
-        required = invert_annual_curve(req, consts.baseline_wind_gwe + agg.mean_power_gw)
+        required = invert_annual_curve(req, consts.baseline_wind_gwe + spec.mean_power_gw)
         rows.append(
             FleetSizingRow(
                 fleet_size_millions=float(size),
-                mean_power_gwe=agg.mean_power_gw,
+                mean_power_gwe=spec.mean_power_gw,
                 required_wind_gwc=required,
-                storage_gwh=agg.storage_capacity_gwh,
+                storage_gwh=spec.storage_capacity_gwh,
                 emissions_reduction_mtpa=consts.baseline_fleet_emissions_mtpa
                 * size
                 / consts.baseline_fleet_size_millions,
-                battery_cost_eur_bn=agg.storage_capacity_gwh
+                battery_cost_eur_bn=spec.storage_capacity_gwh
                 * consts.battery_unit_cost_eur_per_kwh
                 / 1000.0,
             )
@@ -217,10 +216,10 @@ def sha256_of(path: str | Path) -> str:
 def write_run_manifest(
     path: str | Path,
     command: str,
-    input_path: str | Path | None,
+    input_path: str | Path,
     config_items: dict[str, object],
     version: str,
-    input_sha256: str | None = None,
+    input_sha256: str,
 ) -> None:
     """Reproducibility record: config, input hash, software version.
 
@@ -229,10 +228,8 @@ def write_run_manifest(
     The created_utc line is the only run-varying field; all result files are
     byte-identical across reruns of the same config and input.
     """
-    lines = [f"version = {version}", f"command = {command}"]
-    if input_path is not None:
-        lines.append(f"input = {input_path}")
-        lines.append(f"input_sha256 = {input_sha256}")
+    lines = [f"version = {version}", f"command = {command}", f"input = {input_path}",
+             f"input_sha256 = {input_sha256}"]
     for key in sorted(config_items):
         lines.append(f"{key} = {config_items[key]}".rstrip())  # "key =" for an empty value
     lines.append(

@@ -19,6 +19,8 @@ from .export import CHUNK_ROWS, sample_times, write_blocks
 from .ingest import CADENCE_S, SAMPLES_PER_YEAR, GridSeries, _frozen
 
 SYNTH_START = datetime(2017, 1, 1, tzinfo=timezone.utc)
+SYNTH_MEAN_DEMAND_GW = 33.0
+SYNTH_WIND_PEAK_GW = 11.0
 
 
 def _wave(work: np.ndarray, x: np.ndarray, fn, amp: float, period: float, offset: float = 0.0,
@@ -33,13 +35,9 @@ def _wave(work: np.ndarray, x: np.ndarray, fn, amp: float, period: float, offset
     return work
 
 
-def synthetic_year(
-    n_samples: int = SAMPLES_PER_YEAR,
-    mean_demand_gw: float = 33.0,
-    wind_peak_gw: float = 11.0,
-    start_time: datetime = SYNTH_START,
-) -> GridSeries:
-    """Build a synthetic GridSeries (values in GW, wind as metered), term by term."""
+def synthetic_year(n_samples: int = SAMPLES_PER_YEAR) -> GridSeries:
+    """Build a synthetic GridSeries of ``n_samples`` from SYNTH_START (values
+    in GW, wind as metered), term by term."""
     # one scratch block, which glibc maps; freeing it lifts its trim threshold (README, Memory)
     hours, hod, work = np.empty((3, n_samples))
     np.divide(np.arange(n_samples), 12.0, out=hours)
@@ -54,7 +52,7 @@ def synthetic_year(
     wind += 0.5
     np.maximum(wind, 0.0, out=wind)
     wind **= 1.7
-    wind *= wind_peak_gw
+    wind *= SYNTH_WIND_PEAK_GW
 
     np.remainder(hours, 24.0, out=hod)
     days = np.divide(hours, 24.0, out=hours)  # hours are done with
@@ -67,7 +65,7 @@ def synthetic_year(
     work *= 0.8
     wind *= np.subtract(1.0, work, out=work)
 
-    demand = np.full(n_samples, mean_demand_gw)
+    demand = np.full(n_samples, SYNTH_MEAN_DEMAND_GW)
     demand += _wave(work, days, np.cos, 4.2, 364.0)
     demand += _wave(work, hod, np.cos, 4.0, 24.0, offset=18.0)
     demand += _wave(work, days, np.sin, 1.2, 7.0, phase=0.5)
@@ -80,7 +78,7 @@ def synthetic_year(
     solar *= np.power(daylight, 1.4, out=daylight)
 
     return GridSeries(
-        start_time=start_time,
+        start_time=SYNTH_START,
         demand=_frozen(demand),
         wind_metered=_frozen(wind),
         solar=_frozen(solar),

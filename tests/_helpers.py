@@ -71,6 +71,14 @@ def two_state_wind(low=0.0, high=12.0):
     return wind
 
 
+def curve_value_at(curve, capacity_gwc):
+    """A characteristic curve's piecewise-linear interpolation at one
+    capacity, anchored through the origin, as invert_curve reads the curve."""
+    caps = np.concatenate([[0.0], curve.capacities_gwc])
+    vals = np.concatenate([[0.0], curve.mean_wind_gwe])
+    return float(np.interp(capacity_gwc, caps, vals))
+
+
 def series_to_records(series: GridSeries) -> Records:
     """GW series back to MW records, for re-ingestion round trips."""
     start_us = (series.start_time - EPOCH) // timedelta(microseconds=1)

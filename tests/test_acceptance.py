@@ -15,7 +15,6 @@ import pytest
 from windfleet.bev import (
     BevFleetSpec,
     consumption_profile,
-    fleet_aggregates,
     leveling_schedule,
     soc_trajectory,
 )
@@ -25,6 +24,7 @@ from windfleet.dispatch import DispatchConfig, dispatch_week
 from windfleet.report import build_table2, lull_report
 from windfleet.scaling import wind_histogram
 from conftest import real_data_path
+from _helpers import curve_value_at
 
 PUBLISHED_TABLE2_GWC = {15.0: 41.8, 20.0: 49.3, 25.0: 57.5, 30.0: 66.0, 35.0: 75.0}
 PUBLISHED_LINEAR = {
@@ -68,18 +68,18 @@ def announce_data_path():
 
 def test_criterion_01_fleet_arithmetic():
     started = time.perf_counter()
-    agg = fleet_aggregates(BevFleetSpec(35.0))
+    fleet = BevFleetSpec(35.0)
     ok = (
-        round(agg.mean_power_gw, 2) == 14.58
-        and round(agg.mean_power_gw, 1) == 14.6
-        and agg.storage_capacity_gwh == 1050.0
+        round(fleet.mean_power_gw, 2) == 14.58
+        and round(fleet.mean_power_gw, 1) == 14.6
+        and fleet.storage_capacity_gwh == 1050.0
     )
     for size, (power, storage, emissions, cost) in PUBLISHED_LINEAR.items():
-        a = fleet_aggregates(BevFleetSpec(size))
-        ok = ok and abs(a.mean_power_gw - power) <= 0.05
-        ok = ok and abs(a.storage_capacity_gwh - storage) <= 0.5
+        fleet = BevFleetSpec(size)
+        ok = ok and abs(fleet.mean_power_gw - power) <= 0.05
+        ok = ok and abs(fleet.storage_capacity_gwh - storage) <= 0.5
         ok = ok and abs(66.3 * size / 35.0 - emissions) <= 0.05
-        ok = ok and abs(a.storage_capacity_gwh * 255.0 / 1000.0 - cost) <= 0.5
+        ok = ok and abs(fleet.storage_capacity_gwh * 255.0 / 1000.0 - cost) <= 0.5
     elapsed = time.perf_counter() - started
     check(
         1,
@@ -90,11 +90,10 @@ def test_criterion_01_fleet_arithmetic():
 
 def test_criterion_02_consumption_profile_oracle(synth_year):
     spec = BevFleetSpec(35.0)
-    agg = fleet_aggregates(spec)
     week = synth_year.weeks[16]
     u = consumption_profile(spec, week)
 
-    p_day_ok = abs(u.max() - agg.mean_power_gw / 0.7) <= 1e-9 * agg.mean_power_gw
+    p_day_ok = abs(u.max() - spec.mean_power_gw / 0.7) <= 1e-9 * spec.mean_power_gw
     brute = 0.0
     for value in u:
         brute += value / 12.0
@@ -154,7 +153,7 @@ def test_criterion_03_leveling_soc_and_curve_properties(synth_year):
 def test_criterion_04_curve_anchor_2017(real_year):
     require_real_data(4, real_year, "characteristic-curve anchor")
     curve = annual_curve(CurveRequest(year=real_year, headroom_gwe=20.0))
-    value = curve.value_at(20.0)
+    value = curve_value_at(curve, 20.0)
     check(4, abs(value - 6.0) <= 0.05 * 6.0, f"headroom-20 curve at 20 GWc = {value:.3f} GWe (6.0 +/- 5%)")
 
 

@@ -10,7 +10,6 @@ from windfleet.bev import (
     BevFleetSpec,
     ChargeSchedule,
     consumption_profile,
-    fleet_aggregates,
     leveling_schedule,
     soc_trajectory,
     weekly_levels,
@@ -28,20 +27,20 @@ demand_arrays = arrays(
 
 class TestFleetAggregates:
     def test_35_million(self):
-        agg = fleet_aggregates(BevFleetSpec(35.0))
-        assert agg.mean_power_gw == pytest.approx(14.5833, abs=1e-3)
-        assert round(agg.mean_power_gw, 1) == 14.6
-        assert agg.storage_capacity_gwh == pytest.approx(1050.0)
+        fleet = BevFleetSpec(35.0)
+        assert fleet.mean_power_gw == pytest.approx(14.5833, abs=1e-3)
+        assert round(fleet.mean_power_gw, 1) == 14.6
+        assert fleet.storage_capacity_gwh == pytest.approx(1050.0)
 
     def test_15_million(self):
-        agg = fleet_aggregates(BevFleetSpec(15.0))
-        assert agg.mean_power_gw == pytest.approx(6.25)
-        assert agg.storage_capacity_gwh == pytest.approx(450.0)
+        fleet = BevFleetSpec(15.0)
+        assert fleet.mean_power_gw == pytest.approx(6.25)
+        assert fleet.storage_capacity_gwh == pytest.approx(450.0)
 
     def test_empty_fleet(self):
-        agg = fleet_aggregates(BevFleetSpec(0.0))
-        assert agg.mean_power_gw == 0.0
-        assert agg.storage_capacity_gwh == 0.0
+        fleet = BevFleetSpec(0.0)
+        assert fleet.mean_power_gw == 0.0
+        assert fleet.storage_capacity_gwh == 0.0
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -55,17 +54,16 @@ class TestFleetAggregates:
 class TestConsumptionProfile:
     def test_day_power_is_mean_over_0_7(self):
         spec = BevFleetSpec(35.0)
-        agg = fleet_aggregates(spec)
         week = make_week()
         u = consumption_profile(spec, week)
         # defaults: (15 h + 9 h * 0.2) / 24 = 0.7
-        assert u.max() == pytest.approx(agg.mean_power_gw / 0.7, rel=1e-12)
-        assert u.min() == pytest.approx(0.2 * agg.mean_power_gw / 0.7, rel=1e-12)
+        assert u.max() == pytest.approx(spec.mean_power_gw / 0.7, rel=1e-12)
+        assert u.min() == pytest.approx(0.2 * spec.mean_power_gw / 0.7, rel=1e-12)
 
     def test_weekly_mean_exact(self):
         spec = BevFleetSpec(35.0)
         u = consumption_profile(spec, make_week())
-        assert u.mean() == pytest.approx(fleet_aggregates(spec).mean_power_gw, rel=1e-12)
+        assert u.mean() == pytest.approx(spec.mean_power_gw, rel=1e-12)
 
     def test_weekly_energy_conservation(self):
         # integral over the week = fleet_size * daily energy * 7 (brute force)
@@ -79,14 +77,14 @@ class TestConsumptionProfile:
     def test_flat_when_night_fraction_one(self):
         spec = BevFleetSpec(35.0, night_fraction=1.0)
         u = consumption_profile(spec, make_week())
-        np.testing.assert_allclose(u, fleet_aggregates(spec).mean_power_gw, rtol=1e-12)
+        np.testing.assert_allclose(u, spec.mean_power_gw, rtol=1e-12)
 
     def test_mean_exact_for_offset_week_start(self):
         # any start clock time still covers 7 whole days
         start = datetime(2017, 3, 5, 14, 35, tzinfo=timezone.utc)
         spec = BevFleetSpec(20.0)
         u = consumption_profile(spec, make_week(start=start))
-        assert u.mean() == pytest.approx(fleet_aggregates(spec).mean_power_gw, rel=1e-12)
+        assert u.mean() == pytest.approx(spec.mean_power_gw, rel=1e-12)
 
     def test_day_window_respected(self):
         spec = BevFleetSpec(35.0)
@@ -100,7 +98,7 @@ class TestConsumptionProfile:
 class TestWeeklyLevels:
     def test_each_week_is_its_mean_demand_plus_fleet_power(self, synth_year):
         spec = BevFleetSpec(35.0)
-        power = fleet_aggregates(spec).mean_power_gw
+        power = spec.mean_power_gw
         levels = weekly_levels(synth_year.demand, spec)
         assert levels.tolist() == [float(w.demand.mean()) + power for w in synth_year.weeks]
 
@@ -128,7 +126,7 @@ class TestLevelingSchedule:
         spec = BevFleetSpec(35.0)
         schedule = leveling_schedule(make_week(demand=33.0), spec)
         np.testing.assert_allclose(
-            schedule.charge_gw, fleet_aggregates(spec).mean_power_gw, rtol=1e-12
+            schedule.charge_gw, spec.mean_power_gw, rtol=1e-12
         )
 
     @settings(max_examples=25, deadline=None)
@@ -144,7 +142,7 @@ class TestLevelingSchedule:
         spec = BevFleetSpec(35.0)
         schedule = leveling_schedule(make_week(demand=demand), spec)
         assert schedule.charge_gw.mean() == pytest.approx(
-            fleet_aggregates(spec).mean_power_gw, rel=1e-9
+            spec.mean_power_gw, rel=1e-9
         )
 
     def test_v2g_limit_clips_and_reports(self):
@@ -206,7 +204,7 @@ class TestSocTrajectory:
         u = np.zeros(SAMPLES_PER_WEEK)
         traj = soc_trajectory(schedule, u, spec)
         gained = traj.energy_gwh[-1] - traj.energy_gwh[0]
-        expected = 0.9 * fleet_aggregates(spec).mean_power_gw * 168.0
+        expected = 0.9 * spec.mean_power_gw * 168.0
         assert gained == pytest.approx(expected, rel=1e-9)
 
     def test_synthetic_week_17_feasible(self, synth_year):

@@ -149,6 +149,21 @@ class TestExitCodes:
         assert err == "configuration error: no output directory given (use --out-dir or the config file)\n"
         assert list(tmp_path.iterdir()) == [cfg]
 
+    @pytest.mark.parametrize("command", [c for c in cli.COMMANDS if c != "ingest"])
+    @pytest.mark.parametrize("given", ["flag", "config"])
+    def test_nul_byte_in_out_dir_is_config_error(self, command, given, tmp_path, monkeypatch,
+                                                 capsys):
+        """Before the input is read (an absent input would exit 2), with
+        nothing written; mkdir would raise ValueError, a simulation error."""
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"out_dir = o\x00x\n")
+        argv = ["--out-dir", "o\x00x"] if given == "flag" else ["--config", str(cfg)]
+        assert run(command, "--input", str(tmp_path / "absent.csv"), *argv) == 3
+        err = capsys.readouterr().err
+        assert err == "configuration error: output directory 'o\\x00x' holds a NUL byte\n"
+        assert list(tmp_path.iterdir()) == [cfg]
+
     def test_seedless_rejected(self, synth_csv, tmp_path):
         code = run("histogram", "--input", str(synth_csv), "--seedless")
         assert code == 3
@@ -567,6 +582,11 @@ class TestConfigFile:
         assert err.count("\n") == 1
         with pytest.raises(ConfigError, match="byte 0xff"):
             load_config_file(cfg)
+
+    def test_config_path_with_a_nul_byte_is_config_error(self, capsys):
+        assert run("histogram", "--config", "run\x00.cfg") == 3
+        assert capsys.readouterr().err == (
+            "configuration error: cannot read config file: embedded null byte\n")
 
     def test_bad_line_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"

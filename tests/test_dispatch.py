@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from windfleet.bev import BevFleetSpec, fleet_aggregates, weekly_levels
+from windfleet.bev import BevFleetSpec, weekly_levels
 from windfleet.dispatch import (
     HOURS_PER_SAMPLE,
     MAX_POWER_GWE,
@@ -267,7 +267,7 @@ class TestYearDispatch:
         spec = BevFleetSpec(35.0)
         cfg = DispatchConfig(7.0, weekly_levels(synth_year.demand, spec))
         result = dispatch_week(synth_year, 75.0, cfg, synth_year.reference_capacity_gwc)
-        power = fleet_aggregates(spec).mean_power_gw
+        power = spec.mean_power_gw
         results = [
             dispatch_week(w, 75.0, DispatchConfig(7.0, float(w.demand.mean()) + power))
             for w in synth_year.weeks

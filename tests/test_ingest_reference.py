@@ -24,7 +24,7 @@ from unittest import mock
 import numpy as np
 import orjson
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from windfleet import cli, ingest
@@ -268,7 +268,9 @@ def test_every_odd_case_matches_reference(read_bytes):
     check_against_reference(every_odd_case(), read_bytes)
 
 
-@settings(max_examples=80, deadline=None)
+# no shrink phase: shrinking documents of up to 250 rows through the parse and
+# the reference takes minutes; the failing example is reported as drawn
+@settings(max_examples=80, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
 @given(text=documents(), read_bytes=st.sampled_from(READ_SIZES))
 def test_matches_row_by_row_reference(text, read_bytes):
     check_against_reference(text, read_bytes)

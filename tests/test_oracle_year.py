@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from windfleet import ScalingSpec, ScenarioConstants, cli
-from windfleet.bev import BevFleetSpec, fleet_aggregates
+from windfleet.bev import BevFleetSpec
 from windfleet.cli import DEFAULT_FLEET_SIZE_M
 from windfleet.curves import DEFAULT_BASE_GENERATION_GWE, DEFAULT_CAPACITY_GRID_GWC
 from windfleet.report import DEFAULT_LULL_BASE_GENERATION_GWE
@@ -75,7 +75,7 @@ K = SPEC.target_capacity_factor * SPEC.reference_capacity_gwc / (
     WIND_ON_GW * float(np.mean(WINDY_FRACTION))
 )
 SLOPE = K * WIND_ON_GW / SPEC.reference_capacity_gwc  # GWe per GWc on a windy sample
-FLEET_POWER_GW = fleet_aggregates(BevFleetSpec(DEFAULT_FLEET_SIZE_M)).mean_power_gw
+FLEET_POWER_GW = BevFleetSpec(DEFAULT_FLEET_SIZE_M).mean_power_gw
 
 
 def oracle_year_csv(path):
@@ -93,7 +93,7 @@ def headroom_rooms(headroom_gwe):
 
 
 def bev_rooms(fleet_size_millions, base_gwe=DEFAULT_BASE_GENERATION_GWE):
-    power = fleet_aggregates(BevFleetSpec(fleet_size_millions)).mean_power_gw
+    power = BevFleetSpec(fleet_size_millions).mean_power_gw
     return [d + power - base_gwe for d in WEEK_DEMAND_GW]
 
 
@@ -205,7 +205,7 @@ def test_table2_roots(oracle_out):
     rows = read_rows(oracle_out / "table2.csv")
     assert [float(row["fleet_size_millions"]) for row in rows] == list(FLEETS_M)
     for row, size in zip(rows, FLEETS_M):
-        power = fleet_aggregates(BevFleetSpec(size)).mean_power_gw
+        power = BevFleetSpec(size).mean_power_gw
         tenths = 10 * root(ScenarioConstants().baseline_wind_gwe + power, bev_rooms(size))
         # 1e-6 GWc or more from a 0.1 GWc snap boundary, so summation order
         # cannot move the snapped answer
@@ -265,7 +265,7 @@ def test_bev_stored_energy_telescopes(any_out):
     stored energy is that less consumption over 5 minutes, so the week ends
     with the energy it began with."""
     spec = BevFleetSpec(DEFAULT_FLEET_SIZE_M)
-    start = spec.initial_soc_fraction * fleet_aggregates(spec).storage_capacity_gwh
+    start = spec.initial_soc_fraction * spec.storage_capacity_gwh
     for week in WEEKS:
         charge, consumption, soc = columns(any_out / week_file("fig9_schedule", week),
                                            "charge_gw", "consumption_gw", "soc_gwh")

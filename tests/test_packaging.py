@@ -64,8 +64,8 @@ EXPORTED = {
     "DispatchConfig", "DispatchResult", "dispatch_week",
     "CharacteristicCurve", "CurveRequest", "TargetUnreachableError", "annual_curve",
     "curve_from_histogram", "invert_annual_curve", "invert_curve",
-    "BevFleetSpec", "ChargeSchedule", "FleetAggregates", "SocTrajectory", "consumption_profile",
-    "fleet_aggregates", "leveling_schedule", "soc_trajectory", "weekly_levels",
+    "BevFleetSpec", "ChargeSchedule", "SocTrajectory", "consumption_profile",
+    "leveling_schedule", "soc_trajectory", "weekly_levels",
     "FleetSizingRow", "LullReport", "ScenarioConstants", "build_table2", "lull_report",
     "synthetic_year",
 }
