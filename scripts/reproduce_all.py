@@ -42,7 +42,7 @@ def make_out_dir(out_dir: Path) -> bool:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        print(f"configuration error: cannot create output directory {out_dir}: {exc}",
+        print(f"configuration error: cannot create output directory {str(out_dir)!r}: {exc}",
               file=sys.stderr)
         return False
     return True

@@ -325,7 +325,7 @@ def _resolve(cmd: Command, text: dict[str, str]) -> dict[str, object]:
 
 def _existing(input_path: str | Path) -> str | Path:
     if not Path(input_path).exists():
-        raise IngestError(f"input file not found: {input_path}")
+        raise IngestError(f"input file not found: {str(input_path)!r}")
     return input_path
 
 
@@ -367,7 +367,8 @@ def _out_dir(s: dict[str, object]) -> Path:
     out = Path(s["out_dir"])
     found = next((p for p in (out, *out.parents) if p.exists()), None)
     if found is not None and not found.is_dir():
-        raise ConfigError(f"cannot create output directory {out}: {found} is not a directory")
+        raise ConfigError(f"cannot create output directory {str(out)!r}: "
+                          f"{str(found)!r} is not a directory")
     return out
 
 
@@ -560,7 +561,7 @@ def _execute(name: str, s: dict[str, object], series: GridSeries | None) -> None
         try:
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
-            raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
+            raise ConfigError(f"cannot create output directory {str(out)!r}: {exc}") from exc
         COMMANDS[name].compute(s, series, out)
         write_run_manifest(
             out / f"run_manifest_{name}.txt",

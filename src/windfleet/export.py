@@ -3,8 +3,9 @@
 Every result file is a header row over equal-length columns. Floats are
 written as orjson's shortest round-trip text, and as their ``repr`` where
 that uses exponent notation or the value is not finite, so the bytes are
-those of ``repr`` throughout. Timestamps are written as UTC
-``YYYY-MM-DDTHH:MM:SSZ``, and integers and strings as themselves.
+those of ``repr`` throughout. Timestamps are written by orjson as UTC
+``YYYY-MM-DDTHH:MM:SSZ``; NaT, and a time before year 1, is a ValueError.
+Integers and strings are written as themselves.
 
 The bytes are those of the csv module's excel dialect: ``\\r\\n`` line ends,
 and minimal quoting (a cell holding a comma, a double quote or a line break
@@ -13,7 +14,8 @@ one empty cell is written ``""``).
 
 Rows are built as bytes, CHUNK_ROWS at a time: each run of adjacent float
 columns is one orjson call over its rows, split into row texts, and each
-timestamp column one byte matrix; one join makes the chunk's text.
+timestamp column one orjson call, split into cells; one join makes the
+chunk's text.
 write_blocks writes columns that their caller makes one block at a time,
 such as a year scaled to MW, through the same formatting.
 """
@@ -29,14 +31,15 @@ from typing import Iterable, Sequence
 import numpy as np
 import orjson
 
-from .ingest import CADENCE_S, SECONDS_PER_DAY
+from .ingest import CADENCE_S
 
 # Rows formatted per write; bounds the bytes alive at once, so a year-long
 # export does not raise peak memory.
 CHUNK_ROWS = 8192
 
 _NEEDS_QUOTES = re.compile('[,"\r\n]')
-_TWO_DIGITS = np.array([list(f"{i:02d}".encode()) for i in range(100)], np.uint8)  # "00"-"99"
+_YEAR_ONE = np.datetime64("0001-01-01T00:00:00")
+_STAMP_OPTIONS = orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_NAIVE_UTC | orjson.OPT_UTC_Z
 
 
 def sample_times(start_time: datetime, n: int) -> np.ndarray:
@@ -70,29 +73,14 @@ def _float_rows(run: Sequence[np.ndarray]) -> list[bytes]:
 
 
 def _stamps(times: np.ndarray) -> list[bytes]:
-    """UTC ``YYYY-MM-DDTHH:MM:SSZ`` of each datetime64, as np.datetime_as_string writes it.
-
-    The dates come from one table of the span's days, the times of day from
-    a table of two digits; NaT stays ``NaT``.
-    """
-    seconds = times.astype("datetime64[s]").astype(np.int64)
-    nat = np.isnat(times)
-    seconds[nat] = 0
-    days, of_day = np.divmod(seconds, SECONDS_PER_DAY)
-    unique_days, day = np.unique(days, return_inverse=True)
-    dates = "".join(np.datetime_as_string(unique_days.astype("datetime64[D]")).tolist()).encode()
-    if len(dates) != 10 * unique_days.size:  # a year past 9999
-        return np.char.encode(np.datetime_as_string(times, unit="s", timezone="UTC")).tolist()
-    text = np.empty((times.size, 20), np.uint8)
-    text[:, :10] = np.frombuffer(dates, np.uint8).reshape(-1, 10)[day]
-    hours, of_hour = np.divmod(of_day, 3600)
-    text[:, 11:13] = _TWO_DIGITS[hours]
-    text[:, 14:16] = _TWO_DIGITS[of_hour // 60]
-    text[:, 17:19] = _TWO_DIGITS[of_hour % 60]
-    text[:, [10, 13, 16, 19]] = np.frombuffer(b"T::Z", np.uint8)
-    stamps = text.view("S20").ravel()
-    stamps[nat] = b"NaT"
-    return stamps.tolist()
+    """UTC ``YYYY-MM-DDTHH:MM:SSZ`` of each datetime64, as np.datetime_as_string
+    writes it, from one orjson call. orjson aborts the interpreter on NaT and
+    misspells negative years, so NaT, or a time before datetime's year 1, is a
+    ValueError before the call."""
+    seconds = times.astype("datetime64[s]")
+    if not (seconds >= _YEAR_ONE).all():  # False for NaT too
+        raise ValueError("timestamps must be times from year 1 on, not NaT")
+    return orjson.dumps(seconds, option=_STAMP_OPTIONS)[2:-2].split(b'","')
 
 
 def _segments(columns: Sequence[np.ndarray]) -> list[list[bytes]]:

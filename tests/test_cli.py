@@ -785,6 +785,17 @@ def test_in_memory_series_with_missing_input_writes_nothing(command, synth_serie
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", ["year\0.csv", "year\x01.csv", "year\x01\n.csv"])
+def test_input_path_with_control_bytes_is_one_printable_line(name, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["histogram", "--input", str(tmp_path / name), "--out-dir", str(out)]
+    assert cli.run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: input file not found: '")
+    assert err.endswith("\n") and err[:-1].isprintable()
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module", params=[1e-3, 1e3], ids=["in-GW", "in-kW"])
 def year_not_in_mw(request, synth_series, tmp_path_factory):
     """The synthetic year's CSV with every value times 1/1000 or 1000."""

@@ -162,9 +162,10 @@ STAMP_SPANS = {
                                 dtype="datetime64[s]"),
     "irregular, unsorted": np.random.default_rng(7).integers(
         -62_135_596_800, 253_402_300_800, size=5000).astype("datetime64[s]"),  # years 1-9999
-    "NaT": np.array(["NaT", "2017-01-16T00:05:00", "NaT"], dtype="datetime64[s]"),
-    "past 9999": np.array(["9999-12-31T23:59:59", "10000-01-01T00:00:00", "NaT"],
-                          dtype="datetime64[s]"),
+    "one stamp": np.array(["2017-01-16T00:05:00"], dtype="datetime64[s]"),
+    "past 9999": np.array(["9999-12-31T23:59:59", "10000-01-01T00:00:00"], dtype="datetime64[s]"),
+    "finer than seconds": np.array(["2017-01-16T00:05:00.999", "1969-12-31T23:59:59.5"],
+                                   dtype="datetime64[ms]"),
 }
 
 
@@ -173,3 +174,13 @@ def test_stamps_match_datetime_as_string(span):
     times = STAMP_SPANS[span]
     expected = np.datetime_as_string(times, unit="s", timezone="UTC").tolist()
     assert [stamp.decode() for stamp in export._stamps(times)] == expected
+
+
+@pytest.mark.parametrize("stamp", ["NaT", "0000-12-31T23:59:59", "-0001-01-01T00:00:00"])
+def test_time_without_utc_text_is_refused_before_orjson(stamp, tmp_path, monkeypatch):
+    """orjson aborts the interpreter on NaT and misspells negative years, so
+    write_csv refuses such a column in-process and orjson never sees it."""
+    monkeypatch.setattr(export.orjson, "dumps", None)  # a call would raise TypeError
+    times = np.array(["2017-01-16T00:05:00", stamp], dtype="datetime64[s]")
+    with pytest.raises(ValueError, match="not NaT"):
+        write_csv(tmp_path / "x.csv", ["timestamp"], [times])
