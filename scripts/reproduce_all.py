@@ -6,11 +6,12 @@ Usage:
 
 Runs, in order: ingest --check, histogram, curves, bev (week 17),
 lull (week 3, base 7 GWe), table2. The input is opened and parsed once, and
-every step works on that one series and its digest. Stops at the first nonzero exit code. The input is
-read before --out-dir is made, so an input error (exit 2) leaves no output
-directory behind; an --out-dir that cannot be created exits 3 with one line,
-as the CLI does. Without --input, makes the output directory and generates
-the synthetic year into it first.
+every step works on that one series and its digest. Stops at the first
+nonzero exit code; the failing step has said why in one stderr line. The
+input is read before --out-dir is made, so an input error (exit 2) leaves no
+output directory behind; an --out-dir that cannot be created exits 3 with one
+line, as the CLI does. Without --input, makes the output directory and
+generates the synthetic year into it first.
 """
 
 import argparse
@@ -75,8 +76,7 @@ def main() -> int:
     for step in steps(input_path, out_dir):
         print(f"\n=== windfleet {' '.join(step)}")
         code = run(step, series=series)
-        if code != 0:
-            print(f"step failed with exit code {code}", file=sys.stderr)
+        if code != 0:  # the step said why on stderr; its header above names it
             return code
     print(f"\nall artifacts written to {out_dir}/")
     return 0

@@ -23,7 +23,8 @@ import logging
 import os
 import re
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
+from datetime import datetime, timezone
 from decimal import Decimal
 from pathlib import Path
 from typing import Callable, Sequence
@@ -58,9 +59,7 @@ from .report import (
     build_table2,
     format_table2,
     lull_report,
-    sha256_of,
     write_lull_csv,
-    write_run_manifest,
     write_table2_csv,
 )
 from .scaling import (
@@ -130,6 +129,7 @@ def load_config_file(path: str | Path) -> dict[str, str]:
     value such as ``run#1.csv`` is read whole."""
     values: dict[str, str] = {}
     linenos: dict[str, int] = {}
+    where = repr(str(path))  # the path in every message: one printable line, whatever its bytes
     try:
         text = Path(path).read_text(encoding="utf-8-sig")  # a byte-order mark is skipped
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL byte in the path
@@ -139,12 +139,12 @@ def load_config_file(path: str | Path) -> dict[str, str]:
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+            raise ConfigError(f"{where}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _KNOWN_CONFIG_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+            raise ConfigError(f"{where}:{lineno}: unknown config key {key!r}")
         if key in linenos:
-            raise ConfigError(f"{path}:{lineno}: {key!r} already set on line {linenos[key]}")
+            raise ConfigError(f"{where}:{lineno}: {key!r} already set on line {linenos[key]}")
         linenos[key] = lineno
         values[key] = value
     return values
@@ -345,18 +345,6 @@ def load_series(input_path: str | Path, columns: dict[str, str] | None = None) -
     return _in_mw(canonicalize(parse_csv(_existing(input_path), columns), source=str(input_path)))
 
 
-def _load_series(s: dict[str, object], series: GridSeries | None) -> GridSeries:
-    """``series``, or else the series read from the input; either carries the
-    input's SHA-256 before anything is written, and has a mean demand within
-    MEAN_DEMAND_GW."""
-    if series is None:
-        return load_series(s["input"], s["columns"])
-    _in_mw(series)
-    if series.input_sha256 is None:
-        return replace(series, input_sha256=sha256_of(_existing(s["input"])))
-    return series
-
-
 def _out_dir(s: dict[str, object]) -> Path:
     """The output directory, not yet made; anything but a directory where it
     or a parent of it would be is a configuration error, and so is none."""
@@ -547,12 +535,15 @@ def _settings(args: argparse.Namespace) -> dict[str, str]:
 
 
 def _execute(name: str, s: dict[str, object], series: GridSeries | None) -> None:
-    """Load the input and run the command on it; every command but ingest
-    then makes the output directory and writes its artifacts and its run
-    manifest into it. An input that fails leaves no directory behind, and
-    a run that fails later removes each directory it made that is still empty."""
+    """Load the input, or check the series given, and run the command on it;
+    every command but ingest then makes the output directory and writes its
+    artifacts and its run manifest into it. An input that fails leaves no
+    directory behind, and a run that fails later removes each directory it
+    made that is still empty."""
     out = None if name == "ingest" else _out_dir(s)
-    series = _load_series(s, series)
+    if series is not None and series.input_sha256 is None:
+        raise ConfigError("the series given carries no input_sha256: read it with load_series")
+    series = load_series(s["input"], s["columns"]) if series is None else _in_mw(series)
     if out is None:
         COMMANDS[name].compute(s, series, out)
         return
@@ -563,14 +554,12 @@ def _execute(name: str, s: dict[str, object], series: GridSeries | None) -> None
         except OSError as exc:
             raise ConfigError(f"cannot create output directory {str(out)!r}: {exc}") from exc
         COMMANDS[name].compute(s, series, out)
-        write_run_manifest(
-            out / f"run_manifest_{name}.txt",
-            command=name,
-            input_path=s["input"],
-            config_items={k: _config_text(v) for k, v in s.items() if k not in ("input", "out_dir")},
-            version=__version__,
-            input_sha256=series.input_sha256,
-        )
+        lines = [f"version = {__version__}", f"command = {name}", f"input = {s['input']}",
+                 f"input_sha256 = {series.input_sha256}"]
+        for key in sorted(s.keys() - {"input", "out_dir"}):
+            lines.append(f"{key} = {_config_text(s[key])}".rstrip())  # "key =" for an empty value
+        lines.append(f"created_utc = {datetime.now(timezone.utc):%Y-%m-%dT%H:%M:%SZ}")
+        (out / f"run_manifest_{name}.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     except BaseException:
         for d in made:
             if not os.path.isdir(d):  # the mkdir failed before it made this one
@@ -593,10 +582,11 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def run(argv: Sequence[str] | None, *, series: GridSeries | None = None) -> int:
-    """``main`` without the logging set-up; ``series``, when given, is used
+    """``main`` without the logging set-up. ``series``, when given, is used
     in place of reading ``--input``, which then only names the input in the
-    run manifest (and is hashed for it, before any output, when the series
-    carries no ``input_sha256``). Every setting is still resolved and checked."""
+    run manifest; it must carry the ``input_sha256`` of the bytes it was
+    parsed from, as load_series gives it, or the run is a configuration
+    error. Every setting is still resolved and checked."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

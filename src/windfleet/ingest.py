@@ -470,7 +470,7 @@ def _odd_row(text: str, width: int, fields: list[int], need: int) -> tuple | Non
     return 0, [np.nan] * 3, reason
 
 
-def _chunks(reads: Iterable[tuple], width: int, fields: list[int], path: Path,
+def _chunks(reads: Iterable[tuple], width: int, fields: list[int], where: str,
             errors: list[RowError]) -> Iterator[tuple[np.ndarray, ...]]:
     """The kept rows after the header, a chunk of _reads at a time, one row a line.
 
@@ -494,7 +494,7 @@ def _chunks(reads: Iterable[tuple], width: int, fields: list[int], path: Path,
             try:
                 row = _odd_row(chunk[a:b].decode(), width, fields, need)
             except csv.Error as exc:
-                raise IngestError(f"{path} line {done + 1 + i}: {exc}") from exc
+                raise IngestError(f"{where} line {done + 1 + i}: {exc}") from exc
             if row is None:  # a blank row
                 bad[i] = True
                 continue
@@ -536,7 +536,7 @@ def parse_csv(
     limit) are always fatal; a UTF-8 byte-order mark before the header is skipped.
     """
     columns = dict(DEFAULT_COLUMNS, **(column_map or {}))
-    path = Path(path)
+    where = repr(str(path))  # the path in every message: one printable line, whatever its bytes
     try:
         fh = open(path, "rb")
     except OSError as exc:
@@ -551,27 +551,27 @@ def parse_csv(
         try:
             chunk, stops, nexts = next(reads, (b"", None, None))
             if not chunk:
-                raise IngestError(f"{path}: empty file, no header row")
+                raise IngestError(f"{where}: empty file, no header row")
             head = int(nexts[0])  # the header is the file's first line
             try:
                 header = _line_row(chunk[:head].decode())
             except csv.Error as exc:
-                raise IngestError(f"{path} line 1: {exc}") from exc
+                raise IngestError(f"{where} line 1: {exc}") from exc
             if header is None:
-                raise IngestError(f"{path} line 1: quote not closed on its line")
+                raise IngestError(f"{where} line 1: quote not closed on its line")
             missing = [c for c in columns.values() if c not in header]
             if missing:
-                raise IngestError(f"{path}: missing column(s) {missing}; file has {header}")
+                raise IngestError(f"{where}: missing column(s) {missing}; file has {header}")
             repeated = [c for c in columns.values() if header.count(c) > 1]
             if repeated:
-                raise IngestError(f"{path}: mapped column {repeated[0]!r} repeats in the header")
+                raise IngestError(f"{where}: mapped column {repeated[0]!r} repeats in the header")
             position = {name: i for i, name in enumerate(header)}
             fields = [position[columns[k]] for k in ("timestamp", "demand", "wind", "solar")]
             if stops.size > 1:  # the first read's lines after the header size the columns
                 reads = chain([(chunk[head:], stops[1:] - head, nexts[1:] - head)], reads)
                 capacity = -(-max(size - head, 0) * (stops.size - 1) // (len(chunk) - head))
             out = [np.empty(capacity, np.int64)] + [np.empty(capacity) for _ in range(3)]
-            for part in _chunks(reads, len(header), fields, path, errors):
+            for part in _chunks(reads, len(header), fields, where, errors):
                 end = n + part[0].size
                 if end > out[0].size:  # later lines are shorter: grown in place by an eighth
                     for column in out:
@@ -581,17 +581,17 @@ def parse_csv(
                 n = end
         except UnicodeDecodeError as exc:
             bad = exc.object[exc.start : exc.end].hex(" ")
-            raise IngestError(f"{path}: not UTF-8 text ({exc.reason}: byte {bad})") from exc
+            raise IngestError(f"{where}: not UTF-8 text ({exc.reason}: byte {bad})") from exc
 
     if row_errors is not None:
         row_errors.extend(errors)
     for err in errors[:20]:
-        log.warning("%s line %d: %s", path.name, err.line, err.reason)
+        log.warning("%s line %d: %s", where, err.line, err.reason)
     if len(errors) > 20:
-        log.warning("%s: %d further row errors suppressed", path.name, len(errors) - 20)
+        log.warning("%s: %d further row errors suppressed", where, len(errors) - 20)
     rows = n + len(errors)  # every row that is not blank is kept or rejected
     if len(errors) > 0.01 * rows:
-        raise IngestError(f"{path}: {len(errors)} of {rows} rows malformed (more than 1%)")
+        raise IngestError(f"{where}: {len(errors)} of {rows} rows malformed (more than 1%)")
     for column in out:
         column.resize(n, refcheck=False)
     return Records(*out, input_sha256=digest.hexdigest())

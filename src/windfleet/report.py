@@ -10,9 +10,7 @@ rounding happens only at display time.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, replace
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import Sequence
 
@@ -90,11 +88,16 @@ def build_table2(
     output + fleet mean power) and the answer snapped up to the 0.1 GWc grid
     (invert_annual_curve). Only the largest of capacities_gwc is read, and
     it bounds the answer: raises TargetUnreachableError when a fleet is too
-    large for it.
+    large for it, and ValueError when a linear column overflows.
     """
     rows = []
     for size in fleet_sizes_millions:
         spec = replace(fleet, fleet_size_millions=size)
+        emissions = consts.baseline_fleet_emissions_mtpa * size / consts.baseline_fleet_size_millions
+        cost = spec.storage_capacity_gwh * consts.battery_unit_cost_eur_per_kwh / 1000.0
+        if not (np.isfinite(emissions) and np.isfinite(cost)):
+            raise ValueError(f"the {size:g} M fleet's emissions reduction or battery cost "
+                             "overflows: the scenario constants are out of range")
         req = CurveRequest(
             year=year,
             capacities_gwc=capacities_gwc or DEFAULT_CAPACITY_GRID_GWC,
@@ -109,12 +112,8 @@ def build_table2(
                 mean_power_gwe=spec.mean_power_gw,
                 required_wind_gwc=required,
                 storage_gwh=spec.storage_capacity_gwh,
-                emissions_reduction_mtpa=consts.baseline_fleet_emissions_mtpa
-                * size
-                / consts.baseline_fleet_size_millions,
-                battery_cost_eur_bn=spec.storage_capacity_gwh
-                * consts.battery_unit_cost_eur_per_kwh
-                / 1000.0,
+                emissions_reduction_mtpa=emissions,
+                battery_cost_eur_bn=cost,
             )
         )
     return rows
@@ -203,36 +202,3 @@ def write_lull_csv(report: LullReport, path: str | Path) -> None:
         [[getattr(report, name)] for name in header],
         more=[(["capacity_gwc", "mean_wind_gwe"], [list(means), list(means.values())])],
     )
-
-
-def sha256_of(path: str | Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
-def write_run_manifest(
-    path: str | Path,
-    command: str,
-    input_path: str | Path,
-    config_items: dict[str, object],
-    version: str,
-    input_sha256: str,
-) -> None:
-    """Reproducibility record: config, input hash, software version.
-
-    ``input_sha256`` is the digest of the file at ``input_path``, as given.
-
-    The created_utc line is the only run-varying field; all result files are
-    byte-identical across reruns of the same config and input.
-    """
-    lines = [f"version = {version}", f"command = {command}", f"input = {input_path}",
-             f"input_sha256 = {input_sha256}"]
-    for key in sorted(config_items):
-        lines.append(f"{key} = {config_items[key]}".rstrip())  # "key =" for an empty value
-    lines.append(
-        f"created_utc = {datetime.now(timezone.utc).strftime('%Y-%m-%dT%H:%M:%SZ')}"
-    )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 from pathlib import Path
 
@@ -18,6 +19,12 @@ hypothesis_settings.load_profile("deterministic")
 @pytest.fixture(scope="session")
 def synth_series():
     return synthetic_year()
+
+
+@pytest.fixture(scope="session")
+def hashed_series(synth_series):
+    """The synthetic year, carrying a digest, so no run reads or hashes a file."""
+    return dataclasses.replace(synth_series, input_sha256="0" * 64)
 
 
 @pytest.fixture(scope="session")

@@ -17,6 +17,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+import windfleet
 from windfleet import BevFleetSpec, ScalingSpec, ScenarioConstants, cli, report
 from windfleet.bev import MAX_FLEET_FIGURE, MAX_FLEET_POWER_GW
 from windfleet.cli import load_config_file, main, ConfigError
@@ -555,7 +556,7 @@ class TestConfigFile:
     def test_repeated_key_rejected(self, synth_csv, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("weeks = 3\n# stressed week\nweeks = 17\n")
-        with pytest.raises(ConfigError, match=r"run.cfg:3: 'weeks' already set on line 1"):
+        with pytest.raises(ConfigError, match=r"run.cfg':3: 'weeks' already set on line 1"):
             load_config_file(cfg)
         assert run("bev", "--input", str(synth_csv), "--config", str(cfg)) == 3
         assert capsys.readouterr().err.startswith("configuration error: ")
@@ -652,6 +653,16 @@ class TestScripts:
         assert result.stderr.splitlines() == [
             "input error: mean demand is 0.001 GW, outside 1-5,000 GW: input values must be in MW"]
         assert not (tmp_path / "out").exists()
+
+    def test_reproduce_all_failing_step_is_one_stderr_line(self, synth_csv, tmp_path):
+        """A step that fails says why in its one line, and the chain adds none:
+        its header on stdout names the step."""
+        (tmp_path / "out" / "fig1_histogram.csv").mkdir(parents=True)
+        result = run_script(REPRODUCE_ALL, "--input", str(synth_csv),
+                            "--out-dir", str(tmp_path / "out"), cwd=tmp_path)
+        assert_one_line_config_error(result)
+        assert "Is a directory" in result.stderr
+        assert result.stdout.rstrip().splitlines()[-1].startswith("=== windfleet histogram ")
 
     def test_reproduce_all_input_and_out_dir_that_is_a_file_exits_3(self, tmp_path):
         data = tmp_path / "short.csv"
@@ -766,19 +777,28 @@ def test_local_clock_export_is_an_input_error(synth_series, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-def test_in_memory_series_without_digest_hashes_the_input(synth_series, synth_csv, tmp_path):
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_in_memory_series_without_digest_is_refused(command, synth_series, synth_csv, tmp_path,
+                                                    capsys):
+    """A series that does not carry the digest of the bytes it was parsed
+    from is a configuration error before anything is made or written: no
+    file is hashed in its place."""
     assert synth_series.input_sha256 is None
-    argv = ["histogram", "--input", str(synth_csv), "--out-dir", str(tmp_path)]
-    assert cli.run(argv, series=synth_series) == 0
-    digest = hashlib.sha256(synth_csv.read_bytes()).hexdigest()
-    assert f"input_sha256 = {digest}\n" in (tmp_path / "run_manifest_histogram.txt").read_text()
+    out = tmp_path / "new" / "out"
+    argv = [command, "--input", str(synth_csv), "--out-dir", str(out)]
+    with opens_of(synth_csv) as opened:
+        assert cli.run(argv, series=synth_series) == 3
+    assert opened == []
+    assert capsys.readouterr().err == (
+        "configuration error: the series given carries no input_sha256: read it with load_series\n")
+    assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("command", ["histogram", "curves", "bev", "lull", "table2"])
-def test_in_memory_series_with_missing_input_writes_nothing(command, synth_series, tmp_path, capsys):
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_missing_input_writes_nothing(command, tmp_path, capsys):
     out = tmp_path / "out"
     argv = [command, "--input", str(tmp_path / "absent.csv"), "--out-dir", str(out)]
-    assert cli.run(argv, series=synth_series) == 2
+    assert cli.run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error: input file not found: ")
     assert err.count("\n") == 1
@@ -793,6 +813,41 @@ def test_input_path_with_control_bytes_is_one_printable_line(name, tmp_path, cap
     err = capsys.readouterr().err
     assert err.startswith("input error: input file not found: '")
     assert err.endswith("\n") and err[:-1].isprintable()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["bad\n.csv", "bad\r\x01.csv"])
+def test_existing_files_named_with_line_breaks_fail_in_one_line(name, tmp_path, capsys):
+    """An input with a wrong header and a config file with an unknown key,
+    each named with a line break: each message quotes the path, so it stays
+    one printable stderr line."""
+    data = tmp_path / name
+    data.write_text("time,demand,wind,solar\n2017-01-16T00:00:00Z,48000,900,0\n")
+    cfg = tmp_path / name.replace(".csv", ".cfg")
+    cfg.write_text("weeks = 3\nbogus = 1\n")
+    out = tmp_path / "out"
+    runs = [(["histogram", "--input", str(data)], 2,
+             f"input error: {str(data)!r}: missing column(s) ['timestamp']; "
+             "file has ['time', 'demand', 'wind', 'solar']\n"),
+            (["bev", "--input", str(data), "--config", str(cfg)], 3,
+             f"configuration error: {str(cfg)!r}:2: unknown config key 'bogus'\n")]
+    for argv, code, message in runs:
+        assert cli.run([*argv, "--out-dir", str(out)]) == code
+        err = capsys.readouterr().err
+        assert err == message and err[:-1].isprintable()
+    assert not out.exists()
+
+
+def test_table2_column_that_overflows_is_one_line_and_writes_nothing(hashed_series, tmp_path,
+                                                                       capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("baseline_fleet_emissions_mtpa = 1e308\n")
+    out = tmp_path / "out"
+    argv = ["table2", "--input", "year.csv", "--config", str(cfg), "--out-dir", str(out)]
+    assert cli.run(argv, series=hashed_series) == 1
+    assert capsys.readouterr().err == (
+        "simulation error: the 15 M fleet's emissions reduction or battery cost overflows: "
+        "the scenario constants are out of range\n")
     assert not out.exists()
 
 
@@ -819,7 +874,8 @@ def test_input_not_in_mw_is_an_input_error(command, year_not_in_mw, tmp_path, ca
 
 @pytest.mark.parametrize("demand, code", [(0.999, 2), (1.0, 0), (5000.0, 0), (5000.5, 2)])
 def test_mean_demand_bounds_of_an_in_memory_series(demand, code, synth_csv, tmp_path, capsys):
-    series = make_year_series(demand=demand, wind=4.0, solar=0.0)
+    series = dataclasses.replace(make_year_series(demand=demand, wind=4.0, solar=0.0),
+                                 input_sha256="0" * 64)
     argv = ["ingest", "--input", str(synth_csv)]
     assert cli.run(argv, series=series) == code
     assert ("must be in MW" in capsys.readouterr().err) == bool(code)
@@ -888,12 +944,6 @@ CHANGING = {
     ("bev", "v2g_power_limit_gw"): "1",  # below the 1 M fleet's exports; 50 never binds
     ("table2", "capacities_gwc"): "5, 10",  # it only bounds the root: too small exits 1
 }
-
-
-@pytest.fixture(scope="module")
-def hashed_series(synth_series):
-    """The synthetic year, carrying a digest, so no run reads or hashes a file."""
-    return dataclasses.replace(synth_series, input_sha256="0" * 64)
 
 
 def run_config(command, settings, series, out, capsys):
@@ -1321,7 +1371,7 @@ class TestRepeats:
             argv += ["--out-dir", str(out)]
         assert run(*argv) == 2
         err = capsys.readouterr().err
-        assert err == f"input error: {path}: mapped column 'wind' repeats in the header\n"
+        assert err == f"input error: {str(path)!r}: mapped column 'wind' repeats in the header\n"
         assert not out.exists()  # the output directory is made only once the input is read
 
 
@@ -1329,6 +1379,37 @@ def manifest_settings(out, command):
     lines = (out / f"run_manifest_{command}.txt").read_text().splitlines()
     pairs = (line.partition("=") for line in lines if not line.startswith(RUN_LINES))
     return {key.strip(): value.strip() for key, _, value in pairs}
+
+
+class TestRunManifest:
+    """Each run's manifest: its version, command, input and the digest the
+    series carries, every setting the command read, sorted, in config
+    syntax, and created_utc, the one line that varies between reruns."""
+
+    ARGV = ["bev", "--input", "year.csv", "--weeks", "17", "--fleet-size", "20"]
+
+    def test_fields_recorded(self, hashed_series, tmp_path):
+        assert cli.run([*self.ARGV, "--out-dir", str(tmp_path)], series=hashed_series) == 0
+        lines = (tmp_path / "run_manifest_bev.txt").read_text(encoding="utf-8").splitlines()
+        assert lines[:4] == [f"version = {windfleet.__version__}", "command = bev",
+                             "input = year.csv", f"input_sha256 = {'0' * 64}"]  # as carried
+        settings = lines[4:-1]
+        assert [line.partition(" =")[0] for line in settings] == sorted(
+            set(cli.COMMANDS["bev"].keys) - {"input", "out_dir"})
+        assert "weeks = 17" in settings and "fleet_size_millions = 20.0" in settings
+        assert "v2g_power_limit_gw =" in settings  # an unset key is written empty
+        assert re.fullmatch(r"created_utc = \d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", lines[-1])
+
+    def test_only_created_utc_varies(self, hashed_series, tmp_path):
+        texts = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            assert cli.run([*self.ARGV, "--out-dir", str(out)], series=hashed_series) == 0
+            texts.append((out / "run_manifest_bev.txt").read_text(encoding="utf-8"))
+        stripped = [[l for l in text.splitlines() if not l.startswith("created_utc = ")]
+                    for text in texts]
+        assert stripped[0] == stripped[1]
+        assert [len(text.splitlines()) - len(s) for text, s in zip(texts, stripped)] == [1, 1]
 
 
 def test_one_parser_keeps_no_setting_between_runs(hashed_series, tmp_path):

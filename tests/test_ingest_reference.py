@@ -67,10 +67,10 @@ def reference_parse(path, column_map):
         lines = enumerate(fh, start=1)  # newline="": cut at "\n", "\r\n" or "\r", as csv is
         fieldnames, unclosed = read_alone(next(lines)[1])
         if unclosed:
-            raise IngestError(f"{path} line 1: {UNCLOSED}")
+            raise IngestError(f"{str(path)!r} line 1: {UNCLOSED}")
         repeated = [c for c in columns.values() if fieldnames.count(c) > 1]
         if repeated:
-            raise IngestError(f"{path}: mapped column {repeated[0]!r} repeats in the header")
+            raise IngestError(f"{str(path)!r}: mapped column {repeated[0]!r} repeats in the header")
         need = max(fieldnames.index(c) for c in columns.values()) + 1
         for line, text in lines:
             row, unclosed = read_alone(text, fieldnames)
@@ -523,7 +523,7 @@ def expected_csv_error(path):
             try:
                 read_alone(text)
             except csv.Error as exc:
-                return f"{path} line {line}: {exc}"
+                return f"{str(path)!r} line {line}: {exc}"
     return None
 
 
@@ -532,7 +532,7 @@ def test_field_over_the_csv_limit_same_error_and_line(tmp_path, read_bytes):
     path = tmp_path / "long.csv"
     path.write_text(document({5: good_line(5, note="x" * 140_000)}), encoding="utf-8")
     expected = expected_csv_error(path)
-    assert expected == f"{path} line 7: field larger than field limit (131072)"
+    assert expected == f"{str(path)!r} line 7: field larger than field limit (131072)"
     with mock.patch.object(ingest, "READ_BYTES", read_bytes):
         with pytest.raises(IngestError) as raised:
             parse_csv(path, COLUMNS)
@@ -727,5 +727,5 @@ def test_header_with_an_unclosed_quote_is_fatal(text, tmp_path, capsys):
     path = tmp_path / "export.csv"
     path.write_text(text, newline="")
     assert cli.run(["ingest", "--check", "--input", str(path)]) == 2
-    assert capsys.readouterr().err == f"input error: {path} line 1: {UNCLOSED}\n"
-    assert outcome(reference_parse, path, {}) == f"{path} line 1: {UNCLOSED}"
+    assert capsys.readouterr().err == f"input error: {str(path)!r} line 1: {UNCLOSED}\n"
+    assert outcome(reference_parse, path, {}) == f"{str(path)!r} line 1: {UNCLOSED}"

@@ -10,7 +10,6 @@ from windfleet.report import (
     format_table2,
     lull_report,
     write_lull_csv,
-    write_run_manifest,
     write_table2_csv,
 )
 from windfleet.dispatch import DispatchConfig, dispatch_week, write_dispatch_csv
@@ -52,6 +51,15 @@ class TestBuildTable2:
     def test_unreachable_target_propagates(self, synth_year):
         with pytest.raises(TargetUnreachableError):
             build_table2(synth_year, [500.0])
+
+    @pytest.mark.parametrize("consts", [
+        ScenarioConstants(baseline_fleet_emissions_mtpa=1e308),
+        ScenarioConstants(baseline_fleet_size_millions=5e-324),
+        ScenarioConstants(battery_unit_cost_eur_per_kwh=1e308),
+    ])
+    def test_overflowing_linear_column_is_refused(self, synth_year, consts):
+        with pytest.raises(ValueError, match="the 15 M fleet's .* overflows"):
+            build_table2(synth_year, [15.0], consts)
 
     def test_csv_and_display(self, tmp_path, synth_year):
         rows = build_table2(synth_year, [15.0, 35.0])
@@ -136,25 +144,3 @@ class TestScenarioConstants:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             ScenarioConstants(baseline_wind_gwe=0.0)
-
-
-class TestRunManifest:
-    def test_fields_recorded(self, tmp_path, synth_csv):
-        path = tmp_path / "manifest.txt"
-        write_run_manifest(path, "curves", synth_csv, {"workers": 2}, version="0.1.0",
-                           input_sha256="ab" * 32)
-        text = path.read_text()
-        assert "version = 0.1.0" in text
-        assert "command = curves" in text
-        assert f"input_sha256 = {'ab' * 32}\n" in text  # as given, not re-hashed
-        assert "workers = 2" in text
-        assert "created_utc = " in text
-
-    def test_only_timestamp_varies(self, tmp_path, synth_csv):
-        a = tmp_path / "a.txt"
-        b = tmp_path / "b.txt"
-        digest = "ab" * 32
-        write_run_manifest(a, "bev", synth_csv, {"weeks": [17]}, version="0.1.0", input_sha256=digest)
-        write_run_manifest(b, "bev", synth_csv, {"weeks": [17]}, version="0.1.0", input_sha256=digest)
-        strip = lambda p: [l for l in p.read_text().splitlines() if not l.startswith("created_utc")]
-        assert strip(a) == strip(b)
