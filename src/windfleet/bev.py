@@ -106,15 +106,15 @@ class ChargeSchedule:
 class SocTrajectory:
     """Fleet stored energy at sample boundaries; energy_gwh[0] is the initial state.
 
-    Excursions outside [0, storage_capacity] are never clamped (clamping
-    would silently break the leveling guarantee); they flag infeasibility.
+    Excursions outside [0, spec.storage_capacity_gwh] are never clamped
+    (clamping would silently break the leveling guarantee); they flag
+    infeasibility.
     """
 
     energy_gwh: np.ndarray
     feasible: bool
     min_energy_gwh: float
     max_energy_gwh: float
-    storage_capacity_gwh: float
 
 
 def weekly_levels(demand: np.ndarray, spec: BevFleetSpec) -> np.ndarray:
@@ -217,7 +217,6 @@ def soc_trajectory(
         feasible=feasible,
         min_energy_gwh=e_min,
         max_energy_gwh=e_max,
-        storage_capacity_gwh=capacity,
     )
 
 

@@ -10,9 +10,10 @@ Settings resolve flag > config file > default. Config files are plain
 ``start:stop:step``, and an optional number left empty is unset. Every key a
 command reads is checked before the input is read, and is recorded in its
 manifest (all but out_dir) in config syntax, so the manifest less its version,
-command, input_sha256 and created_utc lines reruns it as a config file. Exit
-codes: 0 ok, 1 simulation error, 2 input error, 3 configuration error
-(including a result file that cannot be written).
+command, input_sha256 and created_utc lines reruns it as a config file (a
+value that would not read back the same is refused before the input is
+read). Exit codes: 0 ok, 1 simulation error, 2 input error, 3 configuration
+error (including a result file that cannot be written).
 """
 
 from __future__ import annotations
@@ -122,6 +123,14 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _config_line(raw: str) -> tuple[str, ...]:
+    """One config file line as it is read: its key and value, each stripped,
+    after ``#`` at the line's start or after whitespace cuts a comment; only
+    its text when it holds no ``=``; nothing when it holds no text."""
+    line = _COMMENT.split(raw, maxsplit=1)[0].strip()
+    return tuple(part.strip() for part in line.split("=", 1)) if line else ()
+
+
 def load_config_file(path: str | Path) -> dict[str, str]:
     """Parse a plain key = value config file; unknown and repeated keys are fatal.
 
@@ -135,12 +144,12 @@ def load_config_file(path: str | Path) -> dict[str, str]:
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL byte in the path
         raise ConfigError(f"cannot read config file: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _COMMENT.split(raw, maxsplit=1)[0].strip()
-        if not line:
+        parts = _config_line(raw)
+        if not parts:
             continue
-        if "=" not in line:
+        if len(parts) == 1:
             raise ConfigError(f"{where}:{lineno}: expected 'key = value', got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
+        key, value = parts
         if key not in _KNOWN_CONFIG_KEYS:
             raise ConfigError(f"{where}:{lineno}: unknown config key {key!r}")
         if key in linenos:
@@ -264,6 +273,20 @@ def _config_text(value: object) -> str:
     return str(value)
 
 
+def _setting_line(key: str, value: object) -> str:
+    """The manifest's ``key = value`` line, which reads back as the same key
+    and text; a value that would not (a line break, `` #``, spaces at either
+    end, or a file name byte that is not UTF-8) is a configuration error."""
+    text = _config_text(value)
+    line = f"{key} = {text}".rstrip()  # "key =" for an empty value
+    if (line.splitlines() != [line] or _config_line(line) != (key, text)
+            or line.encode("utf-8", "replace").decode("utf-8") != line):  # a surrogate
+        raise ConfigError(f"{key} {text!r} would not read back from the run manifest: a config "
+                          "value is UTF-8 text with no line break or ' #', and no spaces at "
+                          "either end")
+    return line
+
+
 @dataclass(frozen=True)
 class Command:
     """One subcommand. ``compute(settings, series, out)`` writes its artifacts
@@ -323,12 +346,6 @@ def _resolve(cmd: Command, text: dict[str, str]) -> dict[str, object]:
     return s
 
 
-def _existing(input_path: str | Path) -> str | Path:
-    if not Path(input_path).exists():
-        raise IngestError(f"input file not found: {str(input_path)!r}")
-    return input_path
-
-
 def _in_mw(series: GridSeries) -> GridSeries:
     """``series``, when its mean demand is one a grid read from MW values has."""
     mean = float(series.demand.mean())
@@ -342,7 +359,7 @@ def load_series(input_path: str | Path, columns: dict[str, str] | None = None) -
     """Parse and canonicalize one input file, read once; the series carries
     the SHA-256 of the bytes parsed. A mean demand outside MEAN_DEMAND_GW is
     an input error."""
-    return _in_mw(canonicalize(parse_csv(_existing(input_path), columns), source=str(input_path)))
+    return _in_mw(canonicalize(parse_csv(input_path, columns)))
 
 
 def _out_dir(s: dict[str, object]) -> Path:
@@ -426,7 +443,7 @@ def _bev(s: dict, series: GridSeries, out: Path) -> None:
         print(
             f"week {wk}: level {schedule.level_gwe:.1f} GWe, "
             f"stored energy range [{trajectory.min_energy_gwh:.1f}, "
-            f"{trajectory.max_energy_gwh:.1f}] of {trajectory.storage_capacity_gwh:.0f} GWh "
+            f"{trajectory.max_energy_gwh:.1f}] of {spec.storage_capacity_gwh:.0f} GWh "
             f"({status})"
         )
 
@@ -536,11 +553,13 @@ def _settings(args: argparse.Namespace) -> dict[str, str]:
 
 def _execute(name: str, s: dict[str, object], series: GridSeries | None) -> None:
     """Load the input, or check the series given, and run the command on it;
-    every command but ingest then makes the output directory and writes its
-    artifacts and its run manifest into it. An input that fails leaves no
-    directory behind, and a run that fails later removes each directory it
-    made that is still empty."""
+    every command but ingest first checks its manifest's setting lines, then
+    makes the output directory and writes its artifacts and its run manifest
+    into it. An input that fails leaves no directory behind, and a run that
+    fails later removes each directory it made that is still empty."""
     out = None if name == "ingest" else _out_dir(s)
+    settings = [] if out is None else [  # checked before anything is made or read
+        _setting_line(key, s[key]) for key in ("input", *sorted(s.keys() - {"input", "out_dir"}))]
     if series is not None and series.input_sha256 is None:
         raise ConfigError("the series given carries no input_sha256: read it with load_series")
     series = load_series(s["input"], s["columns"]) if series is None else _in_mw(series)
@@ -554,11 +573,9 @@ def _execute(name: str, s: dict[str, object], series: GridSeries | None) -> None
         except OSError as exc:
             raise ConfigError(f"cannot create output directory {str(out)!r}: {exc}") from exc
         COMMANDS[name].compute(s, series, out)
-        lines = [f"version = {__version__}", f"command = {name}", f"input = {s['input']}",
-                 f"input_sha256 = {series.input_sha256}"]
-        for key in sorted(s.keys() - {"input", "out_dir"}):
-            lines.append(f"{key} = {_config_text(s[key])}".rstrip())  # "key =" for an empty value
-        lines.append(f"created_utc = {datetime.now(timezone.utc):%Y-%m-%dT%H:%M:%SZ}")
+        lines = [f"version = {__version__}", f"command = {name}", settings[0],
+                 f"input_sha256 = {series.input_sha256}", *settings[1:],
+                 f"created_utc = {datetime.now(timezone.utc):%Y-%m-%dT%H:%M:%SZ}"]
         (out / f"run_manifest_{name}.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     except BaseException:
         for d in made:

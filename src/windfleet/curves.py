@@ -138,22 +138,17 @@ def annual_curve(req: CurveRequest) -> CharacteristicCurve:
     )
 
 
-def curve_from_histogram(
-    hist: WindHistogram,
-    capacity_gwc: float,
-    headroom_gwe: float,
-    reference_capacity_gwc: float | None = None,
-) -> float:
+def curve_from_histogram(hist: WindHistogram, capacity_gwc: float, headroom_gwe: float) -> float:
     """Histogram approximation of a curve point (solar-free by construction).
 
-    Each band's center is scaled to the target capacity and capped at the
-    headroom; the probability-weighted mean is the approximate annual output.
-    Diverges from the time-series curve as solar grows, since both fleets
-    share the same headroom.
+    Each band's center is scaled from the histogram's capacity_gwc to the
+    target capacity and capped at the headroom; the probability-weighted
+    mean is the approximate annual output. Diverges from the time-series
+    curve as solar grows, since both fleets share the same headroom.
     """
-    ref = reference_capacity_gwc if reference_capacity_gwc is not None else hist.capacity_gwc
+    ref = hist.capacity_gwc
     if ref is None or ref <= 0:
-        raise ValueError("histogram reference capacity unknown; pass reference_capacity_gwc")
+        raise ValueError("histogram reference capacity unknown: make it with capacity_gwc")
     if capacity_gwc <= 0:
         raise ValueError("capacity must be > 0")
     scaled = hist.bin_centers_gwe * (capacity_gwc / ref)

@@ -128,7 +128,7 @@ class GridSeries:
     demand: np.ndarray
     wind_metered: np.ndarray
     solar: np.ndarray
-    provenance: tuple[str, ...] = ()
+    provenance: tuple[str, ...] = ()  # one note a repair, as canonicalize logs it
     input_sha256: str | None = None
 
     def __post_init__(self):
@@ -539,7 +539,7 @@ def parse_csv(
     where = repr(str(path))  # the path in every message: one printable line, whatever its bytes
     try:
         fh = open(path, "rb")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise IngestError(f"cannot open input file: {exc}") from exc
 
     digest = hashlib.sha256()
@@ -617,7 +617,7 @@ def _refuse_local_clock(records: Records, order: np.ndarray, stamps: np.ndarray,
                           "other values: the file looks like local clock time, not UTC")
 
 
-def canonicalize(records: Records, source: str = "<records>") -> GridSeries:
+def canonicalize(records: Records) -> GridSeries:
     """Sort, de-duplicate, gap-fill and convert raw records to a GridSeries.
 
     Records in strictly increasing time order, as every clean export is, are
@@ -678,13 +678,13 @@ def canonicalize(records: Records, source: str = "<records>") -> GridSeries:
         out /= MW_PER_GW
         return _frozen(out)
 
-    provenance = [f"source: {source}"]
+    provenance = []
     if dropped:
         provenance.append(f"dropped {dropped} duplicate-timestamp rows (kept first)")
     if missing.size:
         provenance.append(f"interpolated {missing.size} missing samples across {n_gaps} gaps")
-    for note in provenance[1:]:
-        log.info("%s: %s", source, note)
+    for note in provenance:
+        log.info(note)
 
     return GridSeries(
         start_time=_utc(start),

@@ -76,7 +76,7 @@ def build_table2(
     year: NormalizedYear,
     fleet_sizes_millions: Sequence[float],
     consts: ScenarioConstants = ScenarioConstants(),
-    capacities_gwc: tuple[float, ...] | None = None,
+    capacities_gwc: tuple[float, ...] = DEFAULT_CAPACITY_GRID_GWC,
     base_generation_gwe: float = DEFAULT_BASE_GENERATION_GWE,
     solar_scale: float = ANNUAL_SOLAR_SCALE,
     fleet: BevFleetSpec = BevFleetSpec(fleet_size_millions=0.0),
@@ -100,7 +100,7 @@ def build_table2(
                              "overflows: the scenario constants are out of range")
         req = CurveRequest(
             year=year,
-            capacities_gwc=capacities_gwc or DEFAULT_CAPACITY_GRID_GWC,
+            capacities_gwc=capacities_gwc,
             bev=spec,
             base_generation_gwe=base_generation_gwe,
             solar_scale=solar_scale,

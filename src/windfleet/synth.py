@@ -82,7 +82,6 @@ def synthetic_year(n_samples: int = SAMPLES_PER_YEAR) -> GridSeries:
         demand=_frozen(demand),
         wind_metered=_frozen(wind),
         solar=_frozen(solar),
-        provenance=("source: synthetic (closed-form, deterministic)",),
     )
 
 

@@ -55,5 +55,5 @@ def real_year():
     path = real_data_path()
     if path is None:
         return None
-    series = canonicalize(parse_csv(path), source=str(path))
+    series = canonicalize(parse_csv(path))
     return normalize(series, ScalingSpec())

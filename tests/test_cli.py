@@ -800,18 +800,24 @@ def test_missing_input_writes_nothing(command, tmp_path, capsys):
     argv = [command, "--input", str(tmp_path / "absent.csv"), "--out-dir", str(out)]
     assert cli.run(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("input error: input file not found: ")
-    assert err.count("\n") == 1
+    assert err == (f"input error: cannot open input file: [Errno 2] No such file or directory: "
+                   f"{str(tmp_path / 'absent.csv')!r}\n")
     assert not out.exists()
 
 
-@pytest.mark.parametrize("name", ["year\0.csv", "year\x01.csv", "year\x01\n.csv"])
-def test_input_path_with_control_bytes_is_one_printable_line(name, tmp_path, capsys):
+@pytest.mark.parametrize("command, name", [("histogram", "year\0.csv"),
+                                           ("histogram", "year\x01.csv"),
+                                           ("ingest", "year\x01\n.csv")])
+def test_input_path_with_control_bytes_is_one_printable_line(command, name, tmp_path, capsys):
+    """parse_csv's open is the one check that the input exists: a NUL byte
+    in the path is an input error too. A name with a line break is read
+    only by ingest, which writes no manifest
+    (TestManifest::test_refuses_an_input_that_would_not_read_back)."""
     out = tmp_path / "out"
-    argv = ["histogram", "--input", str(tmp_path / name), "--out-dir", str(out)]
+    argv = [command, "--input", str(tmp_path / name), "--out-dir", str(out)]
     assert cli.run(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("input error: input file not found: '")
+    assert err.startswith("input error: cannot open input file: ")
     assert err.endswith("\n") and err[:-1].isprintable()
     assert not out.exists()
 
@@ -820,13 +826,14 @@ def test_input_path_with_control_bytes_is_one_printable_line(name, tmp_path, cap
 def test_existing_files_named_with_line_breaks_fail_in_one_line(name, tmp_path, capsys):
     """An input with a wrong header and a config file with an unknown key,
     each named with a line break: each message quotes the path, so it stays
-    one printable stderr line."""
+    one printable stderr line. ingest reads the input, since a writing
+    command refuses its name before it opens it (TestManifest)."""
     data = tmp_path / name
     data.write_text("time,demand,wind,solar\n2017-01-16T00:00:00Z,48000,900,0\n")
     cfg = tmp_path / name.replace(".csv", ".cfg")
     cfg.write_text("weeks = 3\nbogus = 1\n")
     out = tmp_path / "out"
-    runs = [(["histogram", "--input", str(data)], 2,
+    runs = [(["ingest", "--input", str(data)], 2,
              f"input error: {str(data)!r}: missing column(s) ['timestamp']; "
              "file has ['time', 'demand', 'wind', 'solar']\n"),
             (["bev", "--input", str(data), "--config", str(cfg)], 3,
@@ -836,6 +843,19 @@ def test_existing_files_named_with_line_breaks_fail_in_one_line(name, tmp_path, 
         err = capsys.readouterr().err
         assert err == message and err[:-1].isprintable()
     assert not out.exists()
+
+
+def test_repairs_of_an_input_named_with_a_line_break_log_one_line_each(tmp_path, caplog):
+    """A repair's log line is its provenance note alone: the input is named
+    by parse_csv's quoted messages, the manifest and ingest's input line."""
+    path = tmp_path / "ye\nar.csv"
+    path.write_text("timestamp,demand,wind,solar\n" + "".join(
+        f"2017-01-16T00:{minute:02d}:00Z,48000,900,0\n" for minute in (0, 5, 5, 15)))
+    with caplog.at_level(logging.INFO, logger="windfleet.ingest"):
+        series = cli.load_series(path)
+    notes = ["dropped 1 duplicate-timestamp rows (kept first)",
+             "interpolated 1 missing samples across 1 gaps"]
+    assert list(series.provenance) == caplog.messages == notes
 
 
 def test_table2_column_that_overflows_is_one_line_and_writes_nothing(hashed_series, tmp_path,
@@ -992,6 +1012,14 @@ def same_results(a, b):
     )
 
 
+# input names the manifest cannot hold: each str.splitlines boundary, " #"
+# (a comment in config text), spaces that config text strips, and a file
+# name byte that is not UTF-8, as sys.argv holds it
+NOT_CONFIG_TEXT = [f"ye{cut}ar.csv" for cut in
+                   ("\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+                   ] + ["run #1.csv", "run\t#1.csv", " year.csv", "year.csv ", "y\udcff.csv"]
+
+
 class TestManifest:
     def test_other_values_cover_every_key_but_out_dir(self):
         assert set(OTHER) == cli._KNOWN_CONFIG_KEYS - {"out_dir"}
@@ -1059,6 +1087,37 @@ class TestManifest:
             assert results == base[0] and block == base[1], key
             if command == "ingest":  # its report is its stdout; it writes nothing
                 assert stdout == base[2] and not list((tmp_path / key).iterdir())
+
+    @pytest.mark.parametrize("command", WRITERS)
+    def test_refuses_an_input_that_would_not_read_back(self, command, synth_csv, tmp_path,
+                                                       monkeypatch, capsys):
+        """An input named with a line break (each str.splitlines boundary),
+        " #", a space at either end or a byte that is not UTF-8 would not
+        read back from the manifest as a config file: exit 3 in one line,
+        before the input is opened or a directory made."""
+        monkeypatch.chdir(tmp_path)
+        for n, name in enumerate(NOT_CONFIG_TEXT):
+            Path(name).symlink_to(synth_csv)
+            out = tmp_path / "new" / str(n)
+            with opens_of(name) as opened:
+                assert cli.run([command, "--input", name, "--out-dir", str(out)]) == 3
+            assert opened == []
+            assert capsys.readouterr().err == (
+                f"configuration error: input {name!r} would not read back from the run manifest: "
+                "a config value is UTF-8 text with no line break or ' #', and no spaces at "
+                "either end\n")
+        assert not (tmp_path / "new").exists()
+
+    @pytest.mark.parametrize("name", ["de #mand", "de\nmand", "de\u2028mand"])
+    def test_refuses_a_column_name_that_would_not_read_back(self, name, hashed_series, tmp_path,
+                                                            capsys):
+        out = tmp_path / "out"
+        argv = ["histogram", "--input", "year.csv", "--columns", f"demand={name}",
+                "--out-dir", str(out)]
+        assert cli.run(argv, series=hashed_series) == 3
+        text = f"timestamp=timestamp, demand={name}, wind=wind, solar=solar"
+        assert capsys.readouterr().err.startswith(f"configuration error: columns {text!r} would ")
+        assert not out.exists()
 
 
 class TestBevFleetKeys:

@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 
 from windfleet import cli
 from windfleet.ingest import parse_csv
+from test_cli import run_subprocess
 from test_ingest_reference import reference_parse
 
 # odd values of any setting: not numbers, not finite, extreme, empty,
@@ -151,6 +152,37 @@ def test_any_settings_give_a_documented_exit(name, hashed_series, synth_csv, fuz
 
     one_run()
     assert 0 in codes, f"no run of {name} exited 0: {sorted(set(codes))}"
+
+
+# one case of the families above each, run as the console script runs: argv,
+# with {csv} the synthetic year and {tmp} a fresh directory, the config
+# file's text or None, and the exit
+FRESH_INTERPRETER = {
+    "unknown flag": (["histogram", "--input", "{csv}", "--bogus", "1", "--out-dir", "{tmp}/out"],
+                     None, 3),
+    "value not finite": (["curves", "--input", "{csv}", "--out-dir", "{tmp}/out"],
+                         "solar_scale = nan\n", 3),
+    "missing input named with control bytes": (
+        ["ingest", "--input", "{tmp}/abs\x01ent\n.csv"], None, 2),
+    "out_dir with a NUL byte": (["histogram", "--input", "{csv}"], "out_dir = o\0ut\n", 3),
+}
+
+
+@pytest.mark.parametrize("case", list(FRESH_INTERPRETER))
+def test_fresh_interpreter_gives_the_documented_exit(case, synth_csv, tmp_path):
+    """``python -m windfleet.cli`` exits as documented, with one printable
+    stderr line and no traceback, and makes nothing."""
+    argv, config, code = FRESH_INTERPRETER[case]
+    argv = [a.format(csv=synth_csv, tmp=tmp_path) for a in argv]
+    if config:
+        (tmp_path / "run.cfg").write_text(config)
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    result = run_subprocess(*argv)
+    assert result.returncode == code, result.stderr
+    assert "Traceback" not in result.stdout + result.stderr
+    assert result.stderr.count("\n") == 1 and result.stderr.endswith("\n")
+    assert result.stderr[:-1].isprintable()
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["run.cfg"] if config else [])
 
 
 # each command's settings for a mutated file, small enough for a run of milliseconds

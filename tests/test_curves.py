@@ -135,8 +135,9 @@ class TestCurveFromHistogram:
         assert value == pytest.approx(center_mean * 3.0, rel=1e-12)
 
     def test_requires_reference(self):
+        """The histogram's capacity_gwc is the one reference: without it, no curve point."""
         hist = WindHistogram(1.0, np.array([5.5]), np.array([100.0]))
-        with pytest.raises(ValueError, match="reference"):
+        with pytest.raises(ValueError, match="reference capacity unknown: make it with capacity_gwc"):
             curve_from_histogram(hist, 40.0, 20.0)
 
     def test_close_to_time_series_curve(self, synth_year):

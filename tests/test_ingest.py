@@ -143,6 +143,11 @@ class TestParseCsv:
         with pytest.raises(IngestError, match="cannot open"):
             parse_csv(tmp_path / "absent.csv")
 
+    def test_path_with_a_nul_byte_is_an_input_error(self, tmp_path):
+        """No file system takes a NUL byte: open's ValueError is an IngestError."""
+        with pytest.raises(IngestError, match="^cannot open input file: embedded null byte$"):
+            parse_csv(str(tmp_path / "a\0b.csv"))
+
     @pytest.mark.parametrize("header", ["demand,wind,solar,timestamp", "timestamp,demand,wind,solar"])
     def test_short_row_is_row_error(self, tmp_path, header):
         order = header.split(",")
@@ -290,7 +295,7 @@ def test_canonicalize_peak_memory_within_guard(year_records, year):
     records = dirty(year_records) if year == "dirty" else year_records
     series = canonicalize(records)
     assert series.n_samples == SAMPLES_PER_YEAR
-    assert len(series.provenance) == (3 if year == "dirty" else 1)  # duplicates, gaps
+    assert len(series.provenance) == (2 if year == "dirty" else 0)  # duplicates, gaps
     peak = traced_peak(lambda: canonicalize(records))
     assert peak <= CANONICALIZE_PEAK_GUARD_BYTES[year], f"canonicalize peak {peak / 1e6:.2f} MB"
 
@@ -300,7 +305,7 @@ def test_repaired_year_matches_reference(year_records):
     records = dirty(year_records)
     columns = (records.timestamp_us, records.demand_mw, records.wind_mw, records.solar_mw)
     rows = list(zip(*(column.tolist() for column in columns)))
-    assert_same_series(canonicalize(records, "year"), reference_canonicalize(rows, "year"))
+    assert_same_series(canonicalize(records), reference_canonicalize(rows))
 
 
 @pytest.mark.parametrize("gaps", [False, True])
@@ -319,7 +324,7 @@ def test_in_order_records_take_no_sort_and_match_a_shuffled_copy(year_records, g
         assert argsort.call_count == 0
         assert_same_series(series, canonicalize(Records(*(c[rows][shuffled] for c in columns))))
         assert argsort.call_count == 1
-    assert len(series.provenance) == 1 + gaps
+    assert len(series.provenance) == gaps
     for column, copy in zip(columns, before):
         assert column.tobytes() == copy.tobytes()
     for name, mw in zip(("demand", "wind_metered", "solar"), columns[1:]):
@@ -430,7 +435,7 @@ class TestCanonicalize:
 class TestCsvRoundTrip:
     def test_synthetic_year_survives_write_parse_canonicalize(self, synth_series, synth_csv):
         records = parse_csv(synth_csv)
-        series = canonicalize(records, source=str(synth_csv))
+        series = canonicalize(records)
         assert series.start_time == synth_series.start_time
         assert series.n_samples == synth_series.n_samples
         np.testing.assert_allclose(series.demand, synth_series.demand, rtol=1e-12)

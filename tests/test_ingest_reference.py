@@ -106,7 +106,7 @@ def reference_parse(path, column_map):
     return records, errors, n_rows
 
 
-def reference_canonicalize(records, source):
+def reference_canonicalize(records):
     if not records:
         raise IngestError("no records to canonicalize")
     deduped, dropped, changed = [], 0, set()
@@ -143,7 +143,7 @@ def reference_canonicalize(records, source):
     n = int(idx[-1]) + 1
     full = np.arange(n)
     columns = [np.interp(full, idx, [r[k] for r in deduped]) / MW_PER_GW for k in (1, 2, 3)]
-    provenance = [f"source: {source}"]
+    provenance = []
     if dropped:
         provenance.append(f"dropped {dropped} duplicate-timestamp rows (kept first)")
     if n - len(deduped):
@@ -588,8 +588,8 @@ def check_against_reference(text, read_bytes=ingest.READ_BYTES):
     for name, column in zip(("demand_mw", "wind_mw", "solar_mw"), expected_columns[1:]):
         # bit for bit: -0.0 is not 0.0
         assert getattr(records, name).tobytes() == np.array(column, float).tobytes(), name
-    expected = outcome(reference_canonicalize, expected_records, "x")
-    series = outcome(canonicalize, records, "x")
+    expected = outcome(reference_canonicalize, expected_records)
+    series = outcome(canonicalize, records)
     if isinstance(expected, str):
         assert series == expected
     else:
@@ -602,9 +602,7 @@ def test_synthetic_year_matches_reference(synth_csv):
     records = parse_csv(synth_csv)
     assert not expected_errors
     assert len(records) == len(expected_records)
-    assert_same_series(
-        canonicalize(records, source="year"), reference_canonicalize(expected_records, "year")
-    )
+    assert_same_series(canonicalize(records), reference_canonicalize(expected_records))
 
 
 # solar cells float() reads and orjson rejects
@@ -711,8 +709,8 @@ def test_stray_quote_pair_costs_only_its_two_lines(synth_csv, tmp_path):
     assert [e.line for e in errors] == [1000, 1006] and errors[0].reason == UNCLOSED
     assert errors[1].reason.startswith("unparseable field: could not convert string to float")
     assert len(records) == len(lines) - 3
-    series = canonicalize(records, "stray")
-    assert series.provenance[1:] == ("interpolated 2 missing samples across 2 gaps",)
+    series = canonicalize(records)
+    assert series.provenance == ("interpolated 2 missing samples across 2 gaps",)
 
 
 ROWS = "".join(f"{stamp(i, 'Z')},48000,900,0\n" for i in range(3))

@@ -48,6 +48,11 @@ class TestBuildTable2:
         assert row.battery_cost_eur_bn == 0.0
         assert row.required_wind_gwc > 0.0  # still needs the baseline output
 
+    def test_empty_capacity_grid_is_refused(self, synth_year):
+        """As capacity_grid refuses it everywhere, not replaced by the default grid."""
+        with pytest.raises(ValueError, match="capacities must be finite and positive"):
+            build_table2(synth_year, [15.0], capacities_gwc=())
+
     def test_unreachable_target_propagates(self, synth_year):
         with pytest.raises(TargetUnreachableError):
             build_table2(synth_year, [500.0])
